@@ -5,47 +5,31 @@ Both searches report the *set* of maximizers (points and closed intervals in
 because plateaus are common for piecewise-constant densities.  A canonical
 representative — the smallest-norm point of the set, ties broken toward the
 smaller coordinate — is attached for callers that need one number.
+
+The 1D window search is exact, with no sampling or local search: between
+breakpoints of the density shifted by the window radius, the stationary
+points of the window mass solve a linear equation (affine and constant
+pieces) or a quadratic in the square root of a sqrt arc's radicand (a sqrt
+arc against an affine piece or against another arc).  A stretch on which
+the derivative vanishes identically is reported as a plateau.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from scipy.optimize import brentq
 
 from .density import GridDensity, Piece, UscDensity1D
 from .errors import EmptySearchBox
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 #: default absolute value tolerance for grouping near-optimal candidates (exact 1D)
 TOL_VALUE_EXACT = 1e-10
 #: looser grouping tolerance for grid-backed searches
 TOL_VALUE_GRID = 1e-6
-
-
-def _golden_max(f: Callable[[float], float], a: float, b: float,
-                xtol: float) -> tuple[float, float]:
-    """Golden-section maximization of f on [a, b] down to width xtol."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while d - c > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 @dataclass(frozen=True)
@@ -259,12 +243,94 @@ def _piece_covering(d: UscDensity1D, x: float) -> Piece:
 
 
 def _affine_coeffs(p: Piece) -> tuple[float, float, float] | None:
-    """(a, b, t0) for pieces of the form a + b*(t - t0); None for sqrt arcs."""
+    """(a, b, t0) for pieces of the form a + b*(t - t0), flat sqrt arcs
+    included; None for genuine sqrt arcs."""
     if p.kind == "constant":
         return p.params["k"], 0.0, 0.0
     if p.kind == "affine":
         return p.params["a"], p.params["b"], p.params.get("t0", 0.0)
+    if p.params["b"] == 0.0:
+        return p.params["a"], 0.0, 0.0
     return None
+
+
+def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float] | None:
+    """Real roots of qa*w^2 + qb*w + qc = 0; None when every coefficient is zero.
+
+    Uses the cancellation-free form q = -(qb + sign(qb) sqrt(disc)) / 2 with
+    roots q/qa and qc/q.  A negative discriminant has no real roots; a double
+    root is a tangency of F', never a sign change, so dropping it is harmless.
+    """
+    if qa == 0.0:
+        if qb == 0.0:
+            return None if qc == 0.0 else []
+        return [-qc / qb]
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return []
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    return [q / qa, qc / q] if q != 0.0 else [0.0]
+
+
+def _stationary_points(p_hi: Piece, p_lo: Piece, r: float,
+                       mid: float) -> list[float] | None:
+    """Roots of F'(theta) = p_hi(theta + r) - p_lo(theta - r), in closed form.
+
+    Returns None when F' vanishes identically (a plateau of F).  A sqrt arc
+    a + b*sqrt(s*(theta - tau)) is written in w = sqrt(s*(theta - tau)) >= 0,
+    so theta = tau + s*w^2: against an affine piece F' = 0 is a quadratic in
+    w, and against a second arc the substitution w1 = P + Q*w2 read off
+    a1 + b1*w1 = a2 + b2*w2 gives a quadratic in w2.  The caller keeps the
+    roots that fall strictly inside the stretch.
+    """
+    hi_aff = _affine_coeffs(p_hi)
+    lo_aff = _affine_coeffs(p_lo)
+    if hi_aff is not None and lo_aff is not None:
+        a_p, b_p, t_p = hi_aff
+        a_m, b_m, t_m = lo_aff
+        # solve in coordinates shifted to the stretch midpoint m, so products
+        # stay small even for steep distant pieces
+        c1 = b_p - b_m
+        c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)
+        if c1 == 0.0:
+            return None if c0 == 0.0 else []
+        return [mid - c0 / c1]
+
+    # F' = 0 reads the same with the sides swapped: put a sqrt arc first
+    if hi_aff is None:
+        (p1, shift1), (p2, shift2), aff = (p_hi, r), (p_lo, -r), lo_aff
+    else:
+        (p1, shift1), (p2, shift2), aff = (p_lo, -r), (p_hi, r), hi_aff
+    a1, b1, s1 = p1.params["a"], p1.params["b"], p1.params["s"]
+    tau1 = p1.params["t0"] - shift1
+    if aff is not None:
+        a, b, t0 = aff
+        # the affine side is A + b*(theta - mid)
+        A = a + b * ((mid - t0) + shift2)
+        ws = _quadratic_roots(-b * s1, b1, (a1 - A) - b * (tau1 - mid))
+        return None if ws is None else [tau1 + s1 * w * w for w in ws if w >= 0.0]
+
+    a2, b2, s2 = p2.params["a"], p2.params["b"], p2.params["s"]
+    tau2 = p2.params["t0"] - shift2
+    if abs(b2) > abs(b1):  # divide by the steeper arc, so |Q| <= 1
+        a1, b1, s1, tau1, a2, b2, s2, tau2 = a2, b2, s2, tau2, a1, b1, s1, tau1
+    P, Q = (a2 - a1) / b1, b2 / b1
+    ws = _quadratic_roots(s1 * Q * Q - s2, 2.0 * s1 * P * Q, s1 * P * P + (tau1 - tau2))
+    if ws is None:
+        # then P = 0, Q = +-1 and the arcs coincide; Q = -1 only meets at w = 0
+        return None if Q > 0.0 else []
+    return [tau2 + s2 * w * w for w in ws if w >= 0.0 and P + Q * w >= 0.0]
+
+
+def _clusters(points, eps: float) -> list[list[float]]:
+    """Sort points and split them into runs whose neighbours lie within eps."""
+    groups: list[list[float]] = []
+    for t in sorted(points):
+        if groups and t - groups[-1][-1] <= eps:
+            groups[-1].append(t)
+        else:
+            groups.append([t])
+    return groups
 
 
 def maximize_window(
@@ -274,19 +340,16 @@ def maximize_window(
     *,
     scale: float = 1.0,
     tol_value: float = TOL_VALUE_EXACT,
-    fallback_step_frac: float = 1e-4,
-    refine_xtol: float = 1e-10,
-    n_probe: int = 17,
 ) -> ArgmaxResult:
     """Maximize F(theta) = scale * integral of d over [theta-r, theta+r].
 
     The search is exact on the piecewise structure: F is smooth between
-    breakpoints of d shifted by +-r, and on each stretch its derivative is
-    f(theta+r) - f(theta-r) for two fixed pieces.  Affine/constant pairs are
-    solved in closed form (including genuine plateaus of F); pairs involving
-    sqrt arcs are bracketed by sign probing and polished with brentq.  A
-    uniform fallback grid with golden-section refinement backs up the
-    analytic pass.
+    breakpoints of d shifted by +-r, and on each such stretch its derivative
+    f(theta+r) - f(theta-r) pairs two fixed pieces.  F' = 0 is solved there
+    in closed form: a linear equation for two affine/constant pieces, a
+    quadratic in w = sqrt(radicand) when a sqrt arc is involved (see
+    :func:`_stationary_points`).  The candidates are the stretch ends plus
+    these roots; a stretch where F' vanishes identically is a plateau.
     """
     if radius <= 0.0:
         raise ValueError("window radius must be positive")
@@ -304,100 +367,26 @@ def maximize_window(
     cuts = sorted(cuts)
 
     candidates: set[float] = set(cuts)
-    heuristic: set[float] = set()
     plateaus: list[tuple[float, float]] = []
-
     for u, v in zip(cuts, cuts[1:]):
-        if v - u <= 0.0:
-            continue
         mid = 0.5 * (u + v)
-        p_hi = _piece_covering(d, mid + r)
-        p_lo = _piece_covering(d, mid - r)
-        hi_aff = _affine_coeffs(p_hi)
-        lo_aff = _affine_coeffs(p_lo)
-        if hi_aff is not None and lo_aff is not None:
-            a_p, b_p, t_p = hi_aff
-            a_m, b_m, t_m = lo_aff
-            # solve F'(m + psi) = 0 in coordinates shifted to the stretch
-            # midpoint m, so products stay small even for steep distant pieces
-            c1 = b_p - b_m
-            c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)
-            if c1 == 0.0:
-                if c0 == 0.0:
-                    plateaus.append((u, v))
-                continue
-            t_star = mid - c0 / c1
-            if u < t_star < v:
-                candidates.add(t_star)
-            continue
+        roots = _stationary_points(_piece_covering(d, mid + r),
+                                   _piece_covering(d, mid - r), r, mid)
+        if roots is None:
+            plateaus.append((u, v))
+        else:
+            candidates.update(t for t in roots if u < t < v)
 
-        # at least one sqrt arc: probe the derivative for sign changes
-        def dF(theta: float, _ph=p_hi, _pl=p_lo) -> float:
-            return _ph.value(theta + r) - _pl.value(theta - r)
-
-        inset = 1e-12 * max(1.0, abs(u), abs(v))
-        a, b = u + inset, v - inset
-        if b <= a:
-            continue
-        ts = [a + (b - a) * k / (n_probe - 1) for k in range(n_probe)]
-        gs = [dF(t) for t in ts]
-        for (t1, g1), (t2, g2) in zip(zip(ts, gs), zip(ts[1:], gs[1:])):
-            if g1 == 0.0:
-                candidates.add(t1)
-            if g1 * g2 < 0.0:
-                candidates.add(brentq(dF, t1, t2, xtol=1e-14))
-        if gs[-1] == 0.0:
-            candidates.add(ts[-1])
-        # insurance against derivative sign patterns the probe missed
-        x_g, _ = _golden_max(F, u, v, refine_xtol)
-        heuristic.add(x_g)
-
-    # fallback: uniform grid + golden refinement of its local maxima
-    if hi > lo and fallback_step_frac:
-        n = max(2, int(round(1.0 / fallback_step_frac)))
-        step = (hi - lo) / n
-        grid_vals = [F(lo + k * step) for k in range(n + 1)]
-        top = max(grid_vals)
-        span = top - min(grid_vals)
-        if span > 0.0:
-            order = sorted(
-                (k for k in range(1, n) if grid_vals[k] >= grid_vals[k - 1]
-                 and grid_vals[k] >= grid_vals[k + 1]),
-                key=lambda k: grid_vals[k], reverse=True)
-            keep = set(order[:8])
-            keep.update(k for k in order if top - grid_vals[k] <= 1e-3 * span)
-            for k in sorted(keep)[:40]:
-                x_g, _ = _golden_max(F, lo + (k - 1) * step, lo + (k + 1) * step, refine_xtol)
-                heuristic.add(x_g)
-
-    value_at = {t: F(t) for t in sorted(candidates)}
+    value_at = {t: F(t) for t in candidates}
     plat_scored = [(F(0.5 * (a + b)), a, b) for a, b in plateaus]
-    best_structured = max(value_at.values())
-    if plat_scored:
-        best_structured = max(best_structured, max(v for v, _, _ in plat_scored))
-    # golden/fallback points only carry information when they strictly beat
-    # the analytic candidates; ties within float dust are duplicate noise
-    admit = max(1e-12, 1e-9 * abs(best_structured))
-    for t in sorted(heuristic - candidates):
-        v = F(t)
-        if v > best_structured + admit:
-            value_at[t] = v
-    sup = max(value_at.values())
-    if plat_scored:
-        sup = max(sup, max(v for v, _, _ in plat_scored))
+    sup = max(max(value_at.values()), max((v for v, _, _ in plat_scored), default=-math.inf))
 
     elements = [(a, b) for v, a, b in plat_scored if v >= sup - tol_value]
-    # cluster near-duplicate maximizing points (brentq/golden residue) and
-    # keep the best representative of each cluster
-    pts = sorted(t for t, v in value_at.items() if v >= sup - tol_value)
-    cluster_eps = max(1e-9, 10.0 * refine_xtol)
-    clusters: list[list[float]] = []
-    for t in pts:
-        if clusters and t - clusters[-1][-1] <= cluster_eps:
-            clusters[-1].append(t)
-        else:
-            clusters.append([t])
-    for cluster in clusters:
+    # a root and a shifted-breakpoint cut can land within float dust of each
+    # other; keep the better-scoring point of each such cluster
+    cluster_eps = 1e-9
+    for cluster in _clusters((t for t, v in value_at.items() if v >= sup - tol_value),
+                             cluster_eps):
         rep = max(cluster, key=lambda t: value_at[t])
         if not any(a - cluster_eps <= rep <= b + cluster_eps for a, b in elements):
             elements.append((rep, rep))

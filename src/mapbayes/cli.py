@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 
 from . import gallery
-from .counterexample import DEFAULT_MAX_BUMP, build, scale_ladder, verify_nonconvergence
+from .counterexample import (DEFAULT_MAX_BUMP, build, sample_curve, scale_ladder,
+                             verify_nonconvergence)
 from .density import density_from_json
 from .diagnostics import (
     SWEEP_CSV_HEADER,
@@ -201,14 +202,17 @@ _DOMINATION_HEADER = ("nu,c,origin_value,plateau_mass_bound,center_value,"
 
 
 def _cmd_counterexample(args) -> None:
+    if args.nu_max < 2:
+        raise ConfigError(f"--nu-max must be at least 2, got {args.nu_max}: "
+                          "a one-rung ladder cannot give a verdict")
     report = verify_nonconvergence(args.nu_max, args.max_bump)
     out = _outdir(args)
     d = build(report.max_bump)
     _write_json(out / "density.json", d.to_json())
     hi = 2 * args.nu_max + 1.0
-    samples = [(t, v) for t, v in _sample(d, -1.0, hi)]
     _write_lines(out / "density_samples.csv",
-                 ["theta,value"] + [f"{fmt17(t)},{fmt17(v)}" for t, v in samples])
+                 ["theta,value"] + [f"{fmt17(t)},{fmt17(v)}"
+                                    for t, v in sample_curve(d, -1.0, hi)])
     dom_lines = [_DOMINATION_HEADER]
     for row in report.rows:
         dom_lines.append(",".join(
@@ -228,13 +232,6 @@ def _cmd_counterexample(args) -> None:
     _write_lines(out / "sweep.csv", report.trace.csv_lines())
     if not report.ok:
         raise RuntimeError("nonconvergence verification failed; see verdict.json")
-
-
-def _sample(d, lo: float, hi: float, step: float = 1e-3):
-    n = int(round((hi - lo) / step))
-    for k in range(n + 1):
-        t = lo + k * step
-        yield t, d.evaluate(t)
 
 
 def _build_parser() -> argparse.ArgumentParser:

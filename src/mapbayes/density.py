@@ -466,7 +466,9 @@ class BayesModel:
 
     ``likelihood(x, theta)`` must be nonnegative.  ``likelihood_constant``
     declares whether it is constant in theta; leave it None to let
-    :func:`posterior` probe for constancy numerically.
+    :func:`posterior` decide from the likelihood values at its own grid
+    midpoints (the values it multiplies into the prior): the prior comes
+    back unchanged exactly when all of them are equal.
     """
 
     prior: Density
@@ -482,20 +484,6 @@ def _support_hull(prior: Density) -> tuple[float, float]:
         raise ValueError("expected a 1D prior")
     (lo, hi), = prior.support
     return lo, hi
-
-
-def _probe_constant(m: BayesModel, n: int) -> bool:
-    """Heuristic constancy probe: equal likelihood at n+7 spread-out thetas."""
-    if isinstance(m.prior, GridDensity) and m.prior.dim == 2:
-        (x0, x1), (y0, y1) = m.prior.support
-        xs = np.linspace(x0, x1, max(4, int(math.isqrt(n)) + 3))
-        ys = np.linspace(y0, y1, max(4, int(math.isqrt(n)) + 3))
-        vals = [m.likelihood(m.observation, (x, y)) for x in xs for y in ys]
-    else:
-        lo, hi = _support_hull(m.prior)
-        thetas = np.linspace(lo, hi, n + 7)
-        vals = [m.likelihood(m.observation, t) for t in thetas]
-    return all(v == vals[0] for v in vals)
 
 
 def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
@@ -543,50 +531,44 @@ def _check_evidence(est: float, err: float) -> tuple[float, float]:
 def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
     """Posterior density of the model.
 
-    If the likelihood does not depend on theta the prior is returned as-is
-    (same pieces / cells).  Otherwise the result is a cell-constant grid over
-    the prior's support with exactly unit Riemann mass; the evidence
-    quadrature is still run so that zero or non-finite evidence raises.
+    The likelihood is evaluated at the midpoints of the posterior grid: the
+    prior's own cells for a grid prior, ``grid_resolution`` cells over the
+    support otherwise.  If it does not depend on theta (declared, or all
+    midpoint values equal) the prior is returned as-is (same pieces /
+    cells).  Otherwise the result is a cell-constant grid with exactly unit
+    Riemann mass; the evidence quadrature is still run so that zero or
+    non-finite evidence raises.
     """
-    constant = m.likelihood_constant
-    if constant is None:
-        constant = _probe_constant(m, min(grid_resolution, 256))
-    if constant:
-        lo_like = m.likelihood(m.observation, _constancy_probe_point(m.prior))
-        if not math.isfinite(lo_like):
+    g = m.prior
+    if isinstance(g, GridDensity):
+        origin, spacing = g.origin, g.spacing
+        if g.dim == 1:
+            (lo, _), = g.support
+            points = lo + spacing[0] * (np.arange(g.shape[0]) + 0.5)
+        else:
+            (x0, _), (y0, _) = g.support
+            hx, hy = spacing
+            points = [(x0 + (i + 0.5) * hx, y0 + (j + 0.5) * hy)
+                      for i in range(g.shape[0]) for j in range(g.shape[1])]
+    else:
+        lo, hi = g.support
+        h = (hi - lo) / grid_resolution
+        points = lo + h * (np.arange(grid_resolution) + 0.5)
+        origin, spacing = (lo,), (h,)
+
+    like = np.array([m.likelihood(m.observation, t)
+                     for t in (points[:1] if m.likelihood_constant else points)])
+    if m.likelihood_constant or (m.likelihood_constant is None
+                                 and np.all(like == like[0])):
+        if not math.isfinite(like[0]):
             raise DivergentEvidence("constant likelihood is non-finite")
-        if lo_like <= 0.0:
+        if like[0] <= 0.0:
             raise ZeroEvidence("constant likelihood is zero")
-        return m.prior
+        return g
 
     evidence(m, grid_resolution)  # raises on zero / divergent mass
-
-    if isinstance(m.prior, GridDensity):
-        g = m.prior
-        if g.dim == 1:
-            (lo, hi), = g.support
-            h = g.spacing[0]
-            mids = lo + h * (np.arange(g.shape[0]) + 0.5)
-            w = np.array([g.values[i] * m.likelihood(m.observation, t)
-                          for i, t in enumerate(mids)])
-            return GridDensity.normalized(1, g.origin, g.spacing, w)
-        (x0, _), (y0, _) = g.support
-        hx, hy = g.spacing
-        w = np.array([[g.values[i, j] * m.likelihood(m.observation,
-                                                     (x0 + (i + 0.5) * hx, y0 + (j + 0.5) * hy))
-                       for j in range(g.shape[1])] for i in range(g.shape[0])])
-        return GridDensity.normalized(2, g.origin, g.spacing, w)
-
-    lo, hi = _support_hull(m.prior)
-    h = (hi - lo) / grid_resolution
-    mids = lo + h * (np.arange(grid_resolution) + 0.5)
-    w = np.array([m.prior.evaluate(t) * m.likelihood(m.observation, t) for t in mids])
-    return GridDensity.normalized(1, (lo,), (h,), w)
-
-
-def _constancy_probe_point(prior: Density):
-    if isinstance(prior, GridDensity) and prior.dim == 2:
-        (x0, x1), (y0, y1) = prior.support
-        return (0.5 * (x0 + x1), 0.5 * (y0 + y1))
-    lo, hi = _support_hull(prior)
-    return 0.5 * (lo + hi)
+    if isinstance(g, GridDensity):
+        w = g.values * like.reshape(g.shape)
+    else:
+        w = np.array([g.evaluate(t) for t in points]) * like
+    return GridDensity.normalized(len(origin), origin, spacing, w)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .argmax import TOL_VALUE_EXACT, TOL_VALUE_GRID
+from .argmax import TOL_VALUE_EXACT, TOL_VALUE_GRID, _clusters, _merge_elements
 from .density import GridDensity, Piece, UscDensity1D
 from .estimators import LossSpec, bayes_estimate, map_estimate
 from .windows import BallObjective, mollified_sup
@@ -88,17 +88,6 @@ class LevelSetReport:
         }
 
 
-def _merge_closed(segments: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    segments = sorted(segments)
-    out: list[list[float]] = []
-    for lo, hi in segments:
-        if out and lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in out)
-
-
 def level_set(d, alpha: float) -> LevelSetReport:
     """Exact level set {density >= alpha} (cell-exact for grids)."""
     if alpha <= 0.0:
@@ -111,7 +100,7 @@ def level_set(d, alpha: float) -> LevelSetReport:
         for p in d.pieces:
             segs.extend(p.solve_ge(alpha))
         segs.extend((t, t) for t in d.infinite_points)
-        intervals = _merge_closed(segs)
+        intervals = _merge_elements(segs, 0.0)
         declared_unbounded = (d.tail_height_sup is not None
                               and alpha < d.tail_height_sup)
         bounded = not declared_unbounded
@@ -128,7 +117,7 @@ def level_set(d, alpha: float) -> LevelSetReport:
         o, h = d.origin[0], d.spacing[0]
         segs = [(o + i * h, o + (i + 1) * h)
                 for i, v in enumerate(d.values) if v >= alpha]
-        intervals = _merge_closed(segs)
+        intervals = _merge_elements(segs, 0.0)
         M = max((max(abs(lo), abs(hi)) for lo, hi in intervals), default=0.0)
         return LevelSetReport(alpha, intervals, None, True, M,
                               any(hi > lo for lo, hi in intervals))
@@ -441,17 +430,6 @@ class SweepTrace:
         }
 
 
-def _cluster(points: Sequence[float], radius: float) -> tuple[float, ...]:
-    pts = sorted(points)
-    groups: list[list[float]] = []
-    for p in pts:
-        if groups and p - groups[-1][-1] <= radius:
-            groups[-1].append(p)
-        else:
-            groups.append([p])
-    return tuple(sum(g) / len(g) for g in groups)
-
-
 def _verdict(tail: Sequence[SweepRow], cluster_radius: float) -> str:
     dists = [r.dist_to_map for r in tail]
     cans = [r.canonical for r in tail]
@@ -500,7 +478,8 @@ def sweep(d, ladder: Sequence[float], search=None, *,
 
     if len(rows) >= 2:
         tail = rows[-max(2, math.ceil(len(rows) / 2)):]
-        limit_points = _cluster([r.canonical for r in tail], cluster_radius)
+        limit_points = tuple(sum(g) / len(g) for g in
+                             _clusters([r.canonical for r in tail], cluster_radius))
         verdict = _verdict(tail, cluster_radius)
     else:
         limit_points = (rows[-1].canonical,)

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mapbayes as mb
 from mapbayes.argmax import maximize_density, maximize_window
-from mapbayes.density import UscDensity1D, constant_piece
+from mapbayes.density import UscDensity1D, constant_piece, sqrt_piece
 from mapbayes.errors import EmptySearchBox
 
 from conftest import random_piecewise
@@ -45,10 +50,20 @@ def test_density_argmax_reports_infinite_sup():
     assert res.canonical == 0.3
 
 
-def test_window_plateau_uniform():
-    res = maximize_window(mb.uniform(), 0.25, (-0.5, 1.5))
-    assert res.maximizers == ((0.25, 0.75),)
-    assert res.canonical == 0.25
+# two identical arcs 0.75*sqrt(t - t0) one unit apart: with r = 1 the window
+# loses mass on the first exactly as fast as it gains on the second
+_TWIN_ARCS = UscDensity1D((sqrt_piece(0.0, 1.0, 0.0, 0.75, 1, 0.0),
+                           sqrt_piece(2.0, 3.0, 0.0, 0.75, 1, 2.0)))
+
+
+@pytest.mark.parametrize("d, r, box, maxi", [
+    (mb.uniform(), 0.25, (-0.5, 1.5), ((0.25, 0.75),)),
+    (_TWIN_ARCS, 1.0, (1.0, 2.0), ((1.0, 2.0),)),
+], ids=["uniform", "twin_sqrt_arcs"])
+def test_window_plateau_uniform(d, r, box, maxi):
+    res = maximize_window(d, r, box)
+    assert res.maximizers == maxi
+    assert res.canonical == maxi[0][0]
     assert res.sup_value == pytest.approx(0.5, abs=1e-15)
 
 
@@ -83,24 +98,24 @@ def test_window_matches_brute_oracle_on_asymmetric():
     assert abs(res.canonical - x) <= 1e-6
 
 
-def test_window_random_densities_beat_brute_scan(rng):
-    for _ in range(12):
-        d = random_piecewise(rng)
-        lo, hi = d.support
-        r = float(rng.uniform(0.02, 0.5))
-        box = (lo - r, hi + r)
-        res = maximize_window(d, r, box)
-        # dense scan lower-bounds the sup; engine must match or beat it
-        n = 4000
-        best = max(d.integrate(t - r, t + r)
-                   for t in np.linspace(box[0], box[1], n))
-        assert res.sup_value >= best - 1e-9
-        # the canonical point actually attains the reported sup
-        assert d.integrate(res.canonical - r, res.canonical + r) == pytest.approx(
-            res.sup_value, abs=1e-10)
-        # and the reported sup agrees with the quadrature oracle there
-        assert res.sup_value == pytest.approx(
-            window_mass(d, res.canonical, r), abs=1e-9)
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.floats(0.005, 0.6))
+def test_window_random_densities_beat_brute_scan(seed, r):
+    # up to 10 pieces, so sqrt/sqrt and sqrt/affine stretches occur
+    d = random_piecewise(np.random.default_rng(seed), max_pieces=10)
+    lo, hi = d.support
+    box = (lo - r, hi + r)
+    res = maximize_window(d, r, box)
+    # dense scan lower-bounds the sup; engine must match or beat it
+    best = max(d.integrate(t - r, t + r)
+               for t in np.linspace(box[0], box[1], 4000))
+    assert res.sup_value >= best - 1e-9
+    # the canonical point actually attains the reported sup
+    assert d.integrate(res.canonical - r, res.canonical + r) == pytest.approx(
+        res.sup_value, abs=1e-10)
+    # and the reported sup agrees with the quadrature oracle there
+    assert res.sup_value == pytest.approx(
+        window_mass(d, res.canonical, r), abs=1e-9)
 
 
 def test_window_canonical_prefers_smallest_norm():
@@ -113,6 +128,13 @@ def test_window_canonical_prefers_smallest_norm():
     assert res.canonical == pytest.approx(-1.25)
     assert abs(res.canonical) == min(abs(res.canonical),
                                      *[abs(x) for iv in res.maximizers for x in iv])
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(mb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import mapbayes, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_window_requires_positive_radius():

@@ -118,6 +118,8 @@ def test_exit_code_2_on_config_problems(tmp_path):
     cfg = _write_config(tmp_path / "c4.json", {
         "density": {"builtin": "triangle"}, "ladder": [8.0, 8.0]})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    for nu_max in ("1", "0"):  # a one-rung ladder is inconclusive by design
+        assert main(["counterexample", "--nu-max", nu_max, "--out", str(tmp_path)]) == 2
 
 
 def test_exit_code_3_on_domain_errors(tmp_path):

@@ -130,3 +130,11 @@ def test_sample_curve_shape():
     assert len(pts) == 301
     assert pts[0][0] == -0.5 and pts[-1][0] == pytest.approx(2.5)
     assert max(v for _, v in pts) == pytest.approx(1.0)
+
+
+def test_bayes_report_is_the_bump_centre():
+    # at rung 6 a shifted-breakpoint cut 7e-12 left of the centre of bump 12
+    # scores within the value tolerance; near-duplicate points are clustered
+    # and the exact stationary point at the centre is the one kept
+    res = mb.bayes_estimate(mb.build(), mb.LossSpec(mb.scale_ladder(6)[-1]), (-1.0, 14.0))
+    assert res.maximizers == ((mb.plateau_center(6), mb.plateau_center(6)),)

@@ -252,6 +252,17 @@ def test_posterior_constant_likelihood_returns_prior():
     assert mb.posterior(probed) is prior
 
 
+def test_posterior_sees_narrow_likelihood_feature():
+    # the likelihood differs from a constant only within 1e-3 of 0.1265;
+    # constancy is decided from the posterior's own grid midpoints, so the
+    # feature is seen and moves the mode off the prior's apex at 0
+    prior = mb.triangle()
+    lik = lambda x, t: 1.0 if abs(t - 0.1265) <= 1e-3 else 0.5
+    post = mb.posterior(mb.BayesModel(prior, lik, 0.0))
+    assert isinstance(post, GridDensity)
+    assert mb.map_estimate(post).canonical == pytest.approx(0.1265, abs=2.0 / 1024)
+
+
 def test_zero_and_divergent_evidence():
     prior = mb.uniform()
     with pytest.raises(mb.ZeroEvidence):
