@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mapbayes.density import UscDensity1D, affine_piece, constant_piece, sqrt_piece
+from mapbayes.density import (GridDensity, UscDensity1D, affine_piece, constant_piece,
+                               sqrt_piece)
 
 
 def random_piecewise(rng, *, max_pieces: int = 6, span: tuple[float, float] = (-2.0, 2.0),
@@ -51,6 +52,20 @@ def random_piecewise(rng, *, max_pieces: int = 6, span: tuple[float, float] = (-
                 params[key] = params[key] / mass
         scaled.append(type(p)(p.lo, p.hi, p.kind, params))
     return UscDensity1D(tuple(scaled), mass_tol=1e-6)
+
+
+#: 1D grids as (origin, spacing, unnormalized cell values)
+GRIDS_1D = {
+    # zero cells inside the grid and at both of its ends
+    "zero_cells": ((-0.5,), (0.25,), [0.0, 2.0, 0.0, 3.0, 3.0, 0.0, 1.0]),
+    # two top cells 4e-9 apart: they group at the grid tolerance 1e-6 only
+    "near_tie": ((0.0,), (0.5,), [1.0, 2.0, 0.5, 2.0 + 4e-9, 1.0]),
+}
+
+
+def grid_1d(name: str) -> GridDensity:
+    origin, spacing, values = GRIDS_1D[name]
+    return GridDensity.normalized(1, origin, spacing, np.array(values))
 
 
 @pytest.fixture

@@ -2,12 +2,15 @@
 
 Everything here works from pointwise evaluation only — no piece
 antiderivatives, no package integrators — so agreement between these
-routines and the library is genuine evidence, not circular.
+routines and the library is genuine evidence, not circular.  The 1D-grid
+scans at the end read a grid's raw cell array instead, with numpy.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def adaptive_simpson(f, lo: float, hi: float, *, breaks=(), tol: float = 1e-12,
@@ -119,3 +122,80 @@ def disc_area_subdivision(center, R: float, rect, n: int = 2000) -> float:
         if j_hi >= j_lo:
             inside += j_hi - j_lo + 1
     return inside * hx * hy
+
+
+# ---------------------------------------------------------------------------
+# 1D grids, scanned from the raw cell array
+# ---------------------------------------------------------------------------
+
+
+def _grid_cells(grid):
+    """Cell edges and cell values of a 1D grid, read off its fields."""
+    values = np.asarray(grid.values, dtype=float)
+    return grid.origin[0] + grid.spacing[0] * np.arange(len(values) + 1), values
+
+
+def _merge(elements, join: float):
+    merged = []
+    for lo, hi in sorted(elements):
+        if merged and lo <= merged[-1][1] + join:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((float(lo), float(hi)) for lo, hi in merged)
+
+
+def _nearest_zero(intervals) -> float:
+    points = [min(max(0.0, lo), hi) for lo, hi in intervals]
+    return min(points, key=lambda x: (abs(x), x))
+
+
+def grid_mode_scan(grid, box, tol: float):
+    """(sup, maximizer intervals, canonical) of a 1D grid over a closed box.
+
+    Every cell is clipped to the box; the stretches of the box off the grid
+    count as value 0.  Elements within tol of the best are merged.
+    """
+    edges, values = _grid_cells(grid)
+    lo, hi = box
+    a, b = np.maximum(edges[:-1], lo), np.minimum(edges[1:], hi)
+    keep = a <= b
+    elements = list(zip(a[keep], b[keep], values[keep]))
+    elements += [(s, t, 0.0) for s, t in ((lo, min(hi, edges[0])), (max(lo, edges[-1]), hi))
+                 if s < t]
+    sup = max(v for _, _, v in elements)
+    maxi = _merge([(s, t) for s, t, v in elements if v >= sup - tol], 0.0)
+    return float(sup), maxi, _nearest_zero(maxi)
+
+
+def grid_window_scan(grid, r: float, box, tol: float):
+    """(sup, maximizer intervals, canonical) of the ball mass of a 1D grid.
+
+    The mass of [theta - r, theta + r] is piecewise linear in theta with
+    kinks at the cell edges shifted by +-r, so it is scanned at the kinks
+    inside the box and at the box ends.  A stretch between kinks is flat
+    when the cell entering the window has the same value as the cell
+    leaving it; flat stretches within tol of the best count whole.
+    """
+    edges, values = _grid_cells(grid)
+    cum = np.concatenate(([0.0], np.cumsum(values * grid.spacing[0])))
+    lo, hi = box
+
+    def mass(theta):
+        return np.interp(theta + r, edges, cum) - np.interp(theta - r, edges, cum)
+
+    def cell_value(x):
+        i = int(np.searchsorted(edges, x, side="right")) - 1
+        return values[i] if 0 <= i < len(values) else 0.0
+
+    kinks = np.concatenate(([lo, hi], edges - r, edges + r))
+    kinks = np.unique(kinks[(kinks >= lo) & (kinks <= hi)])
+    at_kinks = mass(kinks)
+    sup = at_kinks.max()
+    elements = [(t, t) for t, v in zip(kinks, at_kinks) if v >= sup - tol]
+    for s, t in zip(kinks, kinks[1:]):
+        m = 0.5 * (s + t)
+        if cell_value(m + r) == cell_value(m - r) and mass(m) >= sup - tol:
+            elements.append((s, t))
+    maxi = _merge(elements, 1e-12)
+    return float(sup), maxi, _nearest_zero(maxi)

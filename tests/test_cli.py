@@ -5,6 +5,9 @@ import pytest
 import mapbayes as mb
 from mapbayes.cli import main
 
+from conftest import grid_1d
+from oracles import grid_mode_scan, grid_window_scan
+
 
 def _write_config(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -80,6 +83,29 @@ def test_counterexample_command(tmp_path):
     dom = (tmp_path / "domination.csv").read_text().splitlines()
     assert dom[0].startswith("nu,c,origin_value")
     assert len(dom) == 4
+
+
+def test_map_and_bayes_commands_on_inline_grid_1d(tmp_path):
+    g = grid_1d("zero_cells")
+    (lo, hi), = g.support
+    density = mb.density_to_json(g)
+    assert density["dim"] == 1
+    cfg = _write_config(tmp_path / "c.json", {"density": density, "c": 10.0})
+    assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["bayes", "--config", cfg, "--out", str(tmp_path)]) == 0
+    out_map = json.loads((tmp_path / "map.json").read_text())
+    out_bayes = json.loads((tmp_path / "bayes.json").read_text())
+
+    sup, maxi, canonical = grid_mode_scan(g, (lo, hi), 1e-6)
+    assert out_map == {"search": None, "result": {
+        "dim": 1, "sup_value": sup, "maximizers": [list(m) for m in maxi],
+        "canonical": canonical, "tol_value": 1e-6, "sup_infinite": False}}
+    sup, maxi, canonical = grid_window_scan(g, 0.1, (lo - 0.1, hi + 0.1), 1e-6)
+    result = out_bayes.pop("result")
+    assert out_bayes == {"c": 10.0, "radius": 0.1, "search": None}
+    assert result.pop("sup_value") == pytest.approx(sup, abs=1e-15)
+    assert result == {"dim": 1, "maximizers": [list(m) for m in maxi],
+                      "canonical": canonical, "tol_value": 1e-6, "sup_infinite": False}
 
 
 def test_density_from_file_path(tmp_path):

@@ -7,7 +7,8 @@ import mapbayes as mb
 from mapbayes.density import UscDensity1D, constant_piece
 from mapbayes.diagnostics import ConditionReport, fmt17, sup_on_interval
 
-from conftest import random_piecewise
+from conftest import grid_1d, random_piecewise
+from oracles import grid_mode_scan, grid_window_scan
 
 
 # --- level sets -------------------------------------------------------------
@@ -48,12 +49,20 @@ def test_level_set_random_scan_consistency(rng):
                 assert rep.contains(float(t))
 
 
-def test_level_set_grid_1d():
-    g = mb.density_from_json({"dim": 1, "origin": 0.0, "spacing": 0.25,
-                              "values": [0.5, 1.5, 1.0, 1.0]})
-    rep = mb.level_set(g, 0.9)
-    assert rep.intervals == ((0.25, 1.0),)
-    assert rep.bound_M == 1.0
+@pytest.mark.parametrize("origin, spacing, values, alpha, intervals, bound_M", [
+    (0.0, 0.25, [0.5, 1.5, 1.0, 1.0], 0.9, ((0.25, 1.0),), 1.0),
+    (-0.5, 0.25, [0.0, 1.0, 0.0, 1.25, 1.25, 0.0, 0.5], 0.5,
+     ((-0.25, 0.0), (0.25, 0.75), (1.0, 1.25)), 1.25),
+    # level sets are exact: a cell 4e-9 below alpha stays out
+    (0.0, 0.5, [0.4, 0.6, 0.2, 0.6 + 4e-9, 0.2], 0.6 + 2e-9, ((1.5, 2.0),), 2.0),
+], ids=["four_cells", "zero_cells", "near_tie"])
+def test_level_set_grid_1d(origin, spacing, values, alpha, intervals, bound_M):
+    g = mb.density_from_json({"dim": 1, "origin": origin, "spacing": spacing,
+                              "values": values})
+    rep = mb.level_set(g, alpha)
+    assert rep.intervals == intervals
+    assert rep.bound_M == bound_M
+    assert rep.bounded and rep.nonempty_interior and rep.cells is None
 
 
 def test_level_set_grid_2d_cells():
@@ -189,6 +198,30 @@ def test_sweep_counterexample_diverges():
     tr = mb.sweep(d, mb.scale_ladder(5), (-1.0, 12.0))
     assert tr.verdict == "diverges_from_MAP"
     assert all(row.dist_to_map > 0.5 for row in tr.rows)
+
+
+@pytest.mark.parametrize("name, limit_points", [
+    ("zero_cells", (0.28125, 0.3125, 0.375)),
+    ("near_tie", (0.53125, 0.5625, 0.625)),
+])
+def test_sweep_grid_1d_follows_the_scans(name, limit_points):
+    g = grid_1d(name)
+    ladder = [2.0, 4.0, 8.0, 16.0, 32.0]
+    tr = mb.sweep(g, ladder)
+    lo, hi = g.support[0]
+    _, map_maxi, map_canonical = grid_mode_scan(g, (lo, hi), 1e-6)
+    assert (tr.map_maximizers, tr.map_canonical) == (map_maxi, map_canonical)
+    assert tr.cluster_radius == 10.0 * 1e-6
+    for c, row in zip(ladder, tr.rows):
+        r = 1.0 / c
+        sup, maxi, canonical = grid_window_scan(g, r, (lo - r, hi + r), 1e-6)
+        assert row.canonical == canonical
+        assert (row.argmax_lo, row.argmax_hi) == (maxi[0][0], maxi[-1][1])
+        assert row.sup_value == pytest.approx(sup, abs=1e-15)
+        assert row.dist_to_map == min(max(a - canonical, canonical - b, 0.0)
+                                      for a, b in map_maxi)
+    assert tr.limit_points == limit_points
+    assert tr.verdict == "limit_point_is_MAP"
 
 
 def test_sweep_single_rung_inconclusive():

@@ -6,7 +6,8 @@ import pytest
 import mapbayes as mb
 from mapbayes.density import GridDensity
 
-from conftest import random_piecewise
+from conftest import grid_1d, random_piecewise
+from oracles import grid_mode_scan, grid_window_scan
 
 
 def test_loss_spec_validation():
@@ -37,13 +38,45 @@ def test_bayes_estimate_default_box_reaches_past_support():
     assert res.sup_value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bayes_estimate_grid_path_matches_piecewise():
-    vals = np.array([1.0, 3.0, 2.0, 2.0])
-    g = GridDensity.normalized(1, (0.0,), (0.25,), vals)
+@pytest.mark.parametrize("vals", [[1.0, 3.0, 2.0, 2.0], [0.0, 2.0, 0.0, 3.0, 3.0, 0.0, 1.0]],
+                         ids=["four_cells", "zero_cells"])
+def test_bayes_estimate_grid_path_matches_piecewise(vals):
+    g = GridDensity.normalized(1, (0.0,), (0.25,), np.array(vals))
     rg = mb.bayes_estimate(g, mb.LossSpec(8.0))
     rp = mb.bayes_estimate(g.to_pieces(), mb.LossSpec(8.0))
     assert rg.sup_value == pytest.approx(rp.sup_value, abs=1e-12)
     assert rg.canonical == pytest.approx(rp.canonical, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, search, maxi", [
+    ("zero_cells", None, ((0.25, 0.75),)),
+    ("zero_cells", (-1.0, 0.1), ((-0.25, 0.0),)),
+    ("near_tie", None, ((0.5, 1.0), (1.5, 2.0))),
+    ("near_tie", (0.75, 1.75), ((0.75, 1.0), (1.5, 1.75))),
+])
+def test_map_estimate_grid_1d_is_the_cell_scan(name, search, maxi):
+    g = grid_1d(name)
+    res = mb.map_estimate(g, search)
+    sup, scan_maxi, canonical = grid_mode_scan(g, search or g.support[0], 1e-6)
+    assert scan_maxi == maxi
+    assert res == mb.ArgmaxResult(1, sup, maxi, canonical, 1e-6)
+
+
+@pytest.mark.parametrize("name, c, search, maxi", [
+    ("zero_cells", 10.0, None, ((0.35, 0.65),)),
+    ("zero_cells", 4.0, (-1.0, 0.1), ((0.1, 0.1),)),
+    ("near_tie", 10.0, None, ((0.6, 0.9), (1.6, 1.9))),
+    ("near_tie", 2.0, None, ((0.5, 0.5), (2.0, 2.0))),
+])
+def test_bayes_estimate_grid_1d_is_the_window_scan(name, c, search, maxi):
+    g = grid_1d(name)
+    r = 1.0 / c
+    res = mb.bayes_estimate(g, mb.LossSpec(c), search)
+    lo, hi = g.support[0]
+    sup, scan_maxi, canonical = grid_window_scan(g, r, search or (lo - r, hi + r), 1e-6)
+    assert scan_maxi == maxi
+    assert res.sup_value == pytest.approx(sup, abs=1e-15)
+    assert res == mb.ArgmaxResult(1, res.sup_value, maxi, canonical, 1e-6)
 
 
 def test_bayes_estimate_2d_grid():
