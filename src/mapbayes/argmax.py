@@ -6,6 +6,8 @@ because plateaus are common for piecewise-constant densities.  A canonical
 representative — the smallest-norm point of the set, ties broken toward the
 smaller coordinate — is attached for callers that need one number.
 
+Every 1D density, a 1D grid included, is searched on its piecewise view
+(a grid's cells become constant pieces); 2D grids have their own path.
 The 1D window search is exact, with no sampling or local search: between
 breakpoints of the density shifted by the window radius, the stationary
 points of the window mass solve a linear equation (affine and constant
@@ -21,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .density import GridDensity, Piece, UscDensity1D
+from .density import GridDensity, Piece, UscDensity1D, _pieces_view, _support_box
 from .errors import EmptySearchBox
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
@@ -30,6 +32,14 @@ __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
 TOL_VALUE_EXACT = 1e-10
 #: looser grouping tolerance for grid-backed searches
 TOL_VALUE_GRID = 1e-6
+
+
+def _default_tol(d, tol_value: float | None = None) -> float:
+    """The caller's tolerance, else the default for the density: any grid
+    (1D or 2D) groups at TOL_VALUE_GRID, pieces at TOL_VALUE_EXACT."""
+    if tol_value is not None:
+        return tol_value
+    return TOL_VALUE_GRID if isinstance(d, GridDensity) else TOL_VALUE_EXACT
 
 
 @dataclass(frozen=True)
@@ -137,15 +147,18 @@ def maximize_density(d, box=None, tol_value: float | None = None) -> ArgmaxResul
     """Argmax of the pointwise density over a closed box.
 
     Pieces are monotone, so the exact candidates are the piece endpoints
-    (with the boundary-max convention) plus whole constant pieces, which
-    enter as plateau intervals.  Grid densities contribute their maximizing
-    closed cells.
+    (with the boundary-max convention) plus whole constant pieces and the
+    stretches off the support, which enter as plateau intervals.  2D grids
+    contribute their maximizing closed cells.  The box defaults to the
+    support.
     """
-    if isinstance(d, UscDensity1D):
-        return _maximize_density_pieces(d, box, TOL_VALUE_EXACT if tol_value is None else tol_value)
-    if isinstance(d, GridDensity):
-        return _maximize_density_grid(d, box, TOL_VALUE_GRID if tol_value is None else tol_value)
-    raise TypeError(f"unsupported density type {type(d).__name__}")
+    tol_value = _default_tol(d, tol_value)
+    if box is None:
+        box = _support_box(d)
+    pieces = _pieces_view(d)
+    if pieces is None:
+        return _maximize_density_grid(d, box, tol_value)
+    return _maximize_density_pieces(pieces, box, tol_value)
 
 
 def _check_box1d(box) -> tuple[float, float]:
@@ -156,8 +169,6 @@ def _check_box1d(box) -> tuple[float, float]:
 
 
 def _maximize_density_pieces(d: UscDensity1D, box, tol_value: float) -> ArgmaxResult:
-    if box is None:
-        box = d.support
     lo, hi = _check_box1d(box)
 
     witnesses = [t for t in d.infinite_points if lo <= t <= hi]
@@ -169,9 +180,15 @@ def _maximize_density_pieces(d: UscDensity1D, box, tol_value: float) -> ArgmaxRe
     candidates = {lo, hi}
     candidates.update(b for b in d.breakpoints if lo <= b <= hi)
     plateaus = []
+    covered_to = lo  # the box is covered by pieces up to here
     for p in d.pieces:
         if p.kind == "constant" and p.hi > lo and p.lo < hi:
             plateaus.append((max(p.lo, lo), min(p.hi, hi), p.params["k"]))
+        if p.lo > covered_to and covered_to < hi:
+            plateaus.append((covered_to, min(p.lo, hi), 0.0))
+        covered_to = max(covered_to, p.hi)
+    if covered_to < hi:
+        plateaus.append((covered_to, hi, 0.0))
 
     scored = [(d.evaluate(t), t) for t in sorted(candidates)]
     sup = max(v for v, _ in scored)
@@ -185,23 +202,6 @@ def _maximize_density_pieces(d: UscDensity1D, box, tol_value: float) -> ArgmaxRe
 
 
 def _maximize_density_grid(d: GridDensity, box, tol_value: float) -> ArgmaxResult:
-    if box is None:
-        box = d.support if d.dim == 2 else d.support[0]
-    if d.dim == 1:
-        lo, hi = _check_box1d(box)
-        o, h = d.origin[0], d.spacing[0]
-        cells = [(max(o + i * h, lo), min(o + (i + 1) * h, hi), float(v))
-                 for i, v in enumerate(d.values)]
-        cells = [(a, b, v) for a, b, v in cells if a <= b]
-        if not cells:
-            # the box misses the grid, where the density is identically zero
-            maxi = ((lo, hi),)
-            return ArgmaxResult(1, 0.0, maxi, _canonical_1d(maxi), tol_value)
-        sup = max(v for _, _, v in cells)
-        elements = [(a, b) for a, b, v in cells if v >= sup - tol_value]
-        maxi = _merge_elements(elements, 0.0)
-        return ArgmaxResult(1, sup, maxi, _canonical_1d(maxi), tol_value)
-
     (bx0, bx1), (by0, by1) = box
     if bx0 > bx1 or by0 > by1:
         raise EmptySearchBox("2D box is empty")

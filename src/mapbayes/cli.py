@@ -193,7 +193,10 @@ def _cmd_hypo(args) -> None:
         raise ConfigError("nus must be a non-empty list of positive numbers")
     closed = _parse_intervals(cfg.get("closed_intervals"), "closed_intervals")
     opened = _parse_intervals(cfg.get("open_intervals"), "open_intervals")
-    report = hypo_diagnostic(d, [float(v) for v in nus], closed, opened)
+    try:
+        report = hypo_diagnostic(d, [float(v) for v in nus], closed, opened)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _write_json(_outdir(args) / "hypo.json", report.to_json())
 
 

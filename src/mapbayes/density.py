@@ -13,6 +13,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -326,7 +327,8 @@ class GridDensity:
 
     Values live on cells; a point on a cell boundary evaluates to the max of
     the adjacent cell values (0 outside the grid), matching the boundary
-    convention of the piecewise class.
+    convention of the piecewise class.  The estimators and diagnostics run a
+    1D grid on its constant-piece view (:meth:`to_pieces`).
     """
 
     dim: int
@@ -334,6 +336,7 @@ class GridDensity:
     spacing: tuple[float, ...]
     values: np.ndarray
     mass_tol: float = 1e-6
+    _pieces: UscDensity1D | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -399,25 +402,25 @@ class GridDensity:
     def evaluate(self, point) -> float:
         coords = (point,) if self.dim == 1 else tuple(point)
         per_axis = [self._axis_cells(k, coords[k]) for k in range(self.dim)]
-        if any(not cells for cells in per_axis):
-            return 0.0
-        if self.dim == 1:
-            return float(max(self.values[i] for i in per_axis[0]))
-        return float(max(self.values[i, j] for i in per_axis[0] for j in per_axis[1]))
+        return float(max((self.values[ij] for ij in product(*per_axis)), default=0.0))
 
     def __call__(self, point) -> float:
         return self.evaluate(point)
 
     def to_pieces(self) -> UscDensity1D:
-        """Exact piecewise view of a 1D grid (each cell becomes a constant piece)."""
+        """Exact piecewise view of a 1D grid (each cell becomes a constant
+        piece), built on the first call and kept for the later ones."""
         if self.dim != 1:
             raise ValueError("to_pieces applies to 1D grids only")
-        o, h = self.origin[0], self.spacing[0]
-        pieces = tuple(
-            constant_piece(o + i * h, o + (i + 1) * h, float(v))
-            for i, v in enumerate(self.values)
-        )
-        return UscDensity1D(pieces, mass_tol=max(self.mass_tol, 1e-6))
+        if self._pieces is None:
+            o, h = self.origin[0], self.spacing[0]
+            pieces = tuple(
+                constant_piece(o + i * h, o + (i + 1) * h, float(v))
+                for i, v in enumerate(self.values)
+            )
+            object.__setattr__(self, "_pieces",
+                               UscDensity1D(pieces, mass_tol=max(self.mass_tol, 1e-6)))
+        return self._pieces
 
     def to_json(self) -> dict:
         if self.dim == 1:
@@ -440,6 +443,27 @@ class GridDensity:
 
 
 Density = UscDensity1D | GridDensity
+
+
+def _pieces_view(d: Density) -> UscDensity1D | None:
+    """The density as pieces when it is 1D (a 1D grid as its constant pieces);
+    None for a 2D grid.  Every 1D computation runs on this view."""
+    if isinstance(d, UscDensity1D):
+        return d
+    if not isinstance(d, GridDensity):
+        raise TypeError(f"unsupported density type {type(d).__name__}")
+    return d.to_pieces() if d.dim == 1 else None
+
+
+def _support_box(d: Density, grow: float = 0.0):
+    """Smallest box holding the support, widened by ``grow`` on every side:
+    (lo, hi) for a 1D density, ((x0, x1), (y0, y1)) for a 2D grid."""
+    pieces = _pieces_view(d)
+    if pieces is not None:
+        lo, hi = pieces.support
+        return lo - grow, hi + grow
+    (x0, x1), (y0, y1) = d.support
+    return (x0 - grow, x1 + grow), (y0 - grow, y1 + grow)
 
 
 def density_to_json(d: Density) -> dict:
@@ -477,13 +501,14 @@ class BayesModel:
     likelihood_constant: bool | None = None
 
 
-def _support_hull(prior: Density) -> tuple[float, float]:
-    if isinstance(prior, UscDensity1D):
-        return prior.support
-    if prior.dim != 1:
-        raise ValueError("expected a 1D prior")
-    (lo, hi), = prior.support
-    return lo, hi
+def _midpoints(origin, spacing, shape):
+    """Cell midpoints of a regular grid: an array in 1D, (x, y) pairs in
+    row-major order in 2D."""
+    if len(shape) == 1:
+        return origin[0] + spacing[0] * (np.arange(shape[0]) + 0.5)
+    (x0, y0), (hx, hy) = origin, spacing
+    return [(x0 + (i + 0.5) * hx, y0 + (j + 0.5) * hy)
+            for i in range(shape[0]) for j in range(shape[1])]
 
 
 def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
@@ -492,69 +517,59 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
     Returns (estimate, error_indicator) where the estimate is Richardson
     extrapolated from the two grids and the indicator is |E_2n - E_n|.
     """
-    if isinstance(m.prior, GridDensity) and m.prior.dim == 2:
+    g = m.prior
+    if _pieces_view(g) is None:
         # cell-constant prior: the midpoint sum over cells is exact in the prior
-        cells = m.prior
-        (x0, _), (y0, _) = cells.support
-        hx, hy = cells.spacing
+        hx, hy = g.spacing
         total = 0.0
-        for i in range(cells.shape[0]):
-            for j in range(cells.shape[1]):
-                mid = (x0 + (i + 0.5) * hx, y0 + (j + 0.5) * hy)
-                total += cells.values[i, j] * m.likelihood(m.observation, mid) * hx * hy
-        return _check_evidence(total, total)
+        for v, mid in zip(g.values.ravel(), _midpoints(g.origin, g.spacing, g.shape)):
+            total += v * m.likelihood(m.observation, mid) * hx * hy
+        return _check_evidence(total), total
 
-    lo, hi = _support_hull(m.prior)
+    lo, hi = _support_box(g)
 
     def midpoint(n: int) -> float:
         h = (hi - lo) / n
-        mids = lo + h * (np.arange(n) + 0.5)
         return h * math.fsum(
-            m.prior.evaluate(t) * m.likelihood(m.observation, t) for t in mids
+            g.evaluate(t) * m.likelihood(m.observation, t)
+            for t in _midpoints((lo,), (h,), (n,))
         )
 
     e1 = midpoint(grid_resolution)
     e2 = midpoint(2 * grid_resolution)
     # midpoint rule is O(h^2); Richardson combination cancels the leading term
     est = e2 + (e2 - e1) / 3.0
-    return _check_evidence(est, abs(e2 - e1))
+    return _check_evidence(est), abs(e2 - e1)
 
 
-def _check_evidence(est: float, err: float) -> tuple[float, float]:
+def _check_evidence(est: float) -> float:
     if not math.isfinite(est):
         raise DivergentEvidence(f"evidence quadrature returned {est}")
     if est <= 0.0:
         raise ZeroEvidence("evidence quadrature returned zero")
-    return est, err
+    return est
 
 
 def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
     """Posterior density of the model.
 
-    The likelihood is evaluated at the midpoints of the posterior grid: the
-    prior's own cells for a grid prior, ``grid_resolution`` cells over the
-    support otherwise.  If it does not depend on theta (declared, or all
+    The likelihood is evaluated once at each midpoint of the posterior grid:
+    the prior's own cells for a grid prior, ``grid_resolution`` cells over
+    the support otherwise.  If it does not depend on theta (declared, or all
     midpoint values equal) the prior is returned as-is (same pieces /
     cells).  Otherwise the result is a cell-constant grid with exactly unit
-    Riemann mass; the evidence quadrature is still run so that zero or
-    non-finite evidence raises.
+    Riemann mass; zero or non-finite evidence (the Riemann mass of prior
+    times likelihood) raises.
     """
     g = m.prior
     if isinstance(g, GridDensity):
-        origin, spacing = g.origin, g.spacing
-        if g.dim == 1:
-            (lo, _), = g.support
-            points = lo + spacing[0] * (np.arange(g.shape[0]) + 0.5)
-        else:
-            (x0, _), (y0, _) = g.support
-            hx, hy = spacing
-            points = [(x0 + (i + 0.5) * hx, y0 + (j + 0.5) * hy)
-                      for i in range(g.shape[0]) for j in range(g.shape[1])]
+        origin, spacing, prior = g.origin, g.spacing, g.values
+        points = _midpoints(origin, spacing, prior.shape)
     else:
         lo, hi = g.support
-        h = (hi - lo) / grid_resolution
-        points = lo + h * (np.arange(grid_resolution) + 0.5)
-        origin, spacing = (lo,), (h,)
+        origin, spacing = (lo,), ((hi - lo) / grid_resolution,)
+        points = _midpoints(origin, spacing, (grid_resolution,))
+        prior = np.array([g.evaluate(t) for t in points])
 
     like = np.array([m.likelihood(m.observation, t)
                      for t in (points[:1] if m.likelihood_constant else points)])
@@ -566,9 +581,6 @@ def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
             raise ZeroEvidence("constant likelihood is zero")
         return g
 
-    evidence(m, grid_resolution)  # raises on zero / divergent mass
-    if isinstance(g, GridDensity):
-        w = g.values * like.reshape(g.shape)
-    else:
-        w = np.array([g.evaluate(t) for t in points]) * like
+    w = prior * like.reshape(prior.shape)
+    _check_evidence(float(w.sum()) * float(np.prod(spacing)))
     return GridDensity.normalized(len(origin), origin, spacing, w)

@@ -8,6 +8,9 @@ and classifies the finite trace.  All verdicts are statements about the
 ladder actually run, not limits — the classifier is deliberately honest
 about that and returns ``inconclusive`` when the trace does not separate
 the hypotheses.
+
+A 1D grid is examined on its piecewise view; ``sweep``, ``hypo_diagnostic``
+and ``sup_on_interval`` exist in 1D only and reject 2D grids up front.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .argmax import TOL_VALUE_EXACT, TOL_VALUE_GRID, _clusters, _merge_elements
-from .density import GridDensity, Piece, UscDensity1D
+from .argmax import _clusters, _default_tol, _merge_elements
+from .density import GridDensity, Piece, UscDensity1D, _pieces_view
 from .estimators import LossSpec, bayes_estimate, map_estimate
 from .windows import BallObjective, mollified_sup
 
@@ -49,6 +52,14 @@ _WITNESS_MARGIN = 1e-12
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits (round-trip safe)."""
     return format(float(x), ".17g")
+
+
+def _pieces_1d(d, what: str) -> UscDensity1D:
+    """Piecewise view of d for a diagnostic that exists in 1D only."""
+    pieces = _pieces_view(d)
+    if pieces is None:
+        raise ValueError(f"{what} applies to 1D densities only, not to 2D grids")
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +106,15 @@ def level_set(d, alpha: float) -> LevelSetReport:
         return LevelSetReport(alpha, ((-math.inf, math.inf),), None,
                               bounded=False, bound_M=math.inf, nonempty_interior=True)
 
-    if isinstance(d, UscDensity1D):
+    pieces = _pieces_view(d)
+    if pieces is not None:
         segs: list[tuple[float, float]] = []
-        for p in d.pieces:
+        for p in pieces.pieces:
             segs.extend(p.solve_ge(alpha))
-        segs.extend((t, t) for t in d.infinite_points)
+        segs.extend((t, t) for t in pieces.infinite_points)
         intervals = _merge_elements(segs, 0.0)
-        declared_unbounded = (d.tail_height_sup is not None
-                              and alpha < d.tail_height_sup)
+        declared_unbounded = (pieces.tail_height_sup is not None
+                              and alpha < pieces.tail_height_sup)
         bounded = not declared_unbounded
         if intervals:
             M = max(max(abs(lo), abs(hi)) for lo, hi in intervals)
@@ -112,15 +124,6 @@ def level_set(d, alpha: float) -> LevelSetReport:
             M = math.inf
         interior = any(hi > lo for lo, hi in intervals) or declared_unbounded
         return LevelSetReport(alpha, intervals, None, bounded, M, interior)
-
-    if d.dim == 1:
-        o, h = d.origin[0], d.spacing[0]
-        segs = [(o + i * h, o + (i + 1) * h)
-                for i, v in enumerate(d.values) if v >= alpha]
-        intervals = _merge_elements(segs, 0.0)
-        M = max((max(abs(lo), abs(hi)) for lo, hi in intervals), default=0.0)
-        return LevelSetReport(alpha, intervals, None, True, M,
-                              any(hi > lo for lo, hi in intervals))
 
     (ox, _), (oy, _) = d.support
     hx, hy = d.spacing
@@ -284,15 +287,13 @@ def _quasiconcave_triples_2d(d: GridDensity, rng, n: int) -> tuple[bool, tuple |
 
 
 def _log_concave_triples(d, rng, n: int) -> tuple[bool, tuple | None]:
-    """Randomized refutation attempt for log-concavity (cannot prove it)."""
-    two_d = isinstance(d, GridDensity) and d.dim == 2
+    """Randomized refutation attempt for log-concavity (cannot prove it);
+    d is a piecewise density or a 2D grid."""
+    two_d = isinstance(d, GridDensity)
     if two_d:
         (x0, x1), (y0, y1) = d.support
     else:
-        if isinstance(d, UscDensity1D):
-            x0, x1 = d.support
-        else:
-            (x0, x1), = d.support
+        x0, x1 = d.support
     for _ in range(n):
         if two_d:
             px = (rng.uniform(x0, x1), rng.uniform(y0, y1))
@@ -318,8 +319,8 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None, *,
                      seed: int = 0, n_triples: int = 10_000) -> ConditionReport:
     """Run the level-set and shape checks on a density.
 
-    Quasiconcavity is decided exactly for 1D (piecewise or grid, via the
-    monotone-profile walk); 2D grids fall back to seeded triple sampling.
+    Quasiconcavity is decided exactly for 1D (on the piecewise view, via
+    the monotone-profile walk); 2D grids fall back to seeded triple sampling.
     Log-concavity is refuted by sampling or inherited from a quasiconcavity
     counterwitness (which always violates the geometric-mean inequality
     too); a True is therefore "no violation found", not a proof.
@@ -340,17 +341,16 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None, *,
     level_ok = witness_alpha is not None
 
     rng = np.random.default_rng(seed)
-    if isinstance(d, UscDensity1D):
-        qc, qc_w = _quasiconcave_exact(d)
-    elif d.dim == 1:
-        qc, qc_w = _quasiconcave_exact(d.to_pieces())
+    pieces = _pieces_view(d)
+    if pieces is not None:
+        qc, qc_w = _quasiconcave_exact(pieces)
     else:
         qc, qc_w = _quasiconcave_triples_2d(d, rng, n_triples)
 
     if not qc:
         lc, lc_w = False, qc_w
     else:
-        lc, lc_w = _log_concave_triples(d, rng, n_triples)
+        lc, lc_w = _log_concave_triples(d if pieces is None else pieces, rng, n_triples)
 
     return ConditionReport(
         level_set_ok=level_ok,
@@ -452,7 +452,8 @@ def _verdict(tail: Sequence[SweepRow], cluster_radius: float) -> str:
 
 def sweep(d, ladder: Sequence[float], search=None, *,
           tol_value: float | None = None, **options) -> SweepTrace:
-    """Run the small-ball estimator along an increasing scale ladder."""
+    """Run the small-ball estimator along an increasing scale ladder (1D only)."""
+    _pieces_1d(d, "sweep")
     ladder = [float(c) for c in ladder]
     if not ladder:
         raise ValueError("ladder must not be empty")
@@ -461,8 +462,7 @@ def sweep(d, ladder: Sequence[float], search=None, *,
     if ladder[0] <= 0:
         raise ValueError("ladder scales must be positive")
 
-    if tol_value is None:
-        tol_value = TOL_VALUE_EXACT if isinstance(d, UscDensity1D) else TOL_VALUE_GRID
+    tol_value = _default_tol(d, tol_value)
     cluster_radius = 10.0 * tol_value
 
     map_res = map_estimate(d, search)
@@ -506,8 +506,7 @@ def sup_on_interval(d, lo: float, hi: float, *, closed: bool = True) -> float:
     for an open one only this-side limits enter.  Works on piecewise
     densities and 1D grids.
     """
-    if isinstance(d, GridDensity):
-        d = d.to_pieces()
+    d = _pieces_1d(d, "sup_on_interval")
     if hi < lo:
         raise ValueError("need lo <= hi")
     cands = []
@@ -593,8 +592,8 @@ def hypo_diagnostic(d, nus: Sequence[float],
                     closed_intervals: Sequence[tuple[float, float]] = (),
                     open_intervals: Sequence[tuple[float, float]] = (),
                     *, slack: float = 1e-12, **options) -> HypoReport:
-    """Run the hit-and-miss sup diagnostics for each scale nu in nus."""
-    pieces = d.to_pieces() if isinstance(d, GridDensity) else d
+    """Run the hit-and-miss sup diagnostics for each scale nu in nus (1D only)."""
+    pieces = _pieces_1d(d, "hypo_diagnostic")
     rows = []
     for nu in nus:
         if nu <= 0:

@@ -9,6 +9,9 @@ Two estimators are provided:
   the optimizer is the argmax of the ball-mass objective; this is the same
   search as the normalized ball average up to the constant ball volume.
 
+Both run any 1D density, a 1D grid included, on its piecewise view and
+search 2D grids cell by cell or by scan-and-refine.
+
 :func:`approx_gap` measures how far a fixed point theta is from being
 optimal for the ball objective: the sup of the objective minus its value at
 theta.  A vanishing gap along a radius ladder certifies theta as an
@@ -20,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .argmax import (ArgmaxResult, TOL_VALUE_EXACT, TOL_VALUE_GRID,
-                     maximize_density, maximize_objective_2d, maximize_window)
-from .density import GridDensity, UscDensity1D
+from .argmax import (ArgmaxResult, _default_tol, maximize_density, maximize_objective_2d,
+                     maximize_window)
+from .density import _pieces_view, _support_box
 from .windows import BallObjective, ball_integral
 
 __all__ = ["LossSpec", "ApproxGap", "map_estimate", "bayes_estimate", "approx_gap"]
@@ -57,17 +60,6 @@ class ApproxGap:
         return self.sup_value - self.value_at_theta
 
 
-def _default_box(d, radius: float = 0.0):
-    if isinstance(d, UscDensity1D):
-        lo, hi = d.support
-        return (lo - radius, hi + radius)
-    if d.dim == 1:
-        (lo, hi), = d.support
-        return (lo - radius, hi + radius)
-    (x0, x1), (y0, y1) = d.support
-    return ((x0 - radius, x1 + radius), (y0 - radius, y1 + radius))
-
-
 def map_estimate(d, search=None, tol_value: float | None = None) -> ArgmaxResult:
     """Posterior mode(s): argmax of the density over the search box.
 
@@ -75,8 +67,7 @@ def map_estimate(d, search=None, tol_value: float | None = None) -> ArgmaxResult
     set; for an unbounded density the witness points are returned with
     ``sup_infinite`` set.
     """
-    box = _default_box(d) if search is None else search
-    return maximize_density(d, box, tol_value=tol_value)
+    return maximize_density(d, search, tol_value=tol_value)
 
 
 def bayes_estimate(d, loss: LossSpec, search=None, tol_value: float | None = None,
@@ -87,17 +78,13 @@ def bayes_estimate(d, loss: LossSpec, search=None, tol_value: float | None = Non
     contains a global maximizer of the objective.
     """
     r = loss.radius
-    box = _default_box(d, r) if search is None else search
-    if isinstance(d, UscDensity1D):
-        tol = TOL_VALUE_EXACT if tol_value is None else tol_value
-        return maximize_window(d, r, box, tol_value=tol, **options)
-    if d.dim == 1:
-        pieces = d.to_pieces()
-        tol = TOL_VALUE_GRID if tol_value is None else tol_value
+    box = _support_box(d, r) if search is None else search
+    tol = _default_tol(d, tol_value)
+    pieces = _pieces_view(d)
+    if pieces is not None:
         return maximize_window(pieces, r, box, tol_value=tol, **options)
     b = BallObjective(d, r, normalized=False)
     step = options.pop("coarse_step", min(d.spacing) / 2.0)
-    tol = TOL_VALUE_GRID if tol_value is None else tol_value
     return maximize_objective_2d(lambda p: ball_integral(b, p), box,
                                  coarse_step=step, tol_value=tol, **options)
 

@@ -7,6 +7,9 @@ by the ball volume (2r, or pi r^2), i.e. it is the local average of the
 density; constants are then fixed points of the smoothing.  The normalized
 objective is a continuous surrogate whose sup never exceeds the sup of the
 density itself, which is what the convergence diagnostics exploit.
+
+Any 1D density, a 1D grid included, is integrated on its piecewise view;
+2D grids use the exact disc/rectangle overlap.
 """
 
 from __future__ import annotations
@@ -14,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .argmax import (ArgmaxResult, TOL_VALUE_EXACT, TOL_VALUE_GRID,
-                     maximize_objective_2d, maximize_window)
-from .density import GridDensity, UscDensity1D
-from .errors import EmptySearchBox
+from .argmax import ArgmaxResult, _default_tol, maximize_objective_2d, maximize_window
+from .density import GridDensity, UscDensity1D, _pieces_view
 
 __all__ = ["BallObjective", "ball_integral", "mollified_sup", "ball_volume"]
 
@@ -45,18 +46,11 @@ class BallObjective:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        pieces = None
-        if isinstance(self.density, GridDensity) and self.density.dim == 1:
-            pieces = self.density.to_pieces()
-        elif isinstance(self.density, UscDensity1D):
-            pieces = self.density
-        elif not isinstance(self.density, GridDensity):
-            raise TypeError(f"unsupported density type {type(self.density).__name__}")
-        object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(self, "_pieces", _pieces_view(self.density))
 
     @property
     def dim(self) -> int:
-        return self.density.dim if isinstance(self.density, GridDensity) else 1
+        return 1 if self._pieces is not None else 2
 
     @property
     def ball_vol(self) -> float:
@@ -85,18 +79,19 @@ def mollified_sup(b: BallObjective, box, **options) -> ArgmaxResult:
 
     In 1D this reuses the exact piecewise window search; on 2D grids it
     falls back to scan-and-refine.  The ball average never exceeds the
-    density's own sup over the box grown by the radius.
+    density's own sup over the box grown by the radius.  ``tol_value``
+    defaults to TOL_VALUE_GRID for a grid density (1D or 2D) and to
+    TOL_VALUE_EXACT for pieces.
     """
     if not b.normalized:
         raise ValueError("mollified_sup expects a normalized objective")
+    tol = _default_tol(b.density, options.pop("tol_value", None))
     if b._pieces is not None:
         lo, hi = float(box[0]), float(box[1])
-        tol = options.pop("tol_value", TOL_VALUE_EXACT)
         return maximize_window(b._pieces, b.radius, (lo, hi),
                                scale=1.0 / b.ball_vol, tol_value=tol, **options)
     g: GridDensity = b.density
     step = options.pop("coarse_step", min(g.spacing) / 2.0)
-    tol = options.pop("tol_value", TOL_VALUE_GRID)
     return maximize_objective_2d(lambda p: ball_integral(b, p), box,
                                  coarse_step=step, tol_value=tol, **options)
 
@@ -150,8 +145,6 @@ def disc_rect_overlap(center: tuple[float, float], R: float,
 
 
 def _disc_mass(g: GridDensity, center: tuple[float, float], R: float) -> float:
-    if g.dim != 2:
-        raise ValueError("disc mass needs a 2D grid")
     (ox, _), (oy, _) = g.support
     hx, hy = g.spacing
     cx, cy = center

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import mapbayes as mb
 from mapbayes.argmax import maximize_density, maximize_window
-from mapbayes.density import UscDensity1D, constant_piece, sqrt_piece
+from mapbayes.density import GridDensity, UscDensity1D, constant_piece, sqrt_piece
 from mapbayes.errors import EmptySearchBox
 
 from conftest import random_piecewise
@@ -40,6 +40,21 @@ def test_density_argmax_respects_box():
     assert res.sup_value == pytest.approx(0.8, abs=1e-15)
     with pytest.raises(EmptySearchBox):
         maximize_density(d, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("d, box, maxi, canonical", [
+    (mb.two_bumps(), (-0.4, 0.4), ((-0.4, 0.4),), 0.0),
+    (mb.uniform(0.0, 1.0), (2.0, 3.0), ((2.0, 3.0),), 2.0),
+    (mb.two_bumps(), (-0.7, 0.7), ((-0.7, -0.5),), -0.5),
+    (GridDensity.normalized(1, (0.5,), (0.25,), np.array([0.0, 0.0, 1.0, 3.0])),
+     (0.2, 0.9), ((0.2, 0.9),), 0.2),
+])
+def test_density_argmax_counts_off_support_stretches(d, box, maxi, canonical):
+    # the density is 0 off its support, so a box where nothing beats 0 is
+    # maximized everywhere, gaps between pieces and beyond them included
+    res = mb.map_estimate(d, box)
+    assert res.maximizers == maxi
+    assert res.canonical == canonical
 
 
 def test_density_argmax_reports_infinite_sup():

@@ -144,6 +144,13 @@ def test_exit_code_2_on_config_problems(tmp_path):
     cfg = _write_config(tmp_path / "c4.json", {
         "density": {"builtin": "triangle"}, "ladder": [8.0, 8.0]})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    grid_2d = {"dim": 2, "origin": [0.0, 0.0], "spacing": [0.25, 0.25],
+               "values": [[1.0] * 4] * 4}
+    cfg = _write_config(tmp_path / "c5.json", {"density": grid_2d, "ladder": [8.0, 16.0]})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    cfg = _write_config(tmp_path / "c6.json", {
+        "density": grid_2d, "nus": [4.0], "closed_intervals": [[0.0, 1.0]]})
+    assert main(["hypo", "--config", cfg, "--out", str(tmp_path)]) == 2
     for nu_max in ("1", "0"):  # a one-rung ladder is inconclusive by design
         assert main(["counterexample", "--nu-max", nu_max, "--out", str(tmp_path)]) == 2
 

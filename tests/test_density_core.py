@@ -201,6 +201,7 @@ def test_grid_to_pieces_equivalent():
     vals = np.array([1.0, 3.0, 2.0, 2.0])
     g = GridDensity.normalized(1, (0.0,), (0.25,), vals)
     d = g.to_pieces()
+    assert g.to_pieces() is d  # built once per grid
     for t in np.linspace(-0.2, 1.2, 57):
         assert d.evaluate(t) == pytest.approx(g.evaluate(t), abs=1e-15)
     assert d.integrate(0.1, 0.9) == pytest.approx(
@@ -269,3 +270,26 @@ def test_zero_and_divergent_evidence():
         mb.posterior(mb.BayesModel(prior, lambda x, t: 0.0, 0.0))
     with pytest.raises(mb.DivergentEvidence):
         mb.posterior(mb.BayesModel(prior, lambda x, t: math.inf, 0.0))
+    # the likelihood lives on the gap between the bumps, plus a spike that
+    # falls between the 1024 posterior midpoints on [-1, 1]: every posterior
+    # weight is zero although a finer quadrature would see the spike
+    lik = lambda x, t: 1.0 if -0.5 <= t < 0.5 or abs(t + 0.75 - 2.0 ** -11) < 1e-6 else 0.0
+    with pytest.raises(mb.ZeroEvidence):
+        mb.posterior(mb.BayesModel(mb.two_bumps(), lik, 0.0))
+
+
+@pytest.mark.parametrize("prior, n_cells", [
+    (mb.triangle(), 256),
+    (GridDensity.normalized(1, (0.0,), (0.25,), np.array([1.0, 3.0, 0.0, 2.0])), 4),
+    (GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.5), np.arange(1.0, 13.0).reshape(4, 3)), 12),
+], ids=["pieces", "grid_1d", "grid_2d"])
+def test_posterior_evaluates_the_likelihood_once_per_cell(prior, n_cells):
+    thetas = []
+
+    def likelihood(x, theta):
+        thetas.append(theta)
+        return math.exp(-float(np.sum((np.asarray(theta) - x) ** 2)))
+
+    post = mb.posterior(mb.BayesModel(prior, likelihood, 0.3), grid_resolution=256)
+    assert len(thetas) == n_cells
+    assert post.values.size == n_cells

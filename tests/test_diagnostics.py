@@ -306,6 +306,15 @@ def test_hypo_counterexample_closed_boxes():
         assert r.sup_smoothed <= r.sup_reference + 1e-12
 
 
+def test_one_d_diagnostics_reject_2d_grids():
+    g = mb.GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), np.ones((4, 4)))
+    for call in (lambda: mb.sweep(g, [8.0, 16.0]),
+                 lambda: mb.hypo_diagnostic(g, [4.0], closed_intervals=[(0.0, 1.0)]),
+                 lambda: sup_on_interval(g, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="1D densities only"):
+            call()
+
+
 def test_hypo_rejects_bad_scale():
     with pytest.raises(ValueError):
         mb.hypo_diagnostic(mb.triangle(), [0.0], closed_intervals=[(-1, 1)])
