@@ -48,7 +48,7 @@ def test_density_argmax_respects_box():
     (mb.two_bumps(), (-0.7, 0.7), ((-0.7, -0.5),), -0.5),
     (GridDensity.normalized(1, (0.5,), (0.25,), np.array([0.0, 0.0, 1.0, 3.0])),
      (0.2, 0.9), ((0.2, 0.9),), 0.2),
-])
+], ids=["gap_between_pieces", "past_the_support", "positive_sup", "grid_zero_cells"])
 def test_density_argmax_counts_off_support_stretches(d, box, maxi, canonical):
     # the density is 0 off its support, so a box where nothing beats 0 is
     # maximized everywhere, gaps between pieces and beyond them included

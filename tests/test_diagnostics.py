@@ -53,7 +53,7 @@ def test_level_set_random_scan_consistency(rng):
     (0.0, 0.25, [0.5, 1.5, 1.0, 1.0], 0.9, ((0.25, 1.0),), 1.0),
     (-0.5, 0.25, [0.0, 1.0, 0.0, 1.25, 1.25, 0.0, 0.5], 0.5,
      ((-0.25, 0.0), (0.25, 0.75), (1.0, 1.25)), 1.25),
-    # level sets are exact: a cell 4e-9 below alpha stays out
+    # level sets are exact: the cell 2e-9 below alpha stays out
     (0.0, 0.5, [0.4, 0.6, 0.2, 0.6 + 4e-9, 0.2], 0.6 + 2e-9, ((1.5, 2.0),), 2.0),
 ], ids=["four_cells", "zero_cells", "near_tie"])
 def test_level_set_grid_1d(origin, spacing, values, alpha, intervals, bound_M):
