@@ -8,7 +8,6 @@ they provably do not.
 """
 
 from .counterexample import (
-    CounterexampleSpec,
     NonconvergenceReport,
     build,
     domination_margin,
@@ -78,7 +77,6 @@ __all__ = [
     "BayesModel",
     "ConditionReport",
     "ConfigError",
-    "CounterexampleSpec",
     "CutoffTooSmall",
     "DivergentEvidence",
     "EmptySearchBox",

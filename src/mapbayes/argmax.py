@@ -34,11 +34,9 @@ TOL_VALUE_EXACT = 1e-10
 TOL_VALUE_GRID = 1e-6
 
 
-def _default_tol(d, tol_value: float | None = None) -> float:
-    """The caller's tolerance, else the default for the density: any grid
-    (1D or 2D) groups at TOL_VALUE_GRID, pieces at TOL_VALUE_EXACT."""
-    if tol_value is not None:
-        return tol_value
+def _default_tol(d) -> float:
+    """The value tolerance of every search on d: any grid (1D or 2D) groups
+    at TOL_VALUE_GRID, pieces at TOL_VALUE_EXACT."""
     return TOL_VALUE_GRID if isinstance(d, GridDensity) else TOL_VALUE_EXACT
 
 
@@ -143,16 +141,16 @@ def _merge_elements(elements: list[tuple[float, float]],
 # ---------------------------------------------------------------------------
 
 
-def maximize_density(d, box=None, tol_value: float | None = None) -> ArgmaxResult:
+def maximize_density(d, box=None) -> ArgmaxResult:
     """Argmax of the pointwise density over a closed box.
 
     Pieces are monotone, so the exact candidates are the piece endpoints
     (with the boundary-max convention) plus whole constant pieces and the
     stretches off the support, which enter as plateau intervals.  2D grids
-    contribute their maximizing closed cells.  The box defaults to the
-    support.
+    contribute their maximizing closed cells, and the part of the box off
+    the grid enters as value 0.  The box defaults to the support.
     """
-    tol_value = _default_tol(d, tol_value)
+    tol_value = _default_tol(d)
     if box is None:
         box = _support_box(d)
     pieces = _pieces_view(d)
@@ -202,10 +200,10 @@ def _maximize_density_pieces(d: UscDensity1D, box, tol_value: float) -> ArgmaxRe
 
 
 def _maximize_density_grid(d: GridDensity, box, tol_value: float) -> ArgmaxResult:
-    (bx0, bx1), (by0, by1) = box
+    (bx0, bx1), (by0, by1) = ((float(lo), float(hi)) for lo, hi in box)
     if bx0 > bx1 or by0 > by1:
         raise EmptySearchBox("2D box is empty")
-    (ox, _), (oy, _) = d.support
+    (ox, gx1), (oy, gy1) = d.support
     hx, hy = d.spacing
     rects = []
     for i in range(d.shape[0]):
@@ -217,10 +215,16 @@ def _maximize_density_grid(d: GridDensity, box, tol_value: float) -> ArgmaxResul
             if y0 > y1:
                 continue
             rects.append(((x0, x1), (y0, y1), float(d.values[i, j])))
-    if not rects:
-        raise EmptySearchBox("box misses the grid entirely")
-    sup = max(v for _, _, v in rects)
-    maxi = tuple((rx, ry) for rx, ry, v in rects if v >= sup - tol_value)
+    # the density is 0 off the grid, so a box that leaves it offers 0 as well
+    off_grid = bx0 < ox or bx1 > gx1 or by0 < oy or by1 > gy1
+    values = [v for _, _, v in rects]
+    if off_grid:
+        values.append(0.0)
+    sup = max(values)
+    if off_grid and sup - tol_value <= 0.0:
+        maxi = (((bx0, bx1), (by0, by1)),)
+    else:
+        maxi = tuple((rx, ry) for rx, ry, v in rects if v >= sup - tol_value)
     return ArgmaxResult(2, sup, maxi, _canonical_2d(maxi), tol_value)
 
 
@@ -399,8 +403,8 @@ def maximize_objective_2d(
     box: tuple[tuple[float, float], tuple[float, float]],
     *,
     coarse_step: float,
-    xtol: float = 1e-6,
-    tol_value: float = TOL_VALUE_GRID,
+    xtol: float,
+    tol_value: float,
 ) -> ArgmaxResult:
     """Coarse scan + compass refinement for smooth 2D objectives.
 
@@ -410,18 +414,18 @@ def maximize_objective_2d(
     (x0, x1), (y0, y1) = box
     if x0 > x1 or y0 > y1:
         raise EmptySearchBox("2D box is empty")
-    nx = max(1, min(64, int(math.ceil((x1 - x0) / coarse_step)) or 1))
-    ny = max(1, min(64, int(math.ceil((y1 - y0) / coarse_step)) or 1))
+    nx = max(1, min(64, int(math.ceil((x1 - x0) / coarse_step))))
+    ny = max(1, min(64, int(math.ceil((y1 - y0) / coarse_step))))
     best = (-math.inf, (x0, y0))
     for i in range(nx + 1):
-        x = x0 + (x1 - x0) * i / nx if nx else x0
+        x = x0 + (x1 - x0) * i / nx
         for j in range(ny + 1):
-            y = y0 + (y1 - y0) * j / ny if ny else y0
+            y = y0 + (y1 - y0) * j / ny
             v = objective((x, y))
             if v > best[0]:
                 best = (v, (x, y))
     v, (px, py) = best
-    step = max((x1 - x0) / max(nx, 1), (y1 - y0) / max(ny, 1), xtol)
+    step = max((x1 - x0) / nx, (y1 - y0) / ny, xtol)
     while step > xtol:
         moved = True
         while moved:

@@ -169,7 +169,7 @@ def _cmd_check(args) -> None:
             isinstance(alpha_grid, list)
             and all(isinstance(v, (int, float)) for v in alpha_grid)):
         raise ConfigError("alpha_grid must be a list of numbers")
-    report = check_conditions(d, alpha_grid, seed=args.seed)
+    report = check_conditions(d, alpha_grid)
     _write_json(_outdir(args) / "conditions.json", report.to_json())
 
 
@@ -250,8 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="path to the JSON config")
         p.add_argument("--out", default=".",
                        help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks")
         p.set_defaults(func=func)
         return p
 

@@ -32,7 +32,6 @@ from .errors import CutoffTooSmall
 from .estimators import map_estimate
 
 __all__ = [
-    "CounterexampleSpec",
     "build",
     "scale_ladder",
     "objective_at_origin",
@@ -53,34 +52,21 @@ DEFAULT_MAX_BUMP = 20
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class CounterexampleSpec:
-    """Build parameters: how many bumps to materialize."""
-
-    max_bump: int = DEFAULT_MAX_BUMP
-
-    def __post_init__(self):
-        if self.max_bump < 1:
-            raise ValueError("max_bump must be at least 1")
-
-
 def omitted_tail_mass(max_bump: int) -> float:
     """Mass of the bumps beyond the cutoff: sum over n > N of 2^-n - 4^-n."""
     return 2.0 ** -max_bump - (4.0 ** -max_bump) / 3.0
 
 
-def build(spec: CounterexampleSpec | int | None = None) -> UscDensity1D:
+def build(max_bump: int = DEFAULT_MAX_BUMP) -> UscDensity1D:
     """Materialize the density with bumps 1..max_bump."""
-    if spec is None:
-        spec = CounterexampleSpec()
-    elif isinstance(spec, int):
-        spec = CounterexampleSpec(spec)
+    if max_bump < 1:
+        raise ValueError("max_bump must be at least 1")
     pieces = [
         # central cusp 1 - sqrt(2|t|) on (-1/2, 1/2)
         sqrt_piece(-0.5, 0.0, 1.0, -_SQRT2, -1, 0.0),
         sqrt_piece(0.0, 0.5, 1.0, -_SQRT2, 1, 0.0),
     ]
-    for n in range(1, spec.max_bump + 1):
+    for n in range(1, max_bump + 1):
         height = 1.0 - 2.0 ** -n
         ramp_w = 8.0 ** -n
         rise_lo = n - ramp_w
@@ -96,7 +82,7 @@ def build(spec: CounterexampleSpec | int | None = None) -> UscDensity1D:
             pieces.append(constant_piece(n, fall_hi, height))
     return UscDensity1D(
         tuple(pieces),
-        mass_tol=omitted_tail_mass(spec.max_bump) + 1e-9,
+        mass_tol=omitted_tail_mass(max_bump) + 1e-9,
         tail_height_sup=1.0,
     )
 
@@ -183,21 +169,22 @@ class NonconvergenceReport:
     ok: bool
 
 
-def verify_nonconvergence(nu_max: int = 6, max_bump: int | None = None,
-                          search=None) -> NonconvergenceReport:
+def verify_nonconvergence(nu_max: int = 6,
+                          max_bump: int | None = None) -> NonconvergenceReport:
     """Check mode uniqueness, per-nu domination, and the escaping sweep.
 
     ``ok`` requires: the mode is the origin with sup 1; at every rung the
     measured ball mass at the bump-2*nu plateau center beats the closed-form
     value at the origin; and every canonical Bayes report sits outside
-    (-1/2, 1/2), so the sweep verdict is an escape.
+    (-1/2, 1/2), so the sweep verdict is an escape.  Both searches run over
+    (-1, 2*nu_max + 2), which holds the cusp and every bump the ladder
+    reaches.
     """
     if max_bump is None:
         max_bump = max(DEFAULT_MAX_BUMP, 2 * nu_max)
     _check_nu(nu_max, max_bump)
     d = build(max_bump)
-    if search is None:
-        search = (-1.0, 2 * nu_max + 2.0)
+    search = (-1.0, 2 * nu_max + 2.0)
 
     mode = map_estimate(d, search)
     trace = sweep(d, scale_ladder(nu_max), search)

@@ -515,28 +515,33 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
     """Marginal likelihood by composite midpoint rule, with a doubled-grid check.
 
     Returns (estimate, error_indicator) where the estimate is Richardson
-    extrapolated from the two grids and the indicator is |E_2n - E_n|.
+    extrapolated from the two grids and the indicator is |E_2n - E_n|.  On a
+    2D grid prior E_n is the sum over its cells and E_2n splits every cell
+    2x2, keeping the cell's prior value (``grid_resolution`` is not used).
     """
     g = m.prior
     if _pieces_view(g) is None:
-        # cell-constant prior: the midpoint sum over cells is exact in the prior
-        hx, hy = g.spacing
-        total = 0.0
-        for v, mid in zip(g.values.ravel(), _midpoints(g.origin, g.spacing, g.shape)):
-            total += v * m.likelihood(m.observation, mid) * hx * hy
-        return _check_evidence(total), total
+        def midpoint(k: int) -> float:
+            h = (g.spacing[0] / k, g.spacing[1] / k)
+            prior = np.repeat(np.repeat(g.values, k, axis=0), k, axis=1)
+            points = _midpoints(g.origin, h, prior.shape)
+            return h[0] * h[1] * math.fsum(
+                v * m.likelihood(m.observation, t)
+                for v, t in zip(prior.ravel().tolist(), points)
+            )
 
-    lo, hi = _support_box(g)
+        e1, e2 = midpoint(1), midpoint(2)
+    else:
+        lo, hi = _support_box(g)
+        def midpoint(n: int) -> float:
+            h = (hi - lo) / n
+            return h * math.fsum(
+                g.evaluate(t) * m.likelihood(m.observation, t)
+                for t in _midpoints((lo,), (h,), (n,))
+            )
 
-    def midpoint(n: int) -> float:
-        h = (hi - lo) / n
-        return h * math.fsum(
-            g.evaluate(t) * m.likelihood(m.observation, t)
-            for t in _midpoints((lo,), (h,), (n,))
-        )
-
-    e1 = midpoint(grid_resolution)
-    e2 = midpoint(2 * grid_resolution)
+        e1 = midpoint(grid_resolution)
+        e2 = midpoint(2 * grid_resolution)
     # midpoint rule is O(h^2); Richardson combination cancels the leading term
     est = e2 + (e2 - e1) / 3.0
     return _check_evidence(est), abs(e2 - e1)

@@ -11,6 +11,10 @@ the hypotheses.
 
 A 1D grid is examined on its piecewise view; ``sweep``, ``hypo_diagnostic``
 and ``sup_on_interval`` exist in 1D only and reject 2D grids up front.
+
+No check takes a tuning setting: the sampled triples of ``check_conditions``
+(fixed seed, fixed count), the value tolerance of ``sweep`` and the float
+slack of ``hypo_diagnostic`` are fixed by this module and ``argmax``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ MAP_NEAR_TOL = 1e-6
 _EVENT_TOL = 1e-9
 #: strictness margin every reported counterwitness must beat
 _WITNESS_MARGIN = 1e-12
+#: seed and number of the random triples behind the sampled shape checks
+_TRIPLE_SEED = 0
+_N_TRIPLES = 10_000
+#: float slack every hit-and-miss comparison allows
+_HYPO_SLACK = 1e-12
 
 
 def fmt17(x: float) -> str:
@@ -315,8 +324,7 @@ def _log_concave_triples(d, rng, n: int) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def check_conditions(d, alpha_grid: Sequence[float] | None = None, *,
-                     seed: int = 0, n_triples: int = 10_000) -> ConditionReport:
+def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionReport:
     """Run the level-set and shape checks on a density.
 
     Quasiconcavity is decided exactly for 1D (on the piecewise view, via
@@ -340,17 +348,17 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None, *,
             break
     level_ok = witness_alpha is not None
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_TRIPLE_SEED)
     pieces = _pieces_view(d)
     if pieces is not None:
         qc, qc_w = _quasiconcave_exact(pieces)
     else:
-        qc, qc_w = _quasiconcave_triples_2d(d, rng, n_triples)
+        qc, qc_w = _quasiconcave_triples_2d(d, rng, _N_TRIPLES)
 
     if not qc:
         lc, lc_w = False, qc_w
     else:
-        lc, lc_w = _log_concave_triples(d if pieces is None else pieces, rng, n_triples)
+        lc, lc_w = _log_concave_triples(d if pieces is None else pieces, rng, _N_TRIPLES)
 
     return ConditionReport(
         level_set_ok=level_ok,
@@ -450,8 +458,7 @@ def _verdict(tail: Sequence[SweepRow], cluster_radius: float) -> str:
     return "inconclusive"
 
 
-def sweep(d, ladder: Sequence[float], search=None, *,
-          tol_value: float | None = None, **options) -> SweepTrace:
+def sweep(d, ladder: Sequence[float], search=None) -> SweepTrace:
     """Run the small-ball estimator along an increasing scale ladder (1D only)."""
     _pieces_1d(d, "sweep")
     ladder = [float(c) for c in ladder]
@@ -462,13 +469,12 @@ def sweep(d, ladder: Sequence[float], search=None, *,
     if ladder[0] <= 0:
         raise ValueError("ladder scales must be positive")
 
-    tol_value = _default_tol(d, tol_value)
-    cluster_radius = 10.0 * tol_value
+    cluster_radius = 10.0 * _default_tol(d)
 
     map_res = map_estimate(d, search)
     rows = []
     for c in ladder:
-        res = bayes_estimate(d, LossSpec(c), search, tol_value=tol_value, **options)
+        res = bayes_estimate(d, LossSpec(c), search)
         lo, hi = res.hull()
         rows.append(SweepRow(
             c=c, canonical=res.canonical, sup_value=res.sup_value,
@@ -590,8 +596,7 @@ class HypoReport:
 
 def hypo_diagnostic(d, nus: Sequence[float],
                     closed_intervals: Sequence[tuple[float, float]] = (),
-                    open_intervals: Sequence[tuple[float, float]] = (),
-                    *, slack: float = 1e-12, **options) -> HypoReport:
+                    open_intervals: Sequence[tuple[float, float]] = ()) -> HypoReport:
     """Run the hit-and-miss sup diagnostics for each scale nu in nus (1D only)."""
     pieces = _pieces_1d(d, "hypo_diagnostic")
     rows = []
@@ -600,25 +605,25 @@ def hypo_diagnostic(d, nus: Sequence[float],
             raise ValueError("scales nu must be positive")
         r = 1.0 / nu
         for (lo, hi) in closed_intervals:
-            sm = mollified_sup(BallObjective(pieces, r), (lo, hi), **options).sup_value
+            sm = mollified_sup(BallObjective(pieces, r), (lo, hi)).sup_value
             ref = sup_on_interval(pieces, lo - r, hi + r, closed=True)
-            rows.append(HypoRow("closed", lo, hi, nu, sm, ref, slack,
-                                ok=sm <= ref + slack))
+            rows.append(HypoRow("closed", lo, hi, nu, sm, ref, _HYPO_SLACK,
+                                ok=sm <= ref + _HYPO_SLACK))
         for (lo, hi) in open_intervals:
-            sm = mollified_sup(BallObjective(pieces, r), (lo, hi), **options).sup_value
+            sm = mollified_sup(BallObjective(pieces, r), (lo, hi)).sup_value
             s_lo, s_hi = lo + r, hi - r
             if s_hi <= s_lo:
-                rows.append(HypoRow("open", lo, hi, nu, sm, math.nan, slack,
+                rows.append(HypoRow("open", lo, hi, nu, sm, math.nan, _HYPO_SLACK,
                                     ok=True, skipped=True,
                                     reason="shrunken interval is empty"))
                 continue
             L = _lipschitz_with_jumps(pieces, lo, hi)
             if not math.isfinite(L):
-                rows.append(HypoRow("open", lo, hi, nu, sm, math.nan, slack,
+                rows.append(HypoRow("open", lo, hi, nu, sm, math.nan, _HYPO_SLACK,
                                     ok=True, skipped=True,
                                     reason="jump or unbounded slope in the interval"))
                 continue
             ref = sup_on_interval(pieces, s_lo, s_hi, closed=False)
-            rows.append(HypoRow("open", lo, hi, nu, sm, ref, slack,
-                                ok=sm >= ref - L / nu - slack))
+            rows.append(HypoRow("open", lo, hi, nu, sm, ref, _HYPO_SLACK,
+                                ok=sm >= ref - L / nu - _HYPO_SLACK))
     return HypoReport(tuple(rows))

@@ -10,7 +10,8 @@ Two estimators are provided:
   search as the normalized ball average up to the constant ball volume.
 
 Both run any 1D density, a 1D grid included, on its piecewise view and
-search 2D grids cell by cell or by scan-and-refine.
+search 2D grids cell by cell or by scan-and-refine, with the fixed tolerance
+of ``argmax._default_tol`` and the fixed scan of ``windows._search_ball``.
 
 :func:`approx_gap` measures how far a fixed point theta is from being
 optimal for the ball objective: the sup of the objective minus its value at
@@ -23,10 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .argmax import (ArgmaxResult, _default_tol, maximize_density, maximize_objective_2d,
-                     maximize_window)
-from .density import _pieces_view, _support_box
-from .windows import BallObjective, ball_integral
+from .argmax import ArgmaxResult, maximize_density
+from .density import _support_box
+from .windows import BallObjective, _search_ball, ball_integral
 
 __all__ = ["LossSpec", "ApproxGap", "map_estimate", "bayes_estimate", "approx_gap"]
 
@@ -60,18 +60,17 @@ class ApproxGap:
         return self.sup_value - self.value_at_theta
 
 
-def map_estimate(d, search=None, tol_value: float | None = None) -> ArgmaxResult:
+def map_estimate(d, search=None) -> ArgmaxResult:
     """Posterior mode(s): argmax of the density over the search box.
 
     Defaults the box to the density's support.  Reports the full maximizer
     set; for an unbounded density the witness points are returned with
     ``sup_infinite`` set.
     """
-    return maximize_density(d, search, tol_value=tol_value)
+    return maximize_density(d, search)
 
 
-def bayes_estimate(d, loss: LossSpec, search=None, tol_value: float | None = None,
-                   **options) -> ArgmaxResult:
+def bayes_estimate(d, loss: LossSpec, search=None) -> ArgmaxResult:
     """Optimal report under the sharp 0-1 loss: argmax of ball mass of radius 1/c.
 
     The default box is the support grown by the ball radius, which always
@@ -79,23 +78,16 @@ def bayes_estimate(d, loss: LossSpec, search=None, tol_value: float | None = Non
     """
     r = loss.radius
     box = _support_box(d, r) if search is None else search
-    tol = _default_tol(d, tol_value)
-    pieces = _pieces_view(d)
-    if pieces is not None:
-        return maximize_window(pieces, r, box, tol_value=tol, **options)
-    b = BallObjective(d, r, normalized=False)
-    step = options.pop("coarse_step", min(d.spacing) / 2.0)
-    return maximize_objective_2d(lambda p: ball_integral(b, p), box,
-                                 coarse_step=step, tol_value=tol, **options)
+    return _search_ball(BallObjective(d, r, normalized=False), box)
 
 
-def approx_gap(d, loss: LossSpec, theta, search=None, **options) -> ApproxGap:
+def approx_gap(d, loss: LossSpec, theta, search=None) -> ApproxGap:
     """How sub-optimal is reporting theta under the sharp 0-1 loss at scale c?
 
     The sup is taken over the box *and* theta itself, so the gap is always
     nonnegative even if the caller's box misses the global argmax.
     """
-    best = bayes_estimate(d, loss, search, **options)
+    best = bayes_estimate(d, loss, search)
     b = BallObjective(d, loss.radius, normalized=False)
     at_theta = ball_integral(b, theta)
     sup = max(best.sup_value, at_theta)

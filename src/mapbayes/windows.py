@@ -10,6 +10,9 @@ density itself, which is what the convergence diagnostics exploit.
 
 Any 1D density, a 1D grid included, is integrated on its piecewise view;
 2D grids use the exact disc/rectangle overlap.
+
+``_search_ball`` decides how the Bayes report and ``mollified_sup`` search
+(scan step, stopping step, value tolerance); no caller sets any of them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from .argmax import ArgmaxResult, _default_tol, maximize_objective_2d, maximize_
 from .density import GridDensity, UscDensity1D, _pieces_view
 
 __all__ = ["BallObjective", "ball_integral", "mollified_sup", "ball_volume"]
+
+#: step at which the 2D compass refinement stops
+_XTOL_2D = 1e-6
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -74,26 +80,29 @@ def ball_integral(b: BallObjective, theta) -> float:
     return raw / b.ball_vol if b.normalized else raw
 
 
-def mollified_sup(b: BallObjective, box, **options) -> ArgmaxResult:
+def _search_ball(b: BallObjective, box) -> ArgmaxResult:
+    """Argmax of the ball objective over a box: the exact window search in
+    1D (scaled by 1/volume when normalized), scan-and-refine on 2D grids."""
+    tol = _default_tol(b.density)
+    if b._pieces is not None:
+        scale = 1.0 / b.ball_vol if b.normalized else 1.0
+        return maximize_window(b._pieces, b.radius, box, scale=scale, tol_value=tol)
+    return maximize_objective_2d(b, box, coarse_step=min(b.density.spacing) / 2.0,
+                                 xtol=_XTOL_2D, tol_value=tol)
+
+
+def mollified_sup(b: BallObjective, box) -> ArgmaxResult:
     """Argmax of the normalized ball average over a box.
 
-    In 1D this reuses the exact piecewise window search; on 2D grids it
-    falls back to scan-and-refine.  The ball average never exceeds the
-    density's own sup over the box grown by the radius.  ``tol_value``
-    defaults to TOL_VALUE_GRID for a grid density (1D or 2D) and to
-    TOL_VALUE_EXACT for pieces.
+    In 1D this is the exact piecewise window search; on 2D grids it is
+    scan-and-refine.  The ball average never exceeds the density's own sup
+    over the box grown by the radius.  The value tolerance is
+    TOL_VALUE_GRID for a grid density (1D or 2D) and TOL_VALUE_EXACT for
+    pieces.
     """
     if not b.normalized:
         raise ValueError("mollified_sup expects a normalized objective")
-    tol = _default_tol(b.density, options.pop("tol_value", None))
-    if b._pieces is not None:
-        lo, hi = float(box[0]), float(box[1])
-        return maximize_window(b._pieces, b.radius, (lo, hi),
-                               scale=1.0 / b.ball_vol, tol_value=tol, **options)
-    g: GridDensity = b.density
-    step = options.pop("coarse_step", min(g.spacing) / 2.0)
-    return maximize_objective_2d(lambda p: ball_integral(b, p), box,
-                                 coarse_step=step, tol_value=tol, **options)
+    return _search_ball(b, box)
 
 
 # ---------------------------------------------------------------------------

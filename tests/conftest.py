@@ -63,6 +63,11 @@ GRIDS_1D = {
 }
 
 
+#: a 2x2 grid on [0, 0.5]^2 whose cell at the origin is 0
+CORNER_ZERO_2D = GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25),
+                                        np.array([[0.0, 1.0], [1.0, 1.0]]))
+
+
 def grid_1d(name: str) -> GridDensity:
     origin, spacing, values = GRIDS_1D[name]
     return GridDensity.normalized(1, origin, spacing, np.array(values))

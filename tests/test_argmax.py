@@ -13,7 +13,7 @@ from mapbayes.argmax import maximize_density, maximize_window
 from mapbayes.density import GridDensity, UscDensity1D, constant_piece, sqrt_piece
 from mapbayes.errors import EmptySearchBox
 
-from conftest import random_piecewise
+from conftest import CORNER_ZERO_2D, random_piecewise
 from oracles import brute_argmax, window_mass
 
 
@@ -48,7 +48,10 @@ def test_density_argmax_respects_box():
     (mb.two_bumps(), (-0.7, 0.7), ((-0.7, -0.5),), -0.5),
     (GridDensity.normalized(1, (0.5,), (0.25,), np.array([0.0, 0.0, 1.0, 3.0])),
      (0.2, 0.9), ((0.2, 0.9),), 0.2),
-], ids=["gap_between_pieces", "past_the_support", "positive_sup", "grid_zero_cells"])
+    (CORNER_ZERO_2D, ((2, 3), (2, 3)), (((2.0, 3.0), (2.0, 3.0)),), (2.0, 2.0)),
+    (CORNER_ZERO_2D, ((-1, 0.2), (-1, 0.2)), (((-1.0, 0.2), (-1.0, 0.2)),), (0.0, 0.0)),
+], ids=["gap_between_pieces", "past_the_support", "positive_sup", "grid_zero_cells",
+        "grid_2d_past_the_grid", "grid_2d_zero_cell_and_off_grid"])
 def test_density_argmax_counts_off_support_stretches(d, box, maxi, canonical):
     # the density is 0 off its support, so a box where nothing beats 0 is
     # maximized everywhere, gaps between pieces and beyond them included

@@ -155,6 +155,14 @@ def test_exit_code_2_on_config_problems(tmp_path):
         assert main(["counterexample", "--nu-max", nu_max, "--out", str(tmp_path)]) == 2
 
 
+def test_seed_flag_is_gone(tmp_path):
+    # the sampled checks run from a fixed seed; argparse rejects the flag
+    cfg = _write_config(tmp_path / "c.json", {"density": {"builtin": "triangle"}})
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--seed", "1", "--config", cfg, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_exit_code_3_on_domain_errors(tmp_path):
     cfg = _write_config(tmp_path / "c.json", {
         "density": {"builtin": "triangle"}, "search": [5.0, 2.0]})

@@ -98,6 +98,7 @@ def test_cutoff_guard():
         mb.verify_nonconvergence(6, max_bump=8)
     with pytest.raises(ValueError):
         mb.build(0)
+    assert "CounterexampleSpec" not in mb.__all__
 
 
 def test_declared_unbounded_tail():

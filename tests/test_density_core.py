@@ -16,7 +16,7 @@ from mapbayes.density import (
     sqrt_piece,
 )
 
-from conftest import random_piecewise
+from conftest import CORNER_ZERO_2D, random_piecewise
 from oracles import adaptive_simpson
 
 
@@ -242,6 +242,31 @@ def test_posterior_matches_pointwise_ratio():
     for t in (-0.5, -0.1, 0.2, 0.6):
         assert post.evaluate(t) == pytest.approx(
             prior.evaluate(t) * lik(0.4, t) / ev, rel=2e-3)
+
+
+def test_evidence_2d_affine_likelihood_has_no_error():
+    # the midpoint rule is exact for an affine likelihood on every cell
+    ev, err = mb.evidence(mb.BayesModel(CORNER_ZERO_2D, lambda x, t: 1.0 + t[0], 0.0))
+    assert ev == pytest.approx(31.0 / 24.0, abs=1e-15)
+    assert err <= 1e-15 * ev
+
+
+def test_evidence_2d_gaussian_likelihood_beats_the_cell_sum():
+    g = CORNER_ZERO_2D
+    lik = lambda x, t: math.exp(-((t[0] - 0.3) ** 2 + (t[1] - 0.2) ** 2) / 0.02)
+
+    def cell_sum(k):
+        # every cell split k x k, keeping its prior value
+        h = g.spacing[0] / k
+        mids = (np.arange(2 * k) + 0.5) * h
+        tx, ty = np.meshgrid(mids, mids, indexing="ij")
+        prior = np.repeat(np.repeat(g.values, k, axis=0), k, axis=1)
+        return float(np.sum(prior * np.exp(-((tx - 0.3) ** 2 + (ty - 0.2) ** 2) / 0.02))) * h * h
+
+    reference, e_n = cell_sum(64), cell_sum(1)
+    ev, err = mb.evidence(mb.BayesModel(g, lik, 0.0))
+    assert err > 0.0
+    assert abs(ev - reference) < abs(e_n - reference)
 
 
 def test_posterior_constant_likelihood_returns_prior():

@@ -126,7 +126,7 @@ def test_conditions_counterexample():
 def test_conditions_random_densities_witnesses_verify(rng):
     for _ in range(10):
         d = random_piecewise(rng)
-        rep = mb.check_conditions(d, seed=3)
+        rep = mb.check_conditions(d)
         if rep.quasiconcave_witness is not None:
             x, y, lam = rep.quasiconcave_witness
             z = lam * x + (1 - lam) * y
@@ -149,7 +149,7 @@ def test_conditions_2d_grid_sampling():
     profile = np.array([0.2, 0.5, 0.8, 1.0, 1.0, 0.7, 0.4, 0.1])
     vals = np.minimum.outer(profile, profile)
     g = mb.GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), vals)
-    rep = mb.check_conditions(g, n_triples=2000)
+    rep = mb.check_conditions(g)
     assert rep.level_set_ok
     assert rep.quasiconcave
 
@@ -162,7 +162,7 @@ def test_conditions_2d_discretized_cone_is_refuted():
         for j in range(8):
             vals[i, j] = max(0.0, 1.0 - abs(i - 3.5) / 4 - abs(j - 3.5) / 4)
     g = mb.GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), vals)
-    rep = mb.check_conditions(g, n_triples=4000)
+    rep = mb.check_conditions(g)
     assert not rep.quasiconcave
     (x, y, lam) = rep.quasiconcave_witness
     z = (lam * x[0] + (1 - lam) * y[0], lam * x[1] + (1 - lam) * y[1])

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -125,3 +126,41 @@ def test_counterexample_gap_decreases_while_argmax_escapes():
         gaps.append(mb.approx_gap(d, loss, 0.0).gap)
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3
+
+
+_TRI = mb.triangle()
+_LOSS = mb.LossSpec(4.0)
+_AVG = mb.BallObjective(_TRI, 0.25)
+
+
+# tolerances, the 2D scan, the hypo slack, the sampler and the counterexample
+# search box are fixed by the package; passing any of them is a caller error
+_REMOVED_KNOBS = [
+    (mb.map_estimate, (_TRI,), "tol_value", 1e-3),
+    (mb.maximize_density, (_TRI,), "tol_value", 1e-3),
+    (mb.bayes_estimate, (_TRI, _LOSS), "tol_value", 1e-3),
+    (mb.bayes_estimate, (_TRI, _LOSS), "scale", 2.0),
+    (mb.bayes_estimate, (_TRI, _LOSS), "coarse_step", 0.1),
+    (mb.bayes_estimate, (_TRI, _LOSS), "xtol", 1e-3),
+    (mb.sweep, (_TRI, [8.0, 16.0]), "tol_value", 1e-3),
+    (mb.sweep, (_TRI, [8.0, 16.0]), "coarse_step", 0.1),
+    (mb.approx_gap, (_TRI, _LOSS, 0.0), "tol_value", 1e-3),
+    (mb.approx_gap, (_TRI, _LOSS, 0.0), "coarse_step", 0.1),
+    (mb.mollified_sup, (_AVG, (-1.0, 1.0)), "tol_value", 1e-3),
+    (mb.mollified_sup, (_AVG, (-1.0, 1.0)), "coarse_step", 0.1),
+    (mb.mollified_sup, (_AVG, (-1.0, 1.0)), "xtol", 1e-3),
+    (mb.hypo_diagnostic, (_TRI, [4.0], [(-0.5, 0.5)]), "slack", 1e-6),
+    (mb.hypo_diagnostic, (_TRI, [4.0], [(-0.5, 0.5)]), "tol_value", 1e-3),
+    (mb.check_conditions, (_TRI,), "seed", 1),
+    (mb.check_conditions, (_TRI,), "n_triples", 100),
+    (mb.verify_nonconvergence, (2,), "search", (-1.0, 6.0)),
+]
+
+
+@pytest.mark.parametrize("fn, args, knob, value", _REMOVED_KNOBS,
+                         ids=[f"{fn.__name__}-{knob}" for fn, _, knob, _ in _REMOVED_KNOBS])
+def test_removed_knobs_stay_gone(fn, args, knob, value):
+    params = inspect.signature(fn).parameters.values()
+    assert not any(p.kind is p.VAR_KEYWORD for p in params)
+    with pytest.raises(TypeError):
+        fn(*args, **{knob: value})

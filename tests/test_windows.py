@@ -130,8 +130,7 @@ def test_mollified_sup_2d_finds_peak():
             cy = (xs[j] + xs[j + 1]) / 2
             vals[i, j] = max(0.0, 1.0 - abs(cx - 0.2) - abs(cy + 0.3))
     g = GridDensity.normalized(2, (-1.0, -1.0), (2.0 / n, 2.0 / n), vals)
-    res = mollified_sup(BallObjective(g, 0.25), ((-1.0, 1.0), (-1.0, 1.0)),
-                        coarse_step=0.1)
+    res = mollified_sup(BallObjective(g, 0.25), ((-1.0, 1.0), (-1.0, 1.0)))
     (px, py), = [(iv[0][0], iv[1][0]) for iv in res.maximizers]
     assert px == pytest.approx(0.2, abs=0.05)
     assert py == pytest.approx(-0.3, abs=0.05)
