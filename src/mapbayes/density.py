@@ -271,9 +271,11 @@ class UscDensity1D:
         return self.pieces[0].lo, max(p.hi for p in self.pieces)
 
     def _containing(self, t: float) -> list[Piece]:
+        # pieces[i - 1] is the last to start at or before t; pieces[i - 2]
+        # may end at t, where it meets it
         i = bisect_right(self._starts, t)
         out = []
-        for j in (i - 1, i):
+        for j in (i - 2, i - 1):
             if 0 <= j < len(self.pieces):
                 p = self.pieces[j]
                 if p.lo <= t <= p.hi:

@@ -63,6 +63,9 @@ GRIDS_1D = {
 }
 
 
+#: 4t on [0, 0.5), then 1 on [0.5, 1): the density jumps down from 2 to 1
+JUMP_DOWN = UscDensity1D((affine_piece(0.0, 0.5, 0.0, 4.0), constant_piece(0.5, 1.0, 1.0)))
+
 #: a 2x2 grid on [0, 0.5]^2 whose cell at the origin is 0
 CORNER_ZERO_2D = GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25),
                                         np.array([[0.0, 1.0], [1.0, 1.0]]))

@@ -13,7 +13,7 @@ from mapbayes.argmax import maximize_density, maximize_window
 from mapbayes.density import GridDensity, UscDensity1D, constant_piece, sqrt_piece
 from mapbayes.errors import EmptySearchBox
 
-from conftest import CORNER_ZERO_2D, random_piecewise
+from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_piecewise
 from oracles import brute_argmax, window_mass
 
 
@@ -31,6 +31,11 @@ def test_density_argmax_on_family():
         assert res.maximizers == maxi, name
         assert res.canonical == canonical, name
         assert res.sup_value == sup, name
+
+
+def test_density_argmax_sees_the_left_limit_at_a_jump_down():
+    res = mb.map_estimate(JUMP_DOWN)
+    assert (res.sup_value, res.maximizers) == (2.0, ((0.5, 0.5),))
 
 
 def test_density_argmax_respects_box():

@@ -16,7 +16,7 @@ from mapbayes.density import (
     sqrt_piece,
 )
 
-from conftest import CORNER_ZERO_2D, random_piecewise
+from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_piecewise
 from oracles import adaptive_simpson
 
 
@@ -80,6 +80,7 @@ def test_envelope_takes_max_of_one_sided_limits():
     assert d.evaluate(2.0) == 0.0
     assert d.evaluate(-0.3) == 0.0
     assert mb.step().evaluate(0.5) == 2.0
+    assert JUMP_DOWN.evaluate(0.5) == 2.0  # jump down: the left limit wins
 
 
 def test_envelope_on_gap_interior():
