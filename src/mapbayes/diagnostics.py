@@ -12,9 +12,13 @@ the hypotheses.
 A 1D grid is examined on its piecewise view; ``sweep``, ``hypo_diagnostic``
 and ``sup_on_interval`` exist in 1D only and reject 2D grids up front.
 
-No check takes a tuning setting: the sampled triples of ``check_conditions``
-(fixed seed, fixed count), the value tolerance of ``sweep`` and the float
-slack of ``hypo_diagnostic`` are fixed by this module and ``argmax``.
+The shape checks of ``check_conditions`` are exact: quasiconcavity and
+log-concavity are decided from the pieces or the cells, and every False
+comes with a counterwitness the density's own pointwise values confirm.
+
+No check takes a tuning setting: the float-dust and witness margins of
+``check_conditions``, the value tolerance of ``sweep`` and the float slack
+of ``hypo_diagnostic`` are fixed by this module and ``argmax``.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .argmax import _clusters, _default_tol, _merge_elements
 from .density import GridDensity, Piece, UscDensity1D, _pieces_view
@@ -51,9 +53,8 @@ MAP_NEAR_TOL = 1e-6
 _EVENT_TOL = 1e-9
 #: strictness margin every reported counterwitness must beat
 _WITNESS_MARGIN = 1e-12
-#: seed and number of the random triples behind the sampled shape checks
-_TRIPLE_SEED = 0
-_N_TRIPLES = 10_000
+#: halvings a log-concavity witness search tries before it calls a violation float dust
+_WITNESS_HALVINGS = 40
 #: float slack every hit-and-miss comparison allows
 _HYPO_SLACK = 1e-12
 
@@ -161,9 +162,11 @@ class ConditionReport:
     nonempty interior (computed on the strict set, i.e. alpha nudged down by
     1e-12).  ``eventually_level_bounded`` restates it for the smoothed
     family: the level sets of every ball average of radius 1/nu then sit
-    inside the witness bound grown by 1/nu.  Counterwitnesses are triples
-    (x, y, lam) with f(lam*x + (1-lam)*y) < min(f(x), f(y)) - 1e-12, resp.
-    the same against the weighted geometric mean for log-concavity.
+    inside the witness bound grown by 1/nu.  ``quasiconcave`` and
+    ``log_concave`` are exact decisions (see :func:`check_conditions`); each
+    False comes with a counterwitness triple (x, y, lam) with
+    f(lam*x + (1-lam)*y) < min(f(x), f(y)) - 1e-12, resp. the same against
+    the weighted geometric mean f(x)^lam * f(y)^(1-lam) for log-concavity.
     """
 
     level_set_ok: bool
@@ -229,9 +232,18 @@ def _step_in(seg: _Seg, m: float) -> float:
     return min(cap, (m / (4.0 * b)) ** 2)
 
 
-def _verified_witness(d, x: float, y: float, lam: float) -> tuple | None:
-    z = lam * x + (1.0 - lam) * y
-    if d.evaluate(z) < min(d.evaluate(x), d.evaluate(y)) - _WITNESS_MARGIN:
+def _verified_witness(d, x, y, lam: float, geometric: bool = False) -> tuple | None:
+    """(x, y, lam) when it strictly refutes quasiconcavity (or, with
+    ``geometric``, log-concavity): f at lam*x + (1-lam)*y sits more than
+    the witness margin below min(f(x), f(y)), resp. f(x)^lam * f(y)^(1-lam).
+    Points are floats in 1D and (x, y) pairs on a 2D grid."""
+    if isinstance(x, tuple):
+        z = tuple(lam * a + (1.0 - lam) * b for a, b in zip(x, y))
+    else:
+        z = lam * x + (1.0 - lam) * y
+    fx, fy = d.evaluate(x), d.evaluate(y)
+    bound = fx ** lam * fy ** (1.0 - lam) if geometric else min(fx, fy)
+    if d.evaluate(z) < bound - _WITNESS_MARGIN:
         return (x, y, lam)
     return None
 
@@ -283,55 +295,212 @@ def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def _quasiconcave_triples_2d(d: GridDensity, rng, n: int) -> tuple[bool, tuple | None]:
-    (x0, x1), (y0, y1) = d.support
-    for _ in range(n):
-        px = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-        py = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-        lam = rng.uniform()
-        pz = (lam * px[0] + (1 - lam) * py[0], lam * px[1] + (1 - lam) * py[1])
-        if d.evaluate(pz) < min(d.evaluate(px), d.evaluate(py)) - _WITNESS_MARGIN:
-            return False, (px, py, lam)
+def _witness_by_halving(d, triple, span: float) -> tuple | None:
+    """First verified log-concavity witness among triple(span * 2**-k)."""
+    for k in range(_WITNESS_HALVINGS):
+        w = _verified_witness(d, *triple(span * 0.5 ** k), geometric=True)
+        if w:
+            return w
+    return None
+
+
+def _slope(seg: _Seg, t: float) -> float:
+    """One-sided derivative of the segment's formula at its end t; a sqrt
+    arc is infinitely steep where its radicand vanishes."""
+    p = seg.piece
+    if p is None or p.kind == "constant":
+        return 0.0
+    b = p.params["b"]
+    if p.kind == "affine" or b == 0.0:
+        return b
+    sb = b * p.params["s"]
+    w = math.sqrt(max(p.params["s"] * (t - p.params["t0"]), 0.0))
+    return sb / (2.0 * w) if w > 0.0 else math.copysign(math.inf, sb)
+
+
+def _log_convex_stretch(p: Piece | None) -> tuple[float, float] | None:
+    """(anchor, far end) of the stretch of a sqrt arc on which log f is
+    strictly convex; None when log f is concave on the whole piece.
+
+    With w = sqrt(s*(t - t0)), f*f'' - f'^2 = -b*(a + 2*b*w)/(4*w^3), and
+    b*(a + 2*b*w) grows with w.  So log f is concave on the arc iff that
+    factor is >= 0 at the anchor, the end where w is smallest; otherwise it
+    is convex up to w = -a/(2*b) or the far end.
+    """
+    if p is None or p.kind != "sqrt":
+        return None
+    a, b, s, t0 = p.params["a"], p.params["b"], p.params["s"], p.params["t0"]
+    anchor, far = (p.lo, p.hi) if s == 1 else (p.hi, p.lo)
+    if b * (a + 2.0 * b * math.sqrt(max(s * (anchor - t0), 0.0))) >= 0.0:
+        return None
+    w_end = min(-a / (2.0 * b), math.sqrt(max(s * (far - t0), 0.0)))
+    return anchor, t0 + s * w_end * w_end
+
+
+def _log_concave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
+    """Exact log-concavity check for a density that passed the
+    quasiconcavity walk, so that its support is an interval.
+
+    Past the zero pieces at the ends of the support, log f is concave iff
+    every sqrt arc is (constant and affine pieces always are) and every
+    interior breakpoint has no jump and a one-sided slope that does not
+    increase, f'(t-) >= f'(t+).  An infinite point is never log-concave.
+    Each violation is tried with shrinking triples around it; one that no
+    triple verifies is float dust.
+    """
+    segs = _segments(d)
+    live = [i for i, seg in enumerate(segs) if max(seg.v_lo, seg.v_hi) > 0.0]
+    segs = segs[live[0]:live[-1] + 1]
+    for t in d.infinite_points:
+        for seg in segs:
+            w = _verified_witness(d, t, 0.5 * (seg.lo + seg.hi), 0.5, geometric=True)
+            if w:
+                return False, w
+    for i, seg in enumerate(segs):
+        if i:
+            prev, t = segs[i - 1], seg.lo
+            jump = seg.v_lo - prev.v_hi
+            # z = t - h/2 below a jump up, t + h/2 past a jump down, t at a kink
+            lam = None
+            if jump > _EVENT_TOL:
+                lam = 0.75
+            elif jump < -_EVENT_TOL:
+                lam = 0.25
+            elif _slope(prev, t) < _slope(seg, t) - _EVENT_TOL:
+                lam = 0.5
+            if lam is not None:
+                w = _witness_by_halving(d, lambda h: (t - h, t + h, lam),
+                                        min(prev.hi - prev.lo, seg.hi - seg.lo))
+                if w:
+                    return False, w
+        stretch = _log_convex_stretch(seg.piece)
+        if stretch is not None:
+            anchor, far = stretch
+            w = _witness_by_halving(d, lambda h: (anchor, anchor + h, 0.5), far - anchor)
+            if w:
+                return False, w
     return True, None
 
 
-def _log_concave_triples(d, rng, n: int) -> tuple[bool, tuple | None]:
-    """Randomized refutation attempt for log-concavity (cannot prove it);
-    d is a piecewise density or a 2D grid."""
-    two_d = isinstance(d, GridDensity)
-    if two_d:
-        (x0, x1), (y0, y1) = d.support
-    else:
-        x0, x1 = d.support
-    for _ in range(n):
-        if two_d:
-            px = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-            py = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-        else:
-            px = rng.uniform(x0, x1)
-            py = rng.uniform(x0, x1)
-        lam = rng.uniform()
-        if two_d:
-            pz = (lam * px[0] + (1 - lam) * py[0], lam * px[1] + (1 - lam) * py[1])
-        else:
-            pz = lam * px + (1 - lam) * py
-        fx, fy = d.evaluate(px), d.evaluate(py)
-        if fx <= 0.0 or fy <= 0.0:
+def _grid_cells(d: GridDensity) -> list[tuple[float, int, int]]:
+    """The positive cells of a 2D grid as (value, i, j), largest value first."""
+    return sorted(((v, i, j) for i, row in enumerate(d.values.tolist())
+                   for j, v in enumerate(row) if v > 0.0), reverse=True)
+
+
+def _cell_point(d: GridDensity, u: float, v: float) -> tuple[float, float]:
+    """The point at (u, v) in cell units from the grid origin."""
+    return (d.origin[0] + u * d.spacing[0], d.origin[1] + v * d.spacing[1])
+
+
+def _segment_leaving(d: GridDensity, cells) -> tuple:
+    """A triple (x, y, lam) whose point lam*x + (1-lam)*y lies in a cell
+    missing from ``cells``, for cells that do not fill their bounding box.
+
+    Rows are scanned in order.  A gap inside a row, or an empty row between
+    two rows, lies halfway between two cell centres.  Otherwise two adjacent
+    rows differ at one end, and the L-shape case applies: a point in the row
+    that reaches further, just across the row edge, and a point just inside
+    the end cell of the other row meet halfway in a missing cell of that row.
+    """
+    rows: dict[int, list[int]] = {}
+    for _, i, j in cells:
+        rows.setdefault(i, []).append(j)
+    prev = None
+    for i in sorted(rows):
+        js = sorted(rows[i])
+        for j1, j2 in zip(js, js[1:]):
+            if j2 > j1 + 1:
+                return _cell_point(d, i + 0.5, j1 + 0.5), _cell_point(d, i + 0.5, j2 + 0.5), 0.5
+        ends = (js[0], js[-1])
+        if prev is not None:
+            p, p_ends = prev
+            if i > p + 1:
+                return (_cell_point(d, p + 0.5, p_ends[0] + 0.5),
+                        _cell_point(d, i + 0.5, ends[0] + 0.5), 0.5)
+            if p_ends != ends:
+                # mirror the columns (cell j -> -j - 1) when only the right ends differ
+                s = 1 if p_ends[0] != ends[0] else -1
+                (pa, pb), (a, b) = [(lo, hi) if s == 1 else (-hi - 1, -lo - 1)
+                                    for lo, hi in (p_ends, ends)]
+                # the outer row o reaches further left than the inner row n
+                (o, b_o), (n, a_n) = ((p, pb), (i, a)) if pa < a else ((i, b), (p, pa))
+                c = min(a_n - 1, b_o)
+                x = _cell_point(d, max(o, n) + (o - n) / 4.0, s * (c + 0.5))
+                y = _cell_point(d, n + 0.5, s * (a_n + 0.25))
+                return x, y, 0.5
+        prev = (i, ends)
+
+
+def _quasiconcave_grid(d: GridDensity) -> tuple[bool, tuple | None]:
+    """Exact quasiconcavity check for a 2D grid.
+
+    A level set {f >= alpha > 0} is the union of the closed cells valued at
+    least alpha, and such a union is convex iff it fills its bounding box of
+    cells.  Cells are added in decreasing order of value, and at every value
+    level the cell count is compared with the area of the bounding box.
+    """
+    cells = _grid_cells(d)
+    i0 = j0 = math.inf
+    i1 = j1 = -math.inf
+    for k, (v, i, j) in enumerate(cells):
+        i0, i1, j0, j1 = min(i0, i), max(i1, i), min(j0, j), max(j1, j)
+        if k + 1 < len(cells) and cells[k + 1][0] == v:
             continue
-        gm = fx ** lam * fy ** (1.0 - lam)
-        if d.evaluate(pz) < gm - _WITNESS_MARGIN:
-            return False, (px, py, lam)
+        if k + 1 < (i1 - i0 + 1) * (j1 - j0 + 1):
+            w = _verified_witness(d, *_segment_leaving(d, cells[:k + 1]))
+            if w:
+                return False, w
     return True, None
+
+
+def _log_concave_grid(d: GridDensity) -> tuple[bool, tuple | None]:
+    """Exact log-concavity check for a 2D grid that passed the
+    quasiconcavity check, so that its positive cells fill a rectangle.
+
+    log f is concave on that rectangle and constant on each cell, hence
+    constant: the grid is log-concave iff no positive cell drops by more
+    than the event tolerance to a positive neighbour.  The witness steps
+    along the largest such drop.
+    """
+    vals = d.values.tolist()
+    n0, n1 = d.shape
+    drop, i, j, di, dj = max(
+        ((vals[i][j] - vals[i + di][j + dj], i, j, di, dj)
+         for i in range(n0) for j in range(n1)
+         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
+         if 0 <= i + di < n0 and 0 <= j + dj < n1
+         and vals[i][j] > 0.0 and vals[i + di][j + dj] > 0.0),
+        default=(0.0, 0, 0, 0, 0))
+    if drop <= _EVENT_TOL:
+        return True, None
+    # x is the larger cell's centre; z = x + 0.75 step and y = x + 1.25 step
+    # both sit inside the smaller cell
+    x = _cell_point(d, i + 0.5, j + 0.5)
+    y = _cell_point(d, i + 0.5 + 1.25 * di, j + 0.5 + 1.25 * dj)
+    w = _verified_witness(d, x, y, 0.4, geometric=True)
+    return (False, w) if w else (True, None)
 
 
 def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionReport:
     """Run the level-set and shape checks on a density.
 
-    Quasiconcavity is decided exactly for 1D (on the piecewise view, via
-    the monotone-profile walk); 2D grids fall back to seeded triple sampling.
-    Log-concavity is refuted by sampling or inherited from a quasiconcavity
-    counterwitness (which always violates the geometric-mean inequality
-    too); a True is therefore "no violation found", not a proof.
+    Both shape checks are decisions, in time linear in the pieces or cells
+    (plus one sort of the cells of a 2D grid):
+
+    * 1D (a 1D grid on its piecewise view): quasiconcave iff the profile
+      never rises after a genuine fall.  Log-concave iff, in addition,
+      every sqrt arc a + b*sqrt(s*(t - t0)) has b*(a + 2*b*w) >= 0 over its
+      w range, and every interior breakpoint has no jump and a one-sided
+      slope that does not increase (an infinite slope counts).
+    * 2D grids: quasiconcave iff, at every value level, the cells valued
+      at least that level fill their bounding box.  Log-concave iff one
+      positive value fills a rectangle of cells and every other cell is 0.
+
+    A jump, kink or cell difference below 1e-9 is float dust, and a False
+    comes only with a witness (x, y, lam) that beats min(f(x), f(y)), resp.
+    f(x)^lam * f(y)^(1-lam), by more than 1e-12 at lam*x + (1-lam)*y.  A
+    quasiconcavity witness refutes log-concavity too.
     """
     sup_res = map_estimate(d)
     if alpha_grid is None:
@@ -348,17 +517,13 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionR
             break
     level_ok = witness_alpha is not None
 
-    rng = np.random.default_rng(_TRIPLE_SEED)
     pieces = _pieces_view(d)
     if pieces is not None:
         qc, qc_w = _quasiconcave_exact(pieces)
+        lc, lc_w = _log_concave_exact(pieces) if qc else (False, qc_w)
     else:
-        qc, qc_w = _quasiconcave_triples_2d(d, rng, _N_TRIPLES)
-
-    if not qc:
-        lc, lc_w = False, qc_w
-    else:
-        lc, lc_w = _log_concave_triples(d if pieces is None else pieces, rng, _N_TRIPLES)
+        qc, qc_w = _quasiconcave_grid(d)
+        lc, lc_w = _log_concave_grid(d) if qc else (False, qc_w)
 
     return ConditionReport(
         level_set_ok=level_ok,

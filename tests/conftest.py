@@ -43,6 +43,11 @@ def random_piecewise(rng, *, max_pieces: int = 6, span: tuple[float, float] = (-
                 pieces.append(sqrt_piece(a, b, v1, (v0 - v1) / w, -1, t0))
     if not pieces:
         pieces = [constant_piece(lo, hi, 1.0)]
+    return unit_mass(pieces)
+
+
+def unit_mass(pieces) -> UscDensity1D:
+    """The density of the given pieces, with their values divided by their mass."""
     mass = math.fsum(p.integral(p.lo, p.hi) for p in pieces)
     scaled = []
     for p in pieces:

@@ -3,12 +3,13 @@
 Everything here works from pointwise evaluation only — no piece
 antiderivatives, no package integrators — so agreement between these
 routines and the library is genuine evidence, not circular.  The 1D-grid
-scans at the end read a grid's raw cell array instead, with numpy.
+scans read a grid's raw cell array instead, with numpy.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -199,3 +200,51 @@ def grid_window_scan(grid, r: float, box, tol: float):
             elements.append((s, t))
     maxi = _merge(elements, 1e-12)
     return float(sup), maxi, _nearest_zero(maxi)
+
+
+# ---------------------------------------------------------------------------
+# Shape conditions, refuted from pointwise values
+# ---------------------------------------------------------------------------
+
+
+def witness_gaps(d, x, y, lam: float) -> tuple[float, float]:
+    """How far f(z), z = lam*x + (1-lam)*y, falls below min(f(x), f(y)) and
+    below f(x)^lam * f(y)^(1-lam).  Points are floats or (x, y) pairs."""
+    if isinstance(x, tuple):
+        z = tuple(lam * a + (1.0 - lam) * b for a, b in zip(x, y))
+    else:
+        z = lam * x + (1.0 - lam) * y
+    fx, fy, fz = d.evaluate(x), d.evaluate(y), d.evaluate(z)
+    return min(fx, fy) - fz, fx ** lam * fy ** (1.0 - lam) - fz
+
+
+def shape_violations(d, points_per_axis: int) -> tuple[float, float]:
+    """Largest (quasiconcavity, log-concavity) violation over a fixed lattice.
+
+    The lattice puts ``points_per_axis`` points a half step inside each axis
+    of the support box.  Every pair of lattice points whose offset is a
+    multiple of 4 steps on each axis is tried with lam in {1/4, 1/2, 3/4},
+    so that z is a lattice point too and f is evaluated once per point.
+    """
+    box = d.support
+    box = box if isinstance(box[0], tuple) else (box,)
+    n = points_per_axis
+    axes = [lo + (np.arange(n) + 0.5) * (hi - lo) / n for lo, hi in box]
+    f = np.array([d.evaluate(p if len(p) > 1 else p[0])
+                  for p in product(*(a.tolist() for a in axes))]).reshape((n,) * len(box))
+    qc = lc = 0.0
+    steps = range(-((n - 1) // 4) * 4, n, 4)
+    for shift in product(steps, repeat=len(box)):
+        if shift <= (0,) * len(box):
+            continue  # swapping x and y, with lam -> 1 - lam, gives the same triple
+
+        def moved(k: float):
+            return f[tuple(slice(max(0, -s) + round(k * s), n - max(0, s) + round(k * s))
+                           for s in shift)]
+
+        fx, fy = moved(0.0), moved(1.0)
+        for lam in (0.25, 0.5, 0.75):
+            fz = moved(1.0 - lam)
+            qc = max(qc, float(np.max(np.minimum(fx, fy) - fz)))
+            lc = max(lc, float(np.max(fx ** lam * fy ** (1.0 - lam) - fz)))
+    return qc, lc

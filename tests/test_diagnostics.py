@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import mapbayes as mb
-from mapbayes.density import UscDensity1D, constant_piece
-from mapbayes.diagnostics import ConditionReport, fmt17, sup_on_interval
+from mapbayes.density import (GridDensity, UscDensity1D, affine_piece, constant_piece,
+                               sqrt_piece)
+from mapbayes.diagnostics import _WITNESS_MARGIN, ConditionReport, fmt17, sup_on_interval
 
-from conftest import grid_1d, random_piecewise
-from oracles import grid_mode_scan, grid_window_scan
+from conftest import CORNER_ZERO_2D, grid_1d, random_piecewise, unit_mass
+from oracles import grid_mode_scan, grid_window_scan, shape_violations, witness_gaps
 
 
 # --- level sets -------------------------------------------------------------
@@ -152,21 +154,127 @@ def test_conditions_2d_grid_sampling():
     rep = mb.check_conditions(g)
     assert rep.level_set_ok
     assert rep.quasiconcave
+    # but not constant on its support, so not log-concave
+    assert not rep.log_concave
+    assert witness_gaps(g, *rep.log_concave_witness)[1] > _WITNESS_MARGIN
 
 
-def test_conditions_2d_discretized_cone_is_refuted():
-    # the cell discretization of the L1 cone has staircase level sets; the
-    # triple sampler must find a valley and certify it
+def _l1_cone() -> GridDensity:
+    """The cell discretization of the L1 cone on an 8x8 grid."""
     vals = np.zeros((8, 8))
     for i in range(8):
         for j in range(8):
             vals[i, j] = max(0.0, 1.0 - abs(i - 3.5) / 4 - abs(j - 3.5) / 4)
-    g = mb.GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), vals)
+    return mb.GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), vals)
+
+
+def test_conditions_2d_discretized_cone_is_refuted():
+    # the cell discretization of the L1 cone has staircase level sets, so
+    # some level set does not fill its bounding box; the valley is certified
+    g = _l1_cone()
     rep = mb.check_conditions(g)
     assert not rep.quasiconcave
     (x, y, lam) = rep.quasiconcave_witness
     z = (lam * x[0] + (1 - lam) * y[0], lam * x[1] + (1 - lam) * y[1])
     assert g.evaluate(z) < min(g.evaluate(x), g.evaluate(y)) - 1e-12
+
+
+def _grid_2d(values) -> GridDensity:
+    return GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), np.array(values, dtype=float))
+
+
+def _one_tall_cell() -> GridDensity:
+    vals = np.ones((4, 4))
+    vals[1, 2] += 1e-7
+    return _grid_2d(vals)
+
+
+def _rectangle_in_zeros() -> GridDensity:
+    vals = np.zeros((5, 6))
+    vals[1:4, 2:4] = 1.0
+    return _grid_2d(vals)
+
+
+@pytest.mark.parametrize("d, quasiconcave, log_concave", [
+    # 1 - 0.5 sqrt(t - t0): log f is convex near the anchor t0
+    (unit_mass([sqrt_piece(0.0, 1.0, 1.0, -0.5, 1, 0.0)]), True, False),
+    (unit_mass([sqrt_piece(0.0, 1.0, 0.5, 1.0, 1, 0.0)]), True, True),
+    # the slope jumps from 0.5 to +inf where the sqrt arc starts
+    (unit_mass([affine_piece(-1.0, 0.0, 1.0, 0.5), sqrt_piece(0.0, 1.0, 1.0, 1.0, 1, 0.0)]),
+     True, False),
+    (mb.staircase(), True, False),
+    (CORNER_ZERO_2D, False, False),
+    (_one_tall_cell(), True, False),
+    (_rectangle_in_zeros(), True, True),
+], ids=["decreasing_sqrt", "increasing_sqrt", "affine_into_sqrt", "staircase",
+        "l_shape_2d", "one_tall_cell_2d", "rectangle_in_zeros_2d"])
+def test_shape_checks_are_exact(d, quasiconcave, log_concave):
+    rep = mb.check_conditions(d)
+    assert (rep.quasiconcave, rep.log_concave) == (quasiconcave, log_concave)
+    if quasiconcave:
+        assert rep.quasiconcave_witness is None
+    else:
+        assert witness_gaps(d, *rep.quasiconcave_witness)[0] > _WITNESS_MARGIN
+    if log_concave:
+        assert rep.log_concave_witness is None
+    else:
+        assert witness_gaps(d, *rep.log_concave_witness)[1] > _WITNESS_MARGIN
+
+
+def test_staircase_is_refuted_by_the_geometric_mean_only():
+    rep = mb.check_conditions(mb.staircase())
+    qc_gap, lc_gap = witness_gaps(mb.staircase(), *rep.log_concave_witness)
+    assert lc_gap > _WITNESS_MARGIN >= qc_gap
+
+
+@pytest.mark.parametrize("d, bound", [
+    (mb.triangle(), 8),
+    (GridDensity.normalized(1, (0.0,), (1 / 256,), np.ones(256)), 3 * 256),
+    (GridDensity.normalized(1, (-1.0,), (1 / 128,), 1.0 - np.abs(np.linspace(-1, 1, 256))),
+     3 * 256),
+    (_grid_2d(np.ones((8, 8))), 3 * 64),
+    (_l1_cone(), 3 * 64),
+], ids=["triangle", "uniform_256", "tent_256", "uniform_8x8", "l1_cone_8x8"])
+def test_check_conditions_evaluations_are_linear_in_size(monkeypatch, d, bound):
+    points = []
+    for cls in (UscDensity1D, GridDensity):
+        def counted(self, point, evaluate=cls.evaluate):
+            points.append(point)
+            return evaluate(self, point)
+
+        monkeypatch.setattr(cls, "evaluate", counted)
+    mb.check_conditions(d)
+    assert len(points) <= bound
+
+
+def _assert_refutes_what_the_lattice_refutes(d, points_per_axis: int):
+    rep = mb.check_conditions(d)
+    qc_violation, lc_violation = shape_violations(d, points_per_axis)
+    if qc_violation > _WITNESS_MARGIN:
+        assert not rep.quasiconcave
+    if lc_violation > _WITNESS_MARGIN:
+        assert not rep.log_concave
+    if not rep.quasiconcave:
+        assert witness_gaps(d, *rep.quasiconcave_witness)[0] > _WITNESS_MARGIN
+    if not rep.log_concave:
+        assert witness_gaps(d, *rep.log_concave_witness)[1] > _WITNESS_MARGIN
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_shape_checks_refute_what_a_lattice_refutes_1d(seed):
+    d = random_piecewise(np.random.default_rng(seed), max_pieces=8)
+    _assert_refutes_what_the_lattice_refutes(d, 256)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       cells=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=36, max_size=36))
+def test_shape_checks_refute_what_a_lattice_refutes_2d(shape, cells):
+    # few distinct values, so level sets share cells and zero cells abound
+    values = np.array(cells[:shape[0] * shape[1]]).reshape(shape)
+    assume(values.sum() > 0)
+    _assert_refutes_what_the_lattice_refutes(_grid_2d(values), 24)
 
 
 # --- sweeps -----------------------------------------------------------------
