@@ -159,13 +159,17 @@ def test_conditions_2d_grid_sampling():
     assert witness_gaps(g, *rep.log_concave_witness)[1] > _WITNESS_MARGIN
 
 
+def _grid_2d(values) -> GridDensity:
+    return GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), np.array(values, dtype=float))
+
+
 def _l1_cone() -> GridDensity:
     """The cell discretization of the L1 cone on an 8x8 grid."""
     vals = np.zeros((8, 8))
     for i in range(8):
         for j in range(8):
             vals[i, j] = max(0.0, 1.0 - abs(i - 3.5) / 4 - abs(j - 3.5) / 4)
-    return mb.GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), vals)
+    return _grid_2d(vals)
 
 
 def test_conditions_2d_discretized_cone_is_refuted():
@@ -177,10 +181,6 @@ def test_conditions_2d_discretized_cone_is_refuted():
     (x, y, lam) = rep.quasiconcave_witness
     z = (lam * x[0] + (1 - lam) * y[0], lam * x[1] + (1 - lam) * y[1])
     assert g.evaluate(z) < min(g.evaluate(x), g.evaluate(y)) - 1e-12
-
-
-def _grid_2d(values) -> GridDensity:
-    return GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), np.array(values, dtype=float))
 
 
 def _one_tall_cell() -> GridDensity:
