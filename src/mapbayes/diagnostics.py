@@ -217,6 +217,26 @@ def _segments(d: UscDensity1D) -> list[_Seg]:
     return segs
 
 
+def _cut_at(segs: list[_Seg], t: float) -> list[_Seg]:
+    """The segments with one starting at t: a segment holding t is split
+    there, and a t off the support gets zero stretches out to it."""
+    first, last = segs[0], segs[-1]
+    if t < first.lo:
+        return [_Seg(t, first.lo, 0.0, 0.0, 0, None)] + segs
+    if t >= last.hi:
+        gap = [_Seg(last.hi, t, 0.0, 0.0, 0, None)] if t > last.hi else []
+        return segs + gap + [_Seg(t, t, 0.0, 0.0, 0, None)]
+    out = []
+    for seg in segs:
+        if seg.lo < t < seg.hi:
+            v = seg.piece.value(t) if seg.piece is not None else 0.0
+            out += [_Seg(seg.lo, t, seg.v_lo, v, seg.dirn, seg.piece),
+                    _Seg(t, seg.hi, v, seg.v_hi, seg.dirn, seg.piece)]
+        else:
+            out.append(seg)
+    return out
+
+
 def _step_in(seg: _Seg, m: float) -> float:
     """Offset into the segment that moves its value by at most m/4."""
     cap = 0.5 * (seg.hi - seg.lo)
@@ -252,18 +272,22 @@ def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
     """Exact unimodality check: nondecreasing then nonincreasing profile.
 
     Pieces are monotone, so the profile is captured by piece directions and
-    the jumps between one-sided limits (zero off support).  Any rise after a
+    the jumps between one-sided limits (zero off support).  An infinite
+    point is a spike: a rise up to it, then a fall.  Any rise after a
     genuine fall yields a valley, from which a strict counterwitness triple
     is constructed.
     """
     segs = _segments(d)
+    for t in d.infinite_points:
+        segs = _cut_at(segs, t)
     descending = False
     run_max_val = 0.0
     run_max_pos = segs[0].lo - 1.0
     prev_val = 0.0
     for i, seg in enumerate(segs):
         pos = seg.lo
-        if seg.v_lo - prev_val > _EVENT_TOL and descending:
+        spike = pos in d.infinite_points
+        if (spike or seg.v_lo - prev_val > _EVENT_TOL) and descending:
             # jump up out of a valley: approach the valley inside segs[i-1]
             v_top = d.evaluate(pos)
             m = min(run_max_val, v_top) - prev_val
@@ -273,7 +297,7 @@ def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
                                       (pos - z) / (pos - run_max_pos))
                 if w:
                     return False, w
-        if seg.v_lo - prev_val < -_EVENT_TOL:
+        if spike or seg.v_lo - prev_val < -_EVENT_TOL:
             descending = True
         env = d.evaluate(pos)
         if env > run_max_val:
@@ -489,7 +513,8 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionR
     (plus one sort of the cells of a 2D grid):
 
     * 1D (a 1D grid on its piecewise view): quasiconcave iff the profile
-      never rises after a genuine fall.  Log-concave iff, in addition,
+      never rises after a genuine fall, an infinite point counting as a
+      rise to it and a fall after it.  Log-concave iff, in addition,
       every sqrt arc a + b*sqrt(s*(t - t0)) has b*(a + 2*b*w) >= 0 over its
       w range, and every interior breakpoint has no jump and a one-sided
       slope that does not increase (an infinite slope counts).

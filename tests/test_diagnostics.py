@@ -114,6 +114,26 @@ def test_conditions_two_bumps_witness_is_strict():
     assert d.evaluate(z) < min(d.evaluate(x), d.evaluate(y))
 
 
+@pytest.mark.parametrize("spikes, quasiconcave", [
+    ((0.25,), False),       # {f >= 1} = {0.25} and [0.5, 1]: a valley between them
+    ((0.0,), False),        # the profile rises from 2/3 to 4/3 after the spike
+    ((0.75,), True),        # the spike tops the upper step
+    ((1.0,), True),         # and so it does at the end of the support
+    ((1.5,), False),        # a zero gap before the spike
+    ((0.75, 0.9), False),   # two spikes
+])
+def test_quasiconcavity_sees_infinite_points(spikes, quasiconcave):
+    d = UscDensity1D((constant_piece(0.0, 0.5, 2.0 / 3.0), constant_piece(0.5, 1.0, 4.0 / 3.0)),
+                     infinite_points=spikes)
+    rep = mb.check_conditions(d, alpha_grid=[0.5, 1.0])
+    assert rep.quasiconcave is quasiconcave
+    assert not rep.log_concave
+    if not quasiconcave:
+        x, y, lam = rep.quasiconcave_witness
+        z = lam * x + (1 - lam) * y
+        assert d.evaluate(z) < min(d.evaluate(x), d.evaluate(y)) - _WITNESS_MARGIN
+
+
 def test_conditions_counterexample():
     d = mb.build(16)
     rep = mb.check_conditions(d)
