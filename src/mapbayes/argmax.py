@@ -14,6 +14,10 @@ points of the window mass solve a linear equation (affine and constant
 pieces) or a quadratic in the square root of a sqrt arc's radicand (a sqrt
 arc against an affine piece or against another arc).  A stretch on which
 the derivative vanishes identically is reported as a plateau.
+
+The 2D ball search is a branch and bound on exact disc masses: boxes of
+centres are split and pruned until no box can beat the best disc mass
+found by more than the value tolerance.  It reports that one point.
 """
 
 from __future__ import annotations
@@ -21,10 +25,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .density import GridDensity, Piece, UscDensity1D, _pieces_view, _support_box
-from .errors import EmptySearchBox
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .density import (GridDensity, Piece, UscDensity1D, _corner_areas, _disc_lattice,
+                      _disc_masses, _lattice_sum, _pieces_view, _support_box)
+from .errors import EmptySearchBox, SearchNotCertified
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
 
@@ -32,6 +40,12 @@ __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
 TOL_VALUE_EXACT = 1e-10
 #: looser grouping tolerance for grid-backed searches
 TOL_VALUE_GRID = 1e-6
+#: refinement levels after which the 2D ball search stops with boxes open
+_MAX_LEVELS_2D = 40
+#: boxes to split at one level beyond which it stops too, which bounds its memory
+_MAX_BOXES_2D = 1 << 18
+#: array elements per batch of box centres in the 2D search
+_BATCH_2D = 1 << 15
 
 
 def _default_tol(d) -> float:
@@ -398,44 +412,160 @@ def maximize_window(
     return ArgmaxResult(1, sup, maxi, _canonical_1d(maxi), tol_value)
 
 
-def maximize_objective_2d(
-    objective: Callable[[tuple[float, float]], float],
-    box: tuple[tuple[float, float], tuple[float, float]],
-    *,
-    coarse_step: float,
-    xtol: float,
-    tol_value: float,
-) -> ArgmaxResult:
-    """Coarse scan + compass refinement for smooth 2D objectives.
+def _lattice_boxes(lo: float, hi: float, o: float, h: float, n: int, k: int):
+    """Level-0 boxes along one axis: [lo, hi] cut at the cell lines, kept to
+    the cells within k of the grid, beyond which the objective and its
+    bound are 0.  Returns the box ends and the cell each box lies in."""
+    lo, hi = max(lo, o - k * h), min(hi, o + (n + k) * h)
+    if lo > hi:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    lines = o + h * np.arange(math.floor((lo - o) / h) + 1, math.ceil((hi - o) / h))
+    edges = np.concatenate([[lo], lines[(lines > lo) & (lines < hi)], [hi]])
+    a, b = edges[:-1], edges[1:]
+    return a, b, np.clip(np.floor((0.5 * (a + b) - o) / h).astype(np.int64), -k, n - 1 + k)
 
-    Used for window objectives on 2D grids, where no closed-form candidate
-    structure is available.  Reports a single maximizing point.
+
+def _window_max(values: np.ndarray, cells_x: np.ndarray, cells_y: np.ndarray,
+                kx: int, ky: int) -> np.ndarray:
+    """Max cell value (0 off the grid) within kx, ky cells of each lattice
+    cell (i, j), i in cells_x and j in cells_y, each at most kx, ky cells
+    off the grid: two separable sliding-window maxima."""
+    padded = np.pad(values, ((2 * kx, 2 * kx), (2 * ky, 2 * ky)))
+    top = sliding_window_view(padded, 2 * kx + 1, axis=0).max(axis=-1)
+    top = sliding_window_view(top, 2 * ky + 1, axis=1).max(axis=-1)
+    return top[np.ix_(cells_x + kx, cells_y + ky)]
+
+
+def _box_bounds(g: GridDensity, cx: np.ndarray, cy: np.ndarray, wx: np.ndarray,
+                wy: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Disc masses M(c) at box centres, and upper bounds of M over the boxes.
+
+    A box about c has half-widths wx, wy and half-diagonal delta, so the
+    disc about any of its points lies in D(c, R + delta).  These bounds
+    hold, and the least is kept:
+
+    * the mass of the cells that meet D(c, R + delta), and pi R^2 times
+      the tallest of them;
+    * M(c) + 2 R delta osc, with osc the spread of the cells meeting the
+      annulus R - delta <= |x - c| <= R + delta: D(theta) and D(c) differ
+      by two sets of area at most 2 R |theta - c|, both in the annulus;
+    * M(c) + |dM/dx| wx + |dM/dy| wy + R delta sum_L J_L mu_L.  The
+      gradient, R times the integral of f(c + R n) n over the circle, is
+      exact: the mixed second difference of chord lengths.  On the way to
+      theta it changes only where a point of the circle crosses a cell line
+      L, by at most the largest jump J_L across L, and mu_L bounds the angle
+      measure of such points.  This bound is second order in the box size
+      near a smooth maximum.
     """
-    (x0, x1), (y0, y1) = box
-    if x0 > x1 or y0 > y1:
+    masses = np.empty(len(cx))
+    bounds = np.empty(len(cx))
+    delta = np.hypot(wx, wy)
+    reach = R + float(delta.max())
+    hx, hy = g.spacing
+    step = max(1, _BATCH_2D // ((math.ceil(2.0 * reach / hx) + 2) * (math.ceil(2.0 * reach / hy) + 2)))
+    for s in range(0, len(cx), step):
+        part = slice(s, s + step)
+        d, w_x, w_y = delta[part], wx[part], wy[part]
+        ex, ey, vals = _disc_lattice(g, cx[part], cy[part], reach)
+        a, b = ex[:, None, :], ey[None, :, :]
+        masses[part] = m = _lattice_sum(_corner_areas(a, b, R), vals)
+
+        chord_x, chord_y = np.sqrt(np.maximum(R * R - a * a, 0.0)), np.sqrt(np.maximum(R * R - b * b, 0.0))
+        slope = (np.abs(_lattice_sum(np.maximum(np.minimum(b, chord_x) + chord_x, 0.0), vals)) * w_x
+                 + np.abs(_lattice_sum(np.maximum(np.minimum(a, chord_y) + chord_y, 0.0), vals)) * w_y)
+        turn = 0.0
+        for lines, w, jumps in ((ex[1:-1], w_x, np.abs(vals[1:] - vals[:-1]).max(axis=1)),
+                                (ey[1:-1], w_y, np.abs(vals[:, 1:] - vals[:, :-1]).max(axis=0))):
+            lo = np.arccos(np.minimum(np.maximum((lines - w) / R, -1.0), 1.0))
+            hi = np.arccos(np.minimum(np.maximum((lines + w) / R, -1.0), 1.0))
+            turn = turn + (jumps * (2.0 * (lo - hi) + 1e-15)).sum(axis=0)
+
+        near_x = np.maximum(np.maximum(ex[:-1], -ex[1:]), 0.0)[:, None, :]
+        near_y = np.maximum(np.maximum(ey[:-1], -ey[1:]), 0.0)[None, :, :]
+        far_x = np.maximum(-ex[:-1], ex[1:])[:, None, :]
+        far_y = np.maximum(-ey[:-1], ey[1:])[None, :, :]
+        near, far = near_x * near_x + near_y * near_y, far_x * far_x + far_y * far_y
+        grown = near <= (R + d) ** 2
+        ring = grown & (far >= np.maximum(R - d, 0.0) ** 2)
+        osc = (np.where(ring, vals, 0.0).max(axis=(0, 1))
+               - np.where(ring, vals, np.inf).min(axis=(0, 1)))
+        inside = np.where(grown, vals, 0.0)
+        bounds[part] = np.minimum(
+            np.minimum(g.cell_volume * inside.sum(axis=(0, 1)),
+                       math.pi * R * R * inside.max(axis=(0, 1))),
+            m + np.minimum(2.0 * R * d * osc, slope + R * d * turn))
+    return masses, bounds
+
+
+def maximize_objective_2d(objective, box, *, tol_value: float) -> ArgmaxResult:
+    """Certified argmax of a ball objective on a 2D grid, by branch and bound.
+
+    ``objective`` is a :class:`~mapbayes.windows.BallObjective` on a 2D
+    grid, with disc mass M (divided by pi R^2 when normalized).  A box is
+    pruned once its upper bound is within ``tol_value`` of the best value
+    found, and the search stops when no box is left:
+
+    * Level 0 cuts the box at the cell lines.  A point of a cell lies within
+      its half-diagonal delta of the cell centre c, so its disc lies in
+      D(c, R + delta) and M <= pi R^2 * (max of the cells that disc meets,
+      0 off the grid); two separable sliding-window maxima give that bound
+      for every cell.  The best value starts at the disc mass at the centre
+      of the box cut from the tallest cell.
+    * Each refinement level splits the open boxes in four, evaluates the
+      exact disc mass at the new centres and bounds each box by
+      :func:`_box_bounds`.
+
+    The result is one point with its exact value, and no point of the box
+    beats it by more than ``tol_value``.  A search still open after
+    ``_MAX_LEVELS_2D`` levels, or with more than ``_MAX_BOXES_2D`` boxes
+    to split, raises :class:`SearchNotCertified` with the open gap.
+    """
+    g, R = objective.density, objective.radius
+    scale = 1.0 / (math.pi * R * R) if objective.normalized else 1.0
+    (bx0, bx1), (by0, by1) = ((float(lo), float(hi)) for lo, hi in box)
+    if bx0 > bx1 or by0 > by1:
         raise EmptySearchBox("2D box is empty")
-    nx = max(1, min(64, int(math.ceil((x1 - x0) / coarse_step))))
-    ny = max(1, min(64, int(math.ceil((y1 - y0) / coarse_step))))
-    best = (-math.inf, (x0, y0))
-    for i in range(nx + 1):
-        x = x0 + (x1 - x0) * i / nx
-        for j in range(ny + 1):
-            y = y0 + (y1 - y0) * j / ny
-            v = objective((x, y))
-            if v > best[0]:
-                best = (v, (x, y))
-    v, (px, py) = best
-    step = max((x1 - x0) / nx, (y1 - y0) / ny, xtol)
-    while step > xtol:
-        moved = True
-        while moved:
-            moved = False
-            for dx, dy in ((step, 0), (-step, 0), (0, step), (0, -step)):
-                qx = min(max(px + dx, x0), x1)
-                qy = min(max(py + dy, y0), y1)
-                w = objective((qx, qy))
-                if w > v:
-                    v, px, py, moved = w, qx, qy, True
-        step *= 0.5
-    maxi = (((px, px), (py, py)),)
-    return ArgmaxResult(2, v, maxi, (px, py), tol_value)
+    (ox, _), (oy, _) = g.support
+    hx, hy = g.spacing
+    nx, ny = g.shape
+    reach = R + 0.5 * math.hypot(hx, hy)
+    kx, ky = int(reach / hx + 0.5 + 1e-9), int(reach / hy + 0.5 + 1e-9)
+    x0, x1, cells_x = _lattice_boxes(bx0, bx1, ox, hx, nx, kx)
+    y0, y1, cells_y = _lattice_boxes(by0, by1, oy, hy, ny, ky)
+
+    # seed: the centre of the box cut from the tallest cell
+    if len(x0) and len(y0):
+        own = np.pad(g.values, 1)[np.ix_(np.clip(cells_x + 1, 0, nx + 1),
+                                         np.clip(cells_y + 1, 0, ny + 1))]
+        i, j = np.unravel_index(np.argmax(own), own.shape)
+        px, py = 0.5 * (x0[i] + x1[i]), 0.5 * (y0[j] + y1[j])
+    else:
+        px, py = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
+    best = float(_disc_masses(g, [px], [py], R)[0])
+
+    top = _window_max(g.values, cells_x, cells_y, kx, ky)
+    ii, jj = np.nonzero(scale * math.pi * R * R * top > scale * best + tol_value)
+    x0, x1, y0, y1 = x0[ii], x1[ii], y0[jj], y1[jj]
+    level = 0
+    while len(x0):
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        masses, bound = _box_bounds(g, cx, cy, 0.5 * (x1 - x0), 0.5 * (y1 - y0), R)
+        k = int(np.argmax(masses))
+        if masses[k] > best:
+            best, px, py = float(masses[k]), cx[k], cy[k]
+        keep = scale * bound > scale * best + tol_value
+        x0, x1, y0, y1, bound = x0[keep], x1[keep], y0[keep], y1[keep], bound[keep]
+        if not len(x0):
+            break
+        if level == _MAX_LEVELS_2D or 4 * len(x0) > _MAX_BOXES_2D:
+            raise SearchNotCertified(
+                f"2D ball search stopped at refinement level {level} with {len(x0)} boxes "
+                f"open: the sup may exceed {scale * best!r} by up to "
+                f"{scale * (float(bound.max()) - best)!r}, more than the tolerance "
+                f"{tol_value!r}")
+        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        x0, x1 = np.concatenate([x0, xm, x0, xm]), np.concatenate([xm, x1, xm, x1])
+        y0, y1 = np.concatenate([y0, y0, ym, ym]), np.concatenate([ym, ym, y1, y1])
+        level += 1
+    px, py = float(px), float(py)
+    return ArgmaxResult(2, objective((px, py)), (((px, px), (py, py)),), (px, py), tol_value)

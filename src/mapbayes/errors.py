@@ -17,6 +17,11 @@ class EmptySearchBox(MapBayesError):
     """An argmax search was requested over an empty box."""
 
 
+class SearchNotCertified(MapBayesError):
+    """The 2D ball search reached its refinement cap with boxes still open,
+    so its best point is not certified to the value tolerance."""
+
+
 class CutoffTooSmall(MapBayesError):
     """A computation needs bumps beyond the materialized cutoff of the density."""
 

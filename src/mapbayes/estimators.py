@@ -9,9 +9,10 @@ Two estimators are provided:
   the optimizer is the argmax of the ball-mass objective; this is the same
   search as the normalized ball average up to the constant ball volume.
 
-Both run any 1D density, a 1D grid included, on its piecewise view and
-search 2D grids cell by cell or by scan-and-refine, with the fixed tolerance
-of ``argmax._default_tol`` and the fixed scan of ``windows._search_ball``.
+Both run any 1D density, a 1D grid included, on its piecewise view.  On 2D
+grids the mode is found cell by cell and the Bayes report by a branch and
+bound on exact disc masses, certified to the fixed tolerance of
+``argmax._default_tol`` (see ``windows._search_ball``).
 
 :func:`approx_gap` measures how far a fixed point theta is from being
 optimal for the ball objective: the sup of the objective minus its value at

@@ -125,6 +125,49 @@ def disc_area_subdivision(center, R: float, rect, n: int = 2000) -> float:
     return inside * hx * hy
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
+
+
+def disc_rect_area(center, R: float, rect) -> float:
+    """Disc/rectangle overlap area by Gauss-Legendre quadrature in the angle.
+
+    With x = cx + R sin t, the covered chord height times dx/dt is smooth in
+    t between the angles where the circle meets a rectangle side, so the
+    quadrature on each such stretch is good to rounding.
+    """
+    (x0, x1), (y0, y1) = rect
+    cx, cy = center
+    ta = math.asin(min(max((x0 - cx) / R, -1.0), 1.0))
+    tb = math.asin(min(max((x1 - cx) / R, -1.0), 1.0))
+    cuts = {ta, tb}
+    for y in (y0, y1):
+        u = abs(y - cy) / R
+        if u < 1.0:
+            cuts.update(t for t in (math.acos(u), -math.acos(u)) if ta < t < tb)
+    cuts = sorted(cuts)
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        t = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
+        h = R * np.cos(t)
+        height = np.maximum(np.minimum(y1, cy + h) - np.maximum(y0, cy - h), 0.0)
+        total += 0.5 * (b - a) * float(np.dot(_GL_WEIGHTS, height * h))
+    return total
+
+
+def grid_disc_mass(values, origin, spacing, center, R: float) -> float:
+    """Mass of a 2D cell grid (raw cell array) in a disc, cell by cell."""
+    (ox, oy), (hx, hy) = origin, spacing
+    nx, ny = values.shape
+    total = 0.0
+    for i in range(nx):
+        for j in range(ny):
+            rect = ((ox + i * hx, ox + (i + 1) * hx), (oy + j * hy, oy + (j + 1) * hy))
+            if values[i, j] and rect[0][0] < center[0] + R and rect[0][1] > center[0] - R \
+                    and rect[1][0] < center[1] + R and rect[1][1] > center[1] - R:
+                total += float(values[i, j]) * disc_rect_area(center, R, rect)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # 1D grids, scanned from the raw cell array
 # ---------------------------------------------------------------------------

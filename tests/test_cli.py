@@ -3,6 +3,7 @@ import json
 import pytest
 
 import mapbayes as mb
+import mapbayes.argmax
 from mapbayes.cli import main
 
 from conftest import grid_1d
@@ -167,3 +168,16 @@ def test_exit_code_3_on_domain_errors(tmp_path):
     cfg = _write_config(tmp_path / "c.json", {
         "density": {"builtin": "triangle"}, "search": [5.0, 2.0]})
     assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def test_exit_code_3_when_the_2d_search_is_left_open(tmp_path, monkeypatch, capsys):
+    # a 2D ball search that hits its refinement cap names the open gap
+    cfg = _write_config(tmp_path / "c.json", {
+        "density": {"dim": 2, "origin": [0.0, 0.0], "spacing": [0.25, 0.25],
+                    "values": [[1.0, 2.0, 1.5], [0.5, 3.0, 1.0], [2.0, 1.0, 4.0]]},
+        "c": 4.0})
+    assert main(["bayes", "--config", cfg, "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(mapbayes.argmax, "_MAX_LEVELS_2D", 0)
+    capsys.readouterr()
+    assert main(["bayes", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "boxes open" in capsys.readouterr().err

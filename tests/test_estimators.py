@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mapbayes as mb
-from mapbayes.density import GridDensity
+import mapbayes.argmax
+from mapbayes.density import GridDensity, _disc_masses
+from mapbayes.windows import BallObjective, ball_integral
 
 from conftest import grid_1d, random_piecewise
-from oracles import grid_mode_scan, grid_window_scan
+from oracles import grid_disc_mass, grid_mode_scan, grid_window_scan
 
 
 def test_loss_spec_validation():
@@ -93,6 +96,81 @@ def test_bayes_estimate_2d_grid():
     (px, _), (py, _) = res.maximizers[0]
     assert px == pytest.approx(0.6, abs=0.08)
     assert py == pytest.approx(0.4, abs=0.08)
+
+
+def _lattice_best(g: GridDensity, R: float, per_cell: int) -> float:
+    """Best exact disc mass over per_cell x per_cell centres in each cell of
+    the default search box, the support grown by R."""
+    (x0, x1), (y0, y1) = g.support
+    hx, hy = g.spacing
+    xs = np.arange(x0 - R, x1 + R, hx / per_cell) + 0.5 * hx / per_cell
+    ys = np.arange(y0 - R, y1 + R, hy / per_cell) + 0.5 * hy / per_cell
+    ys = ys[ys <= y1 + R]
+    return max(float(_disc_masses(g, np.full(len(ys), x), ys, R).max())
+               for x in xs[xs <= x1 + R])
+
+
+def _assert_certified(g: GridDensity, c: float, per_cell: int) -> mb.ArgmaxResult:
+    """The 2D Bayes report against the lattice, the ceiling pi R^2 v_max and
+    its own ball mass; the normalized search against the same lattice."""
+    R = 1.0 / c
+    res = mb.bayes_estimate(g, mb.LossSpec(c))
+    assert res.tol_value == 1e-6
+    assert res.sup_value >= _lattice_best(g, R, per_cell) - res.tol_value
+    assert res.sup_value <= math.pi * R * R * float(g.values.max()) * (1.0 + 1e-12)
+    assert ball_integral(BallObjective(g, R, normalized=False), res.canonical) == res.sup_value
+    (px, px1), (py, py1) = res.maximizers[0]
+    assert len(res.maximizers) == 1 and (px, py) == (px1, py1) == res.canonical
+    avg = mb.mollified_sup(BallObjective(g, R), _support_grown(g, R))
+    assert avg.sup_value >= _lattice_best(g, R, per_cell) / (math.pi * R * R) - avg.tol_value
+    return res
+
+
+def _support_grown(g: GridDensity, R: float):
+    (x0, x1), (y0, y1) = g.support
+    return (x0 - R, x1 + R), (y0 - R, y1 + R)
+
+
+def test_bayes_estimate_2d_finds_the_tall_cell():
+    # a disc of radius 0.32 cells fits inside the one tall cell, whose mass
+    # the old 65x65 scan and compass climb missed 126-fold
+    n, c = 160, 500.0
+    xs = (np.arange(n) + 0.5) / n
+    vals = np.exp(-0.5 * ((xs[:, None] - 0.5) ** 2 + (xs[None, :] - 0.5) ** 2) / 0.3 ** 2)
+    vals[131, 131] *= 400.0
+    g = GridDensity.normalized(2, (0.0, 0.0), (1.0 / n, 1.0 / n), vals)
+    res = mb.bayes_estimate(g, mb.LossSpec(c))
+    assert res.sup_value == pytest.approx(float(g.values.max()) * math.pi / c ** 2,
+                                          abs=res.tol_value)
+    assert all(131 / n <= p <= 132 / n for p in res.canonical)
+
+
+def test_bayes_estimate_2d_noise_grid_is_certified():
+    # R = 1.6 cells on cell noise: many near-ties between disc positions
+    g = GridDensity.normalized(2, (0.0, 0.0), (1 / 48, 1 / 48),
+                               np.random.default_rng(5).uniform(0.5, 1.5, (48, 48)))
+    res = _assert_certified(g, 30.0, 4)
+    assert res.sup_value == pytest.approx(
+        grid_disc_mass(g.values, g.origin, g.spacing, res.canonical, 1 / 30.0), rel=1e-12)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       aspect=st.floats(0.5, 2.0), cells=st.floats(0.2, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_bayes_estimate_2d_beats_the_lattice(shape, aspect, cells, seed):
+    vals = np.random.default_rng(seed).uniform(0.0, 1.0, shape)
+    vals[0, 0] += 0.1  # never all zero
+    h = 0.1
+    g = GridDensity.normalized(2, (-0.2, 0.3), (h, h * aspect), vals)
+    _assert_certified(g, 1.0 / (cells * h), 4)
+
+
+def test_2d_search_names_an_open_gap(monkeypatch):
+    g = GridDensity.normalized(2, (0.0, 0.0), (1 / 48, 1 / 48),
+                               np.random.default_rng(5).uniform(0.5, 1.5, (48, 48)))
+    monkeypatch.setattr(mapbayes.argmax, "_MAX_LEVELS_2D", 2)
+    with pytest.raises(mb.SearchNotCertified, match="refinement level 2 with .* boxes open"):
+        mb.bayes_estimate(g, mb.LossSpec(30.0))
 
 
 def test_approx_gap_zero_at_argmax_and_positive_elsewhere(rng):

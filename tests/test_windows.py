@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import mapbayes as mb
-from mapbayes.density import GridDensity
+from mapbayes.density import GridDensity, _disc_masses
 from mapbayes.windows import BallObjective, ball_integral, ball_volume, disc_rect_overlap, mollified_sup
 
 from conftest import random_piecewise
-from oracles import disc_area_subdivision, window_mass
+from oracles import disc_area_subdivision, disc_rect_area, grid_disc_mass, window_mass
 
 
 def test_ball_volume():
@@ -106,6 +106,42 @@ def test_disc_rect_overlap_against_subdivision(rng):
         approx = disc_area_subdivision((float(cx), float(cy)), R, rect, n=900)
         assert exact == pytest.approx(approx, abs=5e-3)
         assert exact >= -1e-15
+
+
+def test_disc_rect_overlap_matches_quadrature(rng):
+    for _ in range(200):
+        cx, cy = rng.uniform(-1, 1, size=2)
+        R = float(rng.uniform(0.05, 1.5))
+        x0, y0 = rng.uniform(-2, 1, size=2)
+        rect = ((float(x0), float(x0 + rng.uniform(0.01, 2.0))),
+                (float(y0), float(y0 + rng.uniform(0.01, 2.0))))
+        exact = disc_rect_overlap((float(cx), float(cy)), R, rect)
+        assert exact == pytest.approx(disc_rect_area((cx, cy), R, rect),
+                                      abs=1e-12 * math.pi * R * R)
+
+
+def test_disc_mass_kernel_is_the_cell_sum_of_overlaps(rng):
+    # random centres on, off and across the grid, at cell corners and edges too
+    vals = rng.uniform(0.0, 2.0, size=(7, 5))
+    vals[2, 3] = 0.0
+    g = GridDensity.normalized(2, (-0.3, 0.2), (0.15, 0.25), vals)
+    (ox, gx), (oy, gy) = g.support
+    for R in (0.04, 0.2, 0.55):
+        cx = np.concatenate([rng.uniform(ox - 2 * R, gx + 2 * R, 16), ox + 0.15 * np.arange(8)])
+        cy = np.concatenate([rng.uniform(oy - 2 * R, gy + 2 * R, 16), np.full(8, oy + 0.25)])
+        masses = _disc_masses(g, cx, cy, R)
+        b = BallObjective(g, R, normalized=False)
+        for x, y, m in zip(cx, cy, masses):
+            cells = math.fsum(
+                float(g.values[i, j]) * disc_rect_overlap(
+                    (x, y), R, ((ox + i * 0.15, ox + (i + 1) * 0.15),
+                                (oy + j * 0.25, oy + (j + 1) * 0.25)))
+                for i in range(7) for j in range(5))
+            assert m == pytest.approx(cells, rel=1e-14, abs=1e-300)
+            assert ball_integral(b, (x, y)) == pytest.approx(m, rel=1e-15, abs=1e-300)
+        k = int(np.argmax(masses))
+        assert masses[k] == pytest.approx(
+            grid_disc_mass(g.values, g.origin, g.spacing, (cx[k], cy[k]), R), rel=1e-12)
 
 
 def test_disc_mass_on_uniform_grid():
