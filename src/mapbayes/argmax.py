@@ -444,8 +444,7 @@ def _box_bounds(g: GridDensity, cx: np.ndarray, cy: np.ndarray, wx: np.ndarray,
     disc about any of its points lies in D(c, R + delta).  These bounds
     hold, and the least is kept:
 
-    * the mass of the cells that meet D(c, R + delta), and pi R^2 times
-      the tallest of them;
+    * the mass of the cells that meet D(c, R + delta);
     * M(c) + 2 R delta osc, with osc the spread of the cells meeting the
       annulus R - delta <= |x - c| <= R + delta: D(theta) and D(c) differ
       by two sets of area at most 2 R |theta - c|, both in the annulus;
@@ -489,10 +488,8 @@ def _box_bounds(g: GridDensity, cx: np.ndarray, cy: np.ndarray, wx: np.ndarray,
         ring = grown & (far >= np.maximum(R - d, 0.0) ** 2)
         osc = (np.where(ring, vals, 0.0).max(axis=(0, 1))
                - np.where(ring, vals, np.inf).min(axis=(0, 1)))
-        inside = np.where(grown, vals, 0.0)
         bounds[part] = np.minimum(
-            np.minimum(g.cell_volume * inside.sum(axis=(0, 1)),
-                       math.pi * R * R * inside.max(axis=(0, 1))),
+            g.cell_volume * np.where(grown, vals, 0.0).sum(axis=(0, 1)),
             m + np.minimum(2.0 * R * d * osc, slope + R * d * turn))
     return masses, bounds
 
