@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mapbayes as mb
-from mapbayes.argmax import maximize_density, maximize_window
-from mapbayes.density import GridDensity, UscDensity1D, constant_piece, sqrt_piece
+from mapbayes.argmax import _box_bounds, maximize_density, maximize_window
+from mapbayes.density import GridDensity, UscDensity1D, _disc_masses, constant_piece, sqrt_piece
 from mapbayes.errors import EmptySearchBox
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_piecewise
@@ -181,3 +181,26 @@ def test_result_json_shape():
     assert obj["maximizers"] == [[0.0, 0.0]]
     assert obj["sup_value"] == 1.0
     assert not obj["sup_infinite"]
+
+
+@pytest.mark.parametrize("cells", [0.3, 1.2, 2.7])
+def test_2d_box_bounds_hold_on_samples(rng, cells):
+    # every bound must cover the disc mass at sampled points of its box,
+    # for boxes about random points and about the best of a lattice, where
+    # the gradient nearly vanishes and only the second-order term remains
+    vals = rng.uniform(0.0, 1.0, size=(6, 5))
+    g = GridDensity.normalized(2, (0.1, -0.2), (0.1, 0.13), vals)
+    R = cells * 0.1
+    lattice = np.arange(-0.2, 0.9, 0.0125)
+    X, Y = np.meshgrid(lattice, lattice - 0.2, indexing="ij")
+    masses = _disc_masses(g, X.ravel(), Y.ravel(), R)
+    k = int(np.argmax(masses))
+    centres = np.concatenate([rng.uniform(-0.1, 0.8, size=(12, 2)),
+                              np.tile([X.ravel()[k], Y.ravel()[k]], (12, 1))])
+    half = np.concatenate([10.0 ** rng.uniform(-4, -1, size=(12, 2))] * 2)
+    at_centre, bound = _box_bounds(g, centres[:, 0], centres[:, 1], half[:, 0], half[:, 1], R)
+    assert np.array_equal(at_centre, _disc_masses(g, centres[:, 0], centres[:, 1], R))
+    u = np.linspace(-1.0, 1.0, 9)
+    for (cx, cy), (wx, wy), top in zip(centres, half, bound):
+        sx, sy = np.meshgrid(cx + wx * u, cy + wy * u, indexing="ij")
+        assert _disc_masses(g, sx.ravel(), sy.ravel(), R).max() <= top * (1 + 1e-12)
