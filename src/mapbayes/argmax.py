@@ -18,14 +18,18 @@ the derivative vanishes identically is reported as a plateau.
 The 2D ball search is a branch and bound on exact disc masses: boxes of
 centres are split and pruned until no box can beat the best disc mass
 found by more than the value tolerance.  It reports that one point.
+
+No search takes a tolerance: each works out its value tolerance from the
+values it compares, a bound on their float error, plus a relative target
+in the 2D ball search, which is not exact.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,22 +40,16 @@ from .errors import EmptySearchBox, SearchNotCertified
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
 
-#: default absolute value tolerance for grouping near-optimal candidates (exact 1D)
-TOL_VALUE_EXACT = 1e-10
-#: looser grouping tolerance for grid-backed searches
-TOL_VALUE_GRID = 1e-6
+#: distance within which two candidate points count as one
+_POSITION_TOL = 1e-9
+#: share of the best value by which the 2D ball search may fall short of the sup
+_REL_TOL_2D = 1e-6
 #: refinement levels after which the 2D ball search stops with boxes open
 _MAX_LEVELS_2D = 40
 #: boxes to split at one level beyond which it stops too, which bounds its memory
 _MAX_BOXES_2D = 1 << 18
 #: array elements per batch of box centres in the 2D search
 _BATCH_2D = 1 << 15
-
-
-def _default_tol(d) -> float:
-    """The value tolerance of every search on d: any grid (1D or 2D) groups
-    at TOL_VALUE_GRID, pieces at TOL_VALUE_EXACT."""
-    return TOL_VALUE_GRID if isinstance(d, GridDensity) else TOL_VALUE_EXACT
 
 
 @dataclass(frozen=True)
@@ -95,46 +93,23 @@ class ArgmaxResult:
         }
 
 
-def _interval_nearest_zero(lo: float, hi: float) -> float:
-    if lo <= 0.0 <= hi:
-        return 0.0
-    return lo if lo > 0.0 else hi
-
-def _rect_nearest_zero(rect) -> tuple[float, float]:
-    return tuple(_interval_nearest_zero(lo, hi) for lo, hi in rect)
+def _nearest_zero(lo: float, hi: float) -> float:
+    return 0.0 if lo <= 0.0 <= hi else (lo if lo > 0.0 else hi)
 
 
-def _canonical_1d(maximizers: Sequence[tuple[float, float]]) -> float:
-    best = None
-    for lo, hi in maximizers:
-        x = _interval_nearest_zero(lo, hi)
-        key = (abs(x), x)
-        if best is None or key < best[0]:
-            best = (key, x)
-    return best[1]
-
-
-def _canonical_2d(maximizers) -> tuple[float, float]:
-    best = None
-    for rect in maximizers:
-        p = _rect_nearest_zero(rect)
-        key = (math.hypot(*p), p)
-        if best is None or key < best[0]:
-            best = (key, p)
-    return best[1]
+def _canonical(dim: int, maximizers):
+    """The smallest-norm point of the set, ties broken toward the smaller coordinate."""
+    if dim == 1:
+        return min((_nearest_zero(*m) for m in maximizers), key=lambda x: (abs(x), x))
+    return min((tuple(_nearest_zero(*iv) for iv in m) for m in maximizers),
+               key=lambda p: (math.hypot(*p), p))
 
 
 def distance_to_maximizers(dim: int, maximizers, point) -> float:
     if dim == 1:
-        x = float(point)
-        return min(max(lo - x, x - hi, 0.0) for lo, hi in maximizers)
-    px, py = point
-    best = math.inf
-    for (x0, x1), (y0, y1) in maximizers:
-        dx = max(x0 - px, px - x1, 0.0)
-        dy = max(y0 - py, py - y1, 0.0)
-        best = min(best, math.hypot(dx, dy))
-    return best
+        maximizers, point = [(m,) for m in maximizers], (float(point),)
+    return min(math.hypot(*(max(lo - x, x - hi, 0.0) for (lo, hi), x in zip(m, point)))
+               for m in maximizers)
 
 
 def _merge_elements(elements: list[tuple[float, float]],
@@ -162,15 +137,15 @@ def maximize_density(d, box=None) -> ArgmaxResult:
     (with the boundary-max convention) plus whole constant pieces and the
     stretches off the support, which enter as plateau intervals.  2D grids
     contribute their maximizing closed cells, and the part of the box off
-    the grid enters as value 0.  The box defaults to the support.
+    the grid enters as value 0.  The box defaults to the support.  Values
+    within 4 ulps of the sup, a bound on their float error, tie with it.
     """
-    tol_value = _default_tol(d)
     if box is None:
         box = _support_box(d)
     pieces = _pieces_view(d)
     if pieces is None:
-        return _maximize_density_grid(d, box, tol_value)
-    return _maximize_density_pieces(pieces, box, tol_value)
+        return _maximize_density_grid(d, box)
+    return _maximize_density_pieces(pieces, box)
 
 
 def _check_box1d(box) -> tuple[float, float]:
@@ -180,14 +155,13 @@ def _check_box1d(box) -> tuple[float, float]:
     return lo, hi
 
 
-def _maximize_density_pieces(d: UscDensity1D, box, tol_value: float) -> ArgmaxResult:
+def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
     lo, hi = _check_box1d(box)
 
     witnesses = [t for t in d.infinite_points if lo <= t <= hi]
     if witnesses:
         maxi = tuple((t, t) for t in sorted(witnesses))
-        return ArgmaxResult(1, math.inf, maxi, _canonical_1d(maxi), tol_value,
-                            sup_infinite=True)
+        return ArgmaxResult(1, math.inf, maxi, _canonical(1, maxi), 0.0, sup_infinite=True)
 
     candidates = {lo, hi}
     candidates.update(b for b in d.breakpoints if lo <= b <= hi)
@@ -206,14 +180,15 @@ def _maximize_density_pieces(d: UscDensity1D, box, tol_value: float) -> ArgmaxRe
     sup = max(v for v, _ in scored)
     if plateaus:
         sup = max(sup, max(v for _, _, v in plateaus))
+    tol_value = 4.0 * math.ulp(sup)
 
     elements = [(t, t) for v, t in scored if v >= sup - tol_value]
     elements += [(a, b) for a, b, v in plateaus if v >= sup - tol_value]
     maxi = _merge_elements(elements, 0.0)
-    return ArgmaxResult(1, sup, maxi, _canonical_1d(maxi), tol_value)
+    return ArgmaxResult(1, sup, maxi, _canonical(1, maxi), tol_value)
 
 
-def _maximize_density_grid(d: GridDensity, box, tol_value: float) -> ArgmaxResult:
+def _maximize_density_grid(d: GridDensity, box) -> ArgmaxResult:
     (bx0, bx1), (by0, by1) = ((float(lo), float(hi)) for lo, hi in box)
     if bx0 > bx1 or by0 > by1:
         raise EmptySearchBox("2D box is empty")
@@ -235,11 +210,12 @@ def _maximize_density_grid(d: GridDensity, box, tol_value: float) -> ArgmaxResul
     if off_grid:
         values.append(0.0)
     sup = max(values)
+    tol_value = 4.0 * math.ulp(sup)
     if off_grid and sup - tol_value <= 0.0:
         maxi = (((bx0, bx1), (by0, by1)),)
     else:
         maxi = tuple((rx, ry) for rx, ry, v in rects if v >= sup - tol_value)
-    return ArgmaxResult(2, sup, maxi, _canonical_2d(maxi), tol_value)
+    return ArgmaxResult(2, sup, maxi, _canonical(2, maxi), tol_value)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +327,39 @@ def _clusters(points, eps: float) -> list[list[float]]:
     return groups
 
 
+def _window_error(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
+    """Bound on the float error of d.integrate(theta - r, theta + r) for
+    theta in [lo, hi].  The window ends, at most A from 0, are rounded by
+    ulp(A)/2 each, which moves the mass by the density there.  Each piece
+    the window meets adds an antiderivative difference: its linear term
+    c*t is rounded once at each end, its power term up to four times.
+    """
+    i0 = max(bisect_right(d._starts, lo - r) - 1, 0)
+    i1 = bisect_right(d._starts, hi + r)
+    near = d.pieces[i0:i1]
+    if not near:
+        return 0.0
+    ends = np.array([(p.lo, p.hi) for p in near])
+    c = [p.params.get("k", p.params.get("a")) for p in near]
+    rounding = np.abs(c) * np.abs(ends).max(axis=1)  # in units of eps, per piece
+    f_max = max((ck for ck, p in zip(c, near) if p.kind == "constant"), default=0.0)
+    for k, p in enumerate(near):
+        if p.kind != "constant":
+            rounding[k] += 4.0 * max(abs(p.antiderivative(t) - c[k] * t) for t in (p.lo, p.hi))
+            f_max = max(f_max, *p.endpoint_values())
+    # a window whose first piece is k meets at most pieces k .. j - 1
+    j = np.searchsorted(ends[:, 0], ends[:, 1] + 2.0 * r, side="right")
+    cum = np.concatenate(([0.0], np.cumsum(rounding)))
+    A = max(abs(near[0].lo), abs(near[-1].hi)) + 2.0 * r
+    return f_max * math.ulp(A) + sys.float_info.epsilon * float((cum[j] - cum[:-1]).max())
+
+
 def maximize_window(
     d: UscDensity1D,
     radius: float,
     box: tuple[float, float],
     *,
     scale: float = 1.0,
-    tol_value: float = TOL_VALUE_EXACT,
 ) -> ArgmaxResult:
     """Maximize F(theta) = scale * integral of d over [theta-r, theta+r].
 
@@ -368,6 +370,8 @@ def maximize_window(
     quadratic in w = sqrt(radicand) when a sqrt arc is involved (see
     :func:`_stationary_points`).  The candidates are the stretch ends plus
     these roots; a stretch where F' vanishes identically is a plateau.
+    Values within twice the float error of one window mass
+    (:func:`_window_error`) of the sup tie with it.
     """
     if radius <= 0.0:
         raise ValueError("window radius must be positive")
@@ -398,18 +402,18 @@ def maximize_window(
     value_at = {t: F(t) for t in candidates}
     plat_scored = [(F(0.5 * (a + b)), a, b) for a, b in plateaus]
     sup = max(max(value_at.values()), max((v for v, _, _ in plat_scored), default=-math.inf))
+    tol_value = 2.0 * scale * _window_error(d, r, lo, hi)
 
     elements = [(a, b) for v, a, b in plat_scored if v >= sup - tol_value]
     # a root and a shifted-breakpoint cut can land within float dust of each
     # other; keep the better-scoring point of each such cluster
-    cluster_eps = 1e-9
     for cluster in _clusters((t for t, v in value_at.items() if v >= sup - tol_value),
-                             cluster_eps):
+                             _POSITION_TOL):
         rep = max(cluster, key=lambda t: value_at[t])
-        if not any(a - cluster_eps <= rep <= b + cluster_eps for a, b in elements):
+        if not any(a - _POSITION_TOL <= rep <= b + _POSITION_TOL for a, b in elements):
             elements.append((rep, rep))
     maxi = _merge_elements(elements, 1e-12)
-    return ArgmaxResult(1, sup, maxi, _canonical_1d(maxi), tol_value)
+    return ArgmaxResult(1, sup, maxi, _canonical(1, maxi), tol_value)
 
 
 def _lattice_boxes(lo: float, hi: float, o: float, h: float, n: int, k: int):
@@ -494,13 +498,15 @@ def _box_bounds(g: GridDensity, cx: np.ndarray, cy: np.ndarray, wx: np.ndarray,
     return masses, bounds
 
 
-def maximize_objective_2d(objective, box, *, tol_value: float) -> ArgmaxResult:
+def maximize_objective_2d(objective, box) -> ArgmaxResult:
     """Certified argmax of a ball objective on a 2D grid, by branch and bound.
 
     ``objective`` is a :class:`~mapbayes.windows.BallObjective` on a 2D
     grid, with disc mass M (divided by pi R^2 when normalized).  A box is
-    pruned once its upper bound is within ``tol_value`` of the best value
-    found, and the search stops when no box is left:
+    pruned once its upper bound is within the tolerance of the best value
+    found, and the search stops when no box is left.  The tolerance is
+    ``_REL_TOL_2D`` of the best value plus the float error of a disc mass:
+    a few ulps of pi R^2 v_max for each cell the disc can meet.
 
     * Level 0 cuts the box at the cell lines.  A point of a cell lies within
       its half-diagonal delta of the cell centre c, so its disc lies in
@@ -513,9 +519,10 @@ def maximize_objective_2d(objective, box, *, tol_value: float) -> ArgmaxResult:
       :func:`_box_bounds`.
 
     The result is one point with its exact value, and no point of the box
-    beats it by more than ``tol_value``.  A search still open after
-    ``_MAX_LEVELS_2D`` levels, or with more than ``_MAX_BOXES_2D`` boxes
-    to split, raises :class:`SearchNotCertified` with the open gap.
+    beats it by more than the tolerance, reported as ``tol_value``.  A
+    search still open after ``_MAX_LEVELS_2D`` levels, or with more than
+    ``_MAX_BOXES_2D`` boxes to split, raises :class:`SearchNotCertified`
+    with the open gap.
     """
     g, R = objective.density, objective.radius
     scale = 1.0 / (math.pi * R * R) if objective.normalized else 1.0
@@ -527,6 +534,8 @@ def maximize_objective_2d(objective, box, *, tol_value: float) -> ArgmaxResult:
     nx, ny = g.shape
     reach = R + 0.5 * math.hypot(hx, hy)
     kx, ky = int(reach / hx + 0.5 + 1e-9), int(reach / hy + 0.5 + 1e-9)
+    float_error = 8.0 * sys.float_info.epsilon * (2 * kx + 1) * (2 * ky + 1) * (
+        math.pi * R * R * float(g.values.max()))
     x0, x1, cells_x = _lattice_boxes(bx0, bx1, ox, hx, nx, kx)
     y0, y1, cells_y = _lattice_boxes(by0, by1, oy, hy, ny, ky)
 
@@ -540,8 +549,11 @@ def maximize_objective_2d(objective, box, *, tol_value: float) -> ArgmaxResult:
         px, py = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
     best = float(_disc_masses(g, [px], [py], R)[0])
 
+    def tol() -> float:
+        return _REL_TOL_2D * best + float_error
+
     top = _window_max(g.values, cells_x, cells_y, kx, ky)
-    ii, jj = np.nonzero(scale * math.pi * R * R * top > scale * best + tol_value)
+    ii, jj = np.nonzero(math.pi * R * R * top > best + tol())
     x0, x1, y0, y1 = x0[ii], x1[ii], y0[jj], y1[jj]
     level = 0
     while len(x0):
@@ -550,7 +562,7 @@ def maximize_objective_2d(objective, box, *, tol_value: float) -> ArgmaxResult:
         k = int(np.argmax(masses))
         if masses[k] > best:
             best, px, py = float(masses[k]), cx[k], cy[k]
-        keep = scale * bound > scale * best + tol_value
+        keep = bound > best + tol()
         x0, x1, y0, y1, bound = x0[keep], x1[keep], y0[keep], y1[keep], bound[keep]
         if not len(x0):
             break
@@ -559,10 +571,10 @@ def maximize_objective_2d(objective, box, *, tol_value: float) -> ArgmaxResult:
                 f"2D ball search stopped at refinement level {level} with {len(x0)} boxes "
                 f"open: the sup may exceed {scale * best!r} by up to "
                 f"{scale * (float(bound.max()) - best)!r}, more than the tolerance "
-                f"{tol_value!r}")
+                f"{scale * tol()!r}")
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         x0, x1 = np.concatenate([x0, xm, x0, xm]), np.concatenate([xm, x1, xm, x1])
         y0, y1 = np.concatenate([y0, y0, ym, ym]), np.concatenate([ym, ym, y1, y1])
         level += 1
     px, py = float(px), float(py)
-    return ArgmaxResult(2, objective((px, py)), (((px, px), (py, py)),), (px, py), tol_value)
+    return ArgmaxResult(2, objective((px, py)), (((px, px), (py, py)),), (px, py), scale * tol())

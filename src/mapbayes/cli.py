@@ -7,7 +7,8 @@ digit floats, no timestamps.  Running a command twice produces
 byte-identical files.
 
 Exit codes: 0 success, 2 bad config or usage, 3 domain error (zero
-evidence, empty search box, ...), 4 unexpected internal error.
+evidence, empty search box, a failed nonconvergence verification, ...),
+4 unexpected internal error.
 """
 
 from __future__ import annotations
@@ -225,6 +226,7 @@ def _cmd_counterexample(args) -> None:
     _write_lines(out / "domination.csv", dom_lines)
     _write_json(out / "verdict.json", {
         "ok": report.ok,
+        "failures": list(report.failures),
         "verdict": report.trace.verdict,
         "map_sup": report.map_sup,
         "map_canonical": report.map_canonical,
@@ -234,7 +236,8 @@ def _cmd_counterexample(args) -> None:
     })
     _write_lines(out / "sweep.csv", report.trace.csv_lines())
     if not report.ok:
-        raise RuntimeError("nonconvergence verification failed; see verdict.json")
+        raise MapBayesError("nonconvergence verification failed: "
+                            + ", ".join(report.failures))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -159,14 +159,22 @@ class DominationRow:
 
 @dataclass(frozen=True)
 class NonconvergenceReport:
-    """Everything needed to certify the escape along the scale ladder."""
+    """Everything needed to certify the escape along the scale ladder.
+
+    ``failures`` names each check that failed; it is empty when the
+    escape is certified.
+    """
 
     max_bump: int
     map_sup: float
     map_canonical: float
     rows: tuple[DominationRow, ...]
     trace: SweepTrace
-    ok: bool
+    failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def verify_nonconvergence(nu_max: int = 6,
@@ -175,8 +183,10 @@ def verify_nonconvergence(nu_max: int = 6,
 
     ``ok`` requires: the mode is the origin with sup 1; at every rung the
     measured ball mass at the bump-2*nu plateau center beats the closed-form
-    value at the origin; and every canonical Bayes report sits outside
-    (-1/2, 1/2), so the sweep verdict is an escape.  Both searches run over
+    value at the origin, every canonical Bayes report sits outside
+    (-1/2, 1/2), and the ball mass at it is at least the plateau bound, so
+    it lies on bump 2*nu; and the sweep verdict is an escape.  Each failed
+    check is named in ``failures``.  Both searches run over
     (-1, 2*nu_max + 2), which holds the cusp and every bump the ladder
     reaches.
     """
@@ -190,8 +200,10 @@ def verify_nonconvergence(nu_max: int = 6,
     trace = sweep(d, scale_ladder(nu_max), search)
 
     rows = []
-    ok = (abs(mode.sup_value - 1.0) <= 1e-12 and abs(mode.canonical) <= 1e-12
-          and not mode.sup_infinite)
+    failures = []
+    if not (abs(mode.sup_value - 1.0) <= 1e-12 and abs(mode.canonical) <= 1e-12
+            and not mode.sup_infinite):
+        failures.append("mode at the origin")
     for nu, row in zip(range(1, nu_max + 1), trace.rows):
         r = 0.5 * 4.0 ** -nu
         center = plateau_center(nu, max_bump)
@@ -203,12 +215,17 @@ def verify_nonconvergence(nu_max: int = 6,
             center_value=center_value, bayes_sup=row.sup_value,
             bayes_canonical=row.canonical,
         ))
-        escaped = abs(row.canonical) >= 0.5
-        ok = ok and center_value > origin and domination_margin(nu) > 0 and escaped
-    ok = ok and trace.verdict == "diverges_from_MAP"
+        checks = {
+            "domination": center_value > origin and domination_margin(nu) > 0,
+            "escape": abs(row.canonical) >= 0.5,
+            "plateau bound": d.integrate(row.canonical - r, row.canonical + r) >= bound,
+        }
+        failures += [f"rung {nu} {name}" for name, passed in checks.items() if not passed]
+    if trace.verdict != "diverges_from_MAP":
+        failures.append("verdict")
     return NonconvergenceReport(max_bump=max_bump, map_sup=mode.sup_value,
                                 map_canonical=mode.canonical, rows=tuple(rows),
-                                trace=trace, ok=ok)
+                                trace=trace, failures=tuple(failures))
 
 
 def sample_curve(d: UscDensity1D, lo: float, hi: float,

@@ -17,17 +17,17 @@ log-concavity are decided from the pieces or the cells, and every False
 comes with a counterwitness the density's own pointwise values confirm.
 
 No check takes a tuning setting: the float-dust and witness margins of
-``check_conditions``, the value tolerance of ``sweep`` and the float slack
+``check_conditions``, the cluster radius of ``sweep`` and the float slack
 of ``hypo_diagnostic`` are fixed by this module and ``argmax``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .argmax import _clusters, _default_tol, _merge_elements
+from .argmax import _POSITION_TOL, _clusters, _merge_elements
 from .density import GridDensity, Piece, UscDensity1D, _pieces_view
 from .estimators import LossSpec, bayes_estimate, map_estimate
 from .windows import BallObjective, mollified_sup
@@ -99,14 +99,7 @@ class LevelSetReport:
         return any(lo <= x <= hi for lo, hi in self.intervals)
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "intervals": [list(iv) for iv in self.intervals],
-            "cells": None if self.cells is None else [list(map(list, c)) for c in self.cells],
-            "bounded": self.bounded,
-            "bound_M": self.bound_M,
-            "nonempty_interior": self.nonempty_interior,
-        }
+        return asdict(self)
 
 
 def level_set(d, alpha: float) -> LevelSetReport:
@@ -125,28 +118,17 @@ def level_set(d, alpha: float) -> LevelSetReport:
         intervals = _merge_elements(segs, 0.0)
         declared_unbounded = (pieces.tail_height_sup is not None
                               and alpha < pieces.tail_height_sup)
-        bounded = not declared_unbounded
-        if intervals:
-            M = max(max(abs(lo), abs(hi)) for lo, hi in intervals)
-        else:
-            M = 0.0
-        if declared_unbounded:
-            M = math.inf
+        M = math.inf if declared_unbounded else max(
+            (max(abs(lo), abs(hi)) for lo, hi in intervals), default=0.0)
         interior = any(hi > lo for lo, hi in intervals) or declared_unbounded
-        return LevelSetReport(alpha, intervals, None, bounded, M, interior)
+        return LevelSetReport(alpha, intervals, None, not declared_unbounded, M, interior)
 
     (ox, _), (oy, _) = d.support
     hx, hy = d.spacing
-    cells = []
-    for i in range(d.shape[0]):
-        for j in range(d.shape[1]):
-            if d.values[i, j] >= alpha:
-                cells.append(((ox + i * hx, ox + (i + 1) * hx),
-                              (oy + j * hy, oy + (j + 1) * hy)))
-    M = 0.0
-    for (x0, x1), (y0, y1) in cells:
-        M = max(M, abs(x0), abs(x1), abs(y0), abs(y1))
-    return LevelSetReport(alpha, (), tuple(cells), True, M, bool(cells))
+    cells = tuple(((ox + i * hx, ox + (i + 1) * hx), (oy + j * hy, oy + (j + 1) * hy))
+                  for i in range(d.shape[0]) for j in range(d.shape[1]) if d.values[i, j] >= alpha)
+    M = max((abs(v) for cell in cells for side in cell for v in side), default=0.0)
+    return LevelSetReport(alpha, (), cells, True, M, bool(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +165,7 @@ class ConditionReport:
             raise RuntimeError("inconsistent report: log-concave but not quasiconcave")
 
     def to_json(self) -> dict:
-        return {
-            "level_set_ok": self.level_set_ok,
-            "witness_alpha": self.witness_alpha,
-            "witness_bound": self.witness_bound,
-            "quasiconcave": self.quasiconcave,
-            "quasiconcave_witness": self.quasiconcave_witness,
-            "log_concave": self.log_concave,
-            "log_concave_witness": self.log_concave_witness,
-            "eventually_level_bounded": self.eventually_level_bounded,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -628,11 +601,11 @@ class SweepTrace:
         }
 
 
-def _verdict(tail: Sequence[SweepRow], cluster_radius: float) -> str:
+def _verdict(tail: Sequence[SweepRow]) -> str:
     dists = [r.dist_to_map for r in tail]
     cans = [r.canonical for r in tail]
     all_near = all(x <= MAP_NEAR_TOL for x in dists)
-    settled = (max(cans) - min(cans)) <= cluster_radius
+    settled = (max(cans) - min(cans)) <= _POSITION_TOL
     decaying = (
         all(d2 <= 0.9 * d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
         and dists[-1] <= 0.25 * dists[0] + 1e-12
@@ -659,8 +632,6 @@ def sweep(d, ladder: Sequence[float], search=None) -> SweepTrace:
     if ladder[0] <= 0:
         raise ValueError("ladder scales must be positive")
 
-    cluster_radius = 10.0 * _default_tol(d)
-
     map_res = map_estimate(d, search)
     rows = []
     for c in ladder:
@@ -675,8 +646,8 @@ def sweep(d, ladder: Sequence[float], search=None) -> SweepTrace:
     if len(rows) >= 2:
         tail = rows[-max(2, math.ceil(len(rows) / 2)):]
         limit_points = tuple(sum(g) / len(g) for g in
-                             _clusters([r.canonical for r in tail], cluster_radius))
-        verdict = _verdict(tail, cluster_radius)
+                             _clusters([r.canonical for r in tail], _POSITION_TOL))
+        verdict = _verdict(tail)
     else:
         limit_points = (rows[-1].canonical,)
         verdict = "inconclusive"
@@ -686,7 +657,7 @@ def sweep(d, ladder: Sequence[float], search=None) -> SweepTrace:
         map_sup=map_res.sup_value, map_maximizers=map_res.maximizers,
         map_canonical=map_res.canonical,
         limit_points=limit_points, verdict=verdict,
-        cluster_radius=cluster_radius,
+        cluster_radius=_POSITION_TOL,
     )
 
 
@@ -753,12 +724,7 @@ class HypoRow:
     reason: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind, "lo": self.lo, "hi": self.hi, "nu": self.nu,
-            "sup_smoothed": self.sup_smoothed, "sup_reference": self.sup_reference,
-            "slack": self.slack, "ok": self.ok, "skipped": self.skipped,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

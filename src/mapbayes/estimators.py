@@ -11,8 +11,9 @@ Two estimators are provided:
 
 Both run any 1D density, a 1D grid included, on its piecewise view.  On 2D
 grids the mode is found cell by cell and the Bayes report by a branch and
-bound on exact disc masses, certified to the fixed tolerance of
-``argmax._default_tol`` (see ``windows._search_ball``).
+bound on exact disc masses, certified to a relative tolerance (see
+``windows._search_ball``).  Every search reports the value tolerance it
+worked out from the values it compared.
 
 :func:`approx_gap` measures how far a fixed point theta is from being
 optimal for the ball objective: the sup of the objective minus its value at

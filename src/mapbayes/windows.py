@@ -14,8 +14,9 @@ difference of closed-form corner areas, computed for many centres at once
 by the kernel the 2D search uses (``density._disc_masses``).
 
 ``_search_ball`` decides how the Bayes report and ``mollified_sup`` search:
-the exact window search in 1D, the certified branch and bound on 2D grids,
-each with the fixed value tolerance; no caller sets any of it.
+the exact window search in 1D, the certified branch and bound on 2D grids.
+Each search works out its value tolerance from the values it compares; no
+caller sets any of it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .argmax import ArgmaxResult, _default_tol, maximize_objective_2d, maximize_window
+from .argmax import ArgmaxResult, maximize_objective_2d, maximize_window
 from .density import UscDensity1D, _corner_areas, _disc_masses, _pieces_view
 
 __all__ = ["BallObjective", "ball_integral", "mollified_sup", "ball_volume"]
@@ -86,11 +87,10 @@ def _search_ball(b: BallObjective, box) -> ArgmaxResult:
     """Argmax of the ball objective over a box: the exact window search in
     1D (scaled by 1/volume when normalized), the certified branch and bound
     on 2D grids."""
-    tol = _default_tol(b.density)
     if b._pieces is not None:
         scale = 1.0 / b.ball_vol if b.normalized else 1.0
-        return maximize_window(b._pieces, b.radius, box, scale=scale, tol_value=tol)
-    return maximize_objective_2d(b, box, tol_value=tol)
+        return maximize_window(b._pieces, b.radius, box, scale=scale)
+    return maximize_objective_2d(b, box)
 
 
 def mollified_sup(b: BallObjective, box) -> ArgmaxResult:
@@ -101,8 +101,8 @@ def mollified_sup(b: BallObjective, box) -> ArgmaxResult:
     in normalized units: the reported point's average is exact, and no
     point of the box beats it by more than ``tol_value``.  The ball average
     never exceeds the density's own sup over the box grown by the radius.
-    The value tolerance is TOL_VALUE_GRID for a grid density (1D or 2D) and
-    TOL_VALUE_EXACT for pieces.
+    In 1D ``tol_value`` is twice the float error of one average; in 2D it
+    adds the search's relative target to that.
     """
     if not b.normalized:
         raise ValueError("mollified_sup expects a normalized objective")

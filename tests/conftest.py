@@ -63,7 +63,7 @@ def unit_mass(pieces) -> UscDensity1D:
 GRIDS_1D = {
     # zero cells inside the grid and at both of its ends
     "zero_cells": ((-0.5,), (0.25,), [0.0, 2.0, 0.0, 3.0, 3.0, 0.0, 1.0]),
-    # two top cells 4e-9 apart: they group at the grid tolerance 1e-6 only
+    # two top cells 4e-9 apart, far more than the float error of the values compared
     "near_tie": ((0.0,), (0.5,), [1.0, 2.0, 0.5, 2.0 + 4e-9, 1.0]),
 }
 

@@ -3,12 +3,14 @@
 Everything here works from pointwise evaluation only — no piece
 antiderivatives, no package integrators — so agreement between these
 routines and the library is genuine evidence, not circular.  The 1D-grid
-scans read a grid's raw cell array instead, with numpy.
+scans read a grid's raw cell array instead, with numpy, and the escaping
+construction's window mass is integrated exactly from its definition.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -96,6 +98,27 @@ def window_mass(d, theta: float, r: float, *, tol: float = 1e-12) -> float:
     lo, hi = theta - r, theta + r
     breaks = [b for b in getattr(d, "breakpoints", ()) if lo < b < hi]
     return adaptive_simpson(d.evaluate, lo, hi, breaks=breaks, tol=tol)
+
+
+def escape_window_mass(a: Fraction, b: Fraction, bumps) -> Fraction:
+    """Exact mass of the escaping construction's bumps in [a, b], in rationals.
+
+    Written from the definition, not from the package's pieces: bump n rises
+    linearly on [n - 8^-n, n] to 1 - 2^-n, stays there up to n + 2^-n - 8^-n
+    and falls linearly to 0 at n + 2^-n.  Each linear stretch clipped to
+    [a, b] adds its length times its value at the clipped midpoint.
+    """
+    total = Fraction(0)
+    for n in bumps:
+        ramp, top = Fraction(1, 8 ** n), n + Fraction(1, 2 ** n)
+        height = 1 - Fraction(1, 2 ** n)
+        knots = [(n - ramp, Fraction(0)), (Fraction(n), height), (top - ramp, height),
+                 (top, Fraction(0))]
+        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+            lo, hi = max(a, x0), min(b, x1)
+            if hi > lo:
+                total += (hi - lo) * (y0 + (y1 - y0) * ((lo + hi) / 2 - x0) / (x1 - x0))
+    return total
 
 
 def disc_area_subdivision(center, R: float, rect, n: int = 2000) -> float:

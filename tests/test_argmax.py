@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import mapbayes as mb
 from mapbayes.argmax import _box_bounds, maximize_density, maximize_window
-from mapbayes.density import GridDensity, UscDensity1D, _disc_masses, constant_piece, sqrt_piece
+from mapbayes.density import (GridDensity, UscDensity1D, _disc_masses, affine_piece,
+                              constant_piece, sqrt_piece)
 from mapbayes.errors import EmptySearchBox
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_piecewise
@@ -88,6 +89,26 @@ def test_window_plateau_uniform(d, r, box, maxi):
     assert res.maximizers == maxi
     assert res.canonical == maxi[0][0]
     assert res.sup_value == pytest.approx(0.5, abs=1e-15)
+
+
+# mirror images: equal plateaus about -0.6 and 0.6, and equal triangles about
+# -1 and 1 written in the global form a + b*t, so that the masses at mirrored
+# centres are equal but rounded differently
+_MIRRORED_PLATEAUS = UscDensity1D((constant_piece(-0.9, -0.3, 5 / 6),
+                                   constant_piece(0.3, 0.9, 5 / 6)))
+_MIRRORED_TRIANGLES = UscDensity1D((
+    affine_piece(-1.5, -1.0, 3.0, 2.0), affine_piece(-1.0, -0.5, -1.0, -2.0),
+    affine_piece(0.5, 1.0, -1.0, 2.0), affine_piece(1.0, 1.5, 3.0, -2.0)))
+
+
+@pytest.mark.parametrize("c", [4.0, 10.0, 1e3, 1e5, 1e7])
+def test_window_keeps_ties_at_mirrored_points(c):
+    r = 1.0 / c
+    res = mb.bayes_estimate(_MIRRORED_PLATEAUS, mb.LossSpec(c))
+    assert res.maximizers == ((-0.9 + r, -0.3 - r), (0.3 + r, 0.9 - r))
+    res = mb.bayes_estimate(_MIRRORED_TRIANGLES, mb.LossSpec(c))
+    assert [lo for lo, _ in res.maximizers] == pytest.approx([-1.0, 1.0], abs=1e-12)
+    assert mb.map_estimate(_MIRRORED_TRIANGLES).maximizers == ((-1.0, -1.0), (1.0, 1.0))
 
 
 def test_window_symmetric_triangle_stays_at_apex():

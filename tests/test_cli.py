@@ -1,4 +1,7 @@
+import csv
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +10,7 @@ import mapbayes.argmax
 from mapbayes.cli import main
 
 from conftest import grid_1d
-from oracles import grid_mode_scan, grid_window_scan
+from oracles import escape_window_mass, grid_mode_scan, grid_window_scan
 
 
 def _write_config(path, obj):
@@ -97,16 +100,19 @@ def test_map_and_bayes_commands_on_inline_grid_1d(tmp_path):
     out_map = json.loads((tmp_path / "map.json").read_text())
     out_bayes = json.loads((tmp_path / "bayes.json").read_text())
 
-    sup, maxi, canonical = grid_mode_scan(g, (lo, hi), 1e-6)
+    tol = out_map["result"]["tol_value"]
+    sup, maxi, canonical = grid_mode_scan(g, (lo, hi), tol)
     assert out_map == {"search": None, "result": {
         "dim": 1, "sup_value": sup, "maximizers": [list(m) for m in maxi],
-        "canonical": canonical, "tol_value": 1e-6, "sup_infinite": False}}
-    sup, maxi, canonical = grid_window_scan(g, 0.1, (lo - 0.1, hi + 0.1), 1e-6)
+        "canonical": canonical, "tol_value": 4.0 * math.ulp(sup), "sup_infinite": False}}
     result = out_bayes.pop("result")
+    tol = result.pop("tol_value")
+    sup, maxi, canonical = grid_window_scan(g, 0.1, (lo - 0.1, hi + 0.1), tol)
     assert out_bayes == {"c": 10.0, "radius": 0.1, "search": None}
     assert result.pop("sup_value") == pytest.approx(sup, abs=1e-15)
+    assert 0.0 < tol < 1e-14
     assert result == {"dim": 1, "maximizers": [list(m) for m in maxi],
-                      "canonical": canonical, "tol_value": 1e-6, "sup_infinite": False}
+                      "canonical": canonical, "sup_infinite": False}
 
 
 def test_density_from_file_path(tmp_path):
@@ -181,3 +187,36 @@ def test_exit_code_3_when_the_2d_search_is_left_open(tmp_path, monkeypatch, caps
     capsys.readouterr()
     assert main(["bayes", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "boxes open" in capsys.readouterr().err
+
+
+def _off_bump(nu: int, canonical: float, sup: float) -> bool:
+    """Whether a rung's report misses bump 2 nu: by its place, by its sup
+    against the exact plateau bound (1 - 4^-nu)(4^-nu - 64^-nu) and 2r, or
+    by the exact ball mass at it, integrated from the construction's
+    definition."""
+    n, r, c = 2 * nu, Fraction(1, 2 * 4 ** nu), Fraction(canonical)
+    bound = (1 - Fraction(1, 4 ** nu)) * (Fraction(1, 4 ** nu) - Fraction(1, 64 ** nu))
+    mass = escape_window_mass(c - r, c + r, range(n - 1, n + 2))
+    return not (n - 8.0 ** -n <= canonical <= n + 2.0 ** -n
+                and bound <= Fraction(sup) <= Fraction(1, 4 ** nu) and mass >= bound)
+
+
+@pytest.mark.parametrize("nu_max", [9, 10, 11, 12, 13])
+def test_counterexample_top_rungs_sit_on_bump_2nu_or_exit_3(tmp_path, capsys, nu_max):
+    # bump 2 nu beats bump 2 nu - 1 by about 4^-nu of its mass; through rung
+    # 11 that is more than the float error of the masses compared, and a
+    # rung the search cannot resolve is a named failure, never a silent one
+    code = main(["counterexample", "--nu-max", str(nu_max), "--out", str(tmp_path)])
+    with open(tmp_path / "domination.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["nu"]) for row in rows] == list(range(1, nu_max + 1))
+    off = [f"rung {row['nu']} plateau bound" for row in rows
+           if _off_bump(int(row["nu"]), float(row["bayes_canonical"]), float(row["bayes_sup"]))]
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["failures"] == off
+    assert verdict["ok"] is (not off)
+    if nu_max <= 11:
+        assert code == 0 and off == []
+    else:
+        assert code == 3 and f"rung {nu_max} plateau bound" in off
+        assert f"verification failed: {', '.join(off)}" in capsys.readouterr().err

@@ -108,7 +108,7 @@ def test_declared_unbounded_tail():
 
 def test_verify_nonconvergence_small_ladder():
     rep = mb.verify_nonconvergence(3)
-    assert rep.ok
+    assert rep.ok and rep.failures == ()
     assert rep.trace.verdict == "diverges_from_MAP"
     assert rep.map_canonical == 0.0 and rep.map_sup == 1.0
     for nu, row in zip(range(1, 4), rep.rows):

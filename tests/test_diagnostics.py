@@ -330,19 +330,21 @@ def test_sweep_counterexample_diverges():
 
 @pytest.mark.parametrize("name, limit_points", [
     ("zero_cells", (0.28125, 0.3125, 0.375)),
-    ("near_tie", (0.53125, 0.5625, 0.625)),
+    ("near_tie", (1.53125, 1.5625, 1.625)),
 ])
 def test_sweep_grid_1d_follows_the_scans(name, limit_points):
     g = grid_1d(name)
     ladder = [2.0, 4.0, 8.0, 16.0, 32.0]
     tr = mb.sweep(g, ladder)
     lo, hi = g.support[0]
-    _, map_maxi, map_canonical = grid_mode_scan(g, (lo, hi), 1e-6)
+    map_res = mb.map_estimate(g)
+    _, map_maxi, map_canonical = grid_mode_scan(g, (lo, hi), map_res.tol_value)
     assert (tr.map_maximizers, tr.map_canonical) == (map_maxi, map_canonical)
-    assert tr.cluster_radius == 10.0 * 1e-6
+    assert tr.cluster_radius == 1e-9  # a distance, fixed apart from any value tolerance
     for c, row in zip(ladder, tr.rows):
         r = 1.0 / c
-        sup, maxi, canonical = grid_window_scan(g, r, (lo - r, hi + r), 1e-6)
+        res = mb.bayes_estimate(g, mb.LossSpec(c))
+        sup, maxi, canonical = grid_window_scan(g, r, (lo - r, hi + r), res.tol_value)
         assert row.canonical == canonical
         assert (row.argmax_lo, row.argmax_hi) == (maxi[0][0], maxi[-1][1])
         assert row.sup_value == pytest.approx(sup, abs=1e-15)

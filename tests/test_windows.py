@@ -69,9 +69,11 @@ def test_grid_1d_window_goes_through_pieces():
     for theta in (0.1, 0.3, 0.65, 0.95):
         assert ball_integral(b, theta) == pytest.approx(
             d.integrate(theta - 0.1, theta + 0.1), abs=1e-15)
-    # the sup of the average groups near-ties at the tolerance of its density
-    assert mollified_sup(BallObjective(g, 0.1), (0.0, 1.0)).tol_value == 1e-6
-    assert mollified_sup(BallObjective(d, 0.1), (0.0, 1.0)).tol_value == 1e-10
+    # a grid and its pieces group ties at one tolerance: the float error of
+    # the averages compared, not a constant chosen by the density's type
+    avg = mollified_sup(BallObjective(g, 0.1), (0.0, 1.0))
+    assert avg == mollified_sup(BallObjective(d, 0.1), (0.0, 1.0))
+    assert 0.0 < avg.tol_value < 1e-13 * avg.sup_value
 
 
 # --- 2D geometry -----------------------------------------------------------
