@@ -395,12 +395,36 @@ def test_sup_on_interval_open_vs_closed():
     assert sup_on_interval(d, -1.0, -0.5) == 0.0
     assert sup_on_interval(d, 0.5, 2.0) == 1.2
     assert sup_on_interval(d, 1.2, 1.2) == 1.2  # degenerate closed interval
+    # two_bumps at the edges of its gap and its support: a closed interval
+    # takes the envelope at its ends, an open one only the limits inside
+    d = mb.two_bumps()
+    assert sup_on_interval(d, -0.5, 0.5, closed=True) == 1.2
+    assert sup_on_interval(d, -0.5, 0.5, closed=False) == 0.0
+    assert sup_on_interval(d, -2.0, -1.0, closed=True) == 1.2
+    assert sup_on_interval(d, -2.0, -1.0, closed=False) == 0.0
+    assert sup_on_interval(d, 1.0, 3.0, closed=False) == 0.0
 
 
 def test_sup_on_interval_includes_gap_zero():
     d = mb.two_bumps()
     assert sup_on_interval(d, -0.4, 0.4, closed=True) == 0.0
     assert sup_on_interval(d, -0.6, 0.6) == 1.2
+    assert sup_on_interval(d, -0.5, 0.5, closed=False) == 0.0
+    assert sup_on_interval(d, 1.0, 3.0, closed=False) == 0.0
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ends=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_interval_sups_are_the_max_at_ends_and_breakpoints(seed, ends):
+    # pieces are monotone, so on an interval with ends off the breakpoints
+    # every sup is the largest pointwise value at an end or a breakpoint inside
+    lo, hi = sorted(ends)
+    assume(lo < hi)
+    d = random_piecewise(np.random.default_rng(seed), max_pieces=8)
+    expect = max(d.evaluate(t) for t in (lo, hi, *(b for b in d.breakpoints if lo < b < hi)))
+    assert sup_on_interval(d, lo, hi, closed=True) == expect
+    assert sup_on_interval(d, lo, hi, closed=False) == expect
+    assert mb.map_estimate(d, (lo, hi)).sup_value == expect
 
 
 def test_hypo_triangle_all_pass():
@@ -419,6 +443,17 @@ def test_hypo_open_interval_skips_on_jump():
     (row,) = rep.rows
     assert row.skipped and "jump" in row.reason
     assert rep.ok  # skips do not fail the family check
+
+
+def test_hypo_open_rows_across_a_gap():
+    # r = 0.1: the open row inside the gap compares with the density's 0
+    # there; the one reaching into both bumps meets their jumps and is skipped
+    rep = mb.hypo_diagnostic(mb.two_bumps(), [10.0],
+                             open_intervals=[(-0.45, 0.45), (-0.9, 0.9)])
+    inside, across = rep.rows
+    assert not inside.skipped and inside.sup_reference == 0.0 and inside.ok
+    assert across.skipped and "jump" in across.reason
+    assert rep.ok
 
 
 def test_hypo_open_interval_skips_when_shrunken_empty():
