@@ -134,8 +134,9 @@ def maximize_density(d, box=None) -> ArgmaxResult:
     """Argmax of the pointwise density over a closed box.
 
     Pieces are monotone, so the exact candidates are the piece endpoints
-    (with the boundary-max convention) plus whole constant pieces and the
-    stretches off the support, which enter as plateau intervals.  2D grids
+    (with the boundary-max convention) plus every flat piece, whatever its
+    formula, and the stretches off the support, which enter as plateau
+    intervals.  2D grids
     contribute their maximizing closed cells, and the part of the box off
     the grid enters as value 0.  The box defaults to the support.  Values
     within 4 ulps of the sup, a bound on their float error, tie with it.
@@ -165,21 +166,14 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
 
     candidates = {lo, hi}
     candidates.update(b for b in d.breakpoints if lo <= b <= hi)
-    plateaus = []
-    covered_to = lo  # the box is covered by pieces up to here
-    for p in d.pieces:
-        if p.kind == "constant" and p.hi > lo and p.lo < hi:
-            plateaus.append((max(p.lo, lo), min(p.hi, hi), p.params["k"]))
-        if p.lo > covered_to and covered_to < hi:
-            plateaus.append((covered_to, min(p.lo, hi), 0.0))
-        covered_to = max(covered_to, p.hi)
-    if covered_to < hi:
-        plateaus.append((covered_to, hi, 0.0))
+    # flat segments, the gaps' zero pieces included, and the box beyond the support
+    s_lo, s_hi = d.support
+    plateaus = [(max(p.lo, lo), min(p.hi, hi), p.value(p.lo)) for p in d._segments
+                if p.direction() == 0 and p.hi > lo and p.lo < hi]
+    plateaus += [(a, b, 0.0) for a, b in ((lo, min(s_lo, hi)), (max(s_hi, lo), hi)) if a < b]
 
     scored = [(d.evaluate(t), t) for t in sorted(candidates)]
-    sup = max(v for v, _ in scored)
-    if plateaus:
-        sup = max(sup, max(v for _, _, v in plateaus))
+    sup = max([v for v, _ in scored] + [v for _, _, v in plateaus])
     tol_value = 4.0 * math.ulp(sup)
 
     elements = [(t, t) for v, t in scored if v >= sup - tol_value]
@@ -342,11 +336,13 @@ def _window_error(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
     ends = np.array([(p.lo, p.hi) for p in near])
     c = [p.params.get("k", p.params.get("a")) for p in near]
     rounding = np.abs(c) * np.abs(ends).max(axis=1)  # in units of eps, per piece
-    f_max = max((ck for ck, p in zip(c, near) if p.kind == "constant"), default=0.0)
+    f_max = 0.0
     for k, p in enumerate(near):
-        if p.kind != "constant":
+        if p.direction():
             rounding[k] += 4.0 * max(abs(p.antiderivative(t) - c[k] * t) for t in (p.lo, p.hi))
             f_max = max(f_max, *p.endpoint_values())
+        else:  # a flat piece has no power term, and its value is c
+            f_max = max(f_max, c[k])
     # a window whose first piece is k meets at most pieces k .. j - 1
     j = np.searchsorted(ends[:, 0], ends[:, 1] + 2.0 * r, side="right")
     cum = np.concatenate(([0.0], np.cumsum(rounding)))

@@ -234,6 +234,9 @@ class UscDensity1D:
     ``tail_height_sup`` declares that the construction continues beyond the
     materialized pieces with plateaus whose heights approach the given value;
     level sets below it are treated as unbounded.
+
+    ``_segments`` is the profile over the support: the pieces in order with
+    a zero constant piece in each gap between them.
     """
 
     pieces: tuple[Piece, ...]
@@ -241,6 +244,7 @@ class UscDensity1D:
     infinite_points: tuple[float, ...] = ()
     tail_height_sup: float | None = None
     _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pieces = tuple(sorted(self.pieces, key=lambda p: p.lo))
@@ -251,6 +255,12 @@ class UscDensity1D:
                 raise ValueError(f"pieces overlap near t={cur.lo}")
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "_starts", tuple(p.lo for p in pieces))
+        segments = [pieces[0]]
+        for p in pieces[1:]:
+            if p.lo > segments[-1].hi:
+                segments.append(constant_piece(segments[-1].hi, p.lo, 0.0))
+            segments.append(p)
+        object.__setattr__(self, "_segments", tuple(segments))
         mass = self.total_mass
         if not math.isfinite(mass) or abs(mass - 1.0) > self.mass_tol:
             raise ValueError(f"total mass {mass} is not within {self.mass_tol} of 1")

@@ -27,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .argmax import _POSITION_TOL, _clusters, _merge_elements
+from .argmax import _POSITION_TOL, _clusters, _merge_elements, maximize_density
 from .density import GridDensity, Piece, UscDensity1D, _pieces_view
 from .estimators import LossSpec, bayes_estimate, map_estimate
 from .windows import BallObjective, mollified_sup
@@ -175,19 +175,11 @@ class _Seg:
     v_lo: float
     v_hi: float
     dirn: int
-    piece: Piece | None  # None marks an off-support zero stretch
+    piece: Piece | None  # None marks a zero stretch _cut_at adds beyond the support
 
 
 def _segments(d: UscDensity1D) -> list[_Seg]:
-    segs: list[_Seg] = []
-    prev_hi: float | None = None
-    for p in d.pieces:
-        if prev_hi is not None and p.lo > prev_hi:
-            segs.append(_Seg(prev_hi, p.lo, 0.0, 0.0, 0, None))
-        v0, v1 = p.endpoint_values()
-        segs.append(_Seg(p.lo, p.hi, v0, v1, p.direction(), p))
-        prev_hi = p.hi
-    return segs
+    return [_Seg(p.lo, p.hi, *p.endpoint_values(), p.direction(), p) for p in d._segments]
 
 
 def _cut_at(segs: list[_Seg], t: float) -> list[_Seg]:
@@ -341,11 +333,14 @@ def _log_concave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
     Past the zero pieces at the ends of the support, log f is concave iff
     every sqrt arc is (constant and affine pieces always are) and every
     interior breakpoint has no jump and a one-sided slope that does not
-    increase, f'(t-) >= f'(t+).  An infinite point is never log-concave.
-    Each violation is tried with shrinking triples around it; one that no
+    increase, f'(t-) >= f'(t+).  An infinite point is never log-concave:
+    the segments are cut there, as in the quasiconcavity walk, so no
+    segment midpoint sits on it.  Each violation is tried with shrinking triples around it; one that no
     triple verifies is float dust.
     """
     segs = _segments(d)
+    for t in d.infinite_points:
+        segs = _cut_at(segs, t)
     live = [i for i, seg in enumerate(segs) if max(seg.v_lo, seg.v_hi) > 0.0]
     segs = segs[live[0]:live[-1] + 1]
     for t in d.infinite_points:
@@ -669,44 +664,39 @@ def sweep(d, ladder: Sequence[float], search=None) -> SweepTrace:
 def sup_on_interval(d, lo: float, hi: float, *, closed: bool = True) -> float:
     """Sup of the density over an interval (limits count toward the sup).
 
-    For a closed interval the boundary values use the two-sided envelope;
-    for an open one only this-side limits enter.  Works on piecewise
-    densities and 1D grids.
+    A closed interval gives the sup of :func:`maximize_density` over it,
+    the envelope at its ends included.  An open one takes, from each segment
+    of the profile it meets with positive length, the values at the cut
+    ends: only this-side limits.  An infinite point inside gives inf, and
+    the density's 0 enters wherever the interval leaves the support.  Works
+    on piecewise densities and 1D grids.
     """
     d = _pieces_1d(d, "sup_on_interval")
     if hi < lo:
         raise ValueError("need lo <= hi")
-    cands = []
-    covered = 0.0
-    for p in d.pieces:
-        a, b = max(p.lo, lo), min(p.hi, hi)
-        if b > a:
-            cands.extend((p.value(a), p.value(b)))
-            covered += b - a
-        elif closed and b == a and p.lo <= a <= p.hi:
-            cands.append(p.value(a))
     if closed:
-        cands.extend((d.evaluate(lo), d.evaluate(hi)))
-        cands.extend(math.inf for t in d.infinite_points if lo <= t <= hi)
-    else:
-        cands.extend(math.inf for t in d.infinite_points if lo < t < hi)
-    if covered < (hi - lo) - 1e-15 * max(1.0, abs(lo), abs(hi)):
-        cands.append(0.0)  # the interval leaves the support somewhere
+        return maximize_density(d, (lo, hi)).sup_value
+    cands = [p.value(t) for p in d._segments if min(p.hi, hi) > max(p.lo, lo)
+             for t in (max(p.lo, lo), min(p.hi, hi))]
+    cands.extend(math.inf for t in d.infinite_points if lo < t < hi)
+    s_lo, s_hi = d.support
+    if lo < s_lo or hi > s_hi:
+        cands.append(0.0)
     return max(cands, default=0.0)
 
 
 def _lipschitz_with_jumps(d: UscDensity1D, lo: float, hi: float) -> float:
-    """Lipschitz bound on (lo, hi), infinite if a genuine jump sits inside."""
-    left_at: dict[float, float] = {}
-    right_at: dict[float, float] = {}
-    for p in d.pieces:
-        v0, v1 = p.endpoint_values()
-        right_at[p.lo] = v0
-        left_at[p.hi] = v1
-    for b in d.breakpoints:
-        if lo < b < hi:
-            if abs(left_at.get(b, 0.0) - right_at.get(b, 0.0)) > 1e-12:
-                return math.inf
+    """Lipschitz bound on (lo, hi), infinite if a genuine jump or an
+    infinite point sits inside."""
+    if any(lo < t < hi for t in d.infinite_points):
+        return math.inf
+    segs = d._segments
+    # the one-sided values at each segment start and at the end of the support
+    left = [0.0] + [p.value(p.hi) for p in segs]
+    right = [p.value(p.lo) for p in segs] + [0.0]
+    for t, a, b in zip([p.lo for p in segs] + [segs[-1].hi], left, right):
+        if lo < t < hi and abs(a - b) > 1e-12:
+            return math.inf
     return d.lipschitz_bound(lo, hi)
 
 

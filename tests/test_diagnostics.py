@@ -297,6 +297,19 @@ def test_shape_checks_refute_what_a_lattice_refutes_2d(shape, cells):
     _assert_refutes_what_the_lattice_refutes(_grid_2d(values), 24)
 
 
+
+#: uniform on [0, 1] with a spike at the midpoint of its one piece
+_SPIKE_AT_MIDPOINT = UscDensity1D((constant_piece(0.0, 1.0, 1.0),), infinite_points=(0.5,))
+
+
+def test_log_concavity_sees_a_spike_at_a_segment_midpoint():
+    rep = mb.check_conditions(_SPIKE_AT_MIDPOINT, alpha_grid=[0.5])
+    assert rep.quasiconcave
+    assert not rep.log_concave
+    assert rep.log_concave_witness == (0.5, 0.25, 0.5)
+    assert witness_gaps(_SPIKE_AT_MIDPOINT, *rep.log_concave_witness)[1] > _WITNESS_MARGIN
+
+
 # --- sweeps -----------------------------------------------------------------
 
 
@@ -311,6 +324,19 @@ def test_sweep_uniform_limit_point():
     tr = mb.sweep(mb.uniform(), [4.0, 8.0])
     assert tr.verdict == "limit_point_is_MAP"
     assert [row.canonical for row in tr.rows] == [0.25, 0.125]
+
+
+@pytest.mark.parametrize("piece", [
+    constant_piece(-1.0, 1.0, 0.5),
+    affine_piece(-1.0, 1.0, 0.5, 0.0),
+    sqrt_piece(-1.0, 1.0, 0.5, 0.0, 1, -1.0),
+], ids=["constant", "flat_affine", "flat_sqrt"])
+def test_flat_pieces_are_plateaus(piece):
+    # uniform on [-1, 1] whatever formula writes it: its mode set is the
+    # whole support, and the ball reports stay in it
+    d = UscDensity1D((piece,))
+    assert mb.map_estimate(d).maximizers == ((-1.0, 1.0),)
+    assert mb.sweep(d, [2.0, 8.0, 32.0, 128.0]).verdict == "converges_to_MAP"
 
 
 def test_sweep_asymmetric_decay_rule():
@@ -453,6 +479,14 @@ def test_hypo_open_rows_across_a_gap():
     inside, across = rep.rows
     assert not inside.skipped and inside.sup_reference == 0.0 and inside.ok
     assert across.skipped and "jump" in across.reason
+    assert rep.ok
+
+
+def test_hypo_open_interval_skips_on_infinite_point():
+    # a spike is no point of continuity, so no Lipschitz allowance holds
+    rep = mb.hypo_diagnostic(_SPIKE_AT_MIDPOINT, [10.0], open_intervals=[(0.1, 0.9)])
+    (row,) = rep.rows
+    assert row.skipped and "jump" in row.reason
     assert rep.ok
 
 
