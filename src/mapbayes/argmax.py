@@ -136,10 +136,10 @@ def maximize_density(d, box=None) -> ArgmaxResult:
     Pieces are monotone, so the exact candidates are the piece endpoints
     (with the boundary-max convention) plus every flat piece, whatever its
     formula, and the stretches off the support, which enter as plateau
-    intervals.  2D grids
-    contribute their maximizing closed cells, and the part of the box off
-    the grid enters as value 0.  The box defaults to the support.  Values
-    within 4 ulps of the sup, a bound on their float error, tie with it.
+    intervals.  2D grids contribute their maximizing closed cells, and the
+    part of the box off the grid enters as value 0.  The box defaults to
+    the support.  Values within 4 ulps of the sup, a bound on their float
+    error, tie with it.
     """
     if box is None:
         box = _support_box(d)
