@@ -133,6 +133,26 @@ def test_outputs_are_deterministic(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(b)]) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
     assert (a / "verdict.json").read_bytes() == (b / "verdict.json").read_bytes()
+    c, d = tmp_path / "c", tmp_path / "d"
+    assert main(["counterexample", "--nu-max", "3", "--out", str(c)]) == 0
+    assert main(["counterexample", "--nu-max", "3", "--out", str(d)]) == 0
+    names = ["density.json", "density_samples.csv", "domination.csv", "sweep.csv",
+             "verdict.json"]
+    assert sorted(f.name for f in c.iterdir()) == names
+    for name in names:
+        assert (c / name).read_bytes() == (d / name).read_bytes()
+
+
+def test_counterexample_samples_are_the_pointwise_values(tmp_path):
+    # one line per t = -1 + k/1000 up to 2 nu_max + 1, both floats written
+    # with 17 significant digits; the bumps past 7 do not reach the samples
+    assert main(["counterexample", "--nu-max", "3", "--out", str(tmp_path)]) == 0
+    d = mb.build(12)
+    lines = ["theta,value"]
+    for k in range(8001):
+        t = -1.0 + k * 1e-3
+        lines.append(format(t, ".17g") + "," + format(d.evaluate(t), ".17g"))
+    assert (tmp_path / "density_samples.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_exit_code_2_on_config_problems(tmp_path):

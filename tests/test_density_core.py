@@ -245,6 +245,27 @@ def test_posterior_matches_pointwise_ratio():
             prior.evaluate(t) * lik(0.4, t) / ev, rel=2e-3)
 
 
+@pytest.mark.parametrize("prior", [mb.triangle(), mb.two_bumps(), mb.build(12)],
+                         ids=["triangle", "two_bumps", "counterexample"])
+def test_evidence_and_posterior_1d_take_the_pointwise_prior(prior):
+    # both quadratures multiply the prior's pointwise value at each grid
+    # midpoint into the likelihood there, so they equal these sums exactly
+    lik = lambda x, t: math.exp(-0.5 * (t - x) ** 2)
+    lo, hi = prior.support
+
+    def weights(n):
+        h = (hi - lo) / n
+        return h, [prior.evaluate(t) * lik(0.3, t) for t in (lo + h * (k + 0.5) for k in range(n))]
+
+    (h1, w1), (h2, w2) = weights(1024), weights(2048)
+    e1, e2 = h1 * math.fsum(w1), h2 * math.fsum(w2)
+    assert mb.evidence(mb.BayesModel(prior, lik, 0.3)) == (e2 + (e2 - e1) / 3.0, abs(e2 - e1))
+    h, w = weights(256)
+    w = np.array(w)
+    post = mb.posterior(mb.BayesModel(prior, lik, 0.3), grid_resolution=256)
+    assert np.array_equal(post.values, w / float(w.sum() * h))
+
+
 def test_evidence_2d_affine_likelihood_has_no_error():
     # the midpoint rule is exact for an affine likelihood on every cell
     ev, err = mb.evidence(mb.BayesModel(CORNER_ZERO_2D, lambda x, t: 1.0 + t[0], 0.0))
