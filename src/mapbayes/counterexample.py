@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .density import UscDensity1D, affine_piece, constant_piece, sqrt_piece
 from .diagnostics import SweepTrace, sweep
 from .errors import CutoffTooSmall
@@ -229,7 +231,8 @@ def verify_nonconvergence(nu_max: int = 6,
 
 
 def sample_curve(d: UscDensity1D, lo: float, hi: float,
-                 step: float = 1e-3) -> list[tuple[float, float]]:
-    """(t, value) samples on a uniform grid, for plotting the construction."""
-    n = int(round((hi - lo) / step))
-    return [(lo + k * step, d.evaluate(lo + k * step)) for k in range(n + 1)]
+                 step: float = 1e-3) -> np.ndarray:
+    """Samples of d at t = lo + k*step, k = 0..n with n = round((hi - lo)/step),
+    for plotting the construction: an (n+1, 2) array of (t, value) rows."""
+    t = lo + np.arange(int(round((hi - lo) / step)) + 1) * step
+    return np.column_stack((t, d._evaluate_sorted(t)))

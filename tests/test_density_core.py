@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mapbayes as mb
 from mapbayes.density import (
@@ -94,6 +95,46 @@ def test_infinite_points_reported():
     d = UscDensity1D((constant_piece(0.0, 1.0, 1.0),), infinite_points=(0.25,))
     assert d.evaluate(0.25) == math.inf
     assert d.evaluate(0.26) == 1.0
+
+
+def _assert_evaluate_sorted_is_evaluate(d, ts):
+    ts = np.array(sorted(ts))
+    got = d._evaluate_sorted(ts)
+    want = np.array([d.evaluate(t) for t in ts.tolist()])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _ends_and_neighbours(d):
+    return [x for b in d.breakpoints
+            for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), extra=st.lists(st.floats(-3.0, 3.0), max_size=20),
+       spike=st.floats(0.0, 1.0))
+def test_evaluate_sorted_is_evaluate_at_every_point(seed, extra, spike):
+    # every breakpoint and its float neighbours, points off the support and
+    # an infinite point, on densities with gaps between their pieces
+    d = random_piecewise(np.random.default_rng(seed), max_pieces=8, gap_prob=0.35)
+    lo, hi = d.support
+    at = lo + spike * (hi - lo)
+    d = UscDensity1D(d.pieces, mass_tol=1e-6, infinite_points=(at,))
+    _assert_evaluate_sorted_is_evaluate(
+        d, [*_ends_and_neighbours(d), lo - 1.0, hi + 1.0, at, *extra])
+
+
+def test_evaluate_sorted_at_rounding_edges():
+    # on the counterexample n - 8^-n rounds to n from n = 18 on, where the
+    # ramps become rectangles, and the cusp's formula dips below 0 at its
+    # ends; the sqrt piece is anchored 1e-16 past its start, where its
+    # radicand is negative; JUMP_DOWN's ramp starts at exactly 0
+    d = mb.build(20)
+    ts = [-0.0, *(n + e for n in range(1, 21) for e in (-(8.0 ** -n), 0.0, 8.0 ** -n))]
+    _assert_evaluate_sorted_is_evaluate(d, ts + _ends_and_neighbours(d))
+    anchored = UscDensity1D((sqrt_piece(0.0, 1.0, 1.0 / 3.0, 1.0, 1, 1e-16),))
+    for e in (anchored, JUMP_DOWN):
+        _assert_evaluate_sorted_is_evaluate(e, _ends_and_neighbours(e))
 
 
 def test_mass_validation():
@@ -264,6 +305,17 @@ def test_evidence_and_posterior_1d_take_the_pointwise_prior(prior):
     w = np.array(w)
     post = mb.posterior(mb.BayesModel(prior, lik, 0.3), grid_resolution=256)
     assert np.array_equal(post.values, w / float(w.sum() * h))
+
+
+def test_evidence_1d_grid_reads_the_larger_cell_at_a_boundary():
+    # the one midpoint of the coarse sum is the cell boundary -2.7, where the
+    # density is the larger of the two cells; (-2.7 + 3.0) / 0.3 rounds below 1
+    g = GridDensity.normalized(1, (-3.0,), (0.3,), np.array([1.0, 2.0]))
+    (lo, hi), = g.support
+    e1 = (hi - lo) * g.values[1]
+    e2 = (hi - lo) / 2 * math.fsum(g.values)
+    ev = mb.evidence(mb.BayesModel(g, lambda x, t: 1.0, 0.0), grid_resolution=1)
+    assert ev == (e2 + (e2 - e1) / 3.0, abs(e2 - e1))
 
 
 def test_evidence_2d_affine_likelihood_has_no_error():
