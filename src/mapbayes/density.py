@@ -321,8 +321,6 @@ class UscDensity1D:
         starts = np.searchsorted(t, [p.lo for p in self.pieces], side="left")
         ends = np.searchsorted(t, [p.hi for p in self.pieces], side="right")
         for p, i, j in zip(self.pieces, starts.tolist(), ends.tolist()):
-            if i == j:
-                continue
             x, q = t[i:j], p.params
             if p.kind == "constant":
                 v = q["k"]
