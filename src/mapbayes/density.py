@@ -329,7 +329,7 @@ class UscDensity1D:
             else:
                 v = q["a"] + q["b"] * np.sqrt(np.maximum(q["s"] * (x - q["t0"]), 0.0))
             np.maximum(out[i:j], v, out=out[i:j])
-        # np.maximum leaves the sign of a tie between zeros to the platform
+        # np.maximum(0.0, -0.0) can be -0.0, and evaluate never returns it
         out[~(out > 0.0)] = 0.0
         out[np.isin(t, self.infinite_points)] = math.inf
         return out
@@ -624,7 +624,8 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
     2x2, keeping the cell's prior value (``grid_resolution`` is not used).
     """
     g = m.prior
-    if _pieces_view(g) is None:
+    pieces = _pieces_view(g)
+    if pieces is None:
         def midpoint(k: int) -> float:
             h = (g.spacing[0] / k, g.spacing[1] / k)
             prior = np.repeat(np.repeat(g.values, k, axis=0), k, axis=1)
@@ -636,7 +637,6 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
 
         e1, e2 = midpoint(1), midpoint(2)
     else:
-        pieces = _pieces_view(g)
         lo, hi = pieces.support
         def midpoint(n: int) -> float:
             h = (hi - lo) / n

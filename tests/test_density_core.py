@@ -128,13 +128,15 @@ def test_evaluate_sorted_at_rounding_edges():
     # on the counterexample n - 8^-n rounds to n from n = 18 on, where the
     # ramps become rectangles, and the cusp's formula dips below 0 at its
     # ends; the sqrt piece is anchored 1e-16 past its start, where its
-    # radicand is negative; JUMP_DOWN's ramp starts at exactly 0
+    # radicand is negative; JUMP_DOWN's ramp starts at exactly 0; a piece of
+    # value -0.0 evaluates to +0.0
     d = mb.build(20)
     ts = [-0.0, *(n + e for n in range(1, 21) for e in (-(8.0 ** -n), 0.0, 8.0 ** -n))]
     _assert_evaluate_sorted_is_evaluate(d, ts + _ends_and_neighbours(d))
     anchored = UscDensity1D((sqrt_piece(0.0, 1.0, 1.0 / 3.0, 1.0, 1, 1e-16),))
-    for e in (anchored, JUMP_DOWN):
-        _assert_evaluate_sorted_is_evaluate(e, _ends_and_neighbours(e))
+    negative_zero = UscDensity1D((constant_piece(0.0, 1.0, 1.0), constant_piece(1.0, 2.0, -0.0)))
+    for e in (anchored, JUMP_DOWN, negative_zero):
+        _assert_evaluate_sorted_is_evaluate(e, [*_ends_and_neighbours(e), 1.5])
 
 
 def test_mass_validation():
