@@ -428,12 +428,13 @@ class GridDensity:
                            values / mass, **kwargs)
 
     def _axis_cells(self, k: int, x: float) -> list[int]:
-        """Cell indices along axis k whose closed extent contains coordinate x."""
+        """Cell indices along axis k whose closed extent contains coordinate x.
+        The quotient (x - o)/h can round to either side of a cell index, so
+        the cells on both sides of its floor are checked against x."""
         o, h, n = self.origin[k], self.spacing[k], self.shape[k]
-        pos = (x - o) / h
-        i = math.floor(pos)
+        i = math.floor((x - o) / h)
         out = []
-        for j in (i - 1, i):
+        for j in (i - 1, i, i + 1):
             if 0 <= j < n and o + j * h <= x <= o + (j + 1) * h:
                 out.append(j)
         return out

@@ -262,6 +262,16 @@ def test_grid_2d_evaluate_boundary_max():
     assert g.evaluate((1.2, 0.2)) == 0.0
 
 
+def test_grid_evaluate_takes_the_larger_cell_where_the_quotient_rounds_low():
+    # (-2.7 + 3.0) / 0.3 = 0.9999999999999993, so the floor names the cell
+    # left of the line x = -2.7 and the cell right of it must be looked at too
+    g = GridDensity.normalized(1, (-3.0,), (0.3,), np.array([1.0, 2.0]))
+    assert g.evaluate(-2.7) == g.values[1]
+    g2 = GridDensity.normalized(2, (-3.0, 0.0), (0.3, 0.5), np.array([[1.0, 1.0], [2.0, 2.0]]))
+    assert g2.evaluate((-2.7, 0.25)) == g2.values[1, 0]
+    assert g2.evaluate((-2.7, 0.5)) == g2.values[1].max()
+
+
 # --- posterior machinery ----------------------------------------------------
 
 
