@@ -29,7 +29,6 @@ from .density import (
     affine_piece,
     constant_piece,
     density_from_json,
-    density_to_json,
     evidence,
     posterior,
     sqrt_piece,
@@ -67,7 +66,7 @@ from .gallery import (
     two_bumps,
     uniform,
 )
-from .windows import BallObjective, ball_integral, ball_volume, disc_rect_overlap, mollified_sup
+from .windows import BallObjective, ball_integral, disc_rect_overlap, mollified_sup
 
 __version__ = "0.1.0"
 
@@ -98,13 +97,11 @@ __all__ = [
     "approx_gap",
     "asymmetric_triangle",
     "ball_integral",
-    "ball_volume",
     "bayes_estimate",
     "build",
     "check_conditions",
     "constant_piece",
     "density_from_json",
-    "density_to_json",
     "disc_rect_overlap",
     "domination_margin",
     "hypo_diagnostic",

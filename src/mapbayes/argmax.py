@@ -134,9 +134,10 @@ def maximize_density(d, box=None) -> ArgmaxResult:
     """Argmax of the pointwise density over a closed box.
 
     Pieces are monotone, so the exact candidates are the piece endpoints
-    (with the boundary-max convention) plus every flat piece, whatever its
-    formula, and the stretches off the support, which enter as plateau
-    intervals.  2D grids contribute their maximizing closed cells, and the
+    (with the boundary-max convention) plus every flat segment of the
+    density's profile, whatever its formula, which enters as a plateau
+    interval; the profile's zero segments cover the box off the support.
+    2D grids contribute their maximizing closed cells, and the
     part of the box off the grid enters as value 0.  The box defaults to
     the support.  Values within 4 ulps of the sup, a bound on their float
     error, tie with it.
@@ -166,11 +167,8 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
 
     candidates = {lo, hi}
     candidates.update(b for b in d.breakpoints if lo <= b <= hi)
-    # flat segments, the gaps' zero pieces included, and the box beyond the support
-    s_lo, s_hi = d.support
     plateaus = [(max(p.lo, lo), min(p.hi, hi), p.value(p.lo)) for p in d._segments
                 if p.direction() == 0 and p.hi > lo and p.lo < hi]
-    plateaus += [(a, b, 0.0) for a, b in ((lo, min(s_lo, hi)), (max(s_hi, lo), hi)) if a < b]
 
     scored = [(d.evaluate(t), t) for t in sorted(candidates)]
     sup = max([v for v, _ in scored] + [v for _, _, v in plateaus])
@@ -217,17 +215,9 @@ def _maximize_density_grid(d: GridDensity, box) -> ArgmaxResult:
 # ---------------------------------------------------------------------------
 
 
-_GAP = Piece(0.0, 1.0, "constant", {"k": 0.0})  # stand-in for off-support stretches
-
-
 def _piece_covering(d: UscDensity1D, x: float) -> Piece:
-    """Piece whose half-open interval contains x, or the zero stand-in."""
-    i = bisect_right(d._starts, x) - 1
-    if 0 <= i < len(d.pieces):
-        p = d.pieces[i]
-        if p.lo <= x < p.hi:
-            return p
-    return _GAP
+    """Segment of the density's profile whose half-open interval contains x."""
+    return d._segments[bisect_right(d._segment_starts, x) - 1]
 
 
 def _affine_coeffs(p: Piece) -> tuple[float, float, float] | None:

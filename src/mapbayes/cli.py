@@ -211,7 +211,7 @@ def _cmd_counterexample(args) -> None:
                           "a one-rung ladder cannot give a verdict")
     report = verify_nonconvergence(args.nu_max, args.max_bump)
     out = _outdir(args)
-    d = build(report.max_bump)
+    d = report.density
     _write_json(out / "density.json", d.to_json())
     samples = sample_curve(d, -1.0, 2 * args.nu_max + 1.0)
     # "%.17g" is the formatter of fmt17, applied to every float in one call

@@ -23,7 +23,7 @@ float resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -164,7 +164,8 @@ class NonconvergenceReport:
     """Everything needed to certify the escape along the scale ladder.
 
     ``failures`` names each check that failed; it is empty when the
-    escape is certified.
+    escape is certified.  ``density`` is the ``build(max_bump)`` density
+    the checks ran on.
     """
 
     max_bump: int
@@ -173,6 +174,7 @@ class NonconvergenceReport:
     rows: tuple[DominationRow, ...]
     trace: SweepTrace
     failures: tuple[str, ...]
+    density: UscDensity1D = field(repr=False)
 
     @property
     def ok(self) -> bool:
@@ -227,7 +229,7 @@ def verify_nonconvergence(nu_max: int = 6,
         failures.append("verdict")
     return NonconvergenceReport(max_bump=max_bump, map_sup=mode.sup_value,
                                 map_canonical=mode.canonical, rows=tuple(rows),
-                                trace=trace, failures=tuple(failures))
+                                trace=trace, failures=tuple(failures), density=d)
 
 
 def sample_curve(d: UscDensity1D, lo: float, hi: float,

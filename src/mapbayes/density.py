@@ -28,7 +28,6 @@ __all__ = [
     "posterior",
     "evidence",
     "density_from_json",
-    "density_to_json",
 ]
 
 _KINDS = ("constant", "affine", "sqrt")
@@ -202,8 +201,7 @@ class Piece:
 
     @staticmethod
     def from_json(obj: dict) -> "Piece":
-        return Piece(float(obj["lo"]), float(obj["hi"]), str(obj["kind"]),
-                     {k: (int(v) if k == "s" else float(v)) for k, v in obj["params"].items()})
+        return Piece(obj["lo"], obj["hi"], obj["kind"], obj["params"])
 
 
 def constant_piece(lo: float, hi: float, k: float) -> Piece:
@@ -235,10 +233,16 @@ class UscDensity1D:
     materialized pieces with plateaus whose heights approach the given value;
     level sets below it are treated as unbounded.
 
-    ``_segments`` is the profile over the support: the pieces in order with
-    a zero constant piece in each gap between them.  ``_breakpoints`` holds
-    every distinct piece end in order; pieces may overlap by 1e-15 relative,
-    so an end can fall inside the next piece and is kept all the same.
+    ``_segments`` is the profile over the whole line, built once: the
+    pieces in order, a zero constant piece in each gap between them and out
+    to -inf and +inf past the ends of the support, and each segment holding
+    an infinite point cut in two there.  Every point t lies in segment
+    ``bisect_right(_segment_starts, t) - 1``, and every jump and infinite
+    point is a segment start.  Integrals read ``pieces`` alone: a zero
+    piece of infinite length has antiderivative 0 * inf = nan.
+    ``_breakpoints`` holds every distinct piece end in order; pieces may
+    overlap by 1e-15 relative, so an end can fall inside the next piece and
+    is kept all the same.
     """
 
     pieces: tuple[Piece, ...]
@@ -247,6 +251,7 @@ class UscDensity1D:
     tail_height_sup: float | None = None
     _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
+    _segment_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -258,12 +263,20 @@ class UscDensity1D:
                 raise ValueError(f"pieces overlap near t={cur.lo}")
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "_starts", tuple(p.lo for p in pieces))
-        segments = [pieces[0]]
-        for p in pieces[1:]:
+        segments = [constant_piece(-math.inf, pieces[0].lo, 0.0)]
+        for p in pieces:
             if p.lo > segments[-1].hi:
                 segments.append(constant_piece(segments[-1].hi, p.lo, 0.0))
             segments.append(p)
+        segments.append(constant_piece(segments[-1].hi, math.inf, 0.0))
+        for t in self.infinite_points:
+            i = bisect_right([p.lo for p in segments], t) - 1
+            p = segments[i]
+            if p.lo < t:
+                segments[i:i + 1] = [Piece(p.lo, t, p.kind, p.params),
+                                     Piece(t, p.hi, p.kind, p.params)]
         object.__setattr__(self, "_segments", tuple(segments))
+        object.__setattr__(self, "_segment_starts", tuple(p.lo for p in segments))
         object.__setattr__(self, "_breakpoints",
                            tuple(sorted({p.lo for p in pieces} | {p.hi for p in pieces})))
         mass = self.total_mass
@@ -284,29 +297,21 @@ class UscDensity1D:
         """Smallest interval containing all pieces."""
         return self._breakpoints[0], self._breakpoints[-1]
 
-    def _containing(self, t: float) -> list[Piece]:
-        # pieces[i - 1] is the last to start at or before t; pieces[i - 2]
-        # may end at t, where it meets it
-        i = bisect_right(self._starts, t)
-        out = []
-        for j in (i - 2, i - 1):
-            if 0 <= j < len(self.pieces):
-                p = self.pieces[j]
-                if p.lo <= t <= p.hi:
-                    out.append(p)
-        return out
-
     def evaluate(self, t: float) -> float:
         """Pointwise value: the max of one-sided limits at t (0 off support).
 
-        Never negative: the density is nonnegative by construction, and any
-        sub-zero float dust a piece formula produces at its edge loses to
-        the off-support zero limit anyway.
+        The segment holding t gives one limit; the one before it gives the
+        other where it reaches t.  Never negative: the density is
+        nonnegative by construction, and any sub-zero float dust a piece
+        formula produces at its edge loses to the off-support zero limit.
         """
         if t in self.infinite_points:
             return math.inf
-        vals = [p.value(t) for p in self._containing(t)]
-        return max(vals) if vals and max(vals) > 0.0 else 0.0
+        i = bisect_right(self._segment_starts, t) - 1
+        v = self._segments[i].value(t)
+        if i and t <= self._segments[i - 1].hi:
+            v = max(v, self._segments[i - 1].value(t))
+        return v if v > 0.0 else 0.0
 
     def __call__(self, t: float) -> float:
         return self.evaluate(t)
@@ -569,10 +574,6 @@ def _disc_masses(g: GridDensity, cx, cy, R: float) -> np.ndarray:
     :func:`_corner_areas` on the centre's vertex lattice."""
     ex, ey, vals = _disc_lattice(g, cx, cy, R)
     return _lattice_sum(_corner_areas(ex[:, None, :], ey[None, :, :], R), vals)
-
-
-def density_to_json(d: Density) -> dict:
-    return d.to_json()
 
 
 def density_from_json(obj: dict, **kwargs) -> Density:

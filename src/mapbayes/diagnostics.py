@@ -13,8 +13,11 @@ A 1D grid is examined on its piecewise view; ``sweep``, ``hypo_diagnostic``
 and ``sup_on_interval`` exist in 1D only and reject 2D grids up front.
 
 The shape checks of ``check_conditions`` are exact: quasiconcavity and
-log-concavity are decided from the pieces or the cells, and every False
-comes with a counterwitness the density's own pointwise values confirm.
+log-concavity are decided from the cells of a 2D grid, and in 1D from the
+density's profile over the whole line (its pieces, the zero segments off
+them and a cut at each infinite point), which the interval sups and the
+Lipschitz check of ``hypo_diagnostic`` read as well.  Every False comes
+with a counterwitness the density's own pointwise values confirm.
 
 No check takes a tuning setting: the float-dust and witness margins of
 ``check_conditions``, the cluster radius of ``sweep`` and the float slack
@@ -168,45 +171,10 @@ class ConditionReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class _Seg:
-    lo: float
-    hi: float
-    v_lo: float
-    v_hi: float
-    dirn: int
-    piece: Piece | None  # None marks a zero stretch _cut_at adds beyond the support
-
-
-def _segments(d: UscDensity1D) -> list[_Seg]:
-    return [_Seg(p.lo, p.hi, *p.endpoint_values(), p.direction(), p) for p in d._segments]
-
-
-def _cut_at(segs: list[_Seg], t: float) -> list[_Seg]:
-    """The segments with one starting at t: a segment holding t is split
-    there, and a t off the support gets zero stretches out to it."""
-    first, last = segs[0], segs[-1]
-    if t < first.lo:
-        return [_Seg(t, first.lo, 0.0, 0.0, 0, None)] + segs
-    if t >= last.hi:
-        gap = [_Seg(last.hi, t, 0.0, 0.0, 0, None)] if t > last.hi else []
-        return segs + gap + [_Seg(t, t, 0.0, 0.0, 0, None)]
-    out = []
-    for seg in segs:
-        if seg.lo < t < seg.hi:
-            v = seg.piece.value(t) if seg.piece is not None else 0.0
-            out += [_Seg(seg.lo, t, seg.v_lo, v, seg.dirn, seg.piece),
-                    _Seg(t, seg.hi, v, seg.v_hi, seg.dirn, seg.piece)]
-        else:
-            out.append(seg)
-    return out
-
-
-def _step_in(seg: _Seg, m: float) -> float:
+def _step_in(p: Piece, m: float) -> float:
     """Offset into the segment that moves its value by at most m/4."""
-    cap = 0.5 * (seg.hi - seg.lo)
-    p = seg.piece
-    if p is None or p.kind == "constant":
+    cap = 0.5 * (p.hi - p.lo)
+    if p.kind == "constant":
         return cap
     b = abs(p.params["b"])
     if b == 0.0:
@@ -236,23 +204,22 @@ def _verified_witness(d, x, y, lam: float, geometric: bool = False) -> tuple | N
 def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
     """Exact unimodality check: nondecreasing then nonincreasing profile.
 
-    Pieces are monotone, so the profile is captured by piece directions and
-    the jumps between one-sided limits (zero off support).  An infinite
-    point is a spike: a rise up to it, then a fall.  Any rise after a
-    genuine fall yields a valley, from which a strict counterwitness triple
-    is constructed.
+    The profile's segments are monotone, so it is captured by their
+    directions and the jumps between one-sided limits.  An infinite point
+    starts a segment and is a spike there: a rise up to it, then a fall.
+    Any rise after a genuine fall yields a valley, from which a strict
+    counterwitness triple is constructed.
     """
-    segs = _segments(d)
-    for t in d.infinite_points:
-        segs = _cut_at(segs, t)
+    segs = d._segments
     descending = False
     run_max_val = 0.0
-    run_max_pos = segs[0].lo - 1.0
+    run_max_pos = -math.inf
     prev_val = 0.0
     for i, seg in enumerate(segs):
         pos = seg.lo
+        v_lo, v_hi = seg.endpoint_values()
         spike = pos in d.infinite_points
-        if (spike or seg.v_lo - prev_val > _EVENT_TOL) and descending:
+        if (spike or v_lo - prev_val > _EVENT_TOL) and descending:
             # jump up out of a valley: approach the valley inside segs[i-1]
             v_top = d.evaluate(pos)
             m = min(run_max_val, v_top) - prev_val
@@ -262,16 +229,16 @@ def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
                                       (pos - z) / (pos - run_max_pos))
                 if w:
                     return False, w
-        if spike or seg.v_lo - prev_val < -_EVENT_TOL:
+        if spike or v_lo - prev_val < -_EVENT_TOL:
             descending = True
         env = d.evaluate(pos)
         if env > run_max_val:
             run_max_val, run_max_pos = env, pos
-        move = seg.v_hi - seg.v_lo
+        move = v_hi - v_lo
         if move > _EVENT_TOL:
             if descending:
-                v_top = min(run_max_val, seg.v_hi)
-                m = v_top - seg.v_lo
+                v_top = min(run_max_val, v_hi)
+                m = v_top - v_lo
                 if m > 4.0 * _WITNESS_MARGIN:
                     z = seg.lo + _step_in(seg, m)
                     w = _verified_witness(d, run_max_pos, seg.hi,
@@ -280,7 +247,7 @@ def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
                         return False, w
         elif move < -_EVENT_TOL:
             descending = True
-        prev_val = seg.v_hi
+        prev_val = v_hi
     return True, None
 
 
@@ -293,11 +260,10 @@ def _witness_by_halving(d, triple, span: float) -> tuple | None:
     return None
 
 
-def _slope(seg: _Seg, t: float) -> float:
+def _slope(p: Piece, t: float) -> float:
     """One-sided derivative of the segment's formula at its end t; a sqrt
     arc is infinitely steep where its radicand vanishes."""
-    p = seg.piece
-    if p is None or p.kind == "constant":
+    if p.kind == "constant":
         return 0.0
     b = p.params["b"]
     if p.kind == "affine" or b == 0.0:
@@ -307,7 +273,7 @@ def _slope(seg: _Seg, t: float) -> float:
     return sb / (2.0 * w) if w > 0.0 else math.copysign(math.inf, sb)
 
 
-def _log_convex_stretch(p: Piece | None) -> tuple[float, float] | None:
+def _log_convex_stretch(p: Piece) -> tuple[float, float] | None:
     """(anchor, far end) of the stretch of a sqrt arc on which log f is
     strictly convex; None when log f is concave on the whole piece.
 
@@ -316,7 +282,7 @@ def _log_convex_stretch(p: Piece | None) -> tuple[float, float] | None:
     factor is >= 0 at the anchor, the end where w is smallest; otherwise it
     is convex up to w = -a/(2*b) or the far end.
     """
-    if p is None or p.kind != "sqrt":
+    if p.kind != "sqrt":
         return None
     a, b, s, t0 = p.params["a"], p.params["b"], p.params["s"], p.params["t0"]
     anchor, far = (p.lo, p.hi) if s == 1 else (p.hi, p.lo)
@@ -330,18 +296,16 @@ def _log_concave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
     """Exact log-concavity check for a density that passed the
     quasiconcavity walk, so that its support is an interval.
 
-    Past the zero pieces at the ends of the support, log f is concave iff
+    Past the zero segments at the ends of the support, log f is concave iff
     every sqrt arc is (constant and affine pieces always are) and every
     interior breakpoint has no jump and a one-sided slope that does not
     increase, f'(t-) >= f'(t+).  An infinite point is never log-concave:
-    the segments are cut there, as in the quasiconcavity walk, so no
-    segment midpoint sits on it.  Each violation is tried with shrinking triples around it; one that no
-    triple verifies is float dust.
+    the profile is cut there, so no segment midpoint sits on it.  Each
+    violation is tried with shrinking triples around it; one that no triple
+    verifies is float dust.
     """
-    segs = _segments(d)
-    for t in d.infinite_points:
-        segs = _cut_at(segs, t)
-    live = [i for i, seg in enumerate(segs) if max(seg.v_lo, seg.v_hi) > 0.0]
+    segs = d._segments
+    live = [i for i, seg in enumerate(segs) if max(seg.endpoint_values()) > 0.0]
     segs = segs[live[0]:live[-1] + 1]
     for t in d.infinite_points:
         for seg in segs:
@@ -351,7 +315,7 @@ def _log_concave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
     for i, seg in enumerate(segs):
         if i:
             prev, t = segs[i - 1], seg.lo
-            jump = seg.v_lo - prev.v_hi
+            jump = seg.value(t) - prev.value(prev.hi)
             # z = t - h/2 below a jump up, t + h/2 past a jump down, t at a kink
             lam = None
             if jump > _EVENT_TOL:
@@ -365,7 +329,7 @@ def _log_concave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
                                         min(prev.hi - prev.lo, seg.hi - seg.lo))
                 if w:
                     return False, w
-        stretch = _log_convex_stretch(seg.piece)
+        stretch = _log_convex_stretch(seg)
         if stretch is not None:
             anchor, far = stretch
             w = _witness_by_halving(d, lambda h: (anchor, anchor + h, 0.5), far - anchor)
@@ -667,9 +631,9 @@ def sup_on_interval(d, lo: float, hi: float, *, closed: bool = True) -> float:
     A closed interval gives the sup of :func:`maximize_density` over it,
     the envelope at its ends included.  An open one takes, from each segment
     of the profile it meets with positive length, the values at the cut
-    ends: only this-side limits.  An infinite point inside gives inf, and
-    the density's 0 enters wherever the interval leaves the support.  Works
-    on piecewise densities and 1D grids.
+    ends: only this-side limits, the zero segments off the support
+    included.  An infinite point inside gives inf.  Works on piecewise
+    densities and 1D grids.
     """
     d = _pieces_1d(d, "sup_on_interval")
     if hi < lo:
@@ -679,9 +643,6 @@ def sup_on_interval(d, lo: float, hi: float, *, closed: bool = True) -> float:
     cands = [p.value(t) for p in d._segments if min(p.hi, hi) > max(p.lo, lo)
              for t in (max(p.lo, lo), min(p.hi, hi))]
     cands.extend(math.inf for t in d.infinite_points if lo < t < hi)
-    s_lo, s_hi = d.support
-    if lo < s_lo or hi > s_hi:
-        cands.append(0.0)
     return max(cands, default=0.0)
 
 
@@ -690,12 +651,8 @@ def _lipschitz_with_jumps(d: UscDensity1D, lo: float, hi: float) -> float:
     infinite point sits inside."""
     if any(lo < t < hi for t in d.infinite_points):
         return math.inf
-    segs = d._segments
-    # the one-sided values at each segment start and at the end of the support
-    left = [0.0] + [p.value(p.hi) for p in segs]
-    right = [p.value(p.lo) for p in segs] + [0.0]
-    for t, a, b in zip([p.lo for p in segs] + [segs[-1].hi], left, right):
-        if lo < t < hi and abs(a - b) > 1e-12:
+    for a, b in zip(d._segments, d._segments[1:]):
+        if lo < b.lo < hi and abs(a.value(a.hi) - b.value(b.lo)) > 1e-12:
             return math.inf
     return d.lipschitz_bound(lo, hi)
 

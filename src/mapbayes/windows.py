@@ -29,18 +29,7 @@ import numpy as np
 from .argmax import ArgmaxResult, maximize_objective_2d, maximize_window
 from .density import UscDensity1D, _corner_areas, _disc_masses, _pieces_view
 
-__all__ = ["BallObjective", "ball_integral", "mollified_sup", "ball_volume"]
-
-
-def ball_volume(dim: int, radius: float) -> float:
-    """Volume of a ball: 2r in 1D, pi r^2 in 2D."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if dim == 1:
-        return 2.0 * radius
-    if dim == 2:
-        return math.pi * radius * radius
-    raise ValueError("only dims 1 and 2 are supported")
+__all__ = ["BallObjective", "ball_integral", "mollified_sup"]
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,8 @@ class BallObjective:
 
     @property
     def ball_vol(self) -> float:
-        return ball_volume(self.dim, self.radius)
+        """Volume of the ball: 2r in 1D, pi r^2 in 2D."""
+        return 2.0 * self.radius if self.dim == 1 else math.pi * self.radius * self.radius
 
     def value(self, theta) -> float:
         return ball_integral(self, theta)

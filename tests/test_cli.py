@@ -92,7 +92,7 @@ def test_counterexample_command(tmp_path):
 def test_map_and_bayes_commands_on_inline_grid_1d(tmp_path):
     g = grid_1d("zero_cells")
     (lo, hi), = g.support
-    density = mb.density_to_json(g)
+    density = g.to_json()
     assert density["dim"] == 1
     cfg = _write_config(tmp_path / "c.json", {"density": density, "c": 10.0})
     assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -118,7 +118,7 @@ def test_map_and_bayes_commands_on_inline_grid_1d(tmp_path):
 def test_density_from_file_path(tmp_path):
     d = mb.triangle()
     dens_path = tmp_path / "density.json"
-    dens_path.write_text(json.dumps(mb.density_to_json(d)))
+    dens_path.write_text(json.dumps(d.to_json()))
     cfg = _write_config(tmp_path / "c.json", {"density": str(dens_path)})
     assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 0
     out = json.loads((tmp_path / "map.json").read_text())

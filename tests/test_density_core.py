@@ -13,7 +13,6 @@ from mapbayes.density import (
     affine_piece,
     constant_piece,
     density_from_json,
-    density_to_json,
     sqrt_piece,
 )
 
@@ -80,6 +79,7 @@ def test_envelope_takes_max_of_one_sided_limits():
     assert d.evaluate(1.5) == 1.2       # right support edge, left limit
     assert d.evaluate(2.0) == 0.0
     assert d.evaluate(-0.3) == 0.0
+    assert d.evaluate(math.nan) == 0.0  # no segment holds nan: 0, not an error
     assert mb.step().evaluate(0.5) == 2.0
     assert JUMP_DOWN.evaluate(0.5) == 2.0  # jump down: the left limit wins
 
@@ -112,13 +112,14 @@ def _ends_and_neighbours(d):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), extra=st.lists(st.floats(-3.0, 3.0), max_size=20),
-       spike=st.floats(0.0, 1.0))
+       spike=st.one_of(st.sampled_from(["lo", "hi"]), st.floats(-0.5, 1.5)))
 def test_evaluate_sorted_is_evaluate_at_every_point(seed, extra, spike):
     # every breakpoint and its float neighbours, points off the support and
-    # an infinite point, on densities with gaps between their pieces
+    # an infinite point, on the support, at one of its ends or beyond it, on
+    # densities with gaps between their pieces
     d = random_piecewise(np.random.default_rng(seed), max_pieces=8, gap_prob=0.35)
     lo, hi = d.support
-    at = lo + spike * (hi - lo)
+    at = {"lo": lo, "hi": hi}.get(spike) if isinstance(spike, str) else lo + spike * (hi - lo)
     d = UscDensity1D(d.pieces, mass_tol=1e-6, infinite_points=(at,))
     _assert_evaluate_sorted_is_evaluate(
         d, [*_ends_and_neighbours(d), lo - 1.0, hi + 1.0, at, *extra])
@@ -211,7 +212,7 @@ def test_lipschitz_bound_is_a_bound(rng):
 
 def test_piecewise_json_round_trip():
     d = mb.build(8)
-    blob = json.dumps(density_to_json(d))
+    blob = json.dumps(d.to_json())
     d2 = density_from_json(json.loads(blob),
                            mass_tol=mb.omitted_tail_mass(8) + 1e-9,
                            tail_height_sup=1.0)
@@ -222,7 +223,7 @@ def test_piecewise_json_round_trip():
 
 def test_grid_json_round_trip():
     g = GridDensity.normalized(1, (0.0,), (0.25,), np.array([1.0, 2.0, 0.5, 0.5]))
-    blob = json.dumps(density_to_json(g))
+    blob = json.dumps(g.to_json())
     g2 = density_from_json(json.loads(blob))
     assert isinstance(g2, GridDensity)
     assert g2.total_mass == pytest.approx(1.0, abs=1e-12)

@@ -440,17 +440,21 @@ def test_sup_on_interval_includes_gap_zero():
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), ends=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
-def test_interval_sups_are_the_max_at_ends_and_breakpoints(seed, ends):
+@given(seed=st.integers(0, 2**32 - 1), ends=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       spike=st.floats(-3.5, 3.5))
+def test_interval_sups_are_the_max_at_ends_and_breakpoints(seed, ends, spike):
     # pieces are monotone, so on an interval with ends off the breakpoints
-    # every sup is the largest pointwise value at an end or a breakpoint inside
+    # every sup is the largest pointwise value at an end or a breakpoint
+    # inside; an infinite point makes it inf where the interval holds it
     lo, hi = sorted(ends)
     assume(lo < hi)
-    d = random_piecewise(np.random.default_rng(seed), max_pieces=8)
-    expect = max(d.evaluate(t) for t in (lo, hi, *(b for b in d.breakpoints if lo < b < hi)))
-    assert sup_on_interval(d, lo, hi, closed=True) == expect
-    assert sup_on_interval(d, lo, hi, closed=False) == expect
-    assert mb.map_estimate(d, (lo, hi)).sup_value == expect
+    base = random_piecewise(np.random.default_rng(seed), max_pieces=8)
+    d = UscDensity1D(base.pieces, mass_tol=1e-6, infinite_points=(spike,))
+    expect = max(base.evaluate(t) for t in (lo, hi, *(b for b in d.breakpoints if lo < b < hi)))
+    closed = math.inf if lo <= spike <= hi else expect
+    assert sup_on_interval(d, lo, hi, closed=True) == closed
+    assert sup_on_interval(d, lo, hi, closed=False) == (math.inf if lo < spike < hi else expect)
+    assert mb.map_estimate(d, (lo, hi)).sup_value == closed
 
 
 def test_hypo_triangle_all_pass():

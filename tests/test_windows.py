@@ -5,17 +5,10 @@ import pytest
 
 import mapbayes as mb
 from mapbayes.density import GridDensity, _disc_masses
-from mapbayes.windows import BallObjective, ball_integral, ball_volume, disc_rect_overlap, mollified_sup
+from mapbayes.windows import BallObjective, ball_integral, disc_rect_overlap, mollified_sup
 
 from conftest import random_piecewise
 from oracles import disc_area_subdivision, disc_rect_area, grid_disc_mass, window_mass
-
-
-def test_ball_volume():
-    assert ball_volume(1, 0.25) == 0.5
-    assert ball_volume(2, 2.0) == pytest.approx(4.0 * math.pi, abs=1e-15)
-    with pytest.raises(ValueError):
-        ball_volume(3, 1.0)
 
 
 def test_normalized_average_of_constant_is_fixed_point():
