@@ -339,6 +339,67 @@ def test_flat_pieces_are_plateaus(piece):
     assert mb.sweep(d, [2.0, 8.0, 32.0, 128.0]).verdict == "converges_to_MAP"
 
 
+_W = math.sqrt(0.5)
+
+#: flat affine (t0 != 0) and flat sqrt pieces of both orientations between
+#: sloped affine pieces and sqrt arcs: a valley just past the flat affine
+#: piece, a convex kink at the first flat sqrt piece, and a log-concave one
+_FLAT_LAYOUTS = {
+    "valley": [
+        sqrt_piece(0.0, 1.0, 0.2, 0.5, 1, 0.0),
+        affine_piece(1.0, 1.5, 0.3, 0.0, t0=1.25),
+        affine_piece(1.5, 2.0, 0.5, -0.4, t0=1.5),
+        sqrt_piece(2.0, 2.5, 0.3, 0.0, -1, 2.5),
+        sqrt_piece(2.5, 3.0, 0.1, 0.2 / _W, 1, 2.5),
+        sqrt_piece(3.0, 3.5, 0.2, 0.0, 1, 3.0),
+    ],
+    "kink": [
+        sqrt_piece(0.0, 1.0, 0.2, 0.5, 1, 0.0),
+        affine_piece(1.0, 1.5, 0.7, 0.0, t0=1.25),
+        affine_piece(1.5, 2.0, 0.7, -0.4, t0=1.5),
+        sqrt_piece(2.0, 2.5, 0.5, 0.0, -1, 2.5),
+        sqrt_piece(2.5, 3.0, 0.1, 0.4 / _W, -1, 3.0),
+        sqrt_piece(3.0, 3.5, 0.1, 0.0, 1, 3.0),
+    ],
+    "log_concave": [
+        sqrt_piece(0.0, 1.0, 0.2, 0.5, 1, 0.0),
+        sqrt_piece(1.0, 1.5, 0.7, 0.0, 1, 1.0),
+        sqrt_piece(1.5, 2.0, 0.7, 0.0, -1, 2.0),
+        affine_piece(2.0, 2.5, 0.7, -0.8, t0=2.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_FLAT_LAYOUTS))
+def test_flat_piece_of_any_kind_is_a_constant(layout):
+    d = unit_mass(_FLAT_LAYOUTS[layout])
+    twin = UscDensity1D(tuple(
+        constant_piece(p.lo, p.hi, p.params["a"])
+        if p.kind != "constant" and p.params["b"] == 0.0 else p
+        for p in d.pieces), mass_tol=1e-6)
+    assert [p.kind for p in twin.pieces].count("constant") >= 2
+    lo, hi = d.support
+    mid = 0.5 * (lo + hi)
+
+    def answers(e):
+        yield mb.map_estimate(e)
+        yield mb.map_estimate(e, (lo - 1.0, hi + 1.0))
+        for c in (2.0, 8.0, 64.0, 1000.0):
+            yield mb.bayes_estimate(e, mb.LossSpec(c))
+        yield mb.check_conditions(e, alpha_grid=[0.1, 0.5, 0.9])
+        for alpha in (0.1, 0.25, 0.4, 0.6):
+            yield mb.level_set(e, alpha)
+        for a, b in ((lo, hi), (0.9, 2.6), (1.1, 1.4), (2.1, 3.4)):
+            yield sup_on_interval(e, a, b, closed=True), sup_on_interval(e, a, b, closed=False)
+        yield mb.hypo_diagnostic(e, [4.0, 16.0], [(lo, mid)], [(lo, hi), (1.1, 2.4)])
+        ts = [x for b in e.breakpoints
+              for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+        yield [e.evaluate(t) for t in ts]
+        yield e._evaluate_sorted(np.array(ts)).tolist()
+
+    assert list(answers(d)) == list(answers(twin))
+
+
 def test_sweep_asymmetric_decay_rule():
     ladder = [2.0 * 4.0 ** nu for nu in range(1, 7)]
     tr = mb.sweep(mb.asymmetric_triangle(-1.0, 0.5, 1.0), ladder)
