@@ -220,18 +220,6 @@ def _piece_covering(d: UscDensity1D, x: float) -> Piece:
     return d._segments[bisect_right(d._segment_starts, x) - 1]
 
 
-def _affine_coeffs(p: Piece) -> tuple[float, float, float] | None:
-    """(a, b, t0) for pieces of the form a + b*(t - t0), flat sqrt arcs
-    included; None for genuine sqrt arcs."""
-    if p.kind == "constant":
-        return p.params["k"], 0.0, 0.0
-    if p.kind == "affine":
-        return p.params["a"], p.params["b"], p.params.get("t0", 0.0)
-    if p.params["b"] == 0.0:
-        return p.params["a"], 0.0, 0.0
-    return None
-
-
 def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float] | None:
     """Real roots of qa*w^2 + qb*w + qc = 0; None when every coefficient is zero.
 
@@ -261,11 +249,8 @@ def _stationary_points(p_hi: Piece, p_lo: Piece, r: float,
     a1 + b1*w1 = a2 + b2*w2 gives a quadratic in w2.  The caller keeps the
     roots that fall strictly inside the stretch.
     """
-    hi_aff = _affine_coeffs(p_hi)
-    lo_aff = _affine_coeffs(p_lo)
-    if hi_aff is not None and lo_aff is not None:
-        a_p, b_p, t_p = hi_aff
-        a_m, b_m, t_m = lo_aff
+    (a_p, b_p, _, t_p, root_p), (a_m, b_m, _, t_m, root_m) = p_hi._form, p_lo._form
+    if not (root_p or root_m):
         # solve in coordinates shifted to the stretch midpoint m, so products
         # stay small even for steep distant pieces
         c1 = b_p - b_m
@@ -275,21 +260,18 @@ def _stationary_points(p_hi: Piece, p_lo: Piece, r: float,
         return [mid - c0 / c1]
 
     # F' = 0 reads the same with the sides swapped: put a sqrt arc first
-    if hi_aff is None:
-        (p1, shift1), (p2, shift2), aff = (p_hi, r), (p_lo, -r), lo_aff
-    else:
-        (p1, shift1), (p2, shift2), aff = (p_lo, -r), (p_hi, r), hi_aff
-    a1, b1, s1 = p1.params["a"], p1.params["b"], p1.params["s"]
-    tau1 = p1.params["t0"] - shift1
-    if aff is not None:
-        a, b, t0 = aff
-        # the affine side is A + b*(theta - mid)
-        A = a + b * ((mid - t0) + shift2)
-        ws = _quadratic_roots(-b * s1, b1, (a1 - A) - b * (tau1 - mid))
+    sides = [(p_hi._form, r), (p_lo._form, -r)]
+    if not root_p:
+        sides.reverse()
+    ((a1, b1, s1, t1, _), shift1), ((a2, b2, s2, t2, root2), shift2) = sides
+    tau1 = t1 - shift1
+    if not root2:
+        # the affine side is A + b2*(theta - mid)
+        A = a2 + b2 * ((mid - t2) + shift2)
+        ws = _quadratic_roots(-b2 * s1, b1, (a1 - A) - b2 * (tau1 - mid))
         return None if ws is None else [tau1 + s1 * w * w for w in ws if w >= 0.0]
 
-    a2, b2, s2 = p2.params["a"], p2.params["b"], p2.params["s"]
-    tau2 = p2.params["t0"] - shift2
+    tau2 = t2 - shift2
     if abs(b2) > abs(b1):  # divide by the steeper arc, so |Q| <= 1
         a1, b1, s1, tau1, a2, b2, s2, tau2 = a2, b2, s2, tau2, a1, b1, s1, tau1
     P, Q = (a2 - a1) / b1, b2 / b1
@@ -324,7 +306,7 @@ def _window_error(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
     if not near:
         return 0.0
     ends = np.array([(p.lo, p.hi) for p in near])
-    c = [p.params.get("k", p.params.get("a")) for p in near]
+    c = [p._form[0] for p in near]
     rounding = np.abs(c) * np.abs(ends).max(axis=1)  # in units of eps, per piece
     f_max = 0.0
     for k, p in enumerate(near):

@@ -30,51 +30,62 @@ __all__ = [
     "density_from_json",
 ]
 
-_KINDS = ("constant", "affine", "sqrt")
-
 
 @dataclass(frozen=True)
 class Piece:
     """One analytic piece of a 1D density on the half-open interval [lo, hi).
 
-    kind selects the formula on the interval:
+    Every piece is one formula, a + b*g(s*(t - t0)), with g the square root
+    for a sqrt arc and the identity otherwise.  kind and params write it:
 
-    * ``constant``: k
+    * ``constant``: k, that is a = k and b = 0
     * ``affine``: a + b*(t - t0), with the reference point t0 defaulting to 0
-      (the plain a + b*t form)
+      (the plain a + b*t form) and s = 1
     * ``sqrt``: a + b*sqrt(s*(t - t0)) with orientation s in {+1, -1}
 
-    All three have closed-form antiderivatives, so window integrals of the
+    A piece with b = 0 is flat, whatever its kind: its formula is a, and it
+    answers every question exactly as the constant piece a does.  All
+    pieces have closed-form antiderivatives, so window integrals of the
     density are exact up to float rounding.  The affine reference point
     exists for numerical reasons: a steep short ramp far from the origin
     (slopes of 1e14 and widths of 1e-14 occur in the bundled escaping-bump
     density) would cancel catastrophically in the global a + b*t form.
+
+    Only construction reads params: it derives ``_form``, the tuple
+    (a, b, s, t0, root) with root set for a sqrt arc that is not flat, and
+    every method works from that.
     """
 
     lo: float
     hi: float
     kind: str
     params: dict
+    _form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "params", {
-            k: (int(v) if k == "s" else float(v)) for k, v in self.params.items()})
+        p = {k: (int(v) if k == "s" else float(v)) for k, v in self.params.items()}
+        object.__setattr__(self, "params", p)
         if not self.lo < self.hi:
             raise ValueError(f"piece needs lo < hi, got [{self.lo}, {self.hi})")
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown piece kind {self.kind!r}")
-        if self.kind == "sqrt":
-            s = self.params["s"]
+        if self.kind == "constant":
+            form = (p["k"], 0.0, 1, 0.0, False)
+        elif self.kind == "affine":
+            form = (p["a"], p["b"], 1, p.get("t0", 0.0), False)
+        elif self.kind == "sqrt":
+            s, t0 = p["s"], p["t0"]
             if s not in (-1, 1):
                 raise ValueError("sqrt piece orientation s must be +1 or -1")
-            t0 = self.params["t0"]
             # the radicand s*(t - t0) must be >= 0 on the whole interval
             if s == 1 and t0 > self.lo + 1e-15 * max(1.0, abs(self.lo)):
                 raise ValueError("sqrt piece with s=+1 needs t0 <= lo")
             if s == -1 and t0 < self.hi - 1e-15 * max(1.0, abs(self.hi)):
                 raise ValueError("sqrt piece with s=-1 needs t0 >= hi")
+            form = (p["a"], p["b"], s, t0, p["b"] != 0.0)
+        else:
+            raise ValueError(f"unknown piece kind {self.kind!r}")
+        object.__setattr__(self, "_form", form)
         lo_v, hi_v = self.endpoint_values()
         if min(lo_v, hi_v) < -1e-12:
             raise ValueError(f"piece is negative on [{self.lo}, {self.hi})")
@@ -83,14 +94,12 @@ class Piece:
 
     def value(self, t: float) -> float:
         """Continuous extension of the piece formula to the closed interval."""
-        if self.kind == "constant":
-            return self.params["k"]
-        if self.kind == "affine":
-            p = self.params
-            return p["a"] + p["b"] * (t - p.get("t0", 0.0))
-        p = self.params
-        u = p["s"] * (t - p["t0"])
-        return p["a"] + p["b"] * math.sqrt(max(u, 0.0))
+        a, b, s, t0, root = self._form
+        if b == 0.0:
+            return a
+        if root:
+            return a + b * math.sqrt(max(s * (t - t0), 0.0))
+        return a + b * (t - t0)
 
     def endpoint_values(self) -> tuple[float, float]:
         """Values of the continuous extension at lo and hi.
@@ -102,29 +111,20 @@ class Piece:
 
     def direction(self) -> int:
         """+1 strictly increasing, -1 strictly decreasing, 0 constant."""
-        if self.kind == "constant":
-            return 0
-        if self.kind == "affine":
-            b = self.params["b"]
-            return 0 if b == 0 else (1 if b > 0 else -1)
-        b = self.params["b"]
-        if b == 0:
-            return 0
-        # d/dt sqrt(s*(t-t0)) has the sign of s
-        return int(math.copysign(1, b * self.params["s"]))
+        _, b, s, _, _ = self._form
+        # d/dt of g(s*(t - t0)) has the sign of s
+        return 0 if b == 0.0 else int(math.copysign(1, b * s))
 
     # -- integration ---------------------------------------------------------
 
     def antiderivative(self, t: float) -> float:
-        if self.kind == "constant":
-            return self.params["k"] * t
-        if self.kind == "affine":
-            p = self.params
-            dt = t - p.get("t0", 0.0)
-            return p["a"] * t + 0.5 * p["b"] * dt * dt
-        p = self.params
-        u = p["s"] * (t - p["t0"])
-        return p["a"] * t + p["s"] * (2.0 * p["b"] / 3.0) * max(u, 0.0) ** 1.5
+        a, b, s, t0, root = self._form
+        if b == 0.0:
+            return a * t
+        if root:
+            return a * t + s * (2.0 * b / 3.0) * max(s * (t - t0), 0.0) ** 1.5
+        dt = t - t0
+        return a * t + 0.5 * b * dt * dt
 
     def integral(self, a: float, b: float) -> float:
         """Integral of the piece formula over [a, b] (caller clips to the piece)."""
@@ -136,21 +136,16 @@ class Piece:
         """Upper bound on |f'| over [a, b] intersected with the piece; may be inf."""
         a = max(a, self.lo)
         b = min(b, self.hi)
-        if b < a:
+        _, slope, s, t0, root = self._form
+        if b < a or slope == 0.0:
             return 0.0
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "affine":
-            return abs(self.params["b"])
-        p = self.params
-        bq = abs(p["b"])
-        if bq == 0:
-            return 0.0
+        if not root:
+            return abs(slope)
         # |f'| = |b| / (2 sqrt(u)), largest where the radicand u is smallest
-        u_min = (a - p["t0"]) if p["s"] == 1 else (p["t0"] - b)
+        u_min = (a - t0) if s == 1 else (t0 - b)
         if u_min <= 0.0:
             return math.inf
-        return bq / (2.0 * math.sqrt(u_min))
+        return abs(slope) / (2.0 * math.sqrt(u_min))
 
     def solve_ge(self, alpha: float) -> list[tuple[float, float]]:
         """Closed subintervals of [lo, hi] where the piece value is >= alpha.
@@ -161,27 +156,18 @@ class Piece:
         value never actually reaches alpha.
         """
         lo, hi = self.lo, self.hi
-        if self.kind == "constant":
-            return [(lo, hi)] if self.params["k"] >= alpha else []
+        a, b, s, t0, root = self._form
+        if b == 0.0:
+            return [(lo, hi)] if a >= alpha else []
         v_lo, v_hi = self.endpoint_values()
         if max(v_lo, v_hi) < alpha:
             return []
         if min(v_lo, v_hi) >= alpha:
             return [(lo, hi)]
-        if self.kind == "affine":
-            a, b = self.params["a"], self.params["b"]
-            if b == 0:
-                return [(lo, hi)] if a >= alpha else []
-            t_star = self.params.get("t0", 0.0) + (alpha - a) / b
-            if b > 0:
-                seg = (max(lo, t_star), hi)
-            else:
-                seg = (lo, min(hi, t_star))
+        if not root:
+            t_star = t0 + (alpha - a) / b
+            seg = (max(lo, t_star), hi) if b > 0 else (lo, min(hi, t_star))
             return [seg] if seg[0] <= seg[1] else []
-        p = self.params
-        a, b, s, t0 = p["a"], p["b"], p["s"], p["t0"]
-        if b == 0:
-            return [(lo, hi)] if a >= alpha else []
         # solve b*sqrt(u) >= alpha - a for the radicand u >= 0
         rhs = (alpha - a) / b
         if b > 0:
@@ -326,13 +312,13 @@ class UscDensity1D:
         starts = np.searchsorted(t, [p.lo for p in self.pieces], side="left")
         ends = np.searchsorted(t, [p.hi for p in self.pieces], side="right")
         for p, i, j in zip(self.pieces, starts.tolist(), ends.tolist()):
-            x, q = t[i:j], p.params
-            if p.kind == "constant":
-                v = q["k"]
-            elif p.kind == "affine":
-                v = q["a"] + q["b"] * (x - q.get("t0", 0.0))
+            x, (a, b, s, t0, root) = t[i:j], p._form
+            if b == 0.0:
+                v = a
+            elif root:
+                v = a + b * np.sqrt(np.maximum(s * (x - t0), 0.0))
             else:
-                v = q["a"] + q["b"] * np.sqrt(np.maximum(q["s"] * (x - q["t0"]), 0.0))
+                v = a + b * (x - t0)
             np.maximum(out[i:j], v, out=out[i:j])
         # np.maximum(0.0, -0.0) can be -0.0, and evaluate never returns it
         out[~(out > 0.0)] = 0.0

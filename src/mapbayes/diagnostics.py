@@ -174,15 +174,12 @@ class ConditionReport:
 def _step_in(p: Piece, m: float) -> float:
     """Offset into the segment that moves its value by at most m/4."""
     cap = 0.5 * (p.hi - p.lo)
-    if p.kind == "constant":
-        return cap
-    b = abs(p.params["b"])
+    _, b, _, _, root = p._form
     if b == 0.0:
         return cap
-    if p.kind == "affine":
-        return min(cap, m / (4.0 * b))
-    # sqrt arc: |f(t+d) - f(t)| <= |b| sqrt(d) anywhere on the piece
-    return min(cap, (m / (4.0 * b)) ** 2)
+    step = m / (4.0 * abs(b))
+    # a sqrt arc has |f(t+d) - f(t)| <= |b| sqrt(d) anywhere on the piece
+    return min(cap, step ** 2 if root else step)
 
 
 def _verified_witness(d, x, y, lam: float, geometric: bool = False) -> tuple | None:
@@ -263,14 +260,11 @@ def _witness_by_halving(d, triple, span: float) -> tuple | None:
 def _slope(p: Piece, t: float) -> float:
     """One-sided derivative of the segment's formula at its end t; a sqrt
     arc is infinitely steep where its radicand vanishes."""
-    if p.kind == "constant":
-        return 0.0
-    b = p.params["b"]
-    if p.kind == "affine" or b == 0.0:
+    _, b, s, t0, root = p._form
+    if not root:
         return b
-    sb = b * p.params["s"]
-    w = math.sqrt(max(p.params["s"] * (t - p.params["t0"]), 0.0))
-    return sb / (2.0 * w) if w > 0.0 else math.copysign(math.inf, sb)
+    w = math.sqrt(max(s * (t - t0), 0.0))
+    return b * s / (2.0 * w) if w > 0.0 else math.copysign(math.inf, b * s)
 
 
 def _log_convex_stretch(p: Piece) -> tuple[float, float] | None:
@@ -282,9 +276,9 @@ def _log_convex_stretch(p: Piece) -> tuple[float, float] | None:
     factor is >= 0 at the anchor, the end where w is smallest; otherwise it
     is convex up to w = -a/(2*b) or the far end.
     """
-    if p.kind != "sqrt":
+    a, b, s, t0, root = p._form
+    if not root:
         return None
-    a, b, s, t0 = p.params["a"], p.params["b"], p.params["s"], p.params["t0"]
     anchor, far = (p.lo, p.hi) if s == 1 else (p.hi, p.lo)
     if b * (a + 2.0 * b * math.sqrt(max(s * (anchor - t0), 0.0))) >= 0.0:
         return None
