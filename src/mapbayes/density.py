@@ -65,7 +65,12 @@ class Piece:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        p = {k: (int(v) if k == "s" else float(v)) for k, v in self.params.items()}
+        p = {k: (v if k == "s" else float(v)) for k, v in self.params.items()}
+        if "s" in p:
+            # int(1.9) would be 1: take the orientation only when it is exactly +-1
+            if p["s"] not in (-1, 1):
+                raise ValueError(f"piece orientation s must be +1 or -1, got {p['s']!r}")
+            p["s"] = int(p["s"])
         object.__setattr__(self, "params", p)
         if not self.lo < self.hi:
             raise ValueError(f"piece needs lo < hi, got [{self.lo}, {self.hi})")
@@ -75,8 +80,6 @@ class Piece:
             form = (p["a"], p["b"], 1, p.get("t0", 0.0), False)
         elif self.kind == "sqrt":
             s, t0 = p["s"], p["t0"]
-            if s not in (-1, 1):
-                raise ValueError("sqrt piece orientation s must be +1 or -1")
             # the radicand s*(t - t0) must be >= 0 on the whole interval
             if s == 1 and t0 > self.lo + 1e-15 * max(1.0, abs(self.lo)):
                 raise ValueError("sqrt piece with s=+1 needs t0 <= lo")
