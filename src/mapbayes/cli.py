@@ -141,7 +141,10 @@ def _cmd_bayes(args) -> None:
 
 def _parse_ladder(node) -> list[float]:
     if isinstance(node, dict) and set(node) == {"nu_max"}:
-        return scale_ladder(int(node["nu_max"]))
+        n = node["nu_max"]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ConfigError(f'"nu_max" must be an integer N >= 1, got {n!r}')
+        return scale_ladder(n)
     if isinstance(node, (list, tuple)) and node and all(
             isinstance(v, (int, float)) for v in node):
         return [float(v) for v in node]
