@@ -180,6 +180,22 @@ def test_exit_code_2_on_config_problems(tmp_path):
     assert main(["hypo", "--config", cfg, "--out", str(tmp_path)]) == 2
     for nu_max in ("1", "0"):  # a one-rung ladder is inconclusive by design
         assert main(["counterexample", "--nu-max", nu_max, "--out", str(tmp_path)]) == 2
+    for nu_max in ("abc", 0, 2.5):  # a ladder of N rungs needs an integer N >= 1
+        cfg = _write_config(tmp_path / "c7.json", {
+            "density": {"builtin": "triangle"}, "ladder": {"nu_max": nu_max}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("s, code", [(1.9, 2), (1.0, 0)])
+def test_sqrt_orientation_is_plus_or_minus_one(tmp_path, s, code):
+    # 1.5*sqrt(t) on [0, 1] has unit mass; an orientation of 1.9 is no orientation
+    params = {"a": 0.0, "b": 1.5, "s": s, "t0": 0.0}
+    if code:
+        with pytest.raises(ValueError, match="orientation"):
+            mb.Piece(0.0, 1.0, "sqrt", params)
+    cfg = _write_config(tmp_path / "c.json", {"density": {"pieces": [
+        {"lo": 0.0, "hi": 1.0, "kind": "sqrt", "params": params}]}})
+    assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == code
 
 
 def test_seed_flag_is_gone(tmp_path):
