@@ -298,28 +298,21 @@ def _window_error(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
     theta in [lo, hi].  The window ends, at most A from 0, are rounded by
     ulp(A)/2 each, which moves the mass by the density there.  Each piece
     the window meets adds an antiderivative difference: its linear term
-    c*t is rounded once at each end, its power term up to four times.
+    c*t is rounded once at each end, its power term up to four times.  The
+    per-piece terms do not depend on the window, and the density keeps them
+    (:meth:`UscDensity1D._window_terms`).
     """
     i0 = max(bisect_right(d._starts, lo - r) - 1, 0)
     i1 = bisect_right(d._starts, hi + r)
-    near = d.pieces[i0:i1]
-    if not near:
+    if i1 <= i0:
         return 0.0
-    ends = np.array([(p.lo, p.hi) for p in near])
-    c = [p._form[0] for p in near]
-    rounding = np.abs(c) * np.abs(ends).max(axis=1)  # in units of eps, per piece
-    f_max = 0.0
-    for k, p in enumerate(near):
-        if p.direction():
-            rounding[k] += 4.0 * max(abs(p.antiderivative(t) - c[k] * t) for t in (p.lo, p.hi))
-            f_max = max(f_max, *p.endpoint_values())
-        else:  # a flat piece has no power term, and its value is c
-            f_max = max(f_max, c[k])
+    ends, rounding, f_max = (x[i0:i1] for x in d._window_terms())
     # a window whose first piece is k meets at most pieces k .. j - 1
     j = np.searchsorted(ends[:, 0], ends[:, 1] + 2.0 * r, side="right")
     cum = np.concatenate(([0.0], np.cumsum(rounding)))
-    A = max(abs(near[0].lo), abs(near[-1].hi)) + 2.0 * r
-    return f_max * math.ulp(A) + sys.float_info.epsilon * float((cum[j] - cum[:-1]).max())
+    A = max(abs(ends[0, 0]), abs(ends[-1, 1])) + 2.0 * r
+    return (max(0.0, float(f_max.max())) * math.ulp(A)
+            + sys.float_info.epsilon * float((cum[j] - cum[:-1]).max()))
 
 
 def maximize_window(

@@ -242,6 +242,7 @@ class UscDensity1D:
     _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
     _segment_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pieces = tuple(sorted(self.pieces, key=lambda p: p.lo))
@@ -341,6 +342,26 @@ class UscDensity1D:
             if b > a:
                 terms.append(p.integral(a, b))
         return math.fsum(terms)
+
+    def _window_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per piece, in order: its ends (lo, hi); the float rounding of its
+        antiderivative difference in units of eps, |a| times its larger end
+        for the linear term a*t plus four times its larger power term at an
+        end; and its largest value.  :func:`mapbayes.argmax._window_error`
+        sums them over the pieces a window meets.  Built on the first call
+        and kept for the later ones."""
+        if self._terms is None:
+            ends = np.array([(p.lo, p.hi) for p in self.pieces])
+            c = [p._form[0] for p in self.pieces]
+            rounding = np.abs(c) * np.abs(ends).max(axis=1)
+            f_max = np.array(c)
+            for k, p in enumerate(self.pieces):
+                if p.direction():  # a flat piece has no power term, and its value is c
+                    rounding[k] += 4.0 * max(abs(p.antiderivative(t) - c[k] * t)
+                                             for t in (p.lo, p.hi))
+                    f_max[k] = max(p.endpoint_values())
+            object.__setattr__(self, "_terms", (ends, rounding, f_max))
+        return self._terms
 
     def lipschitz_bound(self, lo: float, hi: float) -> float:
         """Bound on |f'| over [lo, hi] ignoring jumps between pieces."""
