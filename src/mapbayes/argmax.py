@@ -13,7 +13,11 @@ breakpoints of the density shifted by the window radius, the stationary
 points of the window mass solve a linear equation (affine and constant
 pieces) or a quadratic in the square root of a sqrt arc's radicand (a sqrt
 arc against an affine piece or against another arc).  A stretch on which
-the derivative vanishes identically is reported as a plateau.
+the derivative vanishes identically is reported as a plateau.  Candidates
+are scored in two passes: one vectorized pass over a cumulative-mass table
+kept with the density, whose error E has a proved bound, then an exact
+window mass at only the points that pass within the value tolerance plus
+2E of the best score, which keeps every point that can decide the answer.
 
 The 2D ball search is a branch and bound on exact disc masses: boxes of
 centres are split and pruned until no box can beat the best disc mass
@@ -306,7 +310,8 @@ def _window_error(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
     i1 = bisect_right(d._starts, hi + r)
     if i1 <= i0:
         return 0.0
-    ends, rounding, f_max = (x[i0:i1] for x in d._window_terms())
+    table = d._window_terms()
+    ends, rounding, f_max = (x[i0:i1] for x in (table.ends, table.rounding, table.f_max))
     # a window whose first piece is k meets at most pieces k .. j - 1
     j = np.searchsorted(ends[:, 0], ends[:, 1] + 2.0 * r, side="right")
     cum = np.concatenate(([0.0], np.cumsum(rounding)))
@@ -333,6 +338,20 @@ def maximize_window(
     these roots; a stretch where F' vanishes identically is a plateau.
     Values within twice the float error of one window mass
     (:func:`_window_error`) of the sup tie with it.
+
+    Scoring takes two passes.  The density's table
+    (:class:`~mapbayes.density._WindowTable`) gives every candidate and
+    plateau midpoint an approximate F = scale * (G(theta + r) - G(theta - r))
+    at once, G being the cumulative mass: the piece masses summed by
+    ``np.cumsum``, plus the part of the piece holding the point.  Its error
+    against the F an exact window mass gives is at most E: the table's
+    proved bound, times scale, plus the exact mass's own error.  Half of
+    ``tol_value`` bounds that, and so does the table's bound by the same
+    per-piece terms; E adds both, so it rests on neither alone.  The exact
+    F is then computed only at the points whose approximate F lies within
+    ``tol_value + 2E`` of the best one.  Each point within ``tol_value`` of
+    the sup passes, and so does the point that attains it, so the result is
+    the one an exact mass at every point would give.
     """
     if radius <= 0.0:
         raise ValueError("window radius must be positive")
@@ -360,10 +379,20 @@ def maximize_window(
         else:
             candidates.update(t for t in roots if u < t < v)
 
-    value_at = {t: F(t) for t in candidates}
-    plat_scored = [(F(0.5 * (a + b)), a, b) for a, b in plateaus]
-    sup = max(max(value_at.values()), max((v for v, _, _ in plat_scored), default=-math.inf))
+    points = sorted(candidates)
+    mids = [0.5 * (a + b) for a, b in plateaus]
+    table = d._window_terms()
+    theta = np.array(points + mids)
+    approx = scale * (table.cumulative(theta + r) - table.cumulative(theta - r))
     tol_value = 2.0 * scale * _window_error(d, r, lo, hi)
+    # |approx - F| <= E, so only these points can decide the answer
+    E = 2.0 * scale * table.error + 0.5 * tol_value
+    near = (approx >= approx.max() - (tol_value + 2.0 * E)).tolist()
+    value_at = {t: F(t) for t, keep in zip(points, near) if keep}
+    plat_scored = [(F(m), a, b) for m, (a, b), keep in zip(mids, plateaus, near[len(points):])
+                   if keep]
+    sup = max(max(value_at.values(), default=-math.inf),
+              max((v for v, _, _ in plat_scored), default=-math.inf))
 
     elements = [(a, b) for v, a, b in plat_scored if v >= sup - tol_value]
     # a root and a shifted-breakpoint cut can land within float dust of each

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
@@ -206,6 +207,65 @@ def sqrt_piece(lo: float, hi: float, a: float, b: float, s: int, t0: float) -> P
     return Piece(lo, hi, "sqrt", {"a": a, "b": b, "s": s, "t0": t0})
 
 
+def _antiderivatives(form: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """:meth:`Piece.antiderivative` at each x, of the piece whose ``_form``
+    columns (a, b, s, t0, root) are given at the same index."""
+    a, b, s, t0, root = form
+    dt = x - t0
+    power = np.where(root, s * (2.0 * b / 3.0) * np.maximum(s * dt, 0.0) ** 1.5,
+                     0.5 * b * dt * dt)
+    return a * x + power
+
+
+@dataclass(frozen=True, eq=False)
+class _WindowTable:
+    """What the 1D window search reads off a density's pieces, in order.
+
+    * ``ends`` (lo, hi), ``rounding`` and ``f_max``: the per-piece terms of
+      :func:`mapbayes.argmax._window_error`.  ``rounding`` is the float
+      rounding of the piece's antiderivative difference in units of eps:
+      |a| times its larger end for the linear term a*t, plus four times its
+      larger power term at an end.  ``f_max`` is its largest value.
+    * ``form``: the ``_form`` columns a, b, s, t0, root; ``a_lo``: each
+      antiderivative at lo; ``cum``: [0, m_0, m_0 + m_1, ...], the
+      ``np.cumsum`` of the piece masses m_k.
+    * ``error``: a bound on |cumulative(b) - cumulative(a) - I| over every
+      float window [a, b], with I the exact mass that
+      ``UscDensity1D.integrate(a, b)`` rounds, n pieces and S = sum |m_k|.
+      Each antiderivative difference the table takes, the masses in ``cum``
+      and the two partial pieces at the window ends, is within twice its
+      ``rounding`` times eps (the linear and power terms, and their sum,
+      rounded at both ends): at most eps * (4 max rounding + 2 sum
+      rounding).  Each ``cum`` entry is within (n - 1) eps S of the exact
+      sum of its float masses, by the bound on recursive summation.  Six
+      more eps S cover the three additions, the roundings of the
+      scale product on both sides, and the search's threshold.  Where
+      pieces overlap (by 1e-15 relative at most), ``cum`` counts all of the
+      earlier piece while ``integrate`` skips its tail before a: three
+      times the sum of the overlap widths, each times the earlier piece's
+      largest |value|, covers both ends.  The same terms bound the error of
+      ``integrate`` itself, an ``fsum`` of antiderivative differences of the
+      pieces a window meets.
+    """
+
+    ends: np.ndarray
+    rounding: np.ndarray
+    f_max: np.ndarray
+    form: tuple[np.ndarray, ...]
+    a_lo: np.ndarray
+    cum: np.ndarray
+    error: float
+
+    def cumulative(self, x: np.ndarray) -> np.ndarray:
+        """G(x) = cum[i] + A_i(clip(x, lo_i, hi_i)) - A_i(lo_i) at each x,
+        with i the last piece to start at or before x (the first piece
+        before the support) and A_i its antiderivative."""
+        i = np.maximum(np.searchsorted(self.ends[:, 0], x, side="right") - 1, 0)
+        x = np.clip(x, self.ends[i, 0], self.ends[i, 1])
+        return self.cum[i] + (_antiderivatives(tuple(col[i] for col in self.form), x)
+                              - self.a_lo[i])
+
+
 @dataclass(frozen=True)
 class UscDensity1D:
     """A 1D density given by non-overlapping analytic pieces.
@@ -242,7 +302,7 @@ class UscDensity1D:
     _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
     _segment_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _terms: _WindowTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pieces = tuple(sorted(self.pieces, key=lambda p: p.lo))
@@ -343,24 +403,34 @@ class UscDensity1D:
                 terms.append(p.integral(a, b))
         return math.fsum(terms)
 
-    def _window_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per piece, in order: its ends (lo, hi); the float rounding of its
-        antiderivative difference in units of eps, |a| times its larger end
-        for the linear term a*t plus four times its larger power term at an
-        end; and its largest value.  :func:`mapbayes.argmax._window_error`
-        sums them over the pieces a window meets.  Built on the first call
+    def _window_terms(self) -> _WindowTable:
+        """The :class:`_WindowTable` of the pieces, built on the first call
         and kept for the later ones."""
         if self._terms is None:
-            ends = np.array([(p.lo, p.hi) for p in self.pieces])
-            c = [p._form[0] for p in self.pieces]
+            pieces = self.pieces
+            ends = np.column_stack([self._starts, [p.hi for p in pieces]])
+            form = tuple(np.array(col, dtype=float) for col in zip(*(p._form for p in pieces)))
+            c = form[0]
             rounding = np.abs(c) * np.abs(ends).max(axis=1)
-            f_max = np.array(c)
-            for k, p in enumerate(self.pieces):
-                if p.direction():  # a flat piece has no power term, and its value is c
-                    rounding[k] += 4.0 * max(abs(p.antiderivative(t) - c[k] * t)
-                                             for t in (p.lo, p.hi))
-                    f_max[k] = max(p.endpoint_values())
-            object.__setattr__(self, "_terms", (ends, rounding, f_max))
+            # a flat piece (b = 0) has no power term, and its value is c
+            values = np.stack([c, c], axis=1)
+            for k in np.flatnonzero(form[1]).tolist():
+                p = pieces[k]
+                rounding[k] += 4.0 * max(abs(p.antiderivative(t) - c[k] * t)
+                                         for t in (p.lo, p.hi))
+                values[k] = p.endpoint_values()
+            a_lo = _antiderivatives(form, ends[:, 0])
+            mass = _antiderivatives(form, ends[:, 1]) - a_lo
+            total = float(np.abs(mass).sum())
+            overlap = float(np.maximum(ends[:-1, 1] - ends[1:, 0], 0.0)
+                            @ np.abs(values[:-1]).max(axis=1))
+            error = (sys.float_info.epsilon
+                     * (4.0 * float(rounding.max()) + 2.0 * float(rounding.sum())
+                        + (2 * len(pieces) + 4) * total)
+                     + 3.0 * overlap)
+            object.__setattr__(self, "_terms", _WindowTable(
+                ends, rounding, values.max(axis=1), form, a_lo,
+                np.concatenate(([0.0], np.cumsum(mass))), error))
         return self._terms
 
     def lipschitz_bound(self, lo: float, hi: float) -> float:
