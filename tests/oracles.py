@@ -4,12 +4,14 @@ Everything here works from pointwise evaluation only — no piece
 antiderivatives, no package integrators — so agreement between these
 routines and the library is genuine evidence, not circular.  The 1D-grid
 scans read a grid's raw cell array instead, with numpy, and the escaping
-construction's window mass is integrated exactly from its definition.
+construction's window mass is integrated exactly from its definition, as
+is a piecewise density's from its piece formulas.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -118,6 +120,32 @@ def escape_window_mass(a: Fraction, b: Fraction, bumps) -> Fraction:
             lo, hi = max(a, x0), min(b, x1)
             if hi > lo:
                 total += (hi - lo) * (y0 + (y1 - y0) * ((lo + hi) / 2 - x0) / (x1 - x0))
+    return total
+
+
+def exact_window_mass(d, a: float, b: float) -> Fraction:
+    """Mass of the float pieces of d over the float window [a, b], from each
+    piece's formula: exact in rationals on constant and affine pieces, where
+    the midpoint rule is exact, and to 60 digits on sqrt arcs, whose term
+    b*sqrt(u), u = s*(t - t0), integrates to s*b*(2/3)*u^(3/2)."""
+    a, b = Fraction(a), Fraction(b)
+    total = Fraction(0)
+    for p in d.pieces:
+        lo, hi = max(a, Fraction(p.lo)), min(b, Fraction(p.hi))
+        if hi <= lo:
+            continue
+        q = {k: Fraction(v) for k, v in p.params.items()}
+        if p.kind == "constant":
+            total += (hi - lo) * q["k"]
+        elif p.kind == "affine":
+            total += (hi - lo) * (q["a"] + q["b"] * ((lo + hi) / 2 - q.get("t0", 0)))
+        else:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                u_lo, u_hi = (max(q["s"] * (t - q["t0"]), Fraction(0)) for t in (lo, hi))
+                w_lo, w_hi = (Decimal(u.numerator) / Decimal(u.denominator) for u in (u_lo, u_hi))
+                power = Fraction(w_hi * w_hi.sqrt() - w_lo * w_lo.sqrt())
+            total += (hi - lo) * q["a"] + q["s"] * q["b"] * Fraction(2, 3) * power
     return total
 
 

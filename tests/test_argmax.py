@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from mapbayes.density import (GridDensity, UscDensity1D, _disc_masses, affine_pi
 from mapbayes.errors import EmptySearchBox
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_piecewise
-from oracles import brute_argmax, window_mass
+from oracles import brute_argmax, exact_window_mass, window_mass
 
 
 def test_density_argmax_on_family():
@@ -162,6 +163,33 @@ def test_window_random_densities_beat_brute_scan(seed, r):
     # and the reported sup agrees with the quadrature oracle there
     assert res.sup_value == pytest.approx(
         window_mass(d, res.canonical, r), abs=1e-9)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(0.0, 1000.0),
+       log_r=st.floats(-7.0, 0.0))
+def test_window_table_mass_is_within_its_error_bound(seed, offset, log_r):
+    # the table's window mass, from one cumulative sum, against the exact
+    # mass of the same float pieces over the same float window; far from the
+    # origin the linear terms a*t round the most
+    d = random_piecewise(np.random.default_rng(seed), max_pieces=10,
+                         span=(offset - 2.0, offset + 2.0))
+    r = 10.0 ** log_r
+    lo, hi = d.support
+    ends = np.array(d.breakpoints)
+    theta = np.concatenate([ends - r, ends + r, np.linspace(lo - 2.0 * r, hi + 2.0 * r, 41)])
+    table = d._window_terms()
+    approx = table.cumulative(theta + r) - table.cumulative(theta - r)
+    for t, v in zip(theta.tolist(), approx.tolist()):
+        assert abs(Fraction(v) - exact_window_mass(d, t - r, t + r)) <= Fraction(table.error)
+
+
+@pytest.mark.parametrize("nu, bumps", [(12, [22, 23, 24]), (13, list(range(20, 27)))])
+def test_window_keeps_the_near_ties_of_the_escape(nu, bumps):
+    # bump 2 nu beats its neighbours by about 16^-nu, below the float error
+    # of the masses, so the bumps within the tolerance all stay maximizers
+    res = maximize_window(mb.build(2 * nu), 0.5 * 4.0 ** -nu, (-1.0, 2 * nu + 2.0))
+    assert [math.floor(lo) for lo, _ in res.maximizers] == bumps
 
 
 def test_window_canonical_prefers_smallest_norm():
