@@ -54,7 +54,30 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    where = _boolean_at(cfg, "")
+    if where is not None:
+        raise ConfigError(f"config {path}: {where} is true or false; "
+                          "no config entry takes a boolean")
     return cfg
+
+
+def _boolean_at(node, where: str) -> str | None:
+    """The place of the first true or false in a JSON value, if any.  No
+    config entry takes one, and Python's bool passes for the number 0 or 1
+    (a scale c of true would run at c = 1)."""
+    if isinstance(node, bool):
+        return where
+    if isinstance(node, dict):
+        items = ((f"{where}.{k}" if where else str(k), v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return None
+    for place, v in items:
+        found = _boolean_at(v, place)
+        if found is not None:
+            return found
+    return None
 
 
 def _require(cfg: dict, key: str):

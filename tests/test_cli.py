@@ -184,6 +184,24 @@ def test_exit_code_2_on_config_problems(tmp_path):
         cfg = _write_config(tmp_path / "c7.json", {
             "density": {"builtin": "triangle"}, "ladder": {"nu_max": nu_max}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    # JSON true and false are no numbers, though Python's bool subclasses int
+    triangle = {"builtin": "triangle"}
+    for command, extra in [("bayes", {"c": True}), ("sweep", {"ladder": [True, 2]}),
+                           ("bayes", {"c": 2.0, "search": [False, 1.0]}),
+                           ("bayes", {"c": 2.0, "search": [[0.0, True], [0.0, 1.0]]}),
+                           ("check", {"alpha_grid": [0.5, True]}),
+                           ("hypo", {"nus": [True]}),
+                           ("hypo", {"nus": [4.0], "open_intervals": [[0.0, True]]})]:
+        cfg = _write_config(tmp_path / "c8.json", {"density": triangle, **extra})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, extra
+    for density in ({"pieces": [{"lo": 0.0, "hi": 1.0, "kind": "constant",
+                                 "params": {"k": True}}]},
+                    {"pieces": [{"lo": 0.0, "hi": 1.0, "kind": "sqrt",
+                                 "params": {"a": 0.0, "b": 1.5, "s": True, "t0": 0.0}}]},
+                    {"dim": 1, "origin": False, "spacing": 0.5, "values": [1.0, 1.0]},
+                    {"builtin": "counterexample", "max_bump": True}):
+        cfg = _write_config(tmp_path / "c9.json", {"density": density})
+        assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2, density
 
 
 @pytest.mark.parametrize("s, code", [(1.9, 2), (1.0, 0)])
