@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,13 +23,7 @@ from . import gallery
 from .counterexample import (DEFAULT_MAX_BUMP, build, sample_curve, scale_ladder,
                              verify_nonconvergence)
 from .density import density_from_json
-from .diagnostics import (
-    SWEEP_CSV_HEADER,
-    check_conditions,
-    fmt17,
-    hypo_diagnostic,
-    sweep,
-)
+from .diagnostics import check_conditions, fmt17, hypo_diagnostic, sweep
 from .errors import ConfigError, MapBayesError
 from .estimators import LossSpec, bayes_estimate, map_estimate
 
@@ -40,7 +35,7 @@ _BUILTINS = {
     "ramp": gallery.ramp,
     "staircase": gallery.staircase,
     "two_bumps": gallery.two_bumps,
-    "counterexample": lambda max_bump=DEFAULT_MAX_BUMP: build(int(max_bump)),
+    "counterexample": lambda max_bump=DEFAULT_MAX_BUMP: build(_count(max_bump, "max_bump")),
 }
 
 
@@ -54,19 +49,22 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    where = _boolean_at(cfg, "")
-    if where is not None:
-        raise ConfigError(f"config {path}: {where} is true or false; "
-                          "no config entry takes a boolean")
+    found = _refused_at(cfg, "")
+    if found is not None:
+        raise ConfigError(f"config {path}: {found}")
     return cfg
 
 
-def _boolean_at(node, where: str) -> str | None:
-    """The place of the first true or false in a JSON value, if any.  No
-    config entry takes one, and Python's bool passes for the number 0 or 1
-    (a scale c of true would run at c = 1)."""
+def _refused_at(node, where: str) -> str | None:
+    """Where the first value no config entry takes sits, and what it is: true
+    or false (a bool passes for the number 0 or 1), or a number no finite
+    float holds (json.load reads NaN, Infinity and 1e400 as nan or inf)."""
     if isinstance(node, bool):
-        return where
+        return f"{where} is {json.dumps(node)}; no config entry takes a boolean"
+    if isinstance(node, float) and not math.isfinite(node) or (
+            isinstance(node, int) and abs(node) > sys.float_info.max):
+        return (f"{where} is not a finite number; no config entry takes NaN, "
+                "Infinity or a number past 1.8e308")
     if isinstance(node, dict):
         items = ((f"{where}.{k}" if where else str(k), v) for k, v in node.items())
     elif isinstance(node, list):
@@ -74,7 +72,7 @@ def _boolean_at(node, where: str) -> str | None:
     else:
         return None
     for place, v in items:
-        found = _boolean_at(v, place)
+        found = _refused_at(v, place)
         if found is not None:
             return found
     return None
@@ -89,8 +87,7 @@ def _require(cfg: dict, key: str):
 def _density(node):
     """Build a density from a config node: builtin, inline JSON, or file path."""
     if isinstance(node, str):
-        payload = _load_config(node)
-        node = payload
+        node = _load_config(node)
     if not isinstance(node, dict):
         raise ConfigError("density must be an object or a path to a JSON file")
     if "builtin" in node:
@@ -101,7 +98,7 @@ def _density(node):
                 f"unknown builtin density {name!r}; known: {sorted(_BUILTINS)}")
         try:
             return _BUILTINS[name](**kwargs)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad parameters for builtin {name!r}: {exc}") from exc
     try:
         return density_from_json(node)
@@ -109,19 +106,29 @@ def _density(node):
         raise ConfigError(f"bad density description: {exc}") from exc
 
 
+def _floats(node, what: str, n: int | None = None, positive: bool = False) -> list[float]:
+    """The floats of ``node``, a JSON list of numbers (n of them if n is given,
+    each > 0 if ``positive``), or a ConfigError saying what the field must be.
+    Every number is a finite int or float once ``_load_config`` has passed it."""
+    if (isinstance(node, list) and n in (None, len(node))
+            and all(isinstance(v, (int, float)) and (v > 0 or not positive) for v in node)):
+        return [float(v) for v in node]
+    raise ConfigError(what)
+
+
+def _count(n, name: str) -> int:
+    if not isinstance(n, int) or n < 1:
+        raise ConfigError(f"{name} must be an integer N >= 1, got {n!r}")
+    return n
+
+
 def _box(node):
     if node is None:
         return None
-    try:
-        if (isinstance(node, (list, tuple)) and len(node) == 2
-                and all(isinstance(v, (int, float)) for v in node)):
-            return (float(node[0]), float(node[1]))
-        if (isinstance(node, (list, tuple)) and len(node) == 2
-                and all(isinstance(v, (list, tuple)) and len(v) == 2 for v in node)):
-            return tuple((float(v[0]), float(v[1])) for v in node)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError("search must be [lo, hi] or [[x0, x1], [y0, y1]]")
+    shape = "search must be [lo, hi] or [[x0, x1], [y0, y1]]"
+    if isinstance(node, list) and len(node) == 2 and all(isinstance(v, list) for v in node):
+        return tuple(tuple(_floats(v, shape, 2)) for v in node)
+    return tuple(_floats(node, shape, 2))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -139,44 +146,42 @@ def _outdir(args) -> Path:
     return out
 
 
-def _cmd_map(args) -> None:
-    cfg = _load_config(args.config)
-    d = _density(_require(cfg, "density"))
+def _config_command(cmd):
+    """Load ``--config`` and its density, then run ``cmd(cfg, density, args)``."""
+    def run(args) -> None:
+        cfg = _load_config(args.config)
+        cmd(cfg, _density(_require(cfg, "density")), args)
+    return run
+
+
+@_config_command
+def _cmd_map(cfg, d, args) -> None:
     box = _box(cfg.get("search"))
     res = map_estimate(d, box)
     _write_json(_outdir(args) / "map.json",
                 {"search": box, "result": res.to_json()})
 
 
-def _cmd_bayes(args) -> None:
-    cfg = _load_config(args.config)
-    d = _density(_require(cfg, "density"))
-    c = _require(cfg, "c")
-    if not isinstance(c, (int, float)) or not c > 0:
-        raise ConfigError("c must be a positive number")
+@_config_command
+def _cmd_bayes(cfg, d, args) -> None:
+    [c] = _floats([_require(cfg, "c")], "c must be a positive number", positive=True)
     box = _box(cfg.get("search"))
-    loss = LossSpec(float(c))
+    loss = LossSpec(c)
     res = bayes_estimate(d, loss, box)
     _write_json(_outdir(args) / "bayes.json",
-                {"c": float(c), "radius": loss.radius, "search": box,
+                {"c": c, "radius": loss.radius, "search": box,
                  "result": res.to_json()})
 
 
 def _parse_ladder(node) -> list[float]:
     if isinstance(node, dict) and set(node) == {"nu_max"}:
-        n = node["nu_max"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ConfigError(f'"nu_max" must be an integer N >= 1, got {n!r}')
-        return scale_ladder(n)
-    if isinstance(node, (list, tuple)) and node and all(
-            isinstance(v, (int, float)) for v in node):
-        return [float(v) for v in node]
-    raise ConfigError('ladder must be a list of scales or {"nu_max": N}')
+        return scale_ladder(_count(node["nu_max"], '"nu_max"'))
+    # `or None`: an empty list is no ladder
+    return _floats(node or None, 'ladder must be a list of scales or {"nu_max": N}')
 
 
-def _cmd_sweep(args) -> None:
-    cfg = _load_config(args.config)
-    d = _density(_require(cfg, "density"))
+@_config_command
+def _cmd_sweep(cfg, d, args) -> None:
     ladder = _parse_ladder(_require(cfg, "ladder"))
     box = _box(cfg.get("search"))
     try:
@@ -188,40 +193,31 @@ def _cmd_sweep(args) -> None:
     _write_json(out / "verdict.json", trace.to_json())
 
 
-def _cmd_check(args) -> None:
-    cfg = _load_config(args.config)
-    d = _density(_require(cfg, "density"))
+@_config_command
+def _cmd_check(cfg, d, args) -> None:
     alpha_grid = cfg.get("alpha_grid")
-    if alpha_grid is not None and not (
-            isinstance(alpha_grid, list)
-            and all(isinstance(v, (int, float)) for v in alpha_grid)):
-        raise ConfigError("alpha_grid must be a list of numbers")
+    if alpha_grid is not None:  # passed on as written: witness_alpha echoes an int
+        _floats(alpha_grid, "alpha_grid must be a list of numbers")
     report = check_conditions(d, alpha_grid)
     _write_json(_outdir(args) / "conditions.json", report.to_json())
 
 
 def _parse_intervals(node, key: str) -> list[tuple[float, float]]:
-    if node is None:
-        return []
-    ok = (isinstance(node, list) and all(
-        isinstance(iv, (list, tuple)) and len(iv) == 2
-        and all(isinstance(v, (int, float)) for v in iv) for iv in node))
-    if not ok:
-        raise ConfigError(f"{key} must be a list of [lo, hi] pairs")
-    return [(float(a), float(b)) for a, b in node]
+    what = f"{key} must be a list of [lo, hi] pairs"
+    if not isinstance(node, list) and node is not None:
+        raise ConfigError(what)
+    return [tuple(_floats(iv, what, 2)) for iv in node or []]
 
 
-def _cmd_hypo(args) -> None:
-    cfg = _load_config(args.config)
-    d = _density(_require(cfg, "density"))
-    nus = _require(cfg, "nus")
-    if not (isinstance(nus, list) and nus
-            and all(isinstance(v, (int, float)) and v > 0 for v in nus)):
-        raise ConfigError("nus must be a non-empty list of positive numbers")
+@_config_command
+def _cmd_hypo(cfg, d, args) -> None:
+    # `or None`: an empty list is refused too
+    nus = _floats(_require(cfg, "nus") or None,
+                  "nus must be a non-empty list of positive numbers", positive=True)
     closed = _parse_intervals(cfg.get("closed_intervals"), "closed_intervals")
     opened = _parse_intervals(cfg.get("open_intervals"), "open_intervals")
     try:
-        report = hypo_diagnostic(d, [float(v) for v in nus], closed, opened)
+        report = hypo_diagnostic(d, nus, closed, opened)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _write_json(_outdir(args) / "hypo.json", report.to_json())

@@ -155,7 +155,7 @@ def test_counterexample_samples_are_the_pointwise_values(tmp_path):
     assert (tmp_path / "density_samples.csv").read_text() == "\n".join(lines) + "\n"
 
 
-def test_exit_code_2_on_config_problems(tmp_path):
+def test_exit_code_2_on_config_problems(tmp_path, capsys):
     assert main(["map", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2
     bad = tmp_path / "bad.json"
@@ -202,6 +202,52 @@ def test_exit_code_2_on_config_problems(tmp_path):
                     {"builtin": "counterexample", "max_bump": True}):
         cfg = _write_config(tmp_path / "c9.json", {"density": density})
         assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2, density
+    # json.load reads NaN, Infinity and 1e400 as nan or inf, and an integer
+    # past 1.8e308 fits no float: refused anywhere, and stderr names the place
+    capsys.readouterr()
+    line = {"dim": 1, "origin": 0.0, "spacing": 0.5, "values": [1.0, 1.0]}
+    piece = {"lo": 0.0, "hi": 1.0, "kind": "sqrt",
+             "params": {"a": 0.0, "b": "@", "s": 1, "t0": 0.0}}
+    (tmp_path / "density.json").write_text(json.dumps(
+        {"pieces": [piece]}).replace('"@"', "NaN"), encoding="utf-8")
+    cases = [("bayes", {"c": "@"}, "c"),
+             ("bayes", {"c": 2.0, "search": ["@", 1.0]}, "search[0]"),
+             ("bayes", {"c": 2.0, "search": [[0.0, 1.0], [0.0, "@"]]}, "search[1][1]"),
+             ("sweep", {"ladder": [2.0, "@"]}, "ladder[1]"),
+             ("check", {"alpha_grid": ["@"]}, "alpha_grid[0]"),
+             ("hypo", {"nus": ["@"]}, "nus[0]"),
+             ("hypo", {"nus": [4.0], "closed_intervals": [["@", 1.0]]}, "closed_intervals[0][0]"),
+             ("hypo", {"nus": [4.0], "open_intervals": [[0.0, "@"]]}, "open_intervals[0][1]"),
+             ("map", {"density": {"pieces": [piece]}}, "density.pieces[0].params.b"),
+             ("map", {"density": {**line, "origin": "@"}}, "density.origin"),
+             ("map", {"density": {**line, "spacing": "@"}}, "density.spacing"),
+             ("map", {"density": {**line, "values": [1.0, "@"]}}, "density.values[1]"),
+             ("map", {"density": {"builtin": "uniform", "hi": "@"}}, "density.hi"),
+             ("map", {"density": {"builtin": "counterexample", "max_bump": "@"}},
+              "density.max_bump")]
+    for number in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 309):
+        for command, extra, where in cases:
+            cfg = tmp_path / "c10.json"
+            cfg.write_text(json.dumps({"density": triangle, **extra}).replace('"@"', number),
+                           encoding="utf-8")
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+            assert code == 2, (number, extra)
+            assert f": {where} is not a finite number" in capsys.readouterr().err, (number, extra)
+    cfg = _write_config(tmp_path / "c11.json", {"density": str(tmp_path / "density.json")})
+    assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "density.json: pieces[0].params.b is not a finite number" in capsys.readouterr().err
+    # a string is no number, in the 2D search box too; max_bump is an integer
+    for command, extra, where in [
+            ("bayes", {"density": grid_2d, "c": 4.0, "search": [["0", "0.5"], [0, 1]]}, "search"),
+            ("map", {"density": {"builtin": "counterexample", "max_bump": 3.9}}, "max_bump"),
+            ("map", {"density": {"builtin": "counterexample", "max_bump": "3"}}, "max_bump")]:
+        cfg = _write_config(tmp_path / "c12.json", {"density": triangle, **extra})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, extra
+        assert f"error: {where} must be" in capsys.readouterr().err, extra
+    # uniform divides by hi - lo
+    cfg = _write_config(tmp_path / "c13.json",
+                        {"density": {"builtin": "uniform", "lo": 1, "hi": 1}})
+    assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("s, code", [(1.9, 2), (1.0, 0)])
