@@ -674,17 +674,14 @@ def density_from_json(obj: dict, **kwargs) -> Density:
 class BayesModel:
     """Prior + likelihood + one observation.
 
-    ``likelihood(x, theta)`` must be nonnegative.  ``likelihood_constant``
-    declares whether it is constant in theta; leave it None to let
-    :func:`posterior` decide from the likelihood values at its own grid
-    midpoints (the values it multiplies into the prior): the prior comes
-    back unchanged exactly when all of them are equal.
+    ``likelihood(x, theta)`` must be nonnegative.  :func:`posterior` returns
+    the prior unchanged exactly when the likelihood values at its own grid
+    midpoints (the values it multiplies into the prior) are all equal.
     """
 
     prior: Density
     likelihood: Callable[[object, object], float]
     observation: object
-    likelihood_constant: bool | None = None
 
 
 def _midpoints(origin, spacing, shape):
@@ -748,11 +745,10 @@ def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
 
     The likelihood is evaluated once at each midpoint of the posterior grid:
     the prior's own cells for a grid prior, ``grid_resolution`` cells over
-    the support otherwise.  If it does not depend on theta (declared, or all
-    midpoint values equal) the prior is returned as-is (same pieces /
-    cells).  Otherwise the result is a cell-constant grid with exactly unit
-    Riemann mass; zero or non-finite evidence (the Riemann mass of prior
-    times likelihood) raises.
+    the support otherwise.  If all those values are equal the prior is
+    returned as-is (same pieces / cells).  Otherwise the result is a
+    cell-constant grid with exactly unit Riemann mass; zero or non-finite
+    evidence (the Riemann mass of prior times likelihood) raises.
     """
     g = m.prior
     if isinstance(g, GridDensity):
@@ -764,10 +760,8 @@ def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
         points = _midpoints(origin, spacing, (grid_resolution,))
         prior = g._evaluate_sorted(points)
 
-    like = np.array([m.likelihood(m.observation, t)
-                     for t in (points[:1] if m.likelihood_constant else points)])
-    if m.likelihood_constant or (m.likelihood_constant is None
-                                 and np.all(like == like[0])):
+    like = np.array([m.likelihood(m.observation, t) for t in points])
+    if np.all(like == like[0]):
         if not math.isfinite(like[0]):
             raise DivergentEvidence("constant likelihood is non-finite")
         if like[0] <= 0.0:

@@ -358,9 +358,6 @@ def test_evidence_2d_gaussian_likelihood_beats_the_cell_sum():
 
 def test_posterior_constant_likelihood_returns_prior():
     prior = mb.triangle()
-    model = mb.BayesModel(prior, lambda x, t: 0.7, 0.0,
-                          likelihood_constant=True)
-    assert mb.posterior(model) is prior
     probed = mb.BayesModel(prior, lambda x, t: 0.7, 0.0)
     assert mb.posterior(probed) is prior
 
