@@ -12,12 +12,15 @@ The 1D window search is exact, with no sampling or local search: between
 breakpoints of the density shifted by the window radius, the stationary
 points of the window mass solve a linear equation (affine and constant
 pieces) or a quadratic in the square root of a sqrt arc's radicand (a sqrt
-arc against an affine piece or against another arc).  A stretch on which
-the derivative vanishes identically is reported as a plateau.  Candidates
-are scored in two passes: one vectorized pass over a cumulative-mass table
-kept with the density, whose error E has a proved bound, then an exact
-window mass at only the points that pass within the value tolerance plus
-2E of the best score, which keeps every point that can decide the answer.
+arc against an affine piece or against another arc).  Both 1D searches
+read the density's profile as arrays: one numpy pass solves the linear
+equation on every stretch, and only a stretch that meets an arc is solved
+on its own.  A stretch on which the derivative vanishes identically is
+reported as a plateau.  Candidates are scored in two passes: one
+vectorized pass over a cumulative-mass table kept with the density, whose
+error E has a proved bound, then an exact window mass at only the points
+that pass within the value tolerance plus 2E of the best score, which
+keeps every point that can decide the answer.
 
 The 2D ball search is a branch and bound on exact disc masses: boxes of
 centres are split and pruned until no box can beat the best disc mass
@@ -32,13 +35,13 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .density import (GridDensity, Piece, UscDensity1D, _corner_areas, _disc_lattice,
+from .density import (GridDensity, UscDensity1D, _corner_areas, _disc_lattice,
                       _disc_masses, _lattice_sum, _pieces_view, _support_box)
 from .errors import EmptySearchBox, SearchNotCertified
 
@@ -162,6 +165,8 @@ def _check_box1d(box) -> tuple[float, float]:
 
 
 def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
+    """The mode search on the segment table: one vectorized evaluation scores
+    the box ends and breakpoints, and the flat segments are the plateaus."""
     lo, hi = _check_box1d(box)
 
     witnesses = [t for t in d.infinite_points if lo <= t <= hi]
@@ -169,17 +174,22 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
         maxi = tuple((t, t) for t in sorted(witnesses))
         return ArgmaxResult(1, math.inf, maxi, _canonical(1, maxi), 0.0, sup_infinite=True)
 
-    candidates = {lo, hi}
-    candidates.update(b for b in d.breakpoints if lo <= b <= hi)
-    plateaus = [(max(p.lo, lo), min(p.hi, hi), p.value(p.lo)) for p in d._segments
-                if p.direction() == 0 and p.hi > lo and p.lo < hi]
-
-    scored = [(d.evaluate(t), t) for t in sorted(candidates)]
-    sup = max([v for v, _ in scored] + [v for _, _, v in plateaus])
+    ends = d.breakpoints
+    points = sorted({lo, hi, *ends[bisect_left(ends, lo):bisect_right(ends, hi)]})
+    table = d._segment_table()
+    values = table.evaluate(points)
+    flat = np.flatnonzero((table.form[1] == 0.0) & (table.ends > lo) & (table.starts < hi))
+    heights = table.form[0, flat]
+    # evaluate never gives -0.0, so a tie at zero keeps the +0.0 of values
+    sup = max(float(values.max()), float(heights.max(initial=-math.inf)))
     tol_value = 4.0 * math.ulp(sup)
 
-    elements = [(t, t) for v, t in scored if v >= sup - tol_value]
-    elements += [(a, b) for a, b, v in plateaus if v >= sup - tol_value]
+    elements = [(t, t) for t, keep in zip(points, (values >= sup - tol_value).tolist()) if keep]
+    top = flat[heights >= sup - tol_value]
+    starts, seg_ends = table.starts[top], table.ends[top]
+    # max(p.lo, lo) and min(p.hi, hi), each keeping its first argument on a tie
+    elements += zip(np.where(lo > starts, lo, starts).tolist(),
+                    np.where(hi < seg_ends, hi, seg_ends).tolist())
     maxi = _merge_elements(elements, 0.0)
     return ArgmaxResult(1, sup, maxi, _canonical(1, maxi), tol_value)
 
@@ -219,11 +229,6 @@ def _maximize_density_grid(d: GridDensity, box) -> ArgmaxResult:
 # ---------------------------------------------------------------------------
 
 
-def _piece_covering(d: UscDensity1D, x: float) -> Piece:
-    """Segment of the density's profile whose half-open interval contains x."""
-    return d._segments[bisect_right(d._segment_starts, x) - 1]
-
-
 def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float] | None:
     """Real roots of qa*w^2 + qb*w + qc = 0; None when every coefficient is zero.
 
@@ -242,9 +247,11 @@ def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float] | None:
     return [q / qa, qc / q] if q != 0.0 else [0.0]
 
 
-def _stationary_points(p_hi: Piece, p_lo: Piece, r: float,
+def _stationary_points(form_hi: tuple, form_lo: tuple, r: float,
                        mid: float) -> list[float] | None:
-    """Roots of F'(theta) = p_hi(theta + r) - p_lo(theta - r), in closed form.
+    """Roots of F'(theta) = f_hi(theta + r) - f_lo(theta - r), in closed
+    form, on a stretch where one of the two pieces, given by their
+    ``_form``, is a sqrt arc that is not flat.
 
     Returns None when F' vanishes identically (a plateau of F).  A sqrt arc
     a + b*sqrt(s*(theta - tau)) is written in w = sqrt(s*(theta - tau)) >= 0,
@@ -253,19 +260,9 @@ def _stationary_points(p_hi: Piece, p_lo: Piece, r: float,
     a1 + b1*w1 = a2 + b2*w2 gives a quadratic in w2.  The caller keeps the
     roots that fall strictly inside the stretch.
     """
-    (a_p, b_p, _, t_p, root_p), (a_m, b_m, _, t_m, root_m) = p_hi._form, p_lo._form
-    if not (root_p or root_m):
-        # solve in coordinates shifted to the stretch midpoint m, so products
-        # stay small even for steep distant pieces
-        c1 = b_p - b_m
-        c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)
-        if c1 == 0.0:
-            return None if c0 == 0.0 else []
-        return [mid - c0 / c1]
-
     # F' = 0 reads the same with the sides swapped: put a sqrt arc first
-    sides = [(p_hi._form, r), (p_lo._form, -r)]
-    if not root_p:
+    sides = [(form_hi, r), (form_lo, -r)]
+    if not form_hi[4]:
         sides.reverse()
     ((a1, b1, s1, t1, _), shift1), ((a2, b2, s2, t2, root2), shift2) = sides
     tau1 = t1 - shift1
@@ -331,12 +328,15 @@ def maximize_window(
 
     The search is exact on the piecewise structure: F is smooth between
     breakpoints of d shifted by +-r, and on each such stretch its derivative
-    f(theta+r) - f(theta-r) pairs two fixed pieces.  F' = 0 is solved there
-    in closed form: a linear equation for two affine/constant pieces, a
-    quadratic in w = sqrt(radicand) when a sqrt arc is involved (see
-    :func:`_stationary_points`).  The candidates are the stretch ends plus
-    these roots; a stretch where F' vanishes identically is a plateau.
-    Values within twice the float error of one window mass
+    f(theta+r) - f(theta-r) pairs two fixed segments, which two
+    ``np.searchsorted`` calls on the segment table
+    (:class:`~mapbayes.density._SegmentTable`) find for every stretch.
+    F' = 0 is solved there in closed form: c1 (theta - mid) + c0 = 0 for two
+    affine/constant segments, in one numpy pass over all such stretches; a
+    quadratic in w = sqrt(radicand), stretch by stretch, when a sqrt arc is
+    involved (see :func:`_stationary_points`).  The candidates are the
+    stretch ends plus these roots; a stretch where F' vanishes identically
+    is a plateau.  Values within twice the float error of one window mass
     (:func:`_window_error`) of the sup tie with it.
 
     Scoring takes two passes.  The density's table
@@ -361,26 +361,39 @@ def maximize_window(
     def F(theta: float) -> float:
         return scale * d.integrate(theta - r, theta + r)
 
-    cuts = {lo, hi}
-    for b in d.breakpoints:
-        for t in (b - r, b + r):
-            if lo < t < hi:
-                cuts.add(t)
-    cuts = sorted(cuts)
+    ends = np.asarray(d.breakpoints)
+    shifted = np.add.outer(ends, (-r, r)).ravel()  # b - r, b + r for each b
+    # a set, so that 0.0 and -0.0 count as one cut, the first one put in
+    cuts = sorted({lo, hi, *shifted[(lo < shifted) & (shifted < hi)].tolist()})
 
-    candidates: set[float] = set(cuts)
-    plateaus: list[tuple[float, float]] = []
-    for u, v in zip(cuts, cuts[1:]):
+    segments = d._segment_table()
+    u, v = np.array(cuts[:-1]), np.array(cuts[1:])
+    # an infinite box makes nan and inf stretches, which find no root
+    with np.errstate(divide="ignore", invalid="ignore"):
         mid = 0.5 * (u + v)
-        roots = _stationary_points(_piece_covering(d, mid + r),
-                                   _piece_covering(d, mid - r), r, mid)
-        if roots is None:
-            plateaus.append((u, v))
+        i_hi = np.searchsorted(segments.starts, mid + r, side="right") - 1
+        i_lo = np.searchsorted(segments.starts, mid - r, side="right") - 1
+        a_p, b_p, _, t_p, arc_p = segments.form[:, i_hi]
+        a_m, b_m, _, t_m, arc_m = segments.form[:, i_lo]
+        # about the midpoint, so products stay small for steep distant pieces
+        c1 = b_p - b_m
+        c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)
+        roots = mid - c0 / c1
+    arcs = (arc_p != 0.0) | (arc_m != 0.0)
+    plateau = ~arcs & (c1 == 0.0) & (c0 == 0.0)
+    # c1 = 0 makes an infinite or nan root, inside no stretch
+    candidates = {*cuts, *roots[~arcs & (u < roots) & (roots < v)].tolist()}
+    for k in np.flatnonzero(arcs).tolist():
+        found = _stationary_points(d._segments[i_hi[k]]._form, d._segments[i_lo[k]]._form,
+                                   r, float(mid[k]))
+        if found is None:
+            plateau[k] = True
         else:
-            candidates.update(t for t in roots if u < t < v)
+            candidates.update(t for t in found if cuts[k] < t < cuts[k + 1])
 
     points = sorted(candidates)
-    mids = [0.5 * (a + b) for a, b in plateaus]
+    plateaus = list(zip(u[plateau].tolist(), v[plateau].tolist()))
+    mids = mid[plateau].tolist()
     table = d._window_terms()
     theta = np.array(points + mids)
     approx = scale * (table.cumulative(theta + r) - table.cumulative(theta - r))

@@ -234,4 +234,4 @@ def sample_curve(d: UscDensity1D, lo: float, hi: float,
     """Samples of d at t = lo + k*step, k = 0..n with n = round((hi - lo)/step),
     for plotting the construction: an (n+1, 2) array of (t, value) rows."""
     t = lo + np.arange(int(round((hi - lo) / step)) + 1) * step
-    return np.column_stack((t, d._evaluate_sorted(t)))
+    return np.column_stack((t, d._segment_table().evaluate(t)))

@@ -113,12 +113,6 @@ class Piece:
         """
         return self.value(self.lo), self.value(self.hi)
 
-    def direction(self) -> int:
-        """+1 strictly increasing, -1 strictly decreasing, 0 constant."""
-        _, b, s, _, _ = self._form
-        # d/dt of g(s*(t - t0)) has the sign of s
-        return 0 if b == 0.0 else int(math.copysign(1, b * s))
-
     # -- integration ---------------------------------------------------------
 
     def antiderivative(self, t: float) -> float:
@@ -191,7 +185,19 @@ class Piece:
 
     @staticmethod
     def from_json(obj: dict) -> "Piece":
+        for what, v in [("lo", obj["lo"]), ("hi", obj["hi"]), *obj["params"].items()]:
+            _check_numbers(v, f"piece {what}")
         return Piece(obj["lo"], obj["hi"], obj["kind"], obj["params"])
+
+
+def _check_numbers(node, what: str) -> None:
+    """Raise TypeError unless node is an int or a float, not a bool, or a
+    list of them to any depth: ``float()`` would take the string "1.0"."""
+    if isinstance(node, list):
+        for v in node:
+            _check_numbers(v, what)
+    elif isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise TypeError(f"{what} must be a number, got {node!r}")
 
 
 def constant_piece(lo: float, hi: float, k: float) -> Piece:
@@ -266,6 +272,41 @@ class _WindowTable:
                               - self.a_lo[i])
 
 
+@dataclass(frozen=True, eq=False)
+class _SegmentTable:
+    """The profile ``UscDensity1D._segments`` as arrays: starts, each segment's
+    own end (pieces may overlap), ``_form`` columns as rows, infinite points."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    form: np.ndarray
+    infinite: np.ndarray
+
+    def evaluate(self, t) -> np.ndarray:
+        """:meth:`UscDensity1D.evaluate` at each t of a 1D array, bit for bit:
+        the larger value of the segment holding t and of the one before it
+        where that reaches t, with the IEEE operations of :meth:`Piece.value`
+        and in place, to keep its memory to a few arrays of len(t) floats."""
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self.starts, t, side="right") - 1
+        # the segment before reaches t at its end, or past it where pieces overlap
+        k = np.flatnonzero((i > 0) & (t <= self.ends[i - 1]))
+        a, b, s, t0, root = self.form.take(np.concatenate((i, i[k] - 1)), axis=1)
+        g = np.subtract(np.concatenate((t, t[k])), t0, out=t0)
+        with np.errstate(invalid="ignore"):  # 0 * inf, where b == 0 picks a
+            np.sqrt(np.maximum(s * g, 0.0, out=s), out=s)
+            np.copyto(g, s, where=root != 0.0)
+            g *= b
+            g += a
+        np.copyto(g, a, where=b == 0.0)
+        v, w = g[:t.size], g[t.size:]
+        v[k] = np.where(w > v[k], w, v[k])
+        v[~(v > 0.0)] = 0.0
+        if self.infinite.size:
+            v[np.isin(t, self.infinite)] = math.inf
+        return v
+
+
 @dataclass(frozen=True)
 class UscDensity1D:
     """A 1D density given by non-overlapping analytic pieces.
@@ -303,6 +344,7 @@ class UscDensity1D:
     _segment_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _terms: _WindowTable | None = field(default=None, init=False, repr=False, compare=False)
+    _table: _SegmentTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pieces = tuple(sorted(self.pieces, key=lambda p: p.lo))
@@ -366,28 +408,14 @@ class UscDensity1D:
     def __call__(self, t: float) -> float:
         return self.evaluate(t)
 
-    def _evaluate_sorted(self, t: np.ndarray) -> np.ndarray:
-        """``evaluate`` at each of the ascending points t, in one walk over
-        the pieces: each piece applies its formula, with the IEEE operations
-        of :meth:`Piece.value`, to the points in its closed interval.  The
-        values match ``evaluate`` bit for bit wherever no point lies in
-        three pieces (which takes pieces a few ulps wide)."""
-        out = np.zeros(len(t))
-        starts = np.searchsorted(t, [p.lo for p in self.pieces], side="left")
-        ends = np.searchsorted(t, [p.hi for p in self.pieces], side="right")
-        for p, i, j in zip(self.pieces, starts.tolist(), ends.tolist()):
-            x, (a, b, s, t0, root) = t[i:j], p._form
-            if b == 0.0:
-                v = a
-            elif root:
-                v = a + b * np.sqrt(np.maximum(s * (x - t0), 0.0))
-            else:
-                v = a + b * (x - t0)
-            np.maximum(out[i:j], v, out=out[i:j])
-        # np.maximum(0.0, -0.0) can be -0.0, and evaluate never returns it
-        out[~(out > 0.0)] = 0.0
-        out[np.isin(t, self.infinite_points)] = math.inf
-        return out
+    def _segment_table(self) -> _SegmentTable:
+        """The :class:`_SegmentTable` of the profile, built on the first call."""
+        if self._table is None:
+            object.__setattr__(self, "_table", _SegmentTable(
+                np.array(self._segment_starts), np.array([p.hi for p in self._segments]),
+                np.array([p._form for p in self._segments], dtype=float).T,
+                np.array(self.infinite_points, dtype=float)))
+        return self._table
 
     def integrate(self, lo: float, hi: float) -> float:
         """Exact integral over [lo, hi] via per-piece antiderivatives."""
@@ -557,8 +585,9 @@ class GridDensity:
     @staticmethod
     def from_json(obj: dict, **kwargs) -> "GridDensity":
         dim = int(obj["dim"])
-        origin = obj["origin"]
-        spacing = obj["spacing"]
+        origin, spacing = obj["origin"], obj["spacing"]
+        for what in ("origin", "spacing", "values"):
+            _check_numbers(obj[what], f"grid {what}")
         if dim == 1:
             origin = (float(origin),) if np.isscalar(origin) else tuple(origin)
             spacing = (float(spacing),) if np.isscalar(spacing) else tuple(spacing)
@@ -687,11 +716,8 @@ class BayesModel:
 def _midpoints(origin, spacing, shape):
     """Cell midpoints of a regular grid: an array in 1D, (x, y) pairs in
     row-major order in 2D."""
-    if len(shape) == 1:
-        return origin[0] + spacing[0] * (np.arange(shape[0]) + 0.5)
-    (x0, y0), (hx, hy) = origin, spacing
-    return [(x0 + (i + 0.5) * hx, y0 + (j + 0.5) * hy)
-            for i in range(shape[0]) for j in range(shape[1])]
+    axes = [o + (np.arange(n) + 0.5) * h for o, h, n in zip(origin, spacing, shape)]
+    return axes[0] if len(shape) == 1 else list(product(*(x.tolist() for x in axes)))
 
 
 def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
@@ -722,7 +748,7 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
             points = _midpoints((lo,), (h,), (n,))
             return h * math.fsum(
                 v * m.likelihood(m.observation, t)
-                for v, t in zip(pieces._evaluate_sorted(points).tolist(), points)
+                for v, t in zip(pieces._segment_table().evaluate(points).tolist(), points)
             )
 
         e1 = midpoint(grid_resolution)
@@ -758,9 +784,10 @@ def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
         lo, hi = g.support
         origin, spacing = (lo,), ((hi - lo) / grid_resolution,)
         points = _midpoints(origin, spacing, (grid_resolution,))
-        prior = g._evaluate_sorted(points)
+        prior = g._segment_table().evaluate(points)
 
-    like = np.array([m.likelihood(m.observation, t) for t in points])
+    likelihood, x = m.likelihood, m.observation
+    like = np.array([likelihood(x, t) for t in points])
     if np.all(like == like[0]):
         if not math.isfinite(like[0]):
             raise DivergentEvidence("constant likelihood is non-finite")

@@ -46,6 +46,30 @@ def random_piecewise(rng, *, max_pieces: int = 6, span: tuple[float, float] = (-
     return unit_mass(pieces)
 
 
+def random_affine(rng, *, offset: float = 0.0, max_pieces: int = 10) -> UscDensity1D:
+    """A random normalized density of affine and constant pieces from offset on.
+
+    Each piece follows the one before, one in five after a gap and one in
+    five overlapping it by the most a density admits, 1e-15 relative.  About
+    one in seven is a ramp 1e-9 wide, with slopes up to 1.5e9 before the
+    scaling; a constant piece makes a plateau of every window it holds.
+    """
+    t, pieces = offset, []
+    for _ in range(int(rng.integers(2, max_pieces + 1))):
+        lo = t
+        if pieces and rng.uniform() < 0.2:
+            lo = t - 1e-15 * max(1.0, abs(t))
+        elif pieces and rng.uniform() < 0.25:
+            lo = t + rng.uniform(0.01, 0.5)
+        t = lo + (1e-9 if rng.uniform() < 0.15 else rng.uniform(0.01, 1.0))
+        v0, v1 = rng.uniform(0.0, 1.5, size=2)
+        if rng.uniform() < 0.3:
+            pieces.append(constant_piece(lo, t, v0))
+        else:
+            pieces.append(affine_piece(lo, t, v0, (v1 - v0) / (t - lo), t0=lo))
+    return unit_mass(pieces)
+
+
 def unit_mass(pieces) -> UscDensity1D:
     """The density of the given pieces, with their values divided by their mass."""
     mass = math.fsum(p.integral(p.lo, p.hi) for p in pieces)

@@ -15,7 +15,7 @@ from mapbayes.density import (GridDensity, UscDensity1D, _disc_masses, affine_pi
                               constant_piece, sqrt_piece)
 from mapbayes.errors import EmptySearchBox
 
-from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_piecewise
+from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_affine, random_piecewise
 from oracles import brute_argmax, exact_window_mass, window_mass
 
 
@@ -163,6 +163,32 @@ def test_window_random_densities_beat_brute_scan(seed, r):
     # and the reported sup agrees with the quadrature oracle there
     assert res.sup_value == pytest.approx(
         window_mass(d, res.canonical, r), abs=1e-9)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(-1000.0, 1000.0),
+       log_r=st.floats(-9.5, 0.5))
+def test_window_on_affine_densities_agrees_with_the_oracles(seed, offset, log_r):
+    # affine and constant pieces only, so every stretch is solved in the
+    # one vectorized pass: gaps, plateaus, steep ramps 1e-9 wide, pieces
+    # overlapping by 1e-15 relative, far from the origin
+    d = random_affine(np.random.default_rng(seed), offset=offset)
+    r = 10.0 ** log_r
+    lo, hi = d.support
+    box = (lo - r, hi + r)
+    res = maximize_window(d, r, box)
+    tol = Fraction(res.tol_value)
+    sup = Fraction(res.sup_value)
+    # the canonical point attains the sup, and so does every maximizer
+    # element, each to the reported tolerance, in exact arithmetic
+    c = res.canonical
+    assert abs(exact_window_mass(d, c - r, c + r) - sup) <= tol
+    for a, b in res.maximizers:
+        for t in (a, 0.5 * (a + b), b):
+            assert exact_window_mass(d, t - r, t + r) >= sup - tol
+    # no point of a dense scan beats the sup by more than the tolerance
+    _, best = brute_argmax(lambda t: d.integrate(t - r, t + r), *box, n=2000)
+    assert best <= res.sup_value + res.tol_value
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -320,3 +321,50 @@ def test_counterexample_top_rungs_sit_on_bump_2nu_or_exit_3(tmp_path, capsys, nu
     else:
         assert code == 3 and f"rung {nu_max} plateau bound" in off
         assert f"verification failed: {', '.join(off)}" in capsys.readouterr().err
+
+
+#: sha256 of the five counterexample artifacts for --nu-max 2, 6 and 11: a
+#: faster search may change how the answers are found, never what is written
+_ARTIFACT_SHA256 = {
+    2: {"density.json": "a01eeec2d6309637621dd3ad64a4b39c7814d94373bbd38626aecc443c6aefa0",
+        "density_samples.csv": "fd543569a51e780e07428322e58ef2005ee10e09bf4607796e5b25b0d4c4d0fa",
+        "domination.csv": "d114e55ea97273deac0df8fd8d9ed210558d5d0325b8e1b3c59a4d4c6f69a2ff",
+        "sweep.csv": "553b8a60d4d69999def444dde86188e5fda49c54a48e1034e5314537a625f541",
+        "verdict.json": "f8f4528fa8c91a5240230a72e571693dcb22a945c582de7777277a9a04b76daa"},
+    6: {"density.json": "a01eeec2d6309637621dd3ad64a4b39c7814d94373bbd38626aecc443c6aefa0",
+        "density_samples.csv": "9f168a7d87a6f8411588e97b831f7763f8d78c060c574483d40e6d20a8fea513",
+        "domination.csv": "8506367d264ea2eb35fde9a4015071b414e505e9ac0099db2dfab164df4fdd33",
+        "sweep.csv": "73a992c77b2fc27df8a00dbf918a747600cfac089e556806cfcb50c60e21b994",
+        "verdict.json": "82b828faa32d5882c130091cfd8f38109baf7ed3e957e064aa254766fc42cde5"},
+    11: {"density.json": "b123c495e8cf63d9437890de4d8989cc6e75c979afd317376fd5834ce5435a86",
+         "density_samples.csv": "245f81ec2bacdc438745e60fed92e3d7ce2b1afa67196a389cbef61ff94a2f6d",
+         "domination.csv": "d80a55df12c17682e18ddfc587a1285c99f1dedd6105160ec8c80a5bdb3c9826",
+         "sweep.csv": "39bf85cf9817d672d4de59904bdaa3ffa4ad6b06065cda95992af3301128f745",
+         "verdict.json": "0e7723d820c485250b450a727c58f3b05812d4f3ada087b5b3a41a097159db5e"},
+}
+
+
+@pytest.mark.parametrize("nu_max", sorted(_ARTIFACT_SHA256))
+def test_counterexample_artifacts_are_pinned(tmp_path, nu_max):
+    assert main(["counterexample", "--nu-max", str(nu_max), "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in _ARTIFACT_SHA256[nu_max]} == _ARTIFACT_SHA256[nu_max]
+
+
+def test_string_numbers_in_density_json_exit_2(tmp_path, capsys):
+    # float("1.0") would take a string, so the density readers refuse it
+    piece = {"lo": 0.0, "hi": 1.0, "kind": "constant", "params": {"k": 1.0}}
+    grid = {"dim": 2, "origin": [0.0, 0.0], "spacing": [0.5, 0.5],
+            "values": [[1.0, 1.0], [1.0, 1.0]]}
+    capsys.readouterr()
+    for density, where in [({"pieces": [{**piece, "params": {"k": "1.0"}}]}, "piece k"),
+                           ({"pieces": [{**piece, "lo": "0"}]}, "piece lo"),
+                           ({**grid, "origin": ["0", 0]}, "grid origin"),
+                           ({**grid, "values": [[1.0, "1"], [1.0, 1.0]]}, "grid values")]:
+        cfg = _write_config(tmp_path / "c.json", {"density": density})
+        assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2, density
+        assert f"{where} must be a number" in capsys.readouterr().err, density
+    with pytest.raises(TypeError, match="piece hi must be a number"):
+        mb.Piece.from_json({**piece, "hi": True})
+    cfg = _write_config(tmp_path / "c.json", {"density": {"pieces": [piece]}})
+    assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 0

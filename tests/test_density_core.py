@@ -97,23 +97,29 @@ def test_infinite_points_reported():
     assert d.evaluate(0.26) == 1.0
 
 
-def _assert_evaluate_sorted_is_evaluate(d, ts):
+def _assert_table_evaluate_is_evaluate(d, ts):
     ts = np.array(sorted(ts))
-    got = d._evaluate_sorted(ts)
+    got = d._segment_table().evaluate(ts)
     want = np.array([d.evaluate(t) for t in ts.tolist()])
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _ends_and_neighbours(d):
-    return [x for b in d.breakpoints
-            for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+def _ends_and_neighbours(d, ulps=1):
+    out = []
+    for b in d.breakpoints:
+        below = above = b
+        out.append(b)
+        for _ in range(ulps):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), extra=st.lists(st.floats(-3.0, 3.0), max_size=20),
        spike=st.one_of(st.sampled_from(["lo", "hi"]), st.floats(-0.5, 1.5)))
-def test_evaluate_sorted_is_evaluate_at_every_point(seed, extra, spike):
+def test_segment_table_evaluate_is_evaluate_at_every_point(seed, extra, spike):
     # every breakpoint and its float neighbours, points off the support and
     # an infinite point, on the support, at one of its ends or beyond it, on
     # densities with gaps between their pieces
@@ -121,23 +127,24 @@ def test_evaluate_sorted_is_evaluate_at_every_point(seed, extra, spike):
     lo, hi = d.support
     at = {"lo": lo, "hi": hi}.get(spike) if isinstance(spike, str) else lo + spike * (hi - lo)
     d = UscDensity1D(d.pieces, mass_tol=1e-6, infinite_points=(at,))
-    _assert_evaluate_sorted_is_evaluate(
+    _assert_table_evaluate_is_evaluate(
         d, [*_ends_and_neighbours(d), lo - 1.0, hi + 1.0, at, *extra])
 
 
-def test_evaluate_sorted_at_rounding_edges():
+def test_segment_table_evaluate_at_rounding_edges():
     # on the counterexample n - 8^-n rounds to n from n = 18 on, where the
     # ramps become rectangles, and the cusp's formula dips below 0 at its
-    # ends; the sqrt piece is anchored 1e-16 past its start, where its
-    # radicand is negative; JUMP_DOWN's ramp starts at exactly 0; a piece of
-    # value -0.0 evaluates to +0.0
+    # ends; bump 16's two ramps are one ulp wide, so two ulps out of a
+    # breakpoint lies past a whole piece; the sqrt piece is anchored 1e-16
+    # past its start, where its radicand is negative; JUMP_DOWN's ramp
+    # starts at exactly 0; a piece of value -0.0 evaluates to +0.0
     d = mb.build(20)
     ts = [-0.0, *(n + e for n in range(1, 21) for e in (-(8.0 ** -n), 0.0, 8.0 ** -n))]
-    _assert_evaluate_sorted_is_evaluate(d, ts + _ends_and_neighbours(d))
+    _assert_table_evaluate_is_evaluate(d, ts + _ends_and_neighbours(d, ulps=2))
     anchored = UscDensity1D((sqrt_piece(0.0, 1.0, 1.0 / 3.0, 1.0, 1, 1e-16),))
     negative_zero = UscDensity1D((constant_piece(0.0, 1.0, 1.0), constant_piece(1.0, 2.0, -0.0)))
     for e in (anchored, JUMP_DOWN, negative_zero):
-        _assert_evaluate_sorted_is_evaluate(e, [*_ends_and_neighbours(e), 1.5])
+        _assert_table_evaluate_is_evaluate(e, [*_ends_and_neighbours(e), 1.5])
 
 
 def test_mass_validation():
