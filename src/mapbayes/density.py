@@ -180,6 +180,20 @@ class Piece:
             seg = (lo if u_hi == math.inf else max(lo, t0 - u_hi), min(hi, t0 - u_lo))
         return [seg] if seg[0] <= seg[1] else []
 
+    @staticmethod
+    def _constant_cells(edges: list[float], heights: list[float]) -> tuple["Piece", ...]:
+        """The constant pieces heights[i] on [edges[i], edges[i + 1]), equal to
+        what :func:`constant_piece` builds, ``_form`` included, but filled in
+        directly.  The caller has checked what ``__post_init__`` would: the
+        edges strictly increase, and every height is a float >= 0."""
+        cells = []
+        for lo, hi, k in zip(edges, edges[1:], heights):
+            p = object.__new__(Piece)
+            p.__dict__.update(lo=lo, hi=hi, kind="constant", params={"k": k},
+                              _form=(k, 0.0, 1, 0.0, False))
+            cells.append(p)
+        return tuple(cells)
+
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "kind": self.kind, "params": dict(self.params)}
 
@@ -350,17 +364,19 @@ class UscDensity1D:
         pieces = tuple(sorted(self.pieces, key=lambda p: p.lo))
         if not pieces:
             raise ValueError("a density needs at least one piece")
-        for prev, cur in zip(pieces, pieces[1:]):
-            if cur.lo < prev.hi - 1e-15 * max(1.0, abs(prev.hi)):
-                raise ValueError(f"pieces overlap near t={cur.lo}")
+        los, his = [p.lo for p in pieces], [p.hi for p in pieces]
+        segments = [constant_piece(-math.inf, los[0], 0.0)]
+        cut = 0
+        for k, (lo, hi) in enumerate(zip(los[1:], his), 1):
+            if lo > hi:  # a gap after piece k - 1
+                segments += [*pieces[cut:k], constant_piece(hi, lo, 0.0)]
+                cut = k
+            elif lo < hi and lo < hi - 1e-15 * max(1.0, abs(hi)):
+                # an overlap past 1e-15 relative; abutting pieces skip the bound
+                raise ValueError(f"pieces overlap near t={lo}")
+        segments += [*pieces[cut:], constant_piece(his[-1], math.inf, 0.0)]
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_starts", tuple(p.lo for p in pieces))
-        segments = [constant_piece(-math.inf, pieces[0].lo, 0.0)]
-        for p in pieces:
-            if p.lo > segments[-1].hi:
-                segments.append(constant_piece(segments[-1].hi, p.lo, 0.0))
-            segments.append(p)
-        segments.append(constant_piece(segments[-1].hi, math.inf, 0.0))
+        object.__setattr__(self, "_starts", tuple(los))
         for t in self.infinite_points:
             i = bisect_right([p.lo for p in segments], t) - 1
             p = segments[i]
@@ -369,8 +385,7 @@ class UscDensity1D:
                                      Piece(t, p.hi, p.kind, p.params)]
         object.__setattr__(self, "_segments", tuple(segments))
         object.__setattr__(self, "_segment_starts", tuple(p.lo for p in segments))
-        object.__setattr__(self, "_breakpoints",
-                           tuple(sorted({p.lo for p in pieces} | {p.hi for p in pieces})))
+        object.__setattr__(self, "_breakpoints", tuple(sorted({*los, *his})))
         mass = self.total_mass
         if not math.isfinite(mass) or abs(mass - 1.0) > self.mass_tol:
             raise ValueError(f"total mass {mass} is not within {self.mass_tol} of 1")
@@ -480,7 +495,9 @@ class GridDensity:
     Values live on cells; a point on a cell boundary evaluates to the max of
     the adjacent cell values (0 outside the grid), matching the boundary
     convention of the piecewise class.  The estimators and diagnostics run a
-    1D grid on its constant-piece view (:meth:`to_pieces`).
+    1D grid on its constant-piece view (:meth:`to_pieces`).  The cell edges
+    o + i*h must strictly increase along each axis: an origin far from 0
+    with a spacing below its ulp collapses them, and is refused.
     """
 
     dim: int
@@ -491,12 +508,13 @@ class GridDensity:
     _pieces: UscDensity1D | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        # 1.0 == 1 and True == 1, so the type is checked too
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim not in (1, 2):
+            raise ValueError(f"dim must be the integer 1 or 2, got {self.dim!r}")
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "origin", tuple(float(x) for x in self.origin))
         object.__setattr__(self, "spacing", tuple(float(x) for x in self.spacing))
-        if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
         if values.ndim != self.dim:
             raise ValueError(f"values must be {self.dim}-dimensional")
         if len(self.origin) != self.dim or len(self.spacing) != self.dim:
@@ -505,6 +523,11 @@ class GridDensity:
             raise ValueError("spacing must be positive")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError("cell values must be finite and nonnegative")
+        for k in range(self.dim):
+            edges = self._edges(k)
+            if not (edges[1:] > edges[:-1]).all():
+                raise ValueError(f"cell edges along axis {k} do not strictly increase: "
+                                 f"origin {self.origin[k]}, spacing {self.spacing[k]}")
         mass = self.total_mass
         if abs(mass - 1.0) > self.mass_tol:
             raise ValueError(f"grid mass {mass} is not within {self.mass_tol} of 1")
@@ -540,6 +563,11 @@ class GridDensity:
         return GridDensity(dim, tuple(np.atleast_1d(origin)), tuple(np.atleast_1d(spacing)),
                            values / mass, **kwargs)
 
+    def _edges(self, k: int) -> np.ndarray:
+        """The cell edges o + i*h along axis k for i = 0..n, with the two
+        roundings of the Python float expression, so equal to it bit for bit."""
+        return self.origin[k] + np.arange(self.shape[k] + 1) * self.spacing[k]
+
     def _axis_cells(self, k: int, x: float) -> list[int]:
         """Cell indices along axis k whose closed extent contains coordinate x.
         The quotient (x - o)/h can round to either side of a cell index, so
@@ -562,15 +590,14 @@ class GridDensity:
 
     def to_pieces(self) -> UscDensity1D:
         """Exact piecewise view of a 1D grid (each cell becomes a constant
-        piece), built on the first call and kept for the later ones."""
+        piece), built on the first call and kept for the later ones.  The
+        pieces come straight from the cell arrays, the edges o + i*h and the
+        values, which the grid has checked: its edges strictly increase and
+        its values are finite and nonnegative."""
         if self.dim != 1:
             raise ValueError("to_pieces applies to 1D grids only")
         if self._pieces is None:
-            o, h = self.origin[0], self.spacing[0]
-            pieces = tuple(
-                constant_piece(o + i * h, o + (i + 1) * h, float(v))
-                for i, v in enumerate(self.values)
-            )
+            pieces = Piece._constant_cells(self._edges(0).tolist(), self.values.tolist())
             object.__setattr__(self, "_pieces",
                                UscDensity1D(pieces, mass_tol=max(self.mass_tol, 1e-6)))
         return self._pieces
@@ -584,16 +611,13 @@ class GridDensity:
 
     @staticmethod
     def from_json(obj: dict, **kwargs) -> "GridDensity":
-        dim = int(obj["dim"])
-        origin, spacing = obj["origin"], obj["spacing"]
         for what in ("origin", "spacing", "values"):
             _check_numbers(obj[what], f"grid {what}")
-        if dim == 1:
-            origin = (float(origin),) if np.isscalar(origin) else tuple(origin)
-            spacing = (float(spacing),) if np.isscalar(spacing) else tuple(spacing)
-        else:
-            origin, spacing = tuple(origin), tuple(spacing)
-        return GridDensity(dim, origin, spacing, np.asarray(obj["values"], dtype=float), **kwargs)
+        # a 1D grid may give its origin and spacing as bare numbers
+        origin, spacing = (tuple(x) if isinstance(x, list) else (x,)
+                           for x in (obj["origin"], obj["spacing"]))
+        return GridDensity(obj["dim"], origin, spacing, np.asarray(obj["values"], dtype=float),
+                           **kwargs)
 
 
 Density = UscDensity1D | GridDensity

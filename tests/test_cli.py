@@ -200,6 +200,12 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
                     {"pieces": [{"lo": 0.0, "hi": 1.0, "kind": "sqrt",
                                  "params": {"a": 0.0, "b": 1.5, "s": True, "t0": 0.0}}]},
                     {"dim": 1, "origin": False, "spacing": 0.5, "values": [1.0, 1.0]},
+                    # dim is the integer 1 or 2
+                    {"dim": 1.5, "origin": 0.0, "spacing": 0.5, "values": [1.0, 1.0]},
+                    {"dim": "1", "origin": 0.0, "spacing": 0.5, "values": [1.0, 1.0]},
+                    # 1e17 + 1.0 rounds to 1e17, so the cell edges collapse
+                    {"dim": 1, "origin": 1e17, "spacing": 1.0, "values": [1.0]},
+                    {"dim": 2, "origin": [1e17, 0.0], "spacing": [1.0, 1.0], "values": [[1.0]]},
                     {"builtin": "counterexample", "max_bump": True}):
         cfg = _write_config(tmp_path / "c9.json", {"density": density})
         assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2, density

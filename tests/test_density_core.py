@@ -155,9 +155,18 @@ def test_mass_validation():
 
 
 def test_overlapping_pieces_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pieces overlap near t=0\.5$"):
         UscDensity1D((constant_piece(0.0, 1.0, 1.0),
                       constant_piece(0.5, 1.5, 1.0)), mass_tol=2.0)
+    # an overlap of 1e-15 relative is admitted, and its end kept as a
+    # breakpoint; the profile puts a zero piece in the gap and in both tails
+    a, b, c = (constant_piece(2.0 - 2e-15, 2.5, 0.4), constant_piece(0.0, 1.0, 0.6),
+               constant_piece(1.5, 2.0, 0.4))
+    d = UscDensity1D((a, b, c))
+    assert d._segments == (constant_piece(-math.inf, 0.0, 0.0), b,
+                           constant_piece(1.0, 1.5, 0.0), c, a,
+                           constant_piece(2.5, math.inf, 0.0))
+    assert d._breakpoints == (0.0, 1.0, 1.5, 2.0 - 2e-15, 2.0, 2.5)
 
 
 def test_integrate_clips_and_adds(rng):
@@ -235,6 +244,10 @@ def test_grid_json_round_trip():
     assert isinstance(g2, GridDensity)
     assert g2.total_mass == pytest.approx(1.0, abs=1e-12)
     assert g2.evaluate(0.3) == g.evaluate(0.3)
+    # 1.5 == 1.0 + 0.5 and True == 1, but neither is the integer 1
+    for dim in (1.5, 1.0, "1", True):
+        with pytest.raises(ValueError, match="dim must be the integer 1 or 2"):
+            density_from_json({**g.to_json(), "dim": dim})
 
 
 def test_grid_density_basics():
@@ -247,6 +260,11 @@ def test_grid_density_basics():
     assert g.evaluate(0.5) == pytest.approx(1.5, abs=1e-15)
     assert g.evaluate(-0.1) == 0.0
     assert g.evaluate(1.0) == pytest.approx(1.0, abs=1e-15)  # right edge
+    # 1e17 + 1.0 rounds to 1e17: the cell would have no width
+    with pytest.raises(ValueError, match="cell edges along axis 0 do not strictly increase"):
+        GridDensity(1, (1e17,), (1.0,), np.array([1.0]))
+    with pytest.raises(ValueError, match="cell edges along axis 1 do not strictly increase"):
+        GridDensity(2, (0.0, -1e17), (1.0, 1.0), np.array([[1.0]]))
 
 
 def test_grid_to_pieces_equivalent():
@@ -258,6 +276,19 @@ def test_grid_to_pieces_equivalent():
         assert d.evaluate(t) == pytest.approx(g.evaluate(t), abs=1e-15)
     assert d.integrate(0.1, 0.9) == pytest.approx(
         adaptive_simpson(g.evaluate, 0.1, 0.9, breaks=[0.25, 0.5, 0.75]), abs=1e-12)
+    # the view comes from the cell arrays; it equals the density of the
+    # cells' constant pieces, each built on its own, fields and _form alike
+    v = np.random.default_rng(5).uniform(0.0, 1.0, 256)
+    v[[0, 100, 101]] = 0.0
+    g = GridDensity.normalized(1, (-0.7,), (3 / 256,), v)
+    o, h = g.origin[0], g.spacing[0]
+    ref = UscDensity1D(tuple(constant_piece(o + i * h, o + (i + 1) * h, float(x))
+                             for i, x in enumerate(g.values)), mass_tol=1e-6)
+    d = g.to_pieces()
+    for view, want in [(d.pieces, ref.pieces), (d._segments, ref._segments)]:
+        assert [vars(p) for p in view] == [vars(p) for p in want]
+    assert d._breakpoints == ref._breakpoints
+    assert d.total_mass == ref.total_mass
 
 
 def test_grid_2d_evaluate_boundary_max():
