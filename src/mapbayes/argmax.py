@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .density import (GridDensity, UscDensity1D, _corner_areas, _disc_lattice,
-                      _disc_masses, _lattice_sum, _pieces_view, _support_box)
+from .density import (GridDensity, UscDensity1D, _corner_areas, _disc_lattice, _disc_masses,
+                      _distinct, _lattice_sum, _pieces_view, _support_box)
 from .errors import EmptySearchBox, SearchNotCertified
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
@@ -174,8 +174,9 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
         maxi = tuple((t, t) for t in sorted(witnesses))
         return ArgmaxResult(1, math.inf, maxi, _canonical(1, maxi), 0.0, sup_infinite=True)
 
+    # the breakpoints are sorted and distinct: take those strictly inside the box
     ends = d.breakpoints
-    points = sorted({lo, hi, *ends[bisect_left(ends, lo):bisect_right(ends, hi)]})
+    points = [lo] if lo == hi else [lo, *ends[bisect_right(ends, lo):bisect_left(ends, hi)], hi]
     table = d._segment_table()
     values = table.evaluate(points)
     flat = np.flatnonzero((table.form[1] == 0.0) & (table.ends > lo) & (table.starts < hi))
@@ -199,28 +200,27 @@ def _maximize_density_grid(d: GridDensity, box) -> ArgmaxResult:
     if bx0 > bx1 or by0 > by1:
         raise EmptySearchBox("2D box is empty")
     (ox, gx1), (oy, gy1) = d.support
-    hx, hy = d.spacing
-    rects = []
-    for i in range(d.shape[0]):
-        x0, x1 = max(ox + i * hx, bx0), min(ox + (i + 1) * hx, bx1)
-        if x0 > x1:
-            continue
-        for j in range(d.shape[1]):
-            y0, y1 = max(oy + j * hy, by0), min(oy + (j + 1) * hy, by1)
-            if y0 > y1:
-                continue
-            rects.append(((x0, x1), (y0, y1), float(d.values[i, j])))
+    sides = []
+    for k, (b0, b1) in enumerate(((bx0, bx1), (by0, by1))):
+        # each cell cut to the box by max(edge, b0) and min(edge, b1), each
+        # keeping its first argument on a tie; the cells it misses are dropped
+        e = d._edges(k)
+        s0, s1 = np.where(b0 > e[:-1], b0, e[:-1]), np.where(b1 < e[1:], b1, e[1:])
+        cells = np.flatnonzero(~(s0 > s1))
+        sides.append((cells, s0[cells].tolist(), s1[cells].tolist()))
+    (cells_x, x0, x1), (cells_y, y0, y1) = sides
+    values = d.values[np.ix_(cells_x, cells_y)].ravel()
     # the density is 0 off the grid, so a box that leaves it offers 0 as well
     off_grid = bx0 < ox or bx1 > gx1 or by0 < oy or by1 > gy1
-    values = [v for _, _, v in rects]
-    if off_grid:
-        values.append(0.0)
-    sup = max(values)
+    # argmax and max both keep the first of tied values, the cells in row-major order
+    top = [float(values[np.argmax(values)])] if values.size else []
+    sup = max(top + [0.0] * off_grid)
     tol_value = 4.0 * math.ulp(sup)
     if off_grid and sup - tol_value <= 0.0:
         maxi = (((bx0, bx1), (by0, by1)),)
     else:
-        maxi = tuple((rx, ry) for rx, ry, v in rects if v >= sup - tol_value)
+        i, j = np.divmod(np.flatnonzero(values >= sup - tol_value), len(cells_y))
+        maxi = tuple(((x0[a], x1[a]), (y0[b], y1[b])) for a, b in zip(i.tolist(), j.tolist()))
     return ArgmaxResult(2, sup, maxi, _canonical(2, maxi), tol_value)
 
 
@@ -363,11 +363,10 @@ def maximize_window(
 
     ends = np.asarray(d.breakpoints)
     shifted = np.add.outer(ends, (-r, r)).ravel()  # b - r, b + r for each b
-    # a set, so that 0.0 and -0.0 count as one cut, the first one put in
-    cuts = sorted({lo, hi, *shifted[(lo < shifted) & (shifted < hi)].tolist()})
+    cuts = _distinct(np.concatenate(([lo, hi], shifted[(lo < shifted) & (shifted < hi)])))
 
     segments = d._segment_table()
-    u, v = np.array(cuts[:-1]), np.array(cuts[1:])
+    u, v = cuts[:-1], cuts[1:]
     # an infinite box makes nan and inf stretches, which find no root
     with np.errstate(divide="ignore", invalid="ignore"):
         mid = 0.5 * (u + v)
@@ -382,28 +381,29 @@ def maximize_window(
     arcs = (arc_p != 0.0) | (arc_m != 0.0)
     plateau = ~arcs & (c1 == 0.0) & (c0 == 0.0)
     # c1 = 0 makes an infinite or nan root, inside no stretch
-    candidates = {*cuts, *roots[~arcs & (u < roots) & (roots < v)].tolist()}
+    candidates = [cuts, roots[~arcs & (u < roots) & (roots < v)]]
     for k in np.flatnonzero(arcs).tolist():
         found = _stationary_points(d._segments[i_hi[k]]._form, d._segments[i_lo[k]]._form,
                                    r, float(mid[k]))
         if found is None:
             plateau[k] = True
         else:
-            candidates.update(t for t in found if cuts[k] < t < cuts[k + 1])
+            candidates.append([t for t in found if u[k] < t < v[k]])
 
-    points = sorted(candidates)
-    plateaus = list(zip(u[plateau].tolist(), v[plateau].tolist()))
-    mids = mid[plateau].tolist()
+    # the cuts come first, so that a cut's zero wins over a root's
+    points = _distinct(np.concatenate(candidates))
+    plateaus = np.flatnonzero(plateau)
     table = d._window_terms()
-    theta = np.array(points + mids)
-    approx = scale * (table.cumulative(theta + r) - table.cumulative(theta - r))
+    theta = np.concatenate((points, mid[plateaus]))
+    G = table.cumulative(np.concatenate((theta + r, theta - r)))
+    approx = scale * (G[:len(theta)] - G[len(theta):])
     tol_value = 2.0 * scale * _window_error(d, r, lo, hi)
     # |approx - F| <= E, so only these points can decide the answer
     E = 2.0 * scale * table.error + 0.5 * tol_value
-    near = (approx >= approx.max() - (tol_value + 2.0 * E)).tolist()
-    value_at = {t: F(t) for t, keep in zip(points, near) if keep}
-    plat_scored = [(F(m), a, b) for m, (a, b), keep in zip(mids, plateaus, near[len(points):])
-                   if keep]
+    near = approx >= approx.max() - (tol_value + 2.0 * E)
+    value_at = {t: F(t) for t in points[near[:len(points)]].tolist()}
+    top = plateaus[near[len(points):]]
+    plat_scored = list(zip(map(F, mid[top].tolist()), u[top].tolist(), v[top].tolist()))
     sup = max(max(value_at.values(), default=-math.inf),
               max((v for v, _, _ in plat_scored), default=-math.inf))
 

@@ -214,6 +214,15 @@ def _check_numbers(node, what: str) -> None:
         raise TypeError(f"{what} must be a number, got {node!r}")
 
 
+def _distinct(x) -> np.ndarray:
+    """The sorted distinct values of x, as ``sorted(set(x))`` gives them: 0.0 and
+    -0.0 count as one, and the stable sort keeps the first in x, as a set does."""
+    x = np.sort(x, kind="stable")
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def constant_piece(lo: float, hi: float, k: float) -> Piece:
     return Piece(lo, hi, "constant", {"k": k})
 
@@ -385,7 +394,7 @@ class UscDensity1D:
                                      Piece(t, p.hi, p.kind, p.params)]
         object.__setattr__(self, "_segments", tuple(segments))
         object.__setattr__(self, "_segment_starts", tuple(p.lo for p in segments))
-        object.__setattr__(self, "_breakpoints", tuple(sorted({*los, *his})))
+        object.__setattr__(self, "_breakpoints", tuple(_distinct(los + his).tolist()))
         mass = self.total_mass
         if not math.isfinite(mass) or abs(mass - 1.0) > self.mass_tol:
             raise ValueError(f"total mass {mass} is not within {self.mass_tol} of 1")

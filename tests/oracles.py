@@ -2,8 +2,8 @@
 
 Everything here works from pointwise evaluation only — no piece
 antiderivatives, no package integrators — so agreement between these
-routines and the library is genuine evidence, not circular.  The 1D-grid
-scans read a grid's raw cell array instead, with numpy, and the escaping
+routines and the library is genuine evidence, not circular.  The grid
+scans read a grid's raw cell array instead, and the escaping
 construction's window mass is integrated exactly from its definition, as
 is a piecewise density's from its piece formulas.
 """
@@ -220,7 +220,7 @@ def grid_disc_mass(values, origin, spacing, center, R: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 1D grids, scanned from the raw cell array
+# Grids, scanned from the raw cell array
 # ---------------------------------------------------------------------------
 
 
@@ -261,6 +261,41 @@ def grid_mode_scan(grid, box, tol: float):
     sup = max(v for _, _, v in elements)
     maxi = _merge([(s, t) for s, t, v in elements if v >= sup - tol], 0.0)
     return float(sup), maxi, _nearest_zero(maxi)
+
+
+def grid_mode_scan_2d(grid, box):
+    """(sup, maximizer rectangles, canonical, tol) of a 2D grid over a closed box.
+
+    The per-cell scan in plain Python: every cell, with edges o + i*h, is cut
+    to the box by ``max`` and ``min``, whose first argument wins a tie, in
+    row-major order; a box that leaves the grid offers 0 as well, and if
+    nothing beats 0 by more than tol the whole box is the maximizer.
+    Values within tol = 4 ulps of the sup tie with it.
+    """
+    (bx0, bx1), (by0, by1) = ((float(lo), float(hi)) for lo, hi in box)
+    (ox, oy), (hx, hy) = grid.origin, grid.spacing
+    nx, ny = grid.values.shape
+    rects = []
+    for i in range(nx):
+        x0, x1 = max(ox + i * hx, bx0), min(ox + (i + 1) * hx, bx1)
+        if x0 > x1:
+            continue
+        for j in range(ny):
+            y0, y1 = max(oy + j * hy, by0), min(oy + (j + 1) * hy, by1)
+            if y0 > y1:
+                continue
+            rects.append(((x0, x1), (y0, y1), float(grid.values[i, j])))
+    off_grid = bx0 < ox or bx1 > ox + hx * nx or by0 < oy or by1 > oy + hy * ny
+    values = [v for _, _, v in rects] + [0.0] * off_grid
+    sup = max(values)
+    tol = 4.0 * math.ulp(sup)
+    if off_grid and sup - tol <= 0.0:
+        maxi = (((bx0, bx1), (by0, by1)),)
+    else:
+        maxi = tuple((rx, ry) for rx, ry, v in rects if v >= sup - tol)
+    canonical = min((tuple(min(max(0.0, lo), hi) for lo, hi in m) for m in maxi),
+                    key=lambda p: (math.hypot(*p), p))
+    return sup, maxi, canonical, tol
 
 
 def grid_window_scan(grid, r: float, box, tol: float):

@@ -7,16 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mapbayes as mb
-from mapbayes.argmax import _box_bounds, maximize_density, maximize_window
+from mapbayes.argmax import ArgmaxResult, _box_bounds, maximize_density, maximize_window
 from mapbayes.density import (GridDensity, UscDensity1D, _disc_masses, affine_piece,
                               constant_piece, sqrt_piece)
 from mapbayes.errors import EmptySearchBox
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_affine, random_piecewise
-from oracles import brute_argmax, exact_window_mass, window_mass
+from oracles import brute_argmax, exact_window_mass, grid_mode_scan_2d, window_mass
 
 
 def test_density_argmax_on_family():
@@ -75,6 +75,43 @@ def test_density_argmax_reports_infinite_sup():
     assert res.sup_infinite
     assert res.sup_value == math.inf
     assert res.canonical == 0.3
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_2d_density_argmax_is_the_per_cell_scan(data):
+    # small grids of tied top cells and zero cells of both signs, searched
+    # over boxes on cell lines, inside cells, and partly or wholly off the
+    # grid, report what the per-cell scan does, signed zeros included
+    nx, ny = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    values = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+                                         min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    assume(values.max() > 0.0)
+    origin = data.draw(st.tuples(*[st.sampled_from([0.0, -0.0, -1.0, 0.3])] * 2))
+    spacing = data.draw(st.tuples(*[st.sampled_from([0.25, 0.1, 1.0 / 3.0])] * 2))
+    g = GridDensity.normalized(2, origin, spacing, values)
+    box = []
+    for o, h, n in zip(g.origin, g.spacing, g.shape):
+        at = st.one_of(st.integers(-4, 2 * n + 4).map(lambda i, o=o, h=h: o + 0.5 * i * h),
+                       st.sampled_from([0.0, -0.0]), st.floats(o - 2.0 * n * h, o + 3.0 * n * h))
+        box.append(tuple(sorted(data.draw(st.tuples(at, at)))))
+    for b in (box, g.support):
+        assert repr(maximize_density(g, b)) == repr(ArgmaxResult(2, *grid_mode_scan_2d(g, b)))
+
+
+def test_searches_keep_the_zero_a_box_starts_at():
+    # -0.0 and the 0.0 of a breakpoint or cell line count as one point; the
+    # box end comes first, so its -0.0 is the one reported
+    d = mb.uniform()
+    for res in (mb.map_estimate(d, (-0.0, 1.0)), maximize_window(d, 2.0, (-0.0, 1.0))):
+        assert res.maximizers == ((-0.0, 1.0),)
+        assert math.copysign(1.0, res.maximizers[0][0]) == -1.0
+    for res in (mb.map_estimate(d, (-0.0, 0.0)), maximize_window(d, 0.25, (-0.0, 0.0))):
+        assert [math.copysign(1.0, t) for t in res.maximizers[0]] == [-1.0, -1.0]
+    g = GridDensity.normalized(2, (-1.0, -1.0), (0.5, 0.5), np.ones((4, 4)))
+    res = mb.map_estimate(g, ((-0.0, 0.5), (-0.0, 0.5)))
+    assert len(res.maximizers) == 9  # the cells cut to the box's edges count too
+    assert [math.copysign(1.0, t) for iv in res.maximizers[0] for t in iv] == [-1.0, 1.0] * 2
 
 
 # two identical arcs 0.75*sqrt(t - t0) one unit apart: with r = 1 the window
@@ -234,6 +271,21 @@ def test_import_leaves_scipy_out():
     src = str(Path(mb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = "import mapbayes, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_searches_leave_numpy_ma_out():
+    # np.unique imports numpy.ma on its first call, 1.7 MB more resident
+    # memory; a fresh interpreter, since pytest or hypothesis may import it here
+    src = str(Path(mb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, numpy as np, mapbayes as mb\n"
+            "d = mb.triangle()\n"
+            "mb.map_estimate(d); mb.bayes_estimate(d, mb.LossSpec(8.0))\n"
+            "mb.sweep(d, mb.scale_ladder(3))\n"
+            "g = mb.GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25), np.ones((4, 4)))\n"
+            "mb.bayes_estimate(g, mb.LossSpec(8.0))\n"
+            "assert 'numpy.ma' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

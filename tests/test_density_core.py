@@ -10,6 +10,7 @@ from mapbayes.density import (
     GridDensity,
     Piece,
     UscDensity1D,
+    _distinct,
     affine_piece,
     constant_piece,
     density_from_json,
@@ -129,6 +130,17 @@ def test_segment_table_evaluate_is_evaluate_at_every_point(seed, extra, spike):
     d = UscDensity1D(d.pieces, mass_tol=1e-6, infinite_points=(at,))
     _assert_table_evaluate_is_evaluate(
         d, [*_ends_and_neighbours(d), lo - 1.0, hi + 1.0, at, *extra])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(xs=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
+                             st.floats(allow_nan=False)), max_size=30))
+def test_distinct_is_the_sorted_set(xs):
+    # bit for bit: of 0.0 and -0.0 the first in xs is kept, as a set keeps it
+    def signed(ts):
+        return [(t, math.copysign(1.0, t)) for t in ts]
+
+    assert signed(_distinct(xs).tolist()) == signed(sorted(set(xs)))
 
 
 def test_segment_table_evaluate_at_rounding_edges():
