@@ -13,14 +13,14 @@ breakpoints of the density shifted by the window radius, the stationary
 points of the window mass solve a linear equation (affine and constant
 pieces) or a quadratic in the square root of a sqrt arc's radicand (a sqrt
 arc against an affine piece or against another arc).  Both 1D searches
-read the density's profile as arrays: one numpy pass solves the linear
-equation on every stretch, and only a stretch that meets an arc is solved
-on its own.  A stretch on which the derivative vanishes identically is
-reported as a plateau.  Candidates are scored in two passes: one
-vectorized pass over a cumulative-mass table kept with the density, whose
-error E has a proved bound, then an exact window mass at only the points
-that pass within the value tolerance plus 2E of the best score, which
-keeps every point that can decide the answer.
+read the density's profile, one array table built with the density: one
+numpy pass solves the linear equation on every stretch, and only a
+stretch that meets an arc is solved on its own.  A stretch on which the
+derivative vanishes identically is reported as a plateau.  Candidates are
+scored in two passes: one vectorized pass over the profile's cumulative
+masses, whose error E has a proved bound, then an exact window mass at
+only the points that pass within the value tolerance plus 2E of the best
+score, which keeps every point that can decide the answer.
 
 The 2D ball search is a branch and bound on exact disc masses: boxes of
 centres are split and pruned until no box can beat the best disc mass
@@ -165,10 +165,11 @@ def _check_box1d(box) -> tuple[float, float]:
 
 
 def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
-    """The mode search on the segment table: one vectorized evaluation scores
-    the box ends and breakpoints, and the flat segments are the plateaus."""
+    """The mode search on the profile: one vectorized evaluation scores the
+    box ends and breakpoints, and the flat segments are the plateaus."""
     lo, hi = _check_box1d(box)
 
+    # past this, the box holds no infinite point, at which the profile is not cut
     witnesses = [t for t in d.infinite_points if lo <= t <= hi]
     if witnesses:
         maxi = tuple((t, t) for t in sorted(witnesses))
@@ -177,17 +178,17 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
     # the breakpoints are sorted and distinct: take those strictly inside the box
     ends = d.breakpoints
     points = [lo] if lo == hi else [lo, *ends[bisect_right(ends, lo):bisect_left(ends, hi)], hi]
-    table = d._segment_table()
-    values = table.evaluate(points)
-    flat = np.flatnonzero((table.form[1] == 0.0) & (table.ends > lo) & (table.starts < hi))
-    heights = table.form[0, flat]
+    profile = d._profile
+    values = profile.evaluate(points)
+    flat = np.flatnonzero((profile.form[1] == 0.0) & (profile.ends > lo) & (profile.starts < hi))
+    heights = profile.form[0, flat]
     # evaluate never gives -0.0, so a tie at zero keeps the +0.0 of values
     sup = max(float(values.max()), float(heights.max(initial=-math.inf)))
     tol_value = 4.0 * math.ulp(sup)
 
     elements = [(t, t) for t, keep in zip(points, (values >= sup - tol_value).tolist()) if keep]
     top = flat[heights >= sup - tol_value]
-    starts, seg_ends = table.starts[top], table.ends[top]
+    starts, seg_ends = profile.starts[top], profile.ends[top]
     # max(p.lo, lo) and min(p.hi, hi), each keeping its first argument on a tie
     elements += zip(np.where(lo > starts, lo, starts).tolist(),
                     np.where(hi < seg_ends, hi, seg_ends).tolist())
@@ -247,11 +248,11 @@ def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float] | None:
     return [q / qa, qc / q] if q != 0.0 else [0.0]
 
 
-def _stationary_points(form_hi: tuple, form_lo: tuple, r: float,
+def _stationary_points(form_hi: list[float], form_lo: list[float], r: float,
                        mid: float) -> list[float] | None:
     """Roots of F'(theta) = f_hi(theta + r) - f_lo(theta - r), in closed
-    form, on a stretch where one of the two pieces, given by their
-    ``_form``, is a sqrt arc that is not flat.
+    form, on a stretch where one of the two pieces, given by their profile
+    columns (a, b, s, t0, root), is a sqrt arc that is not flat.
 
     Returns None when F' vanishes identically (a plateau of F).  A sqrt arc
     a + b*sqrt(s*(theta - tau)) is written in w = sqrt(s*(theta - tau)) >= 0,
@@ -300,19 +301,21 @@ def _window_error(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
     ulp(A)/2 each, which moves the mass by the density there.  Each piece
     the window meets adds an antiderivative difference: its linear term
     c*t is rounded once at each end, its power term up to four times.  The
-    per-piece terms do not depend on the window, and the density keeps them
-    (:meth:`UscDensity1D._window_terms`).
+    density's profile keeps these per-piece terms, 0 on its fillers.  Its
+    rows read run from the last piece to start at or before lo - r (the
+    first if none does) to the last to start at or before hi + r.
     """
-    i0 = max(bisect_right(d._starts, lo - r) - 1, 0)
-    i1 = bisect_right(d._starts, hi + r)
-    if i1 <= i0:
+    p = d._profile
+    i0, i1 = (np.searchsorted(p.starts, (lo - r, hi + r), side="right") - 1).tolist()
+    # an end on a filler steps back to the piece before it, so A is read off pieces
+    i0, i1 = max(i0 - int(p.filler[i0]), 1), i1 - int(p.filler[i1])
+    if i1 < i0:
         return 0.0
-    table = d._window_terms()
-    ends, rounding, f_max = (x[i0:i1] for x in (table.ends, table.rounding, table.f_max))
-    # a window whose first piece is k meets at most pieces k .. j - 1
-    j = np.searchsorted(ends[:, 0], ends[:, 1] + 2.0 * r, side="right")
+    starts, ends, rounding, f_max = (x[i0:i1 + 1] for x in (p.starts, p.ends, p.rounding, p.f_max))
+    # a window whose first segment is k meets at most segments k .. j - 1
+    j = np.searchsorted(starts, ends + 2.0 * r, side="right")
     cum = np.concatenate(([0.0], np.cumsum(rounding)))
-    A = max(abs(ends[0, 0]), abs(ends[-1, 1])) + 2.0 * r
+    A = max(abs(starts[0]), abs(ends[-1])) + 2.0 * r
     return (max(0.0, float(f_max.max())) * math.ulp(A)
             + sys.float_info.epsilon * float((cum[j] - cum[:-1]).max()))
 
@@ -329,8 +332,8 @@ def maximize_window(
     The search is exact on the piecewise structure: F is smooth between
     breakpoints of d shifted by +-r, and on each such stretch its derivative
     f(theta+r) - f(theta-r) pairs two fixed segments, which two
-    ``np.searchsorted`` calls on the segment table
-    (:class:`~mapbayes.density._SegmentTable`) find for every stretch.
+    ``np.searchsorted`` calls on the density's profile
+    (:class:`~mapbayes.density._Profile`) find for every stretch.
     F' = 0 is solved there in closed form: c1 (theta - mid) + c0 = 0 for two
     affine/constant segments, in one numpy pass over all such stretches; a
     quadratic in w = sqrt(radicand), stretch by stretch, when a sqrt arc is
@@ -339,14 +342,13 @@ def maximize_window(
     is a plateau.  Values within twice the float error of one window mass
     (:func:`_window_error`) of the sup tie with it.
 
-    Scoring takes two passes.  The density's table
-    (:class:`~mapbayes.density._WindowTable`) gives every candidate and
+    Scoring takes two passes.  The same profile gives every candidate and
     plateau midpoint an approximate F = scale * (G(theta + r) - G(theta - r))
     at once, G being the cumulative mass: the piece masses summed by
     ``np.cumsum``, plus the part of the piece holding the point.  Its error
-    against the F an exact window mass gives is at most E: the table's
+    against the F an exact window mass gives is at most E: the profile's
     proved bound, times scale, plus the exact mass's own error.  Half of
-    ``tol_value`` bounds that, and so does the table's bound by the same
+    ``tol_value`` bounds that, and so does the profile's bound by the same
     per-piece terms; E adds both, so it rests on neither alone.  The exact
     F is then computed only at the points whose approximate F lies within
     ``tol_value + 2E`` of the best one.  Each point within ``tol_value`` of
@@ -365,15 +367,15 @@ def maximize_window(
     shifted = np.add.outer(ends, (-r, r)).ravel()  # b - r, b + r for each b
     cuts = _distinct(np.concatenate(([lo, hi], shifted[(lo < shifted) & (shifted < hi)])))
 
-    segments = d._segment_table()
+    profile = d._profile
     u, v = cuts[:-1], cuts[1:]
     # an infinite box makes nan and inf stretches, which find no root
     with np.errstate(divide="ignore", invalid="ignore"):
         mid = 0.5 * (u + v)
-        i_hi = np.searchsorted(segments.starts, mid + r, side="right") - 1
-        i_lo = np.searchsorted(segments.starts, mid - r, side="right") - 1
-        a_p, b_p, _, t_p, arc_p = segments.form[:, i_hi]
-        a_m, b_m, _, t_m, arc_m = segments.form[:, i_lo]
+        i_hi = np.searchsorted(profile.starts, mid + r, side="right") - 1
+        i_lo = np.searchsorted(profile.starts, mid - r, side="right") - 1
+        a_p, b_p, _, t_p, arc_p = profile.form[:, i_hi]
+        a_m, b_m, _, t_m, arc_m = profile.form[:, i_lo]
         # about the midpoint, so products stay small for steep distant pieces
         c1 = b_p - b_m
         c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)
@@ -383,8 +385,8 @@ def maximize_window(
     # c1 = 0 makes an infinite or nan root, inside no stretch
     candidates = [cuts, roots[~arcs & (u < roots) & (roots < v)]]
     for k in np.flatnonzero(arcs).tolist():
-        found = _stationary_points(d._segments[i_hi[k]]._form, d._segments[i_lo[k]]._form,
-                                   r, float(mid[k]))
+        found = _stationary_points(profile.form[:, i_hi[k]].tolist(),
+                                   profile.form[:, i_lo[k]].tolist(), r, float(mid[k]))
         if found is None:
             plateau[k] = True
         else:
@@ -393,13 +395,12 @@ def maximize_window(
     # the cuts come first, so that a cut's zero wins over a root's
     points = _distinct(np.concatenate(candidates))
     plateaus = np.flatnonzero(plateau)
-    table = d._window_terms()
     theta = np.concatenate((points, mid[plateaus]))
-    G = table.cumulative(np.concatenate((theta + r, theta - r)))
+    G = profile.cumulative(np.concatenate((theta + r, theta - r)))
     approx = scale * (G[:len(theta)] - G[len(theta):])
     tol_value = 2.0 * scale * _window_error(d, r, lo, hi)
     # |approx - F| <= E, so only these points can decide the answer
-    E = 2.0 * scale * table.error + 0.5 * tol_value
+    E = 2.0 * scale * profile.error + 0.5 * tol_value
     near = approx >= approx.max() - (tol_value + 2.0 * E)
     value_at = {t: F(t) for t in points[near[:len(points)]].tolist()}
     top = plateaus[near[len(points):]]

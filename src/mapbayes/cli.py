@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import gallery
-from .counterexample import (DEFAULT_MAX_BUMP, build, sample_curve, scale_ladder,
+from .counterexample import (_MAX_BUMP, DEFAULT_MAX_BUMP, build, sample_curve, scale_ladder,
                              verify_nonconvergence)
 from .density import density_from_json
 from .diagnostics import check_conditions, fmt17, hypo_diagnostic, sweep
@@ -231,6 +231,11 @@ def _cmd_counterexample(args) -> None:
     if args.nu_max < 2:
         raise ConfigError(f"--nu-max must be at least 2, got {args.nu_max}: "
                           "a one-rung ladder cannot give a verdict")
+    flag, top = (("--nu-max", 2 * args.nu_max) if args.max_bump is None
+                 else ("--max-bump", args.max_bump))
+    if top > _MAX_BUMP:
+        raise ConfigError(f"{flag} asks for bump {top}, past bump {_MAX_BUMP}, the last the "
+                          "construction can materialize: from bump 48 on, n + 2^-n rounds to n")
     report = verify_nonconvergence(args.nu_max, args.max_bump)
     out = _outdir(args)
     d = report.density

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BUMP = 20
+#: the last bump whose plateau has width: from n = 48 on, n + 2^-n rounds to n
+_MAX_BUMP = 47
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -59,9 +61,10 @@ def omitted_tail_mass(max_bump: int) -> float:
 
 
 def build(max_bump: int = DEFAULT_MAX_BUMP) -> UscDensity1D:
-    """Materialize the density with bumps 1..max_bump."""
-    if max_bump < 1:
-        raise ValueError("max_bump must be at least 1")
+    """Materialize the density with bumps 1..max_bump, for max_bump <= 47."""
+    if not 1 <= max_bump <= _MAX_BUMP:
+        raise ValueError(f"max_bump must be between 1 and {_MAX_BUMP}, got {max_bump}: "
+                         "from bump 48 on, n + 2^-n rounds to n")
     pieces = [
         # central cusp 1 - sqrt(2|t|) on (-1/2, 1/2)
         sqrt_piece(-0.5, 0.0, 1.0, -_SQRT2, -1, 0.0),
@@ -234,4 +237,4 @@ def sample_curve(d: UscDensity1D, lo: float, hi: float,
     """Samples of d at t = lo + k*step, k = 0..n with n = round((hi - lo)/step),
     for plotting the construction: an (n+1, 2) array of (t, value) rows."""
     t = lo + np.arange(int(round((hi - lo) / step)) + 1) * step
-    return np.column_stack((t, d._segment_table().evaluate(t)))
+    return np.column_stack((t, d._profile.evaluate(t)))

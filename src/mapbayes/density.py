@@ -236,9 +236,9 @@ def sqrt_piece(lo: float, hi: float, a: float, b: float, s: int, t0: float) -> P
     return Piece(lo, hi, "sqrt", {"a": a, "b": b, "s": s, "t0": t0})
 
 
-def _antiderivatives(form: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+def _antiderivatives(form: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:meth:`Piece.antiderivative` at each x, of the piece whose ``_form``
-    columns (a, b, s, t0, root) are given at the same index."""
+    (a, b, s, t0, root) is the column of the five rows at the same index."""
     a, b, s, t0, root = form
     dt = x - t0
     power = np.where(root, s * (2.0 * b / 3.0) * np.maximum(s * dt, 0.0) ** 1.5,
@@ -247,63 +247,81 @@ def _antiderivatives(form: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _WindowTable:
-    """What the 1D window search reads off a density's pieces, in order.
+class _Profile:
+    """A 1D density's profile over the whole line as arrays, one column per
+    segment: the pieces in order, and a zero ``filler`` in each gap between
+    them and out to -inf and +inf.  Infinite points do not cut a piece.
 
-    * ``ends`` (lo, hi), ``rounding`` and ``f_max``: the per-piece terms of
+    * ``starts``, ``ends`` and ``form``: each segment's own ends (pieces may
+      overlap) and ``_form`` rows a, b, s, t0, root; ``infinite``: the infinite points.
+    * ``rounding``, ``f_max``: the per-piece terms of
       :func:`mapbayes.argmax._window_error`.  ``rounding`` is the float
-      rounding of the piece's antiderivative difference in units of eps:
-      |a| times its larger end for the linear term a*t, plus four times its
+      rounding of a piece's antiderivative difference in units of eps: |a|
+      times its larger end for the linear term a*t, plus four times its
       larger power term at an end.  ``f_max`` is its largest value.
-    * ``form``: the ``_form`` columns a, b, s, t0, root; ``a_lo``: each
-      antiderivative at lo; ``cum``: [0, m_0, m_0 + m_1, ...], the
-      ``np.cumsum`` of the piece masses m_k.
+    * ``a_lo``: each antiderivative at its start; ``cum``: [0, m_0, m_0 +
+      m_1, ...], the ``np.cumsum`` of the masses m_k.  The masses and the
+      per-piece terms are 0 on the fillers.
     * ``error``: a bound on |cumulative(b) - cumulative(a) - I| over every
       float window [a, b], with I the exact mass that
       ``UscDensity1D.integrate(a, b)`` rounds, n pieces and S = sum |m_k|.
-      Each antiderivative difference the table takes, the masses in ``cum``
-      and the two partial pieces at the window ends, is within twice its
+      Each antiderivative difference taken, the masses in ``cum`` and the
+      two partial pieces at the window ends, is within twice its
       ``rounding`` times eps (the linear and power terms, and their sum,
       rounded at both ends): at most eps * (4 max rounding + 2 sum
       rounding).  Each ``cum`` entry is within (n - 1) eps S of the exact
       sum of its float masses, by the bound on recursive summation.  Six
-      more eps S cover the three additions, the roundings of the
-      scale product on both sides, and the search's threshold.  Where
-      pieces overlap (by 1e-15 relative at most), ``cum`` counts all of the
-      earlier piece while ``integrate`` skips its tail before a: three
-      times the sum of the overlap widths, each times the earlier piece's
-      largest |value|, covers both ends.  The same terms bound the error of
-      ``integrate`` itself, an ``fsum`` of antiderivative differences of the
-      pieces a window meets.
+      more eps S cover the three additions, the roundings of the scale
+      product on both sides, and the search's threshold.  Where pieces
+      overlap (by 1e-15 relative at most), ``cum`` counts all of the earlier
+      piece while ``integrate`` skips its tail before a: three times the sum
+      of the overlap widths, each times the earlier piece's largest |value|,
+      covers both ends.  The same terms bound the error of ``integrate``
+      itself, an ``fsum`` of antiderivative differences of the pieces a
+      window meets.
     """
-
-    ends: np.ndarray
-    rounding: np.ndarray
-    f_max: np.ndarray
-    form: tuple[np.ndarray, ...]
-    a_lo: np.ndarray
-    cum: np.ndarray
-    error: float
-
-    def cumulative(self, x: np.ndarray) -> np.ndarray:
-        """G(x) = cum[i] + A_i(clip(x, lo_i, hi_i)) - A_i(lo_i) at each x,
-        with i the last piece to start at or before x (the first piece
-        before the support) and A_i its antiderivative."""
-        i = np.maximum(np.searchsorted(self.ends[:, 0], x, side="right") - 1, 0)
-        x = np.clip(x, self.ends[i, 0], self.ends[i, 1])
-        return self.cum[i] + (_antiderivatives(tuple(col[i] for col in self.form), x)
-                              - self.a_lo[i])
-
-
-@dataclass(frozen=True, eq=False)
-class _SegmentTable:
-    """The profile ``UscDensity1D._segments`` as arrays: starts, each segment's
-    own end (pieces may overlap), ``_form`` columns as rows, infinite points."""
 
     starts: np.ndarray
     ends: np.ndarray
     form: np.ndarray
     infinite: np.ndarray
+    filler: np.ndarray
+    rounding: np.ndarray
+    f_max: np.ndarray
+    a_lo: np.ndarray
+    cum: np.ndarray
+    error: float
+
+    @staticmethod
+    def of(segments: list[Piece], fillers: list[int], infinite_points) -> "_Profile":
+        """The profile of the segments, of which those at ``fillers`` fill gaps."""
+        starts, ends = np.array([p.lo for p in segments]), np.array([p.hi for p in segments])
+        form = np.array([p._form for p in segments], dtype=float).T
+        filler = np.zeros(len(segments), dtype=bool)
+        filler[fillers] = True
+        # the per-piece terms are 0 on the fillers, whose outer ends are infinite
+        k = np.flatnonzero(~filler)
+        lo, hi, c = starts[k], ends[k], form[0, k]
+        rounding, a_lo, mass = np.zeros((3, len(segments)))
+        rounding[k] = np.abs(c) * np.maximum(np.abs(lo), np.abs(hi))
+        # a flat segment (b = 0), a filler too, has no power term, and its value is a
+        values = np.stack((form[0], form[0]), axis=1)
+        for i in np.flatnonzero(form[1]).tolist():
+            p = segments[i]
+            rounding[i] += 4.0 * max(abs(p.antiderivative(t) - form[0, i] * t)
+                                     for t in (p.lo, p.hi))
+            values[i] = p.endpoint_values()
+        a_lo[k] = _antiderivatives(form[:, k], lo)
+        mass[k] = _antiderivatives(form[:, k], hi) - a_lo[k]
+        total = float(np.abs(mass[k]).sum())
+        overlap = float(np.maximum(hi[:-1] - lo[1:], 0.0) @ np.abs(values[k[:-1]]).max(axis=1))
+        error = (sys.float_info.epsilon
+                 * (4.0 * float(rounding[k].max()) + 2.0 * float(rounding[k].sum())
+                    + (2 * len(k) + 4) * total)
+                 + 3.0 * overlap)
+        return _Profile(starts, ends, form, np.array(infinite_points, dtype=float), filler,
+                        rounding, values.max(axis=1), a_lo,
+                        np.concatenate(([0.0], np.cumsum(mass))), error)
 
     def evaluate(self, t) -> np.ndarray:
         """:meth:`UscDensity1D.evaluate` at each t of a 1D array, bit for bit:
@@ -329,6 +347,15 @@ class _SegmentTable:
             v[np.isin(t, self.infinite)] = math.inf
         return v
 
+    def cumulative(self, x: np.ndarray) -> np.ndarray:
+        """G(x) = cum[i] + A_i(clip(x, starts[i], ends[i])) - a_lo[i] at each
+        x, with A_i the antiderivative of segment i, the one holding x, or
+        the first or last piece for x off the support: an outer filler's
+        infinite end would make 0 * inf."""
+        i = np.clip(np.searchsorted(self.starts, x, side="right") - 1, 1, len(self.starts) - 2)
+        x = np.clip(x, self.starts[i], self.ends[i])
+        return self.cum[i] + (_antiderivatives(self.form[:, i], x) - self.a_lo[i])
+
 
 @dataclass(frozen=True)
 class UscDensity1D:
@@ -346,13 +373,13 @@ class UscDensity1D:
     materialized pieces with plateaus whose heights approach the given value;
     level sets below it are treated as unbounded.
 
-    ``_segments`` is the profile over the whole line, built once: the
-    pieces in order, a zero constant piece in each gap between them and out
-    to -inf and +inf past the ends of the support, and each segment holding
-    an infinite point cut in two there.  Every point t lies in segment
-    ``bisect_right(_segment_starts, t) - 1``, and every jump and infinite
-    point is a segment start.  Integrals read ``pieces`` alone: a zero
-    piece of infinite length has antiderivative 0 * inf = nan.
+    ``_profile`` is the profile over the whole line, one array table built
+    with the density (:class:`_Profile`): the pieces in order and a zero
+    filler in each gap between them and out to -inf and +inf.  ``_segments``
+    holds it as pieces, each cut in two at an infinite point it holds: t
+    lies in segment ``bisect_right(_segment_starts, t) - 1``, and every jump
+    and infinite point is a segment start.  Integrals read ``pieces`` alone:
+    a zero piece of infinite length has antiderivative 0 * inf = nan.
     ``_breakpoints`` holds every distinct piece end in order; pieces may
     overlap by 1e-15 relative, so an end can fall inside the next piece and
     is kept all the same.
@@ -366,19 +393,19 @@ class UscDensity1D:
     _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
     _segment_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _terms: _WindowTable | None = field(default=None, init=False, repr=False, compare=False)
-    _table: _SegmentTable | None = field(default=None, init=False, repr=False, compare=False)
+    _profile: _Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pieces = tuple(sorted(self.pieces, key=lambda p: p.lo))
         if not pieces:
             raise ValueError("a density needs at least one piece")
         los, his = [p.lo for p in pieces], [p.hi for p in pieces]
-        segments = [constant_piece(-math.inf, los[0], 0.0)]
+        segments, fillers = [constant_piece(-math.inf, los[0], 0.0)], [0]
         cut = 0
         for k, (lo, hi) in enumerate(zip(los[1:], his), 1):
             if lo > hi:  # a gap after piece k - 1
                 segments += [*pieces[cut:k], constant_piece(hi, lo, 0.0)]
+                fillers.append(len(segments) - 1)
                 cut = k
             elif lo < hi and lo < hi - 1e-15 * max(1.0, abs(hi)):
                 # an overlap past 1e-15 relative; abutting pieces skip the bound
@@ -386,6 +413,8 @@ class UscDensity1D:
         segments += [*pieces[cut:], constant_piece(his[-1], math.inf, 0.0)]
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "_starts", tuple(los))
+        object.__setattr__(self, "_profile", _Profile.of(
+            segments, fillers + [len(segments) - 1], self.infinite_points))
         for t in self.infinite_points:
             i = bisect_right([p.lo for p in segments], t) - 1
             p = segments[i]
@@ -432,15 +461,6 @@ class UscDensity1D:
     def __call__(self, t: float) -> float:
         return self.evaluate(t)
 
-    def _segment_table(self) -> _SegmentTable:
-        """The :class:`_SegmentTable` of the profile, built on the first call."""
-        if self._table is None:
-            object.__setattr__(self, "_table", _SegmentTable(
-                np.array(self._segment_starts), np.array([p.hi for p in self._segments]),
-                np.array([p._form for p in self._segments], dtype=float).T,
-                np.array(self.infinite_points, dtype=float)))
-        return self._table
-
     def integrate(self, lo: float, hi: float) -> float:
         """Exact integral over [lo, hi] via per-piece antiderivatives."""
         if hi < lo:
@@ -454,36 +474,6 @@ class UscDensity1D:
             if b > a:
                 terms.append(p.integral(a, b))
         return math.fsum(terms)
-
-    def _window_terms(self) -> _WindowTable:
-        """The :class:`_WindowTable` of the pieces, built on the first call
-        and kept for the later ones."""
-        if self._terms is None:
-            pieces = self.pieces
-            ends = np.column_stack([self._starts, [p.hi for p in pieces]])
-            form = tuple(np.array(col, dtype=float) for col in zip(*(p._form for p in pieces)))
-            c = form[0]
-            rounding = np.abs(c) * np.abs(ends).max(axis=1)
-            # a flat piece (b = 0) has no power term, and its value is c
-            values = np.stack([c, c], axis=1)
-            for k in np.flatnonzero(form[1]).tolist():
-                p = pieces[k]
-                rounding[k] += 4.0 * max(abs(p.antiderivative(t) - c[k] * t)
-                                         for t in (p.lo, p.hi))
-                values[k] = p.endpoint_values()
-            a_lo = _antiderivatives(form, ends[:, 0])
-            mass = _antiderivatives(form, ends[:, 1]) - a_lo
-            total = float(np.abs(mass).sum())
-            overlap = float(np.maximum(ends[:-1, 1] - ends[1:, 0], 0.0)
-                            @ np.abs(values[:-1]).max(axis=1))
-            error = (sys.float_info.epsilon
-                     * (4.0 * float(rounding.max()) + 2.0 * float(rounding.sum())
-                        + (2 * len(pieces) + 4) * total)
-                     + 3.0 * overlap)
-            object.__setattr__(self, "_terms", _WindowTable(
-                ends, rounding, values.max(axis=1), form, a_lo,
-                np.concatenate(([0.0], np.cumsum(mass))), error))
-        return self._terms
 
     def lipschitz_bound(self, lo: float, hi: float) -> float:
         """Bound on |f'| over [lo, hi] ignoring jumps between pieces."""
@@ -781,7 +771,7 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
             points = _midpoints((lo,), (h,), (n,))
             return h * math.fsum(
                 v * m.likelihood(m.observation, t)
-                for v, t in zip(pieces._segment_table().evaluate(points).tolist(), points)
+                for v, t in zip(pieces._profile.evaluate(points).tolist(), points)
             )
 
         e1 = midpoint(grid_resolution)
@@ -817,7 +807,7 @@ def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
         lo, hi = g.support
         origin, spacing = (lo,), ((hi - lo) / grid_resolution,)
         points = _midpoints(origin, spacing, (grid_resolution,))
-        prior = g._segment_table().evaluate(points)
+        prior = g._profile.evaluate(points)
 
     likelihood, x = m.likelihood, m.observation
     like = np.array([likelihood(x, t) for t in points])

@@ -5,12 +5,16 @@ antiderivatives, no package integrators — so agreement between these
 routines and the library is genuine evidence, not circular.  The grid
 scans read a grid's raw cell array instead, and the escaping
 construction's window mass is integrated exactly from its definition, as
-is a piecewise density's from its piece formulas.
+is a piecewise density's from its piece formulas.  The window search's
+float-error bound is worked out piece by piece, without the profile the
+library reads it from.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
@@ -147,6 +151,36 @@ def exact_window_mass(d, a: float, b: float) -> Fraction:
                 power = Fraction(w_hi * w_hi.sqrt() - w_lo * w_lo.sqrt())
             total += (hi - lo) * q["a"] + q["s"] * q["b"] * Fraction(2, 3) * power
     return total
+
+
+def window_error_by_pieces(d, r: float, lo: float, hi: float) -> float:
+    """The float-error bound of ``mapbayes.argmax._window_error``, worked out
+    on the pieces alone as the bound is stated there: pieces i0 .. i1 - 1,
+    with i0 the last to start at or before lo - r (the first if none does)
+    and i1 the number to start at or before hi + r.  Each piece's terms come
+    from its formula: |a| times its larger end, plus four times its larger
+    power term at an end where it is not flat, and its largest value."""
+    starts = [p.lo for p in d.pieces]
+    i0 = max(bisect_right(starts, lo - r) - 1, 0)
+    i1 = bisect_right(starts, hi + r)
+    if i1 <= i0:
+        return 0.0
+    pieces = d.pieces[i0:i1]
+    ends = np.array([(p.lo, p.hi) for p in pieces])
+    rounding = []
+    for p in pieces:
+        a, b = p._form[:2]
+        term = abs(a) * max(abs(p.lo), abs(p.hi))
+        if b != 0.0:
+            term += 4.0 * max(abs(p.antiderivative(t) - a * t) for t in (p.lo, p.hi))
+        rounding.append(term)
+    f_max = max(max(p.endpoint_values()) for p in pieces)
+    # a window whose first piece is k meets at most pieces k .. j - 1
+    j = np.searchsorted(ends[:, 0], ends[:, 1] + 2.0 * r, side="right")
+    cum = np.concatenate(([0.0], np.cumsum(rounding)))
+    A = max(abs(ends[0, 0]), abs(ends[-1, 1])) + 2.0 * r
+    return (max(0.0, f_max) * math.ulp(A)
+            + sys.float_info.epsilon * float((cum[j] - cum[:-1]).max()))
 
 
 def disc_area_subdivision(center, R: float, rect, n: int = 2000) -> float:

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mapbayes as mb
-from mapbayes.argmax import ArgmaxResult, _box_bounds, maximize_density, maximize_window
+from mapbayes.argmax import (ArgmaxResult, _box_bounds, _window_error, maximize_density,
+                             maximize_window)
 from mapbayes.density import (GridDensity, UscDensity1D, _disc_masses, affine_piece,
                               constant_piece, sqrt_piece)
 from mapbayes.errors import EmptySearchBox
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_affine, random_piecewise
-from oracles import brute_argmax, exact_window_mass, grid_mode_scan_2d, window_mass
+from oracles import (brute_argmax, exact_window_mass, grid_mode_scan_2d, window_error_by_pieces,
+                     window_mass)
 
 
 def test_density_argmax_on_family():
@@ -241,10 +243,59 @@ def test_window_table_mass_is_within_its_error_bound(seed, offset, log_r):
     lo, hi = d.support
     ends = np.array(d.breakpoints)
     theta = np.concatenate([ends - r, ends + r, np.linspace(lo - 2.0 * r, hi + 2.0 * r, 41)])
-    table = d._window_terms()
+    table = d._profile
     approx = table.cumulative(theta + r) - table.cumulative(theta - r)
     for t, v in zip(theta.tolist(), approx.tolist()):
         assert abs(Fraction(v) - exact_window_mass(d, t - r, t + r)) <= Fraction(table.error)
+
+
+def _density_of(kind: str, rng) -> UscDensity1D:
+    """A random density with gaps, one whose pieces overlap by 1e-15
+    relative, or the escaping construction."""
+    if kind == "gaps":
+        return random_piecewise(rng, max_pieces=8, gap_prob=0.35)
+    if kind == "overlaps":
+        return random_affine(rng, offset=float(rng.uniform(-50.0, 50.0)))
+    return mb.build(int(rng.integers(1, 13)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["gaps", "overlaps", "escape"]),
+       log_r=st.floats(-4.0, 0.0))
+def test_infinite_boxes_give_the_support_search(seed, kind, log_r):
+    # off the support the window mass and the density are 0, so a box
+    # reaching to -inf or +inf finds what the box about the support finds
+    d = _density_of(kind, np.random.default_rng(seed))
+    r, inf = 10.0 ** log_r, math.inf
+    lo, hi = d.support
+    want = repr(maximize_window(d, r, (lo - r, hi + r)))
+    for box in ((-inf, inf), (lo - r, inf), (-inf, hi + r)):
+        assert repr(maximize_window(d, r, box)) == want, box
+    want = repr(maximize_density(d))
+    for box in ((-inf, inf), (lo, inf)):
+        assert repr(maximize_density(d, box)) == want, box
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["gaps", "overlaps"]),
+       log_r=st.floats(-4.0, 0.0), spike=st.floats(0.0, 1.0))
+def test_window_error_is_the_piece_by_piece_bound(seed, kind, log_r, spike):
+    # boxes whose ends, less r and plus r, fall on piece ends, one ulp off
+    # them, in gaps, off the support and at infinity, on densities with gaps
+    # or overlaps and an infinite point
+    d = _density_of(kind, np.random.default_rng(seed))
+    lo, hi = d.support
+    d = UscDensity1D(d.pieces, mass_tol=1e-6, infinite_points=(lo + spike * (hi - lo),))
+    r, inf = 10.0 ** log_r, math.inf
+    ends = [p.lo for p in d.pieces] + [p.hi for p in d.pieces]
+    gaps = [0.5 * (a.hi + b.lo) for a, b in zip(d.pieces, d.pieces[1:]) if b.lo > a.hi]
+    xs = sorted({y for x in ends for y in (math.nextafter(x, -inf), x, math.nextafter(x, inf))}
+                | set(gaps) | {lo - 1.0, hi + 1.0, -inf, inf})
+    for x in xs:
+        for y in xs:
+            if x <= y:
+                assert _window_error(d, r, x + r, y - r) == window_error_by_pieces(
+                    d, r, x + r, y - r), (x, y)
 
 
 @pytest.mark.parametrize("nu, bumps", [(12, [22, 23, 24]), (13, list(range(20, 27)))])

@@ -257,6 +257,25 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
     assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_counterexample_past_bump_47_exits_2(tmp_path, capsys):
+    # from bump 48 on, n + 2^-n rounds to n, so bump n has no width: both
+    # flags are checked before any work, --nu-max K through its default
+    # max_bump of 2K, and the builtin density refuses it as a bad parameter
+    for flags, flag in ((["--nu-max", "4", "--max-bump", "48"], "--max-bump"),
+                        (["--nu-max", "24"], "--nu-max")):
+        assert main(["counterexample", *flags, "--out", str(tmp_path / "no")]) == 2
+        assert f"error: {flag} asks for bump 48, past bump 47" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
+    with pytest.raises(ValueError, match="between 1 and 47, got 48"):
+        mb.build(48)
+    cfg = _write_config(tmp_path / "c.json",
+                        {"density": {"builtin": "counterexample", "max_bump": 48}})
+    assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "max_bump must be between 1 and 47, got 48" in capsys.readouterr().err
+    assert main(["counterexample", "--nu-max", "4", "--max-bump", "47",
+                 "--out", str(tmp_path / "ok")]) == 0
+
+
 @pytest.mark.parametrize("s, code", [(1.9, 2), (1.0, 0)])
 def test_sqrt_orientation_is_plus_or_minus_one(tmp_path, s, code):
     # 1.5*sqrt(t) on [0, 1] has unit mass; an orientation of 1.9 is no orientation

@@ -100,7 +100,7 @@ def test_infinite_points_reported():
 
 def _assert_table_evaluate_is_evaluate(d, ts):
     ts = np.array(sorted(ts))
-    got = d._segment_table().evaluate(ts)
+    got = d._profile.evaluate(ts)
     want = np.array([d.evaluate(t) for t in ts.tolist()])
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -395,7 +395,7 @@ def test_flat_piece_of_any_kind_is_a_constant(layout):
         ts = [x for b in e.breakpoints
               for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
         yield [e.evaluate(t) for t in ts]
-        yield e._segment_table().evaluate(ts).tolist()
+        yield e._profile.evaluate(ts).tolist()
 
     assert list(answers(d)) == list(answers(twin))
 
