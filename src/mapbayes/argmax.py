@@ -363,11 +363,10 @@ def maximize_window(
     def F(theta: float) -> float:
         return scale * d.integrate(theta - r, theta + r)
 
-    ends = np.asarray(d.breakpoints)
-    shifted = np.add.outer(ends, (-r, r)).ravel()  # b - r, b + r for each b
+    profile = d._profile
+    shifted = np.add.outer(profile.breakpoints, (-r, r)).ravel()  # b - r, b + r for each b
     cuts = _distinct(np.concatenate(([lo, hi], shifted[(lo < shifted) & (shifted < hi)])))
 
-    profile = d._profile
     u, v = cuts[:-1], cuts[1:]
     # an infinite box makes nan and inf stretches, which find no root
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -231,6 +231,9 @@ def _cmd_counterexample(args) -> None:
     if args.nu_max < 2:
         raise ConfigError(f"--nu-max must be at least 2, got {args.nu_max}: "
                           "a one-rung ladder cannot give a verdict")
+    if args.max_bump is not None and args.max_bump < 2 * args.nu_max:
+        raise ConfigError(f"--max-bump {args.max_bump} is below bump {2 * args.nu_max}, which "
+                          f"--nu-max {args.nu_max} needs: rung nu reads bump 2 nu")
     flag, top = (("--nu-max", 2 * args.nu_max) if args.max_bump is None
                  else ("--max-bump", args.max_bump))
     if top > _MAX_BUMP:

@@ -98,12 +98,7 @@ class Piece:
 
     def value(self, t: float) -> float:
         """Continuous extension of the piece formula to the closed interval."""
-        a, b, s, t0, root = self._form
-        if b == 0.0:
-            return a
-        if root:
-            return a + b * math.sqrt(max(s * (t - t0), 0.0))
-        return a + b * (t - t0)
+        return _value(self._form, t)
 
     def endpoint_values(self) -> tuple[float, float]:
         """Values of the continuous extension at lo and hi.
@@ -116,13 +111,7 @@ class Piece:
     # -- integration ---------------------------------------------------------
 
     def antiderivative(self, t: float) -> float:
-        a, b, s, t0, root = self._form
-        if b == 0.0:
-            return a * t
-        if root:
-            return a * t + s * (2.0 * b / 3.0) * max(s * (t - t0), 0.0) ** 1.5
-        dt = t - t0
-        return a * t + 0.5 * b * dt * dt
+        return _antiderivative(self._form, t)
 
     def integral(self, a: float, b: float) -> float:
         """Integral of the piece formula over [a, b] (caller clips to the piece)."""
@@ -204,6 +193,28 @@ class Piece:
         return Piece(obj["lo"], obj["hi"], obj["kind"], obj["params"])
 
 
+def _value(form, t: float) -> float:
+    """The formula a + b*g(s*(t - t0)) of a piece's ``_form`` (a, b, s, t0, root) at t."""
+    a, b, s, t0, root = form
+    if b == 0.0:
+        return a
+    if root:
+        return a + b * math.sqrt(max(s * (t - t0), 0.0))
+    return a + b * (t - t0)
+
+
+def _antiderivative(form, t: float) -> float:
+    """The antiderivative of a piece's formula at t, from its ``_form``.  The
+    power term takes Python's ``**``: numpy's power can differ in the last bit."""
+    a, b, s, t0, root = form
+    if b == 0.0:
+        return a * t
+    if root:
+        return a * t + s * (2.0 * b / 3.0) * max(s * (t - t0), 0.0) ** 1.5
+    dt = t - t0
+    return a * t + 0.5 * b * dt * dt
+
+
 def _check_numbers(node, what: str) -> None:
     """Raise TypeError unless node is an int or a float, not a bool, or a
     list of them to any depth: ``float()`` would take the string "1.0"."""
@@ -241,8 +252,9 @@ def _antiderivatives(form: np.ndarray, x: np.ndarray) -> np.ndarray:
     (a, b, s, t0, root) is the column of the five rows at the same index."""
     a, b, s, t0, root = form
     dt = x - t0
-    power = np.where(root, s * (2.0 * b / 3.0) * np.maximum(s * dt, 0.0) ** 1.5,
-                     0.5 * b * dt * dt)
+    power = 0.5 * b * dt * dt
+    if root.any():  # np.where would compute the arcs' power term everywhere
+        power = np.where(root, s * (2.0 * b / 3.0) * np.maximum(s * dt, 0.0) ** 1.5, power)
     return a * x + power
 
 
@@ -250,10 +262,18 @@ def _antiderivatives(form: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _Profile:
     """A 1D density's profile over the whole line as arrays, one column per
     segment: the pieces in order, and a zero ``filler`` in each gap between
-    them and out to -inf and +inf.  Infinite points do not cut a piece.
+    them and out to -inf and +inf.  Infinite points do not cut a piece.  It
+    is the one structure a density builds: every search, ``integrate`` and
+    ``total_mass`` read it, and the pieces are never walked.
 
     * ``starts``, ``ends`` and ``form``: each segment's own ends (pieces may
       overlap) and ``_form`` rows a, b, s, t0, root; ``infinite``: the infinite points.
+    * ``breakpoints``: every distinct piece end in order, as
+      ``UscDensity1D.breakpoints``.
+    * ``piece_lo``, ``piece_hi``, ``piece_form``: each piece's start, end
+      and ``_form`` as Python floats, which ``integrate`` reads with the
+      scalar formula of :meth:`Piece.antiderivative`; ``total_mass``: the
+      ``fsum`` of the pieces' :meth:`Piece.integral` over each whole piece.
     * ``rounding``, ``f_max``: the per-piece terms of
       :func:`mapbayes.argmax._window_error`.  ``rounding`` is the float
       rounding of a piece's antiderivative difference in units of eps: |a|
@@ -286,6 +306,11 @@ class _Profile:
     form: np.ndarray
     infinite: np.ndarray
     filler: np.ndarray
+    breakpoints: np.ndarray
+    piece_lo: list
+    piece_hi: list
+    piece_form: list
+    total_mass: float
     rounding: np.ndarray
     f_max: np.ndarray
     a_lo: np.ndarray
@@ -293,35 +318,58 @@ class _Profile:
     error: float
 
     @staticmethod
-    def of(segments: list[Piece], fillers: list[int], infinite_points) -> "_Profile":
-        """The profile of the segments, of which those at ``fillers`` fill gaps."""
-        starts, ends = np.array([p.lo for p in segments]), np.array([p.hi for p in segments])
-        form = np.array([p._form for p in segments], dtype=float).T
-        filler = np.zeros(len(segments), dtype=bool)
-        filler[fillers] = True
-        # the per-piece terms are 0 on the fillers, whose outer ends are infinite
+    def of(columns: np.ndarray, infinite_points) -> "_Profile":
+        """The profile of pieces given as columns in order of lo, one per
+        piece, with rows lo, hi and the ``_form`` a, b, s, t0, root.  A
+        filler goes in each gap between them, where a piece starts after the
+        one before ends, and out to -inf and +inf."""
+        lo, hi, form = columns[0], columns[1], columns[2:]
+        n = lo.size
+        # a filler goes before piece at[j]: the first, each gap's, and past the last
+        at = np.concatenate(([0], np.flatnonzero(lo[1:] > hi[:-1]) + 1, [n]))
+        filler = np.zeros(n + at.size, dtype=bool)
+        filler[at + np.arange(at.size)] = True
         k = np.flatnonzero(~filler)
-        lo, hi, c = starts[k], ends[k], form[0, k]
-        rounding, a_lo, mass = np.zeros((3, len(segments)))
-        rounding[k] = np.abs(c) * np.maximum(np.abs(lo), np.abs(hi))
-        # a flat segment (b = 0), a filler too, has no power term, and its value is a
+        starts, ends = np.empty((2, filler.size))
+        starts[k], ends[k] = lo, hi
+        starts[filler] = np.concatenate(([-math.inf], hi))[at]
+        ends[filler] = np.concatenate((lo, [math.inf]))[at]
+        # a filler is the zero constant piece, _form (0, 0, 1, 0, False), and
+        # its per-piece terms are 0: its outer ends are infinite
+        segment_form = np.zeros((5, filler.size))
+        segment_form[2], segment_form[:, k] = 1.0, form
+        rounding = np.abs(form[0]) * np.maximum(np.abs(lo), np.abs(hi))
+        A_lo, A_hi = _antiderivatives(form, np.stack((lo, hi)))
+        mass = A_hi - A_lo
+        # a flat piece (b = 0) has no power term, and its value is a; numpy's
+        # flat and affine masses are Piece.integral's, bit for bit, but an
+        # arc's power term needs Python's **
         values = np.stack((form[0], form[0]), axis=1)
-        for i in np.flatnonzero(form[1]).tolist():
-            p = segments[i]
-            rounding[i] += 4.0 * max(abs(p.antiderivative(t) - form[0, i] * t)
-                                     for t in (p.lo, p.hi))
-            values[i] = p.endpoint_values()
-        a_lo[k] = _antiderivatives(form[:, k], lo)
-        mass[k] = _antiderivatives(form[:, k], hi) - a_lo[k]
-        total = float(np.abs(mass[k]).sum())
-        overlap = float(np.maximum(hi[:-1] - lo[1:], 0.0) @ np.abs(values[k[:-1]]).max(axis=1))
+        integral = mass.copy()
+        sloped = np.flatnonzero(form[1])
+        power, ends_at, integral_at = [], [], []
+        for f, t_lo, t_hi in zip(form[:, sloped].T.tolist(), lo[sloped].tolist(),
+                                 hi[sloped].tolist()):
+            a_lo, a_hi = _antiderivative(f, t_lo), _antiderivative(f, t_hi)
+            power.append(4.0 * max(abs(a_lo - f[0] * t_lo), abs(a_hi - f[0] * t_hi)))
+            ends_at += [_value(f, t_lo), _value(f, t_hi)]
+            integral_at.append(a_hi - a_lo)
+        rounding[sloped] += power
+        values[sloped] = np.reshape(ends_at, (-1, 2))
+        integral[sloped] = integral_at
+        total = float(np.abs(mass).sum())
+        overlap = float(np.maximum(hi[:-1] - lo[1:], 0.0) @ np.abs(values[:-1]).max(axis=1))
         error = (sys.float_info.epsilon
-                 * (4.0 * float(rounding[k].max()) + 2.0 * float(rounding[k].sum())
-                    + (2 * len(k) + 4) * total)
+                 * (4.0 * float(rounding.max()) + 2.0 * float(rounding.sum())
+                    + (2 * n + 4) * total)
                  + 3.0 * overlap)
-        return _Profile(starts, ends, form, np.array(infinite_points, dtype=float), filler,
-                        rounding, values.max(axis=1), a_lo,
-                        np.concatenate(([0.0], np.cumsum(mass))), error)
+        per_segment = np.zeros((4, filler.size))
+        per_segment[:, k] = rounding, values.max(axis=1), A_lo, mass
+        rounding, f_max, a_lo, mass = per_segment
+        return _Profile(starts, ends, segment_form, np.array(infinite_points, dtype=float),
+                        filler, _distinct(np.concatenate((lo, hi))), lo.tolist(), hi.tolist(),
+                        list(zip(*form.tolist())), math.fsum(integral.tolist()), rounding,
+                        f_max, a_lo, np.concatenate(([0.0], np.cumsum(mass))), error)
 
     def evaluate(self, t) -> np.ndarray:
         """:meth:`UscDensity1D.evaluate` at each t of a 1D array, bit for bit:
@@ -374,22 +422,24 @@ class UscDensity1D:
     level sets below it are treated as unbounded.
 
     ``_profile`` is the profile over the whole line, one array table built
-    with the density (:class:`_Profile`): the pieces in order and a zero
-    filler in each gap between them and out to -inf and +inf.  ``_segments``
-    holds it as pieces, each cut in two at an infinite point it holds: t
-    lies in segment ``bisect_right(_segment_starts, t) - 1``, and every jump
-    and infinite point is a segment start.  Integrals read ``pieces`` alone:
-    a zero piece of infinite length has antiderivative 0 * inf = nan.
-    ``_breakpoints`` holds every distinct piece end in order; pieces may
-    overlap by 1e-15 relative, so an end can fall inside the next piece and
-    is kept all the same.
+    with the density (:class:`_Profile`) from its pieces' columns, read off
+    them in one pass: the pieces in order and a zero filler in each gap
+    between them and out to -inf and +inf.  The searches, ``integrate``,
+    ``total_mass`` and ``breakpoints`` read it alone.  ``_segments`` holds
+    it as pieces, each cut in two at an infinite point it holds: t lies in
+    segment ``bisect_right(_segment_starts, t) - 1``, and every jump and
+    infinite point is a segment start.  Both are built on first read (by
+    the scalar ``evaluate`` and the diagnostics), and so are the ``pieces``
+    of a grid's cell view (:meth:`GridDensity.to_pieces`), which is made
+    from the cell arrays with none.  ``_breakpoints`` holds every distinct
+    piece end in order; pieces may overlap by 1e-15 relative, so an end can
+    fall inside the next piece and is kept all the same.
     """
 
     pieces: tuple[Piece, ...]
     mass_tol: float = 1e-9
     infinite_points: tuple[float, ...] = ()
     tail_height_sup: float | None = None
-    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
     _segment_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -399,22 +449,52 @@ class UscDensity1D:
         pieces = tuple(sorted(self.pieces, key=lambda p: p.lo))
         if not pieces:
             raise ValueError("a density needs at least one piece")
-        los, his = [p.lo for p in pieces], [p.hi for p in pieces]
-        segments, fillers = [constant_piece(-math.inf, los[0], 0.0)], [0]
-        cut = 0
-        for k, (lo, hi) in enumerate(zip(los[1:], his), 1):
-            if lo > hi:  # a gap after piece k - 1
-                segments += [*pieces[cut:k], constant_piece(hi, lo, 0.0)]
-                fillers.append(len(segments) - 1)
-                cut = k
-            elif lo < hi and lo < hi - 1e-15 * max(1.0, abs(hi)):
-                # an overlap past 1e-15 relative; abutting pieces skip the bound
-                raise ValueError(f"pieces overlap near t={lo}")
-        segments += [*pieces[cut:], constant_piece(his[-1], math.inf, 0.0)]
+        columns = np.array([(p.lo, p.hi, *p._form) for p in pieces], dtype=float).T
+        # an overlap past 1e-15 relative; abutting pieces skip the bound
+        after, before = columns[0, 1:], columns[1, :-1]
+        over = np.flatnonzero((after < before)
+                              & (after < before - 1e-15 * np.maximum(1.0, np.abs(before))))
+        if over.size:
+            raise ValueError(f"pieces overlap near t={after[over[0]]}")
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_starts", tuple(los))
-        object.__setattr__(self, "_profile", _Profile.of(
-            segments, fillers + [len(segments) - 1], self.infinite_points))
+        self._build(columns)
+
+    @staticmethod
+    def _of_cells(edges: np.ndarray, heights: np.ndarray, mass_tol: float) -> "UscDensity1D":
+        """The density of the constant pieces heights[i] on [edges[i],
+        edges[i + 1]), built from the arrays, with its pieces left to be
+        built on first read.  The caller has checked what the pieces would:
+        the edges strictly increase, and every height is a float >= 0."""
+        d = object.__new__(UscDensity1D)
+        d.__dict__.update(mass_tol=mass_tol, infinite_points=(), tail_height_sup=None)
+        # a constant piece's _form is (k, 0, 1, 0, False)
+        columns = np.zeros((7, heights.size))
+        columns[0], columns[1], columns[2], columns[4] = edges[:-1], edges[1:], heights, 1.0
+        d._build(columns)
+        return d
+
+    def _build(self, columns: np.ndarray) -> None:
+        profile = _Profile.of(columns, self.infinite_points)
+        object.__setattr__(self, "_profile", profile)
+        object.__setattr__(self, "_breakpoints", tuple(profile.breakpoints.tolist()))
+        mass = self.total_mass
+        if not math.isfinite(mass) or abs(mass - 1.0) > self.mass_tol:
+            raise ValueError(f"total mass {mass} is not within {self.mass_tol} of 1")
+
+    def __getattr__(self, name: str):
+        """Build ``_segments`` and ``_segment_starts``, and a cell view's
+        ``pieces``, on first read."""
+        profile = self.__dict__.get("_profile")
+        if profile is None or name not in ("pieces", "_segments", "_segment_starts"):
+            raise AttributeError(name)
+        if name == "pieces":  # only a cell view is made without them
+            object.__setattr__(self, "pieces", Piece._constant_cells(
+                profile.starts[1:].tolist(), profile.form[0, 1:-1].tolist()))
+            return self.pieces
+        pieces = iter(self.pieces)
+        segments = [constant_piece(lo, hi, 0.0) if filler else next(pieces)
+                    for lo, hi, filler in zip(profile.starts.tolist(), profile.ends.tolist(),
+                                              profile.filler.tolist())]
         for t in self.infinite_points:
             i = bisect_right([p.lo for p in segments], t) - 1
             p = segments[i]
@@ -423,14 +503,11 @@ class UscDensity1D:
                                      Piece(t, p.hi, p.kind, p.params)]
         object.__setattr__(self, "_segments", tuple(segments))
         object.__setattr__(self, "_segment_starts", tuple(p.lo for p in segments))
-        object.__setattr__(self, "_breakpoints", tuple(_distinct(los + his).tolist()))
-        mass = self.total_mass
-        if not math.isfinite(mass) or abs(mass - 1.0) > self.mass_tol:
-            raise ValueError(f"total mass {mass} is not within {self.mass_tol} of 1")
+        return getattr(self, name)
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(p.integral(p.lo, p.hi) for p in self.pieces)
+        return self._profile.total_mass
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -462,17 +539,19 @@ class UscDensity1D:
         return self.evaluate(t)
 
     def integrate(self, lo: float, hi: float) -> float:
-        """Exact integral over [lo, hi] via per-piece antiderivatives."""
+        """Exact integral over [lo, hi] via per-piece antiderivatives, read
+        off the profile's piece columns."""
         if hi < lo:
             raise ValueError("integrate needs lo <= hi")
+        p = self._profile
+        starts, ends, forms = p.piece_lo, p.piece_hi, p.piece_form
         terms = []
-        i = max(bisect_right(self._starts, lo) - 1, 0)
-        for p in self.pieces[i:]:
-            if p.lo >= hi:
+        for i in range(max(bisect_right(starts, lo) - 1, 0), len(starts)):
+            if starts[i] >= hi:
                 break
-            a, b = max(lo, p.lo), min(hi, p.hi)
+            a, b = max(lo, starts[i]), min(hi, ends[i])
             if b > a:
-                terms.append(p.integral(a, b))
+                terms.append(_antiderivative(forms[i], b) - _antiderivative(forms[i], a))
         return math.fsum(terms)
 
     def lipschitz_bound(self, lo: float, hi: float) -> float:
@@ -589,16 +668,19 @@ class GridDensity:
 
     def to_pieces(self) -> UscDensity1D:
         """Exact piecewise view of a 1D grid (each cell becomes a constant
-        piece), built on the first call and kept for the later ones.  The
-        pieces come straight from the cell arrays, the edges o + i*h and the
-        values, which the grid has checked: its edges strictly increase and
-        its values are finite and nonnegative."""
+        piece), built on the first call and kept for the later ones.  Its
+        profile, the one structure the searches, ``integrate`` and
+        ``total_mass`` read, comes straight from the cell arrays, the edges
+        o + i*h and the values, which the grid has checked: its edges
+        strictly increase and its values are finite and nonnegative.  No
+        :class:`Piece` is made until ``pieces`` or the segments are first
+        read (by ``to_json``, ``==``, the one-point ``evaluate`` or the
+        diagnostics)."""
         if self.dim != 1:
             raise ValueError("to_pieces applies to 1D grids only")
         if self._pieces is None:
-            pieces = Piece._constant_cells(self._edges(0).tolist(), self.values.tolist())
-            object.__setattr__(self, "_pieces",
-                               UscDensity1D(pieces, mass_tol=max(self.mass_tol, 1e-6)))
+            object.__setattr__(self, "_pieces", UscDensity1D._of_cells(
+                self._edges(0), self.values, max(self.mass_tol, 1e-6)))
         return self._pieces
 
     def to_json(self) -> dict:

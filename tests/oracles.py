@@ -153,6 +153,17 @@ def exact_window_mass(d, a: float, b: float) -> Fraction:
     return total
 
 
+def integrate_by_pieces(d, lo: float, hi: float) -> float:
+    """The mass of d over [lo, hi] as the pieces give it: the ``fsum`` of
+    :meth:`Piece.integral` over each piece's part of the window, from the
+    last piece to start at or before lo (the first if none does) on; a
+    piece the window misses adds 0.  ``total_mass`` is this over each whole
+    piece."""
+    starts = [p.lo for p in d.pieces]
+    i = max(bisect_right(starts, lo) - 1, 0)
+    return math.fsum(p.integral(max(lo, p.lo), min(hi, p.hi)) for p in d.pieces[i:])
+
+
 def window_error_by_pieces(d, r: float, lo: float, hi: float) -> float:
     """The float-error bound of ``mapbayes.argmax._window_error``, worked out
     on the pieces alone as the bound is stated there: pieces i0 .. i1 - 1,

@@ -274,6 +274,15 @@ def test_counterexample_past_bump_47_exits_2(tmp_path, capsys):
     assert "max_bump must be between 1 and 47, got 48" in capsys.readouterr().err
     assert main(["counterexample", "--nu-max", "4", "--max-bump", "47",
                  "--out", str(tmp_path / "ok")]) == 0
+    # rung nu reads bump 2 nu, so a --max-bump below 2K is a bad usage too,
+    # refused before any work; the library keeps raising CutoffTooSmall
+    for bump in ("0", "7", "-3"):
+        assert main(["counterexample", "--nu-max", "4", "--max-bump", bump,
+                     "--out", str(tmp_path / "low")]) == 2
+        assert f"error: --max-bump {bump} is below bump 8" in capsys.readouterr().err
+    assert not (tmp_path / "low").exists()
+    with pytest.raises(mb.CutoffTooSmall, match="need bump 8 materialized, but max_bump is 7"):
+        mb.verify_nonconvergence(4, 7)
 
 
 @pytest.mark.parametrize("s, code", [(1.9, 2), (1.0, 0)])

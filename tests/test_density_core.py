@@ -18,7 +18,7 @@ from mapbayes.density import (
 )
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_piecewise
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, integrate_by_pieces
 
 
 def test_piece_values_by_kind():
@@ -200,6 +200,24 @@ def test_integrate_random_against_simpson(rng):
         assert d.integrate(a, b) == pytest.approx(oracle, abs=1e-10)
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(d=st.one_of(st.integers(0, 2**32 - 1).map(
+           lambda seed: random_piecewise(np.random.default_rng(seed), max_pieces=8,
+                                         gap_prob=0.3)),
+                   st.integers(1, 22).map(mb.build)),
+       windows=st.lists(st.tuples(st.one_of(st.floats(-0.5, 1.5), st.integers(0, 10**6)),
+                                  st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.2, 3.0])),
+                        min_size=1, max_size=25))
+def test_integrate_is_the_fsum_of_the_piece_integrals(d, windows):
+    # bit for bit, on sqrt arcs too: windows 1e-12 wide, windows at a
+    # breakpoint (an integer draw picks one) and windows off the support
+    lo, hi = d.support
+    for at, width in windows:
+        a = d.breakpoints[at % len(d.breakpoints)] if isinstance(at, int) else lo + at * (hi - lo)
+        assert d.integrate(a, a + width).hex() == integrate_by_pieces(d, a, a + width).hex()
+    assert d.total_mass.hex() == math.fsum(p.integral(p.lo, p.hi) for p in d.pieces).hex()
+
+
 def test_solve_ge_consistent_with_scan(rng):
     for _ in range(10):
         d = random_piecewise(rng)
@@ -301,6 +319,31 @@ def test_grid_to_pieces_equivalent():
         assert [vars(p) for p in view] == [vars(p) for p in want]
     assert d._breakpoints == ref._breakpoints
     assert d.total_mass == ref.total_mass
+
+
+def test_grid_view_search_builds_no_piece(monkeypatch):
+    # posterior, its cell view, MAP and Bayes report read the cell arrays
+    # alone; the pieces and segments come on first read, equal to those of
+    # the density of the cells' pieces, and so do the answers and the profile
+    prior = mb.triangle()
+    model = mb.BayesModel(prior, lambda x, t: math.exp(-0.5 * ((t - x) / 0.3) ** 2), 0.2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Piece was built")
+
+    monkeypatch.setattr(Piece, "__post_init__", refuse)
+    monkeypatch.setattr(Piece, "_constant_cells", staticmethod(refuse))
+    post = mb.posterior(model, grid_resolution=256)
+    d = post.to_pieces()
+    got = mb.map_estimate(post), mb.bayes_estimate(post, mb.LossSpec(40.0))
+    assert not {"pieces", "_segments", "_segment_starts"} & set(vars(d))
+    monkeypatch.undo()
+    ref = UscDensity1D(d.pieces, mass_tol=1e-6)
+    assert got == (mb.map_estimate(ref), mb.bayes_estimate(ref, mb.LossSpec(40.0)))
+    assert [vars(p) for p in d._segments] == [vars(p) for p in ref._segments]
+    for name in ("starts", "ends", "form", "filler", "rounding", "f_max", "a_lo", "cum"):
+        assert getattr(d._profile, name).tobytes() == getattr(ref._profile, name).tobytes()
+    assert d._profile.error == ref._profile.error
 
 
 def test_grid_2d_evaluate_boundary_max():
