@@ -39,10 +39,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .density import (GridDensity, UscDensity1D, _corner_areas, _disc_lattice, _disc_masses,
-                      _distinct, _lattice_sum, _pieces_view, _support_box)
+from .density import (GridDensity, UscDensity1D, _cell_values, _corner_areas, _disc_lattice,
+                      _disc_mass, _distinct, _lattice_sum, _pieces_view, _support_box)
 from .errors import EmptySearchBox, SearchNotCertified
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
@@ -436,10 +435,19 @@ def _window_max(values: np.ndarray, cells_x: np.ndarray, cells_y: np.ndarray,
                 kx: int, ky: int) -> np.ndarray:
     """Max cell value (0 off the grid) within kx, ky cells of each lattice
     cell (i, j), i in cells_x and j in cells_y, each at most kx, ky cells
-    off the grid: two separable sliding-window maxima."""
-    padded = np.pad(values, ((2 * kx, 2 * kx), (2 * ky, 2 * ky)))
-    top = sliding_window_view(padded, 2 * kx + 1, axis=0).max(axis=-1)
-    top = sliding_window_view(top, 2 * ky + 1, axis=1).max(axis=-1)
+    off the grid.  The maxima are separable: a running ``np.maximum`` of
+    the 2kx + 1 row-shifted copies of the values into a zeroed array, then
+    of the 2ky + 1 column-shifted copies of that.  A max is exact and the
+    values are nonnegative, so the zeros they start from change no window's
+    max.  These maxima only bound the level-0 boxes of
+    :func:`maximize_objective_2d`; the value it reports is a disc mass."""
+    nx, ny = values.shape
+    rows = np.zeros((nx + 2 * kx, ny))
+    for s in range(2 * kx + 1):
+        np.maximum(rows[s:s + nx], values, out=rows[s:s + nx])
+    top = np.zeros((nx + 2 * kx, ny + 2 * ky))
+    for s in range(2 * ky + 1):
+        np.maximum(top[:, s:s + ny], rows, out=top[:, s:s + ny])
     return top[np.ix_(cells_x + kx, cells_y + ky)]
 
 
@@ -514,18 +522,22 @@ def maximize_objective_2d(objective, box) -> ArgmaxResult:
     * Level 0 cuts the box at the cell lines.  A point of a cell lies within
       its half-diagonal delta of the cell centre c, so its disc lies in
       D(c, R + delta) and M <= pi R^2 * (max of the cells that disc meets,
-      0 off the grid); two separable sliding-window maxima give that bound
-      for every cell.  The best value starts at the disc mass at the centre
-      of the box cut from the tallest cell.
+      0 off the grid); :func:`_window_max` gives that bound for every
+      cell.  The best value starts at the disc mass at the centre of the
+      box cut from the tallest cell, the seed.
     * Each refinement level splits the open boxes in four, evaluates the
       exact disc mass at the new centres and bounds each box by
       :func:`_box_bounds`.
 
     The result is one point with its exact value, and no point of the box
-    beats it by more than the tolerance, reported as ``tol_value``.  A
-    search still open after ``_MAX_LEVELS_2D`` levels, or with more than
-    ``_MAX_BOXES_2D`` boxes to split, raises :class:`SearchNotCertified`
-    with the open gap.
+    beats it by more than the tolerance, reported as ``tol_value``.  The
+    value is :func:`~mapbayes.windows.ball_integral` at the point, bit for
+    bit: the seed's mass when no refined centre beats it (the same
+    one-centre disc mass), else a fresh one-centre disc mass, since
+    :func:`_box_bounds` sums a centre's cells on a wider lattice, which can
+    change the last bit.  A search still open after ``_MAX_LEVELS_2D``
+    levels, or with more than ``_MAX_BOXES_2D`` boxes to split, raises
+    :class:`SearchNotCertified` with the open gap.
     """
     g, R = objective.density, objective.radius
     scale = 1.0 / (math.pi * R * R) if objective.normalized else 1.0
@@ -544,13 +556,12 @@ def maximize_objective_2d(objective, box) -> ArgmaxResult:
 
     # seed: the centre of the box cut from the tallest cell
     if len(x0) and len(y0):
-        own = np.pad(g.values, 1)[np.ix_(np.clip(cells_x + 1, 0, nx + 1),
-                                         np.clip(cells_y + 1, 0, ny + 1))]
+        own = _cell_values(g, cells_x[:, None], cells_y[None, :])
         i, j = np.unravel_index(np.argmax(own), own.shape)
         px, py = 0.5 * (x0[i] + x1[i]), 0.5 * (y0[j] + y1[j])
     else:
         px, py = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
-    best = float(_disc_masses(g, [px], [py], R)[0])
+    seed = best = _disc_mass(g, px, py, R)
 
     def tol() -> float:
         return _REL_TOL_2D * best + float_error
@@ -580,4 +591,5 @@ def maximize_objective_2d(objective, box) -> ArgmaxResult:
         y0, y1 = np.concatenate([y0, y0, ym, ym]), np.concatenate([ym, ym, y1, y1])
         level += 1
     px, py = float(px), float(py)
-    return ArgmaxResult(2, objective((px, py)), (((px, px), (py, py)),), (px, py), scale * tol())
+    value = objective._of_mass(seed) if best == seed else objective((px, py))
+    return ArgmaxResult(2, value, (((px, px), (py, py)),), (px, py), scale * tol())

@@ -14,7 +14,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -540,9 +540,10 @@ class UscDensity1D:
 
     def integrate(self, lo: float, hi: float) -> float:
         """Exact integral over [lo, hi] via per-piece antiderivatives, read
-        off the profile's piece columns."""
-        if hi < lo:
-            raise ValueError("integrate needs lo <= hi")
+        off the profile's piece columns.  Infinite bounds are legal; a NaN
+        bound, like hi < lo, raises ``ValueError``."""
+        if not lo <= hi:
+            raise ValueError(f"integrate needs lo <= hi, neither NaN; got [{lo!r}, {hi!r}]")
         p = self._profile
         starts, ends, forms = p.piece_lo, p.piece_hi, p.piece_form
         terms = []
@@ -762,17 +763,23 @@ def _disc_lattice(g: GridDensity, cx, cy, rho: float):
     """
     (ox, _), (oy, _) = g.support
     hx, hy = g.spacing
-    nx, ny = g.shape
     cx, cy = np.asarray(cx, dtype=float), np.asarray(cy, dtype=float)
     ix = np.floor((cx - rho - ox) / hx).astype(np.int64) + np.arange(
         math.ceil(2.0 * rho / hx) + 2)[:, None]
     iy = np.floor((cy - rho - oy) / hy).astype(np.int64) + np.arange(
         math.ceil(2.0 * rho / hy) + 2)[:, None]
+    vals = _cell_values(g, ix[:-1, None, :], iy[None, :-1, :])
+    return ox + ix * hx - cx, oy + iy * hy - cy, vals
+
+
+def _cell_values(g: GridDensity, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Values of the cells (i, j) of a 2D grid, for integer arrays i and j
+    that broadcast together; a cell off the grid has value 0."""
+    nx, ny = g.shape
     padded = np.zeros((nx + 2, ny + 2))
     padded[1:-1, 1:-1] = g.values
-    vals = padded[np.minimum(np.maximum(ix[:-1] + 1, 0), nx + 1)[:, None, :],
-                  np.minimum(np.maximum(iy[:-1] + 1, 0), ny + 1)[None, :, :]]
-    return ox + ix * hx - cx, oy + iy * hy - cy, vals
+    return padded[np.minimum(np.maximum(i + 1, 0), nx + 1),
+                  np.minimum(np.maximum(j + 1, 0), ny + 1)]
 
 
 def _lattice_sum(F: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -788,6 +795,14 @@ def _disc_masses(g: GridDensity, cx, cy, R: float) -> np.ndarray:
     :func:`_corner_areas` on the centre's vertex lattice."""
     ex, ey, vals = _disc_lattice(g, cx, cy, R)
     return _lattice_sum(_corner_areas(ex[:, None, :], ey[None, :, :], R), vals)
+
+
+def _disc_mass(g: GridDensity, x, y, R: float) -> float:
+    """Exact mass of a 2D grid in the disc of radius R about one centre,
+    which must be finite: :func:`_disc_masses` for that one centre."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"a disc centre must be finite, got ({x!r}, {y!r})")
+    return float(_disc_masses(g, [x], [y], R)[0])
 
 
 def density_from_json(obj: dict, **kwargs) -> Density:
@@ -825,6 +840,13 @@ def _midpoints(origin, spacing, shape):
     return axes[0] if len(shape) == 1 else list(product(*(x.tolist() for x in axes)))
 
 
+def _likelihood_at(m: BayesModel, points) -> np.ndarray:
+    """The likelihood of the model's observation at each point, as floats,
+    in the order of ``points``."""
+    n = len(points)
+    return np.fromiter(map(m.likelihood, repeat(m.observation, n), points), float, n)
+
+
 def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
     """Marginal likelihood by composite midpoint rule, with a doubled-grid check.
 
@@ -839,11 +861,8 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
         def midpoint(k: int) -> float:
             h = (g.spacing[0] / k, g.spacing[1] / k)
             prior = np.repeat(np.repeat(g.values, k, axis=0), k, axis=1)
-            points = _midpoints(g.origin, h, prior.shape)
-            return h[0] * h[1] * math.fsum(
-                v * m.likelihood(m.observation, t)
-                for v, t in zip(prior.ravel().tolist(), points)
-            )
+            like = _likelihood_at(m, _midpoints(g.origin, h, prior.shape))
+            return h[0] * h[1] * math.fsum((prior.ravel() * like).tolist())
 
         e1, e2 = midpoint(1), midpoint(2)
     else:
@@ -852,9 +871,7 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
             h = (hi - lo) / n
             points = _midpoints((lo,), (h,), (n,))
             return h * math.fsum(
-                v * m.likelihood(m.observation, t)
-                for v, t in zip(pieces._profile.evaluate(points).tolist(), points)
-            )
+                (pieces._profile.evaluate(points) * _likelihood_at(m, points)).tolist())
 
         e1 = midpoint(grid_resolution)
         e2 = midpoint(2 * grid_resolution)
@@ -891,8 +908,7 @@ def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
         points = _midpoints(origin, spacing, (grid_resolution,))
         prior = g._profile.evaluate(points)
 
-    likelihood, x = m.likelihood, m.observation
-    like = np.array([likelihood(x, t) for t in points])
+    like = _likelihood_at(m, points)
     if np.all(like == like[0]):
         if not math.isfinite(like[0]):
             raise DivergentEvidence("constant likelihood is non-finite")

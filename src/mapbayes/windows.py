@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .argmax import ArgmaxResult, maximize_objective_2d, maximize_window
-from .density import UscDensity1D, _corner_areas, _disc_masses, _pieces_view
+from .density import UscDensity1D, _corner_areas, _disc_mass, _pieces_view
 
 __all__ = ["BallObjective", "ball_integral", "mollified_sup"]
 
@@ -58,19 +58,25 @@ class BallObjective:
     def value(self, theta) -> float:
         return ball_integral(self, theta)
 
+    def _of_mass(self, raw: float) -> float:
+        """The objective's value for a ball mass: divided by the ball volume
+        when normalized."""
+        return raw / self.ball_vol if self.normalized else raw
+
     def __call__(self, theta) -> float:
         return ball_integral(self, theta)
 
 
 def ball_integral(b: BallObjective, theta) -> float:
-    """Mass of the density in the ball around theta (normalized if requested)."""
+    """Mass of the density in the ball around theta (normalized if requested).
+
+    A NaN centre raises ``ValueError``, and so does an infinite one in 2D;
+    in 1D an infinite centre's window holds no mass."""
     r = b.radius
     if b._pieces is not None:
         t = float(theta)
-        raw = b._pieces.integrate(t - r, t + r)
-    else:
-        raw = float(_disc_masses(b.density, [theta[0]], [theta[1]], r)[0])
-    return raw / b.ball_vol if b.normalized else raw
+        return b._of_mass(b._pieces.integrate(t - r, t + r))
+    return b._of_mass(_disc_mass(b.density, theta[0], theta[1], r))
 
 
 def _search_ball(b: BallObjective, box) -> ArgmaxResult:

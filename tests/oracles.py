@@ -264,6 +264,14 @@ def grid_disc_mass(values, origin, spacing, center, R: float) -> float:
     return total
 
 
+def grid_window_max(values, i: int, j: int, kx: int, ky: int) -> float:
+    """Largest value of a 2D cell array among the cells within kx, ky cells
+    of cell (i, j), counting each cell off the grid as 0, cell by cell."""
+    nx, ny = values.shape
+    return max(float(values[a, b]) if 0 <= a < nx and 0 <= b < ny else 0.0
+               for a in range(i - kx, i + kx + 1) for b in range(j - ky, j + ky + 1))
+
+
 # ---------------------------------------------------------------------------
 # Grids, scanned from the raw cell array
 # ---------------------------------------------------------------------------

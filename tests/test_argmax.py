@@ -10,15 +10,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mapbayes as mb
-from mapbayes.argmax import (ArgmaxResult, _box_bounds, _window_error, maximize_density,
-                             maximize_window)
+from mapbayes.argmax import (ArgmaxResult, _box_bounds, _window_error, _window_max,
+                             maximize_density, maximize_window)
 from mapbayes.density import (GridDensity, UscDensity1D, _disc_masses, affine_piece,
                               constant_piece, sqrt_piece)
 from mapbayes.errors import EmptySearchBox
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_affine, random_piecewise
-from oracles import (brute_argmax, exact_window_mass, grid_mode_scan_2d, window_error_by_pieces,
-                     window_mass)
+from oracles import (brute_argmax, exact_window_mass, grid_mode_scan_2d, grid_window_max,
+                     window_error_by_pieces, window_mass)
 
 
 def test_density_argmax_on_family():
@@ -384,3 +384,25 @@ def test_2d_box_bounds_hold_on_samples(rng, cells):
     for (cx, cy), (wx, wy), top in zip(centres, half, bound):
         sx, sy = np.meshgrid(cx + wx * u, cy + wy * u, indexing="ij")
         assert _disc_masses(g, sx.ravel(), sy.ravel(), R).max() <= top * (1 + 1e-12)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_2d_window_max_is_the_per_cell_max(data):
+    # the level-0 bound of the 2D ball search: lattice cells up to k off the
+    # grid, on values drawn from a few levels, so zeros and ties are common
+    nx, ny = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 7))
+    kx, ky = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    level = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                      st.floats(0.0, 10.0, allow_subnormal=False))
+    values = np.array(data.draw(st.lists(level, min_size=nx * ny, max_size=nx * ny)))
+    values = values.reshape(nx, ny)
+    cells_x = np.array(sorted(data.draw(st.lists(st.integers(-kx, nx - 1 + kx), min_size=1,
+                                                 max_size=nx + 2 * kx))))
+    cells_y = np.array(sorted(data.draw(st.lists(st.integers(-ky, ny - 1 + ky), min_size=1,
+                                                 max_size=ny + 2 * ky))))
+    top = _window_max(values, cells_x, cells_y, kx, ky)
+    assert top.shape == (len(cells_x), len(cells_y))
+    assert [[float(v) for v in row] for row in top] == [
+        [grid_window_max(values, i, j, kx, ky) for j in cells_y.tolist()]
+        for i in cells_x.tolist()]

@@ -184,6 +184,53 @@ def test_2d_search_names_an_open_gap(monkeypatch):
         mb.bayes_estimate(g, mb.LossSpec(30.0))
 
 
+_XS6 = (np.arange(6) + 0.5) / 6
+_BUMP_6 = GridDensity.normalized(2, (0.0, 0.0), (1 / 6, 1 / 6), np.exp(
+    -0.5 * ((_XS6[:, None] - 0.5) ** 2 + (_XS6[None, :] - 0.5) ** 2) / 0.3 ** 2))
+_REFINES = GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25),
+                                  [[1, 2, 1.5], [0.5, 3, 1], [2, 1, 4]])
+# the mass _box_bounds sums for its best centre, on its wider lattice, is
+# one ulp below ball_integral's there
+_REFINES_ULP = GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.25),
+                                      [[3, 4, 3], [4, 4, 1], [1, 2, 2], [4, 4, 1]])
+
+
+@pytest.mark.parametrize("g, c, levels", [(_BUMP_6, 15.0, 0), (_REFINES, 4.0, 13),
+                                          (_REFINES_ULP, 4.0, 12)],
+                         ids=["stops_at_level_0", "refines", "refines_off_the_lattice_sum"])
+@pytest.mark.parametrize("normalized", [False, True], ids=["bayes", "mollified"])
+def test_2d_report_value_is_the_ball_integral_at_its_point(monkeypatch, g, c, levels,
+                                                           normalized):
+    # whether the seed stands or a refined centre beats it, the reported
+    # value is ball_integral's at the reported point, bit for bit
+    evaluated = []
+    box_bounds = mapbayes.argmax._box_bounds
+    monkeypatch.setattr(mapbayes.argmax, "_box_bounds",
+                        lambda *args: evaluated.append(1) or box_bounds(*args))
+    b = BallObjective(g, 1.0 / c, normalized=normalized)
+    res = (mb.mollified_sup(b, _support_box(g, 1.0 / c)) if normalized
+           else mb.bayes_estimate(g, mb.LossSpec(c)))
+    assert len(evaluated) == levels
+    assert res.sup_value.hex() == ball_integral(b, res.canonical).hex()
+
+
+def test_approx_gap_refuses_a_nan_point():
+    # a NaN bound or centre is refused, not integrated as an empty window;
+    # an infinite 1D point is legal (its window holds no mass), an infinite
+    # 2D centre is refused
+    with pytest.raises(ValueError, match="NaN"):
+        mb.triangle().integrate(0.0, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        mb.triangle().integrate(math.nan, 1.0)
+    assert mb.triangle().integrate(0.0, math.inf) == 0.5
+    with pytest.raises(ValueError, match="NaN"):
+        mb.approx_gap(mb.triangle(), mb.LossSpec(4.0), math.nan)
+    assert mb.approx_gap(mb.triangle(), mb.LossSpec(4.0), math.inf).value_at_theta == 0.0
+    for point in ((math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            mb.approx_gap(_BUMP_6, mb.LossSpec(15.0), point)
+
+
 def test_approx_gap_zero_at_argmax_and_positive_elsewhere(rng):
     for _ in range(6):
         d = random_piecewise(rng)
