@@ -66,7 +66,7 @@ from .gallery import (
     two_bumps,
     uniform,
 )
-from .windows import BallObjective, ball_integral, disc_rect_overlap, mollified_sup
+from .windows import BallObjective, ball_integral, mollified_sup
 
 __version__ = "0.1.0"
 
@@ -102,7 +102,6 @@ __all__ = [
     "check_conditions",
     "constant_piece",
     "density_from_json",
-    "disc_rect_overlap",
     "domination_margin",
     "hypo_diagnostic",
     "ideal_total_mass",

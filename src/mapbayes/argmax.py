@@ -139,14 +139,16 @@ def _merge_elements(elements: list[tuple[float, float]],
 def maximize_density(d, box=None) -> ArgmaxResult:
     """Argmax of the pointwise density over a closed box.
 
-    Pieces are monotone, so the exact candidates are the piece endpoints
-    (with the boundary-max convention) plus every flat segment of the
-    density's profile, whatever its formula, which enters as a plateau
-    interval; the profile's zero segments cover the box off the support.
-    2D grids contribute their maximizing closed cells, and the
-    part of the box off the grid enters as value 0.  The box defaults to
-    the support.  Values within 4 ulps of the sup, a bound on their float
-    error, tie with it.
+    Pieces are monotone, so the exact candidates are the box ends and the
+    piece endpoints (with the boundary-max convention) plus every flat
+    segment of the density's profile, whatever its formula, which enters as
+    a plateau interval; the profile's zero segments cover the box off the
+    support.  The endpoint values are the profile's ``break_values``, taken
+    when it was built; only a box end inside a segment is evaluated.  2D
+    grids contribute their maximizing closed cells, and the part of the box
+    off the grid enters as value 0.  The box defaults to the support.
+    Values within 4 ulps of the sup, a bound on their float error, tie with
+    it.
     """
     if box is None:
         box = _support_box(d)
@@ -164,8 +166,9 @@ def _check_box1d(box) -> tuple[float, float]:
 
 
 def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
-    """The mode search on the profile: one vectorized evaluation scores the
-    box ends and breakpoints, and the flat segments are the plateaus."""
+    """The mode search on the profile: the box ends and the breakpoints
+    inside are scored by their values, and the flat segments are the
+    plateaus."""
     lo, hi = _check_box1d(box)
 
     # past this, the box holds no infinite point, at which the profile is not cut
@@ -174,18 +177,31 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
         maxi = tuple((t, t) for t in sorted(witnesses))
         return ArgmaxResult(1, math.inf, maxi, _canonical(1, maxi), 0.0, sup_infinite=True)
 
-    # the breakpoints are sorted and distinct: take those strictly inside the box
-    ends = d.breakpoints
-    points = [lo] if lo == hi else [lo, *ends[bisect_right(ends, lo):bisect_left(ends, hi)], hi]
     profile = d._profile
-    values = profile.evaluate(points)
+    if lo == hi:
+        points, values = [lo], profile.evaluate([lo])
+    else:
+        # the breakpoints are sorted and distinct; those strictly inside the
+        # box, and a box end that is one, read their values off the profile
+        ends = d.breakpoints
+        i, j = bisect_right(ends, lo), bisect_left(ends, hi)
+        points = [lo, *ends[i:j], hi]
+        i0 = i - (i > 0 and ends[i - 1] == lo)
+        j1 = j + (j < len(ends) and ends[j] == hi)
+        values = profile.break_values[i0:j1]
+        # only a box end inside a segment is evaluated
+        head = int(i0 == i)
+        inside = [lo] * head + [hi] * (j1 == j)
+        if inside:
+            v = profile.evaluate(inside)
+            values = np.concatenate((v[:head], values, v[head:]))
     flat = np.flatnonzero((profile.form[1] == 0.0) & (profile.ends > lo) & (profile.starts < hi))
     heights = profile.form[0, flat]
     # evaluate never gives -0.0, so a tie at zero keeps the +0.0 of values
     sup = max(float(values.max()), float(heights.max(initial=-math.inf)))
     tol_value = 4.0 * math.ulp(sup)
 
-    elements = [(t, t) for t, keep in zip(points, (values >= sup - tol_value).tolist()) if keep]
+    elements = [(points[k], points[k]) for k in np.flatnonzero(values >= sup - tol_value).tolist()]
     top = flat[heights >= sup - tol_value]
     starts, seg_ends = profile.starts[top], profile.ends[top]
     # max(p.lo, lo) and min(p.hi, hi), each keeping its first argument on a tie
@@ -372,8 +388,8 @@ def maximize_window(
         mid = 0.5 * (u + v)
         i_hi = np.searchsorted(profile.starts, mid + r, side="right") - 1
         i_lo = np.searchsorted(profile.starts, mid - r, side="right") - 1
-        a_p, b_p, _, t_p, arc_p = profile.form[:, i_hi]
-        a_m, b_m, _, t_m, arc_m = profile.form[:, i_lo]
+        a_p, b_p, _, t_p, arc_p = profile.form.take(i_hi, axis=1)
+        a_m, b_m, _, t_m, arc_m = profile.form.take(i_lo, axis=1)
         # about the midpoint, so products stay small for steep distant pieces
         c1 = b_p - b_m
         c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)

@@ -269,7 +269,9 @@ class _Profile:
     * ``starts``, ``ends`` and ``form``: each segment's own ends (pieces may
       overlap) and ``_form`` rows a, b, s, t0, root; ``infinite``: the infinite points.
     * ``breakpoints``: every distinct piece end in order, as
-      ``UscDensity1D.breakpoints``.
+      ``UscDensity1D.breakpoints``; ``break_values``: the density there,
+      ``evaluate(breakpoints)`` taken once when the profile is built, so
+      equal to :meth:`UscDensity1D.evaluate` at each breakpoint, bit for bit.
     * ``piece_lo``, ``piece_hi``, ``piece_form``: each piece's start, end
       and ``_form`` as Python floats, which ``integrate`` reads with the
       scalar formula of :meth:`Piece.antiderivative`; ``total_mass``: the
@@ -316,6 +318,7 @@ class _Profile:
     a_lo: np.ndarray
     cum: np.ndarray
     error: float
+    break_values: np.ndarray = field(init=False)
 
     @staticmethod
     def of(columns: np.ndarray, infinite_points) -> "_Profile":
@@ -329,47 +332,49 @@ class _Profile:
         at = np.concatenate(([0], np.flatnonzero(lo[1:] > hi[:-1]) + 1, [n]))
         filler = np.zeros(n + at.size, dtype=bool)
         filler[at + np.arange(at.size)] = True
-        k = np.flatnonzero(~filler)
-        starts, ends = np.empty((2, filler.size))
-        starts[k], ends[k] = lo, hi
-        starts[filler] = np.concatenate(([-math.inf], hi))[at]
-        ends[filler] = np.concatenate((lo, [math.inf]))[at]
-        # a filler is the zero constant piece, _form (0, 0, 1, 0, False), and
-        # its per-piece terms are 0: its outer ends are infinite
-        segment_form = np.zeros((5, filler.size))
-        segment_form[2], segment_form[:, k] = 1.0, form
-        rounding = np.abs(form[0]) * np.maximum(np.abs(lo), np.abs(hi))
-        A_lo, A_hi = _antiderivatives(form, np.stack((lo, hi)))
-        mass = A_hi - A_lo
+        # the per-piece rows: lo, hi, the _form rows, rounding, f_max, a_lo, mass
         # a flat piece (b = 0) has no power term, and its value is a; numpy's
         # flat and affine masses are Piece.integral's, bit for bit, but an
         # arc's power term needs Python's **
-        values = np.stack((form[0], form[0]), axis=1)
-        integral = mass.copy()
+        A_lo, A_hi = _antiderivatives(form, np.stack((lo, hi)))
+        rows = np.empty((11, n))
+        rows[:7] = columns
+        rows[7:] = np.abs(form[0]) * np.maximum(np.abs(lo), np.abs(hi)), form[0], A_lo, A_hi - A_lo
+        rounding, f_max, a_lo, mass = rows[7:]
+        abs_max = np.abs(form[0])
+        integral = mass.tolist()
         sloped = np.flatnonzero(form[1])
-        power, ends_at, integral_at = [], [], []
-        for f, t_lo, t_hi in zip(form[:, sloped].T.tolist(), lo[sloped].tolist(),
-                                 hi[sloped].tolist()):
-            a_lo, a_hi = _antiderivative(f, t_lo), _antiderivative(f, t_hi)
-            power.append(4.0 * max(abs(a_lo - f[0] * t_lo), abs(a_hi - f[0] * t_hi)))
-            ends_at += [_value(f, t_lo), _value(f, t_hi)]
-            integral_at.append(a_hi - a_lo)
-        rounding[sloped] += power
-        values[sloped] = np.reshape(ends_at, (-1, 2))
-        integral[sloped] = integral_at
+        if sloped.size:
+            power, ends_at = [], []
+            for j, f, t_lo, t_hi in zip(sloped.tolist(), form.take(sloped, axis=1).T.tolist(),
+                                        lo[sloped].tolist(), hi[sloped].tolist()):
+                a_lo_j, a_hi_j = _antiderivative(f, t_lo), _antiderivative(f, t_hi)
+                power.append(4.0 * max(abs(a_lo_j - f[0] * t_lo), abs(a_hi_j - f[0] * t_hi)))
+                ends_at.append((_value(f, t_lo), _value(f, t_hi)))
+                integral[j] = a_hi_j - a_lo_j
+            rounding[sloped] += power
+            values = np.array(ends_at)
+            f_max[sloped] = values.max(axis=1)
+            abs_max[sloped] = np.abs(values).max(axis=1)
         total = float(np.abs(mass).sum())
-        overlap = float(np.maximum(hi[:-1] - lo[1:], 0.0) @ np.abs(values[:-1]).max(axis=1))
+        overlap = float(np.maximum(hi[:-1] - lo[1:], 0.0) @ abs_max[:-1])
         error = (sys.float_info.epsilon
                  * (4.0 * float(rounding.max()) + 2.0 * float(rounding.sum())
                     + (2 * n + 4) * total)
                  + 3.0 * overlap)
-        per_segment = np.zeros((4, filler.size))
-        per_segment[:, k] = rounding, values.max(axis=1), A_lo, mass
-        rounding, f_max, a_lo, mass = per_segment
-        return _Profile(starts, ends, segment_form, np.array(infinite_points, dtype=float),
-                        filler, _distinct(np.concatenate((lo, hi))), lo.tolist(), hi.tolist(),
-                        list(zip(*form.tolist())), math.fsum(integral.tolist()), rounding,
-                        f_max, a_lo, np.concatenate(([0.0], np.cumsum(mass))), error)
+        # a filler is the zero constant piece, _form (0, 0, 1, 0, False), and
+        # its per-piece terms are 0: its outer ends are infinite
+        table = np.zeros((11, filler.size))
+        table[:, ~filler] = rows
+        table[0, filler] = np.concatenate(([-math.inf], hi))[at]
+        table[1, filler] = np.concatenate((lo, [math.inf]))[at]
+        table[4, filler] = 1.0
+        profile = _Profile(table[0], table[1], table[2:7], np.array(infinite_points, dtype=float),
+                           filler, _distinct(np.concatenate((lo, hi))), lo.tolist(), hi.tolist(),
+                           form.T.tolist(), math.fsum(integral), table[7], table[8], table[9],
+                           np.concatenate(([0.0], np.cumsum(table[10]))), error)
+        object.__setattr__(profile, "break_values", profile.evaluate(profile.breakpoints))
+        return profile
 
     def evaluate(self, t) -> np.ndarray:
         """:meth:`UscDensity1D.evaluate` at each t of a 1D array, bit for bit:
@@ -399,10 +404,14 @@ class _Profile:
         """G(x) = cum[i] + A_i(clip(x, starts[i], ends[i])) - a_lo[i] at each
         x, with A_i the antiderivative of segment i, the one holding x, or
         the first or last piece for x off the support: an outer filler's
-        infinite end would make 0 * inf."""
-        i = np.clip(np.searchsorted(self.starts, x, side="right") - 1, 1, len(self.starts) - 2)
-        x = np.clip(x, self.starts[i], self.ends[i])
-        return self.cum[i] + (_antiderivatives(self.form[:, i], x) - self.a_lo[i])
+        infinite end would make 0 * inf.  The clip of x keeps ``np.clip``'s
+        ties: the segment's end wins where it equals x."""
+        i = np.minimum(np.maximum(np.searchsorted(self.starts, x, side="right") - 1, 1),
+                       len(self.starts) - 2)
+        lo, hi = self.starts[i], self.ends[i]
+        x = np.where(x > lo, x, lo)
+        x = np.where(x < hi, x, hi)
+        return self.cum[i] + (_antiderivatives(self.form.take(i, axis=1), x) - self.a_lo[i])
 
 
 @dataclass(frozen=True)
@@ -823,9 +832,12 @@ def density_from_json(obj: dict, **kwargs) -> Density:
 class BayesModel:
     """Prior + likelihood + one observation.
 
-    ``likelihood(x, theta)`` must be nonnegative.  :func:`posterior` returns
-    the prior unchanged exactly when the likelihood values at its own grid
-    midpoints (the values it multiplies into the prior) are all equal.
+    ``likelihood(x, theta)`` must be nonnegative.  It gets the observation
+    as x and one point as theta: a Python ``float`` in 1D, a tuple of two in
+    2D, never a numpy scalar, so a division by zero raises in both dims.
+    :func:`posterior` returns the prior unchanged exactly when the
+    likelihood values at its own grid midpoints (the values it multiplies
+    into the prior) are all equal.
     """
 
     prior: Density
@@ -833,11 +845,11 @@ class BayesModel:
     observation: object
 
 
-def _midpoints(origin, spacing, shape):
-    """Cell midpoints of a regular grid: an array in 1D, (x, y) pairs in
-    row-major order in 2D."""
-    axes = [o + (np.arange(n) + 0.5) * h for o, h, n in zip(origin, spacing, shape)]
-    return axes[0] if len(shape) == 1 else list(product(*(x.tolist() for x in axes)))
+def _midpoints(origin, spacing, shape) -> list:
+    """Cell midpoints of a regular grid as the likelihood takes them: floats
+    in 1D, (x, y) pairs of floats in row-major order in 2D."""
+    axes = [(o + (np.arange(n) + 0.5) * h).tolist() for o, h, n in zip(origin, spacing, shape)]
+    return axes[0] if len(shape) == 1 else list(product(*axes))
 
 
 def _likelihood_at(m: BayesModel, points) -> np.ndarray:

@@ -112,7 +112,8 @@ def mollified_sup(b: BallObjective, box) -> ArgmaxResult:
 
 def disc_rect_overlap(center: tuple[float, float], R: float,
                       rect: tuple[tuple[float, float], tuple[float, float]]) -> float:
-    """Exact area of intersection of a disc with an axis-aligned rectangle."""
+    """Exact area of intersection of a disc with an axis-aligned rectangle.
+    Only the tests (of ``_corner_areas``) and ``perfbench/tracing.py`` use it."""
     (x0, x1), (y0, y1) = rect
     cx, cy = center
     C = _corner_areas(np.array([[x0 - cx], [x1 - cx]]), np.array([[y0 - cy, y1 - cy]]), R)

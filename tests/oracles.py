@@ -385,6 +385,46 @@ def grid_window_scan(grid, r: float, box, tol: float):
 
 
 # ---------------------------------------------------------------------------
+# Piecewise modes, scanned with the one-point evaluate
+# ---------------------------------------------------------------------------
+
+
+def mode_scan(d, box):
+    """(sup, maximizers, canonical, tol, sup_infinite) of a 1D piecewise
+    density over a closed box, from the scalar ``evaluate`` alone.
+
+    An infinite point in the box makes the sup infinite, with those points
+    as witnesses.  Otherwise the box ends and every breakpoint strictly
+    inside the box are scored one at a time, and each flat stretch that
+    meets the box is scored by its height: a piece with b = 0, or a zero
+    stretch between pieces or beyond them.  A flat stretch is cut to the
+    box by ``max`` and ``min``, whose first argument wins a tie, and
+    values within tol = 4 ulps of the sup tie with it.
+    """
+    lo, hi = float(box[0]), float(box[1])
+    witnesses = sorted(t for t in d.infinite_points if lo <= t <= hi)
+    if witnesses:
+        maxi = tuple((t, t) for t in witnesses)
+        return math.inf, maxi, _nearest_zero(maxi), 0.0, True
+    points = [lo] if lo == hi else [lo, *(t for t in d.breakpoints if lo < t < hi), hi]
+    scored = [(t, d.evaluate(t)) for t in points]
+    flats, end = [], -math.inf
+    for p in sorted(d.pieces, key=lambda p: p.lo):
+        if p.lo > end:
+            flats.append((end, p.lo, 0.0))
+        if p.kind == "constant" or p.params["b"] == 0.0:
+            flats.append((p.lo, p.hi, p.params["k" if p.kind == "constant" else "a"]))
+        end = p.hi
+    flats.append((end, math.inf, 0.0))
+    flats = [(s, e, v) for s, e, v in flats if e > lo and s < hi]
+    sup = max(max(v for _, v in scored), max((v for _, _, v in flats), default=-math.inf))
+    tol = 4.0 * math.ulp(sup)
+    maxi = _merge([(t, t) for t, v in scored if v >= sup - tol]
+                  + [(max(s, lo), min(e, hi)) for s, e, v in flats if v >= sup - tol], 0.0)
+    return sup, maxi, _nearest_zero(maxi), tol, False
+
+
+# ---------------------------------------------------------------------------
 # Shape conditions, refuted from pointwise values
 # ---------------------------------------------------------------------------
 

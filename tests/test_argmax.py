@@ -18,7 +18,7 @@ from mapbayes.errors import EmptySearchBox
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_affine, random_piecewise
 from oracles import (brute_argmax, exact_window_mass, grid_mode_scan_2d, grid_window_max,
-                     window_error_by_pieces, window_mass)
+                     mode_scan, window_error_by_pieces, window_mass)
 
 
 def test_density_argmax_on_family():
@@ -77,6 +77,61 @@ def test_density_argmax_reports_infinite_sup():
     assert res.sup_infinite
     assert res.sup_value == math.inf
     assert res.canonical == 0.3
+
+
+def _points_of(d):
+    """Breakpoints, points inside a segment, and points off the support of d."""
+    ends = d.breakpoints
+    lo, hi = d.support
+    return st.one_of(
+        st.sampled_from(ends),
+        st.tuples(st.integers(0, len(ends) - 2), st.floats(0.01, 0.99)).map(
+            lambda a: ends[a[0]] + a[1] * (ends[a[0] + 1] - ends[a[0]])),
+        st.floats(0.01, 2.0).map(lambda x: lo - x),
+        st.floats(0.01, 2.0).map(lambda x: hi + x))
+
+
+def _draw_density(data):
+    """Densities with gaps and sqrt arcs of both orientations, with pieces
+    overlapping by 1e-15, or 1D grid views with zero cells; half of them
+    get an infinite point, on a breakpoint, inside a segment or off the
+    support."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["piecewise", "affine", "grid"]))
+    if kind == "piecewise":
+        d = random_piecewise(rng, max_pieces=8, gap_prob=0.35)
+    elif kind == "affine":
+        d = random_affine(rng, offset=float(rng.uniform(-3.0, 3.0)))
+    else:
+        values = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0], size=int(rng.integers(1, 10)))
+        values[rng.integers(values.size)] = 1.0
+        origin, spacing = float(rng.uniform(-2.0, 1.0)), float(rng.choice([0.25, 0.1, 1.0 / 3.0]))
+        d = GridDensity.normalized(1, (origin,), (spacing,), values).to_pieces()
+    if data.draw(st.booleans()):
+        d = UscDensity1D(d.pieces, mass_tol=1e-6, infinite_points=(data.draw(_points_of(d)),))
+    return d
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_profile_break_values_are_evaluate_at_the_breakpoints(data):
+    d = _draw_density(data)
+    want = [d.evaluate(t).hex() for t in d.breakpoints]
+    assert [v.hex() for v in d._profile.break_values.tolist()] == want
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_density_argmax_is_the_pointwise_scan(data):
+    # box ends on breakpoints, inside segments, off the support and equal,
+    # bit for bit against the scan with the one-point evaluate
+    d = _draw_density(data)
+    a = data.draw(_points_of(d))
+    b = data.draw(st.one_of(_points_of(d), st.just(a)))
+    box = (min(a, b), max(a, b))
+    res = mb.map_estimate(d, box)
+    got = (res.sup_value, res.maximizers, res.canonical, res.tol_value, res.sup_infinite)
+    assert repr(got) == repr(mode_scan(d, box))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

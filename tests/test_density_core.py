@@ -495,3 +495,30 @@ def test_posterior_evaluates_the_likelihood_once_per_cell(prior, n_cells):
     post = mb.posterior(mb.BayesModel(prior, likelihood, 0.3), grid_resolution=256)
     assert len(thetas) == n_cells
     assert post.values.size == n_cells
+
+
+@pytest.mark.parametrize("prior, dim", [
+    (mb.triangle(), 1),
+    (GridDensity.normalized(1, (0.0,), (0.25,), np.array([1.0, 3.0, 0.0, 2.0])), 1),
+    (GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.5), np.arange(1.0, 13.0).reshape(4, 3)), 2),
+], ids=["pieces", "grid_1d", "grid_2d"])
+def test_likelihood_gets_python_floats_in_both_dims(prior, dim):
+    # a float in 1D and a tuple of two floats in 2D, never a numpy scalar,
+    # so a division by zero raises in both dims
+    thetas = []
+
+    def likelihood(x, theta):
+        thetas.append(theta)
+        return 1.0 / (1.0 + float(np.sum((np.asarray(theta) - x) ** 2)))
+
+    m = mb.BayesModel(prior, likelihood, 0.3)
+    mb.posterior(m, grid_resolution=16)
+    mb.evidence(m, grid_resolution=16)
+    if dim == 1:
+        assert all(type(t) is float for t in thetas)
+    else:
+        assert all(type(t) is tuple and [type(c) for c in t] == [float, float] for t in thetas)
+    zero = (lambda x, t: 1.0 / (t - t)) if dim == 1 else (lambda x, t: 1.0 / (t[0] - t[0]))
+    for f in (mb.posterior, mb.evidence):
+        with pytest.raises(ZeroDivisionError):
+            f(mb.BayesModel(prior, zero, 0.3))
