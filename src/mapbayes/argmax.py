@@ -158,18 +158,23 @@ def maximize_density(d, box=None) -> ArgmaxResult:
     return _maximize_density_pieces(pieces, box)
 
 
-def _check_box1d(box) -> tuple[float, float]:
-    lo, hi = float(box[0]), float(box[1])
-    if lo > hi:
-        raise EmptySearchBox(f"box [{lo}, {hi}] is empty")
-    return lo, hi
+def _check_box(sides) -> list[tuple[float, float]]:
+    """The sides (lo, hi) of a search box as floats; EmptySearchBox when a
+    side has lo > hi, and ``ValueError`` when an end is NaN."""
+    sides = [(float(lo), float(hi)) for lo, hi in sides]
+    if not all(lo <= hi for lo, hi in sides):
+        box = " x ".join(f"[{lo}, {hi}]" for lo, hi in sides)
+        if any(lo > hi for lo, hi in sides):
+            raise EmptySearchBox(f"box {box} is empty")
+        raise ValueError(f"box {box} has a NaN end")
+    return sides
 
 
 def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
     """The mode search on the profile: the box ends and the breakpoints
     inside are scored by their values, and the flat segments are the
     plateaus."""
-    lo, hi = _check_box1d(box)
+    lo, hi = _check_box([box])[0]
 
     # past this, the box holds no infinite point, at which the profile is not cut
     witnesses = [t for t in d.infinite_points if lo <= t <= hi]
@@ -212,9 +217,7 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
 
 
 def _maximize_density_grid(d: GridDensity, box) -> ArgmaxResult:
-    (bx0, bx1), (by0, by1) = ((float(lo), float(hi)) for lo, hi in box)
-    if bx0 > bx1 or by0 > by1:
-        raise EmptySearchBox("2D box is empty")
+    (bx0, bx1), (by0, by1) = _check_box(box)
     (ox, gx1), (oy, gy1) = d.support
     sides = []
     for k, (b0, b1) in enumerate(((bx0, bx1), (by0, by1))):
@@ -372,7 +375,7 @@ def maximize_window(
     """
     if radius <= 0.0:
         raise ValueError("window radius must be positive")
-    lo, hi = _check_box1d(box)
+    lo, hi = _check_box([box])[0]
     r = float(radius)
 
     def F(theta: float) -> float:
@@ -557,9 +560,7 @@ def maximize_objective_2d(objective, box) -> ArgmaxResult:
     """
     g, R = objective.density, objective.radius
     scale = 1.0 / (math.pi * R * R) if objective.normalized else 1.0
-    (bx0, bx1), (by0, by1) = ((float(lo), float(hi)) for lo, hi in box)
-    if bx0 > bx1 or by0 > by1:
-        raise EmptySearchBox("2D box is empty")
+    (bx0, bx1), (by0, by1) = _check_box(box)
     (ox, _), (oy, _) = g.support
     hx, hy = g.spacing
     nx, ny = g.shape

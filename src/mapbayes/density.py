@@ -9,13 +9,12 @@ the mode-seeking code in :mod:`mapbayes.estimators` relies on.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product, repeat
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -121,67 +120,11 @@ class Piece:
 
     def lipschitz_bound(self, a: float, b: float) -> float:
         """Upper bound on |f'| over [a, b] intersected with the piece; may be inf."""
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        _, slope, s, t0, root = self._form
-        if b < a or slope == 0.0:
-            return 0.0
-        if not root:
-            return abs(slope)
-        # |f'| = |b| / (2 sqrt(u)), largest where the radicand u is smallest
-        u_min = (a - t0) if s == 1 else (t0 - b)
-        if u_min <= 0.0:
-            return math.inf
-        return abs(slope) / (2.0 * math.sqrt(u_min))
+        return _lipschitz_bound((self.lo, self.hi, self._form), a, b)
 
     def solve_ge(self, alpha: float) -> list[tuple[float, float]]:
-        """Closed subintervals of [lo, hi] where the piece value is >= alpha.
-
-        Pieces are monotone, so the endpoint values bracket the range; they
-        are checked first, which keeps float rounding in the interior cut
-        (noticeable at very steep slopes) from conjuring slivers where the
-        value never actually reaches alpha.
-        """
-        lo, hi = self.lo, self.hi
-        a, b, s, t0, root = self._form
-        if b == 0.0:
-            return [(lo, hi)] if a >= alpha else []
-        v_lo, v_hi = self.endpoint_values()
-        if max(v_lo, v_hi) < alpha:
-            return []
-        if min(v_lo, v_hi) >= alpha:
-            return [(lo, hi)]
-        if not root:
-            t_star = t0 + (alpha - a) / b
-            seg = (max(lo, t_star), hi) if b > 0 else (lo, min(hi, t_star))
-            return [seg] if seg[0] <= seg[1] else []
-        # solve b*sqrt(u) >= alpha - a for the radicand u >= 0
-        rhs = (alpha - a) / b
-        if b > 0:
-            u_lo, u_hi = (max(rhs, 0.0) ** 2 if rhs > 0 else 0.0), math.inf
-        else:
-            if rhs < 0:
-                return []
-            u_lo, u_hi = 0.0, rhs * rhs
-        if s == 1:
-            seg = (max(lo, t0 + u_lo), hi if u_hi == math.inf else min(hi, t0 + u_hi))
-        else:
-            seg = (lo if u_hi == math.inf else max(lo, t0 - u_hi), min(hi, t0 - u_lo))
-        return [seg] if seg[0] <= seg[1] else []
-
-    @staticmethod
-    def _constant_cells(edges: list[float], heights: list[float]) -> tuple["Piece", ...]:
-        """The constant pieces heights[i] on [edges[i], edges[i + 1]), equal to
-        what :func:`constant_piece` builds, ``_form`` included, but filled in
-        directly.  The caller has checked what ``__post_init__`` would: the
-        edges strictly increase, and every height is a float >= 0."""
-        cells = []
-        for lo, hi, k in zip(edges, edges[1:], heights):
-            p = object.__new__(Piece)
-            p.__dict__.update(lo=lo, hi=hi, kind="constant", params={"k": k},
-                              _form=(k, 0.0, 1, 0.0, False))
-            cells.append(p)
-        return tuple(cells)
+        """Closed subintervals of [lo, hi] where the piece value is >= alpha."""
+        return _solve_ge((self.lo, self.hi, self._form), alpha)
 
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "kind": self.kind, "params": dict(self.params)}
@@ -213,6 +156,57 @@ def _antiderivative(form, t: float) -> float:
         return a * t + s * (2.0 * b / 3.0) * max(s * (t - t0), 0.0) ** 1.5
     dt = t - t0
     return a * t + 0.5 * b * dt * dt
+
+
+def _lipschitz_bound(row, a: float, b: float) -> float:
+    """Upper bound on |f'| over [a, b] intersected with [lo, hi], for the
+    row (lo, hi, form) of a piece; may be inf."""
+    lo, hi, (_, slope, s, t0, root) = row
+    a = max(a, lo)
+    b = min(b, hi)
+    if b < a or slope == 0.0:
+        return 0.0
+    if not root:
+        return abs(slope)
+    # |f'| = |b| / (2 sqrt(u)), largest where the radicand u is smallest
+    u_min = (a - t0) if s == 1 else (t0 - b)
+    if u_min <= 0.0:
+        return math.inf
+    return abs(slope) / (2.0 * math.sqrt(u_min))
+
+
+def _solve_ge(row, alpha: float) -> list[tuple[float, float]]:
+    """Closed subintervals of [lo, hi] where the row (lo, hi, form) of a
+    piece is >= alpha.  Pieces are monotone, so the end values bracket the
+    range; they are checked first, which keeps float rounding in the
+    interior cut (noticeable at very steep slopes) from conjuring slivers
+    where the value never actually reaches alpha."""
+    lo, hi, form = row
+    a, b, s, t0, root = form
+    if b == 0.0:
+        return [(lo, hi)] if a >= alpha else []
+    v_lo, v_hi = _value(form, lo), _value(form, hi)
+    if max(v_lo, v_hi) < alpha:
+        return []
+    if min(v_lo, v_hi) >= alpha:
+        return [(lo, hi)]
+    if not root:
+        t_star = t0 + (alpha - a) / b
+        seg = (max(lo, t_star), hi) if b > 0 else (lo, min(hi, t_star))
+        return [seg] if seg[0] <= seg[1] else []
+    # solve b*sqrt(u) >= alpha - a for the radicand u >= 0
+    rhs = (alpha - a) / b
+    if b > 0:
+        u_lo, u_hi = (max(rhs, 0.0) ** 2 if rhs > 0 else 0.0), math.inf
+    else:
+        if rhs < 0:
+            return []
+        u_lo, u_hi = 0.0, rhs * rhs
+    if s == 1:
+        seg = (max(lo, t0 + u_lo), hi if u_hi == math.inf else min(hi, t0 + u_hi))
+    else:
+        seg = (lo if u_hi == math.inf else max(lo, t0 - u_hi), min(hi, t0 - u_lo))
+    return [seg] if seg[0] <= seg[1] else []
 
 
 def _check_numbers(node, what: str) -> None:
@@ -263,8 +257,8 @@ class _Profile:
     """A 1D density's profile over the whole line as arrays, one column per
     segment: the pieces in order, and a zero ``filler`` in each gap between
     them and out to -inf and +inf.  Infinite points do not cut a piece.  It
-    is the one structure a density builds: every search, ``integrate`` and
-    ``total_mass`` read it, and the pieces are never walked.
+    is the one structure a density builds, and every search, diagnostic
+    and value reads it.
 
     * ``starts``, ``ends`` and ``form``: each segment's own ends (pieces may
       overlap) and ``_form`` rows a, b, s, t0, root; ``infinite``: the infinite points.
@@ -273,9 +267,10 @@ class _Profile:
       ``evaluate(breakpoints)`` taken once when the profile is built, so
       equal to :meth:`UscDensity1D.evaluate` at each breakpoint, bit for bit.
     * ``piece_lo``, ``piece_hi``, ``piece_form``: each piece's start, end
-      and ``_form`` as Python floats, which ``integrate`` reads with the
-      scalar formula of :meth:`Piece.antiderivative`; ``total_mass``: the
-      ``fsum`` of the pieces' :meth:`Piece.integral` over each whole piece.
+      and ``_form`` as Python floats, which ``integrate``, the one-point
+      ``evaluate``, ``lipschitz_bound`` and the level sets read with the
+      scalar formulas; ``total_mass``: the ``fsum`` of the pieces'
+      :meth:`Piece.integral` over each whole piece.
     * ``rounding``, ``f_max``: the per-piece terms of
       :func:`mapbayes.argmax._window_error`.  ``rounding`` is the float
       rounding of a piece's antiderivative difference in units of eps: |a|
@@ -433,24 +428,19 @@ class UscDensity1D:
     ``_profile`` is the profile over the whole line, one array table built
     with the density (:class:`_Profile`) from its pieces' columns, read off
     them in one pass: the pieces in order and a zero filler in each gap
-    between them and out to -inf and +inf.  The searches, ``integrate``,
-    ``total_mass`` and ``breakpoints`` read it alone.  ``_segments`` holds
-    it as pieces, each cut in two at an infinite point it holds: t lies in
-    segment ``bisect_right(_segment_starts, t) - 1``, and every jump and
-    infinite point is a segment start.  Both are built on first read (by
-    the scalar ``evaluate`` and the diagnostics), and so are the ``pieces``
-    of a grid's cell view (:meth:`GridDensity.to_pieces`), which is made
-    from the cell arrays with none.  ``_breakpoints`` holds every distinct
-    piece end in order; pieces may overlap by 1e-15 relative, so an end can
-    fall inside the next piece and is kept all the same.
+    between them and out to -inf and +inf.  Every search, diagnostic and
+    value reads it alone; only ``to_json``, ``==`` and ``repr`` read
+    ``pieces``.  A grid's cell view (:meth:`GridDensity.to_pieces`) is made
+    from the cell arrays with no pieces, and builds them on first read.
+    ``_breakpoints`` holds every distinct piece end in order; pieces may
+    overlap by 1e-15 relative, so an end can fall inside the next piece and
+    is kept all the same.
     """
 
     pieces: tuple[Piece, ...]
     mass_tol: float = 1e-9
     infinite_points: tuple[float, ...] = ()
     tail_height_sup: float | None = None
-    _segments: tuple[Piece, ...] = field(init=False, repr=False, compare=False)
-    _segment_starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _profile: _Profile = field(init=False, repr=False, compare=False)
 
@@ -491,28 +481,13 @@ class UscDensity1D:
             raise ValueError(f"total mass {mass} is not within {self.mass_tol} of 1")
 
     def __getattr__(self, name: str):
-        """Build ``_segments`` and ``_segment_starts``, and a cell view's
-        ``pieces``, on first read."""
+        """Build a cell view's ``pieces`` on first read, one constant piece per cell."""
         profile = self.__dict__.get("_profile")
-        if profile is None or name not in ("pieces", "_segments", "_segment_starts"):
+        if profile is None or name != "pieces":
             raise AttributeError(name)
-        if name == "pieces":  # only a cell view is made without them
-            object.__setattr__(self, "pieces", Piece._constant_cells(
-                profile.starts[1:].tolist(), profile.form[0, 1:-1].tolist()))
-            return self.pieces
-        pieces = iter(self.pieces)
-        segments = [constant_piece(lo, hi, 0.0) if filler else next(pieces)
-                    for lo, hi, filler in zip(profile.starts.tolist(), profile.ends.tolist(),
-                                              profile.filler.tolist())]
-        for t in self.infinite_points:
-            i = bisect_right([p.lo for p in segments], t) - 1
-            p = segments[i]
-            if p.lo < t:
-                segments[i:i + 1] = [Piece(p.lo, t, p.kind, p.params),
-                                     Piece(t, p.hi, p.kind, p.params)]
-        object.__setattr__(self, "_segments", tuple(segments))
-        object.__setattr__(self, "_segment_starts", tuple(p.lo for p in segments))
-        return getattr(self, name)
+        object.__setattr__(self, "pieces", tuple(map(
+            constant_piece, profile.piece_lo, profile.piece_hi, profile.form[0, 1:-1].tolist())))
+        return self.pieces
 
     @property
     def total_mass(self) -> float:
@@ -531,17 +506,21 @@ class UscDensity1D:
     def evaluate(self, t: float) -> float:
         """Pointwise value: the max of one-sided limits at t (0 off support).
 
-        The segment holding t gives one limit; the one before it gives the
-        other where it reaches t.  Never negative: the density is
-        nonnegative by construction, and any sub-zero float dust a piece
-        formula produces at its edge loses to the off-support zero limit.
+        The profile's segment holding t gives one limit, the one before it
+        the other where it reaches t: piece j, the last to start at or before
+        t, and piece j - 1, or a zero filler from the end of piece j on.
+        Never negative: any sub-zero float dust a piece formula produces at
+        its edge loses to the off-support zero limit.
         """
         if t in self.infinite_points:
             return math.inf
-        i = bisect_right(self._segment_starts, t) - 1
-        v = self._segments[i].value(t)
-        if i and t <= self._segments[i - 1].hi:
-            v = max(v, self._segments[i - 1].value(t))
+        p = self._profile
+        j = bisect_right(p.piece_lo, t) - 1
+        if j < 0 or not t <= p.piece_hi[j]:
+            return 0.0
+        v = _value(p.piece_form[j], t)
+        if j and t < p.piece_hi[j] and t <= p.piece_hi[j - 1]:
+            v = max(v, _value(p.piece_form[j - 1], t))
         return v if v > 0.0 else 0.0
 
     def __call__(self, t: float) -> float:
@@ -566,7 +545,9 @@ class UscDensity1D:
 
     def lipschitz_bound(self, lo: float, hi: float) -> float:
         """Bound on |f'| over [lo, hi] ignoring jumps between pieces."""
-        return max((p.lipschitz_bound(lo, hi) for p in self.pieces), default=0.0)
+        p = self._profile
+        return max((_lipschitz_bound(row, lo, hi)
+                    for row in zip(p.piece_lo, p.piece_hi, p.piece_form)), default=0.0)
 
     def to_json(self) -> dict:
         return {"pieces": [p.to_json() for p in self.pieces]}
@@ -679,13 +660,11 @@ class GridDensity:
     def to_pieces(self) -> UscDensity1D:
         """Exact piecewise view of a 1D grid (each cell becomes a constant
         piece), built on the first call and kept for the later ones.  Its
-        profile, the one structure the searches, ``integrate`` and
-        ``total_mass`` read, comes straight from the cell arrays, the edges
-        o + i*h and the values, which the grid has checked: its edges
-        strictly increase and its values are finite and nonnegative.  No
-        :class:`Piece` is made until ``pieces`` or the segments are first
-        read (by ``to_json``, ``==``, the one-point ``evaluate`` or the
-        diagnostics)."""
+        profile, the one structure every search and diagnostic reads, comes
+        straight from the cell arrays, the edges o + i*h and the values,
+        which the grid has checked: its edges strictly increase and its
+        values are finite and nonnegative.  No :class:`Piece` is made until
+        ``pieces`` is first read, by ``to_json``, ``==`` or ``repr``."""
         if self.dim != 1:
             raise ValueError("to_pieces applies to 1D grids only")
         if self._pieces is None:

@@ -14,10 +14,11 @@ and ``sup_on_interval`` exist in 1D only and reject 2D grids up front.
 
 The shape checks of ``check_conditions`` are exact: quasiconcavity and
 log-concavity are decided from the cells of a 2D grid, and in 1D from the
-density's profile over the whole line (its pieces, the zero segments off
-them and a cut at each infinite point), which the interval sups and the
-Lipschitz check of ``hypo_diagnostic`` read as well.  Every False comes
-with a counterwitness the density's own pointwise values confirm.
+density's profile over the whole line, as are the level sets, the
+interval sups and the Lipschitz check of ``hypo_diagnostic``; no ``Piece``
+is built.  Each call takes the profile's rows afresh (:func:`_rows`), cut
+at each infinite point.  Every False comes with a counterwitness the
+density's own pointwise values confirm.
 
 No check takes a tuning setting: the float-dust and witness margins of
 ``check_conditions``, the cluster radius of ``sweep`` and the float slack
@@ -27,11 +28,12 @@ of ``hypo_diagnostic`` are fixed by this module and ``argmax``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .argmax import _POSITION_TOL, _clusters, _merge_elements, maximize_density
-from .density import GridDensity, Piece, UscDensity1D, _pieces_view
+from .density import GridDensity, UscDensity1D, _pieces_view, _solve_ge, _value
 from .estimators import LossSpec, bayes_estimate, map_estimate
 from .windows import BallObjective, mollified_sup
 
@@ -75,6 +77,20 @@ def _pieces_1d(d, what: str) -> UscDensity1D:
     return pieces
 
 
+def _rows(d: UscDensity1D) -> list[tuple[float, float, list]]:
+    """The profile's segments as rows (lo, hi, form), the zero fillers
+    included, each cut in two at an infinite point it holds: every jump and
+    infinite point is a row start."""
+    p = d._profile
+    rows = list(zip(p.starts.tolist(), p.ends.tolist(), p.form.T.tolist()))
+    for t in d.infinite_points:
+        i = bisect_right([lo for lo, _, _ in rows], t) - 1
+        lo, hi, form = rows[i]
+        if lo < t:
+            rows[i:i + 1] = [(lo, t, form), (t, hi, form)]
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Level sets
 # ---------------------------------------------------------------------------
@@ -106,7 +122,9 @@ class LevelSetReport:
 
 
 def level_set(d, alpha: float) -> LevelSetReport:
-    """Exact level set {density >= alpha} (cell-exact for grids)."""
+    """Exact level set {density >= alpha} (cell-exact for grids); NaN is refused."""
+    if math.isnan(alpha):
+        raise ValueError("level_set needs an alpha, got NaN")
     if alpha <= 0.0:
         # densities are nonnegative, and zero off the support
         return LevelSetReport(alpha, ((-math.inf, math.inf),), None,
@@ -114,9 +132,9 @@ def level_set(d, alpha: float) -> LevelSetReport:
 
     pieces = _pieces_view(d)
     if pieces is not None:
-        segs: list[tuple[float, float]] = []
-        for p in pieces.pieces:
-            segs.extend(p.solve_ge(alpha))
+        p = pieces._profile
+        segs = [seg for row in zip(p.piece_lo, p.piece_hi, p.piece_form)
+                for seg in _solve_ge(row, alpha)]
         segs.extend((t, t) for t in pieces.infinite_points)
         intervals = _merge_elements(segs, 0.0)
         declared_unbounded = (pieces.tail_height_sup is not None
@@ -171,10 +189,10 @@ class ConditionReport:
         return asdict(self)
 
 
-def _step_in(p: Piece, m: float) -> float:
-    """Offset into the segment that moves its value by at most m/4."""
-    cap = 0.5 * (p.hi - p.lo)
-    _, b, _, _, root = p._form
+def _step_in(row, m: float) -> float:
+    """Offset into the row (lo, hi, form) that moves its value by at most m/4."""
+    lo, hi, (_, b, _, _, root) = row
+    cap = 0.5 * (hi - lo)
     if b == 0.0:
         return cap
     step = m / (4.0 * abs(b))
@@ -207,21 +225,20 @@ def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
     Any rise after a genuine fall yields a valley, from which a strict
     counterwitness triple is constructed.
     """
-    segs = d._segments
+    rows = _rows(d)
     descending = False
     run_max_val = 0.0
     run_max_pos = -math.inf
     prev_val = 0.0
-    for i, seg in enumerate(segs):
-        pos = seg.lo
-        v_lo, v_hi = seg.endpoint_values()
+    for i, (pos, hi, form) in enumerate(rows):
+        v_lo, v_hi = _value(form, pos), _value(form, hi)
         spike = pos in d.infinite_points
         if (spike or v_lo - prev_val > _EVENT_TOL) and descending:
-            # jump up out of a valley: approach the valley inside segs[i-1]
+            # jump up out of a valley: approach the valley inside rows[i - 1]
             v_top = d.evaluate(pos)
             m = min(run_max_val, v_top) - prev_val
             if m > 4.0 * _WITNESS_MARGIN:
-                z = pos - _step_in(segs[i - 1], m)
+                z = pos - _step_in(rows[i - 1], m)
                 w = _verified_witness(d, run_max_pos, pos,
                                       (pos - z) / (pos - run_max_pos))
                 if w:
@@ -237,9 +254,9 @@ def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
                 v_top = min(run_max_val, v_hi)
                 m = v_top - v_lo
                 if m > 4.0 * _WITNESS_MARGIN:
-                    z = seg.lo + _step_in(seg, m)
-                    w = _verified_witness(d, run_max_pos, seg.hi,
-                                          (seg.hi - z) / (seg.hi - run_max_pos))
+                    z = pos + _step_in(rows[i], m)
+                    w = _verified_witness(d, run_max_pos, hi,
+                                          (hi - z) / (hi - run_max_pos))
                     if w:
                         return False, w
         elif move < -_EVENT_TOL:
@@ -257,29 +274,29 @@ def _witness_by_halving(d, triple, span: float) -> tuple | None:
     return None
 
 
-def _slope(p: Piece, t: float) -> float:
-    """One-sided derivative of the segment's formula at its end t; a sqrt
-    arc is infinitely steep where its radicand vanishes."""
-    _, b, s, t0, root = p._form
+def _slope(form, t: float) -> float:
+    """One-sided derivative of a row's formula at its end t; a sqrt arc is
+    infinitely steep where its radicand vanishes."""
+    _, b, s, t0, root = form
     if not root:
         return b
     w = math.sqrt(max(s * (t - t0), 0.0))
     return b * s / (2.0 * w) if w > 0.0 else math.copysign(math.inf, b * s)
 
 
-def _log_convex_stretch(p: Piece) -> tuple[float, float] | None:
-    """(anchor, far end) of the stretch of a sqrt arc on which log f is
-    strictly convex; None when log f is concave on the whole piece.
+def _log_convex_stretch(row) -> tuple[float, float] | None:
+    """(anchor, far end) of the stretch of a sqrt arc's row on which log f
+    is strictly convex; None when log f is concave on the whole row.
 
     With w = sqrt(s*(t - t0)), f*f'' - f'^2 = -b*(a + 2*b*w)/(4*w^3), and
     b*(a + 2*b*w) grows with w.  So log f is concave on the arc iff that
     factor is >= 0 at the anchor, the end where w is smallest; otherwise it
     is convex up to w = -a/(2*b) or the far end.
     """
-    a, b, s, t0, root = p._form
+    lo, hi, (a, b, s, t0, root) = row
     if not root:
         return None
-    anchor, far = (p.lo, p.hi) if s == 1 else (p.hi, p.lo)
+    anchor, far = (lo, hi) if s == 1 else (hi, lo)
     if b * (a + 2.0 * b * math.sqrt(max(s * (anchor - t0), 0.0))) >= 0.0:
         return None
     w_end = min(-a / (2.0 * b), math.sqrt(max(s * (far - t0), 0.0)))
@@ -298,32 +315,32 @@ def _log_concave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
     violation is tried with shrinking triples around it; one that no triple
     verifies is float dust.
     """
-    segs = d._segments
-    live = [i for i, seg in enumerate(segs) if max(seg.endpoint_values()) > 0.0]
-    segs = segs[live[0]:live[-1] + 1]
+    rows = _rows(d)
+    live = [i for i, (lo, hi, f) in enumerate(rows) if max(_value(f, lo), _value(f, hi)) > 0.0]
+    rows = rows[live[0]:live[-1] + 1]
     for t in d.infinite_points:
-        for seg in segs:
-            w = _verified_witness(d, t, 0.5 * (seg.lo + seg.hi), 0.5, geometric=True)
+        for lo, hi, _ in rows:
+            w = _verified_witness(d, t, 0.5 * (lo + hi), 0.5, geometric=True)
             if w:
                 return False, w
-    for i, seg in enumerate(segs):
+    for i, (t, hi, form) in enumerate(rows):
         if i:
-            prev, t = segs[i - 1], seg.lo
-            jump = seg.value(t) - prev.value(prev.hi)
+            p_lo, p_hi, p_form = rows[i - 1]
+            jump = _value(form, t) - _value(p_form, p_hi)
             # z = t - h/2 below a jump up, t + h/2 past a jump down, t at a kink
             lam = None
             if jump > _EVENT_TOL:
                 lam = 0.75
             elif jump < -_EVENT_TOL:
                 lam = 0.25
-            elif _slope(prev, t) < _slope(seg, t) - _EVENT_TOL:
+            elif _slope(p_form, t) < _slope(form, t) - _EVENT_TOL:
                 lam = 0.5
             if lam is not None:
                 w = _witness_by_halving(d, lambda h: (t - h, t + h, lam),
-                                        min(prev.hi - prev.lo, seg.hi - seg.lo))
+                                        min(p_hi - p_lo, hi - t))
                 if w:
                     return False, w
-        stretch = _log_convex_stretch(seg)
+        stretch = _log_convex_stretch(rows[i])
         if stretch is not None:
             anchor, far = stretch
             w = _witness_by_halving(d, lambda h: (anchor, anchor + h, 0.5), far - anchor)
@@ -627,15 +644,15 @@ def sup_on_interval(d, lo: float, hi: float, *, closed: bool = True) -> float:
     of the profile it meets with positive length, the values at the cut
     ends: only this-side limits, the zero segments off the support
     included.  An infinite point inside gives inf.  Works on piecewise
-    densities and 1D grids.
+    densities and 1D grids; a NaN end, like hi < lo, raises ``ValueError``.
     """
     d = _pieces_1d(d, "sup_on_interval")
-    if hi < lo:
-        raise ValueError("need lo <= hi")
+    if not lo <= hi:
+        raise ValueError(f"sup_on_interval needs lo <= hi, neither NaN; got [{lo!r}, {hi!r}]")
     if closed:
         return maximize_density(d, (lo, hi)).sup_value
-    cands = [p.value(t) for p in d._segments if min(p.hi, hi) > max(p.lo, lo)
-             for t in (max(p.lo, lo), min(p.hi, hi))]
+    cands = [_value(form, t) for s_lo, s_hi, form in _rows(d) if min(s_hi, hi) > max(s_lo, lo)
+             for t in (max(s_lo, lo), min(s_hi, hi))]
     cands.extend(math.inf for t in d.infinite_points if lo < t < hi)
     return max(cands, default=0.0)
 
@@ -645,8 +662,9 @@ def _lipschitz_with_jumps(d: UscDensity1D, lo: float, hi: float) -> float:
     infinite point sits inside."""
     if any(lo < t < hi for t in d.infinite_points):
         return math.inf
-    for a, b in zip(d._segments, d._segments[1:]):
-        if lo < b.lo < hi and abs(a.value(a.hi) - b.value(b.lo)) > 1e-12:
+    rows = _rows(d)
+    for (_, a_hi, a_form), (b_lo, _, b_form) in zip(rows, rows[1:]):
+        if lo < b_lo < hi and abs(_value(a_form, a_hi) - _value(b_form, b_lo)) > 1e-12:
             return math.inf
     return d.lipschitz_bound(lo, hi)
 
@@ -698,8 +716,8 @@ def hypo_diagnostic(d, nus: Sequence[float],
     pieces = _pieces_1d(d, "hypo_diagnostic")
     rows = []
     for nu in nus:
-        if nu <= 0:
-            raise ValueError("scales nu must be positive")
+        if not nu > 0:
+            raise ValueError(f"scales nu must be positive, got {nu!r}")
         r = 1.0 / nu
         for (lo, hi) in closed_intervals:
             sm = mollified_sup(BallObjective(pieces, r), (lo, hi)).sup_value

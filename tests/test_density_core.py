@@ -16,6 +16,7 @@ from mapbayes.density import (
     density_from_json,
     sqrt_piece,
 )
+from mapbayes.diagnostics import sup_on_interval
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_piecewise
 from oracles import adaptive_simpson, integrate_by_pieces
@@ -143,6 +144,16 @@ def test_distinct_is_the_sorted_set(xs):
     assert signed(_distinct(xs).tolist()) == signed(sorted(set(xs)))
 
 
+def test_evaluate_keeps_both_limits_at_an_infinite_point_in_an_overlap():
+    # the pieces overlap by 1e-15 and an infinite point sits inside the
+    # overlap: at t = 1.0 both pieces reach t, and the earlier one is larger
+    a, b = affine_piece(0.0, 1.0, 0.2, 0.6), constant_piece(1.0 - 1e-15, 2.0, 0.5)
+    d = UscDensity1D((a, b), mass_tol=0.5, infinite_points=(1.0 - 5e-16,))
+    assert d.evaluate(1.0) == a.value(1.0) > 0.5
+    assert d.evaluate(1.0 - 5e-16) == math.inf
+    _assert_table_evaluate_is_evaluate(d, _ends_and_neighbours(d, ulps=4))
+
+
 def test_segment_table_evaluate_at_rounding_edges():
     # on the counterexample n - 8^-n rounds to n from n = 18 on, where the
     # ramps become rectangles, and the cusp's formula dips below 0 at its
@@ -175,9 +186,11 @@ def test_overlapping_pieces_rejected():
     a, b, c = (constant_piece(2.0 - 2e-15, 2.5, 0.4), constant_piece(0.0, 1.0, 0.6),
                constant_piece(1.5, 2.0, 0.4))
     d = UscDensity1D((a, b, c))
-    assert d._segments == (constant_piece(-math.inf, 0.0, 0.0), b,
-                           constant_piece(1.0, 1.5, 0.0), c, a,
-                           constant_piece(2.5, math.inf, 0.0))
+    p = d._profile
+    assert p.starts.tolist() == [-math.inf, 0.0, 1.0, 1.5, 2.0 - 2e-15, 2.5]
+    assert p.ends.tolist() == [0.0, 1.0, 1.5, 2.0, 2.5, math.inf]
+    assert p.filler.tolist() == [True, False, True, False, False, True]
+    assert p.form.T.tolist() == [[k, 0.0, 1.0, 0.0, 0.0] for k in (0.0, 0.6, 0.0, 0.4, 0.4, 0.0)]
     assert d._breakpoints == (0.0, 1.0, 1.5, 2.0 - 2e-15, 2.0, 2.5)
 
 
@@ -315,32 +328,39 @@ def test_grid_to_pieces_equivalent():
     ref = UscDensity1D(tuple(constant_piece(o + i * h, o + (i + 1) * h, float(x))
                              for i, x in enumerate(g.values)), mass_tol=1e-6)
     d = g.to_pieces()
-    for view, want in [(d.pieces, ref.pieces), (d._segments, ref._segments)]:
-        assert [vars(p) for p in view] == [vars(p) for p in want]
+    assert [vars(p) for p in d.pieces] == [vars(p) for p in ref.pieces]
+    for name in ("starts", "ends", "form", "filler"):
+        assert getattr(d._profile, name).tobytes() == getattr(ref._profile, name).tobytes()
     assert d._breakpoints == ref._breakpoints
     assert d.total_mass == ref.total_mass
 
 
 def test_grid_view_search_builds_no_piece(monkeypatch):
-    # posterior, its cell view, MAP and Bayes report read the cell arrays
-    # alone; the pieces and segments come on first read, equal to those of
-    # the density of the cells' pieces, and so do the answers and the profile
+    # posterior, its cell view, MAP, Bayes report and every 1D diagnostic
+    # read the cell arrays alone; the pieces come on first read, and the
+    # density of those pieces gives the same answers and the same profile
     prior = mb.triangle()
     model = mb.BayesModel(prior, lambda x, t: math.exp(-0.5 * ((t - x) / 0.3) ** 2), 0.2)
+
+    def answers(e):
+        return (mb.map_estimate(e), mb.bayes_estimate(e, mb.LossSpec(40.0)),
+                mb.check_conditions(e), [mb.level_set(e, a) for a in (0.1, 0.5, 1.0, 2.0)],
+                [sup_on_interval(e, a, b, closed=closed)
+                 for a, b in ((-0.5, 0.5), (0.0, 0.3), (-2.0, 2.0)) for closed in (True, False)],
+                mb.hypo_diagnostic(e, [4.0, 16.0], closed_intervals=[(-0.5, 0.5)],
+                                   open_intervals=[(-0.5, 0.5), (0.0, 0.8)]))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Piece was built")
 
     monkeypatch.setattr(Piece, "__post_init__", refuse)
-    monkeypatch.setattr(Piece, "_constant_cells", staticmethod(refuse))
     post = mb.posterior(model, grid_resolution=256)
     d = post.to_pieces()
-    got = mb.map_estimate(post), mb.bayes_estimate(post, mb.LossSpec(40.0))
-    assert not {"pieces", "_segments", "_segment_starts"} & set(vars(d))
+    got = answers(post)
+    assert "pieces" not in vars(d)
     monkeypatch.undo()
     ref = UscDensity1D(d.pieces, mass_tol=1e-6)
-    assert got == (mb.map_estimate(ref), mb.bayes_estimate(ref, mb.LossSpec(40.0)))
-    assert [vars(p) for p in d._segments] == [vars(p) for p in ref._segments]
+    assert got == answers(ref)
     for name in ("starts", "ends", "form", "filler", "rounding", "f_max", "a_lo", "cum"):
         assert getattr(d._profile, name).tobytes() == getattr(ref._profile, name).tobytes()
     assert d._profile.error == ref._profile.error

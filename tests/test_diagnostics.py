@@ -32,6 +32,12 @@ def test_level_set_nonpositive_alpha_is_everything():
     assert rep.intervals == ((-math.inf, math.inf),)
 
 
+def test_level_set_refuses_a_nan_alpha():
+    for d in (mb.triangle(), grid_1d("zero_cells"), CORNER_ZERO_2D):
+        with pytest.raises(ValueError, match="NaN"):
+            mb.level_set(d, math.nan)
+
+
 def test_level_set_merges_touching_pieces():
     rep = mb.level_set(mb.staircase(), 0.3)
     assert rep.intervals == ((0.0, 1.5),)
@@ -580,5 +586,16 @@ def test_one_d_diagnostics_reject_2d_grids():
 
 
 def test_hypo_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        mb.hypo_diagnostic(mb.triangle(), [0.0], closed_intervals=[(-1, 1)])
+    for nu in (0.0, math.nan):
+        with pytest.raises(ValueError, match="scales nu must be positive"):
+            mb.hypo_diagnostic(mb.triangle(), [nu], closed_intervals=[(-1, 1)])
+
+
+def test_a_nan_interval_end_is_refused():
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
+        for closed in (True, False):
+            with pytest.raises(ValueError, match="NaN"):
+                sup_on_interval(mb.triangle(), lo, hi, closed=closed)
+        for intervals in ({"closed_intervals": [(lo, hi)]}, {"open_intervals": [(lo, hi)]}):
+            with pytest.raises(ValueError, match="NaN"):
+                mb.hypo_diagnostic(mb.triangle(), [4.0], **intervals)

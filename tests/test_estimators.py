@@ -231,6 +231,24 @@ def test_approx_gap_refuses_a_nan_point():
             mb.approx_gap(_BUMP_6, mb.LossSpec(15.0), point)
 
 
+def test_a_nan_search_box_end_is_refused():
+    # a NaN end is refused with the box named, not searched as an empty or
+    # a one-point box; lo > hi stays EmptySearchBox
+    for d in (mb.triangle(), grid_1d("zero_cells")):
+        for box in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match=r"^box \[.*\] has a NaN end$"):
+                mb.map_estimate(d, box)
+            with pytest.raises(ValueError, match="has a NaN end"):
+                mb.bayes_estimate(d, mb.LossSpec(4.0), box)
+    for box in (((math.nan, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, math.nan))):
+        for search in (lambda: mb.map_estimate(_BUMP_6, box),
+                       lambda: mb.bayes_estimate(_BUMP_6, mb.LossSpec(15.0), box)):
+            with pytest.raises(ValueError, match=r"^box \[.*\] x \[.*\] has a NaN end$"):
+                search()
+    with pytest.raises(mb.EmptySearchBox, match=r"^box \[0\.0, 1\.0\] x \[1\.0, 0\.0\] is empty$"):
+        mb.map_estimate(_BUMP_6, ((0.0, 1.0), (1.0, 0.0)))
+
+
 def test_approx_gap_zero_at_argmax_and_positive_elsewhere(rng):
     for _ in range(6):
         d = random_piecewise(rng)
