@@ -19,6 +19,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import gallery
 from .counterexample import (_MAX_BUMP, DEFAULT_MAX_BUMP, build, sample_curve, scale_ladder,
                              verify_nonconvergence)
@@ -227,6 +229,25 @@ _DOMINATION_HEADER = ("nu,c,origin_value,plateau_mass_bound,center_value,"
                       "bayes_sup,bayes_canonical")
 
 
+def _samples_csv(samples: np.ndarray) -> str:
+    """The text of ``density_samples.csv``: the header, then one row
+    ``theta,value`` per (t, value) sample, both in fmt17's ``"%.17g"``.
+
+    The values come in runs (0 between the bumps, one height along each
+    plateau), so each run's value is formatted once, into a row template
+    repeated over the run, and the thetas fill the templates in one ``%``.
+    A run ends where the value's bit pattern changes, so 0.0 and -0.0, and
+    NaNs of different payloads, stay apart.  Takes at least one sample.
+    """
+    values = samples[:, 1]
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    counts = np.diff(np.r_[starts, len(bits)])
+    template = "".join([("%.17g," + fmt17(v) + "\n") * n
+                        for v, n in zip(values[starts].tolist(), counts.tolist())])
+    return "theta,value\n" + template % tuple(samples[:, 0].tolist())
+
+
 def _cmd_counterexample(args) -> None:
     if args.nu_max < 2:
         raise ConfigError(f"--nu-max must be at least 2, got {args.nu_max}: "
@@ -243,11 +264,8 @@ def _cmd_counterexample(args) -> None:
     out = _outdir(args)
     d = report.density
     _write_json(out / "density.json", d.to_json())
-    samples = sample_curve(d, -1.0, 2 * args.nu_max + 1.0)
-    # "%.17g" is the formatter of fmt17, applied to every float in one call
     (out / "density_samples.csv").write_text(
-        "theta,value\n" + "%.17g,%.17g\n" * len(samples) % tuple(samples.ravel().tolist()),
-        encoding="utf-8")
+        _samples_csv(sample_curve(d, -1.0, 2 * args.nu_max + 1.0)), encoding="utf-8")
     dom_lines = [_DOMINATION_HEADER]
     for row in report.rows:
         dom_lines.append(",".join(

@@ -455,6 +455,10 @@ class UscDensity1D:
                               & (after < before - 1e-15 * np.maximum(1.0, np.abs(before))))
         if over.size:
             raise ValueError(f"pieces overlap near t={after[over[0]]}")
+        for t in self.infinite_points:
+            if not math.isfinite(t):
+                raise ValueError(f"infinite point {t} is not finite: the density is +inf "
+                                 "only at isolated finite points")
         object.__setattr__(self, "pieces", pieces)
         self._build(columns)
 
@@ -640,9 +644,14 @@ class GridDensity:
     def _axis_cells(self, k: int, x: float) -> list[int]:
         """Cell indices along axis k whose closed extent contains coordinate x.
         The quotient (x - o)/h can round to either side of a cell index, so
-        the cells on both sides of its floor are checked against x."""
+        the cells on both sides of its floor are checked against x.  A NaN
+        or infinite x, or one so far off that the quotient overflows, lies
+        in no cell."""
         o, h, n = self.origin[k], self.spacing[k], self.shape[k]
-        i = math.floor((x - o) / h)
+        q = (x - o) / h
+        if not math.isfinite(q):
+            return []
+        i = math.floor(q)
         out = []
         for j in (i - 1, i, i + 1):
             if 0 <= j < n and o + j * h <= x <= o + (j + 1) * h:

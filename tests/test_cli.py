@@ -4,11 +4,13 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mapbayes as mb
 import mapbayes.argmax
-from mapbayes.cli import main
+from mapbayes.cli import _samples_csv, main
 
 from conftest import grid_1d
 from oracles import escape_window_mass, grid_mode_scan, grid_window_scan
@@ -383,6 +385,35 @@ def test_counterexample_artifacts_are_pinned(tmp_path, nu_max):
     assert main(["counterexample", "--nu-max", str(nu_max), "--out", str(tmp_path)]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in _ARTIFACT_SHA256[nu_max]} == _ARTIFACT_SHA256[nu_max]
+
+
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072009e-308,
+                     1.7976931348623157e308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.builds(math.copysign, st.floats(1e-300, 1e300), st.sampled_from([1.0, -1.0])),
+    st.floats(-30.0, 30.0))
+
+
+@st.composite
+def _sample_columns(draw):
+    """(theta, value) rows whose values come in runs, long ones among them,
+    and whose thetas cycle through a drawn pool."""
+    runs = draw(st.lists(st.tuples(_CSV_FLOATS, st.integers(1, 60)), min_size=1, max_size=25))
+    values = [v for v, n in runs for _ in range(n)]
+    pool = draw(st.lists(_CSV_FLOATS, min_size=1, max_size=40))
+    return np.column_stack(([pool[i % len(pool)] for i in range(len(values))], values))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(samples=_sample_columns())
+@example(samples=np.array([[0.0, 0.0], [1.0, -0.0], [2.0, -0.0], [3.0, 0.0], [-0.0, math.nan],
+                           [math.inf, -math.inf], [5e-324, 5e-324], [0.1, 0.0]]))
+def test_samples_csv_is_every_float_in_percent_17g(samples):
+    # the row templates are cut where the value's bits change, so 0.0 and
+    # -0.0 keep their signs, and NaN stays NaN
+    want = "theta,value\n" + "%.17g,%.17g\n" * len(samples) % tuple(samples.ravel().tolist())
+    assert _samples_csv(samples) == want
 
 
 def test_string_numbers_in_density_json_exit_2(tmp_path, capsys):

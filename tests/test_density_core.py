@@ -99,6 +99,14 @@ def test_infinite_points_reported():
     assert d.evaluate(0.26) == 1.0
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_infinite_point_is_refused(t):
+    # at a NaN one, evaluate(nan) would be inf, while the searches and
+    # shape checks would go on as if the density had no infinite point
+    with pytest.raises(ValueError, match=f"infinite point {t} is not finite"):
+        UscDensity1D(mb.triangle().pieces, infinite_points=(0.5, t))
+
+
 def _assert_table_evaluate_is_evaluate(d, ts):
     ts = np.array(sorted(ts))
     got = d._profile.evaluate(ts)
@@ -384,6 +392,17 @@ def test_grid_evaluate_takes_the_larger_cell_where_the_quotient_rounds_low():
     g2 = GridDensity.normalized(2, (-3.0, 0.0), (0.3, 0.5), np.array([[1.0, 1.0], [2.0, 2.0]]))
     assert g2.evaluate((-2.7, 0.25)) == g2.values[1, 0]
     assert g2.evaluate((-2.7, 0.5)) == g2.values[1].max()
+
+
+def test_grid_evaluate_at_a_non_finite_or_far_point_is_zero():
+    # no cell holds NaN or +-inf, nor 1e308, whose quotient (x - o)/h
+    # overflows to inf: each gives 0, as the 1D cell view does
+    g = GridDensity.normalized(1, (0.0,), (1e-10,), np.array([1.0, 3.0]))
+    g2 = GridDensity.normalized(2, (0.0, 0.0), (0.5, 1e-10), np.array([[1.0, 2.0], [4.0, 3.0]]))
+    for x in (math.nan, math.inf, -math.inf, 1e308, -1e308):
+        assert g.evaluate(x) == g.to_pieces().evaluate(x) == 0.0
+        assert g2.evaluate((x, 1e-10)) == g2.evaluate((0.5, x)) == 0.0
+    assert g.evaluate(1e-10) == g.values[1] and g2.evaluate((0.5, 1e-10)) == g2.values.max()
 
 
 # --- posterior machinery ----------------------------------------------------
