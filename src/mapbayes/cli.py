@@ -29,16 +29,10 @@ from .diagnostics import check_conditions, fmt17, hypo_diagnostic, sweep
 from .errors import ConfigError, MapBayesError
 from .estimators import LossSpec, bayes_estimate, map_estimate
 
-_BUILTINS = {
-    "uniform": gallery.uniform,
-    "triangle": gallery.triangle,
-    "asymmetric_triangle": gallery.asymmetric_triangle,
-    "step": gallery.step,
-    "ramp": gallery.ramp,
-    "staircase": gallery.staircase,
-    "two_bumps": gallery.two_bumps,
-    "counterexample": lambda max_bump=DEFAULT_MAX_BUMP: build(_count(max_bump, "max_bump")),
-}
+# every gallery density but the family, which is a dict of them
+_BUILTINS = {name: getattr(gallery, name) for name in gallery.__all__
+             if name != "quasiconcave_family"}
+_BUILTINS["counterexample"] = lambda max_bump=DEFAULT_MAX_BUMP: build(_count(max_bump, "max_bump"))
 
 
 def _load_config(path: str) -> dict:

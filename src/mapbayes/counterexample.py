@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BUMP = 20
+#: the step of :func:`sample_curve`
+_SAMPLE_STEP = 1e-3
 #: the last bump whose plateau has width: from n = 48 on, n + 2^-n rounds to n
 _MAX_BUMP = 47
 
@@ -105,33 +107,30 @@ def scale_ladder(nu_max: int) -> list[float]:
     return [2.0 * 4.0 ** nu for nu in range(1, nu_max + 1)]
 
 
-def _check_nu(nu: int, max_bump: int):
+def _check_nu(nu: int):
     if nu < 1:
         raise ValueError("nu must be at least 1")
-    if max_bump < 2 * nu:
-        raise CutoffTooSmall(
-            f"need bump {2 * nu} materialized, but max_bump is {max_bump}")
 
 
-def objective_at_origin(nu: int, max_bump: int = DEFAULT_MAX_BUMP) -> float:
+def objective_at_origin(nu: int) -> float:
     """Ball mass at the mode for radius 1/(2*4^nu): 4^-nu - (2/3) 8^-nu."""
-    _check_nu(nu, max_bump)
+    _check_nu(nu)
     return 4.0 ** -nu - (2.0 / 3.0) * 8.0 ** -nu
 
 
-def plateau_bound(nu: int, max_bump: int = DEFAULT_MAX_BUMP) -> float:
+def plateau_bound(nu: int) -> float:
     """Lower bound for the ball mass on bump 2*nu: plateau mass alone.
 
     The ball of radius 1/(2*4^nu) centered past the plateau start covers the
     whole plateau of bump 2*nu, whose mass is (1 - 4^-nu)(4^-nu - 64^-nu).
     """
-    _check_nu(nu, max_bump)
+    _check_nu(nu)
     return (1.0 - 4.0 ** -nu) * (4.0 ** -nu - 64.0 ** -nu)
 
 
-def plateau_center(nu: int, max_bump: int = DEFAULT_MAX_BUMP) -> float:
+def plateau_center(nu: int) -> float:
     """Midpoint of the plateau of bump 2*nu (also the bump's symmetry center)."""
-    _check_nu(nu, max_bump)
+    _check_nu(nu)
     return 2 * nu + (4.0 ** -nu - 64.0 ** -nu) / 2.0
 
 
@@ -142,8 +141,7 @@ def domination_margin(nu: int) -> Fraction:
     every nu >= 1: the ball does strictly better on bump 2*nu than on the
     mode.
     """
-    if nu < 1:
-        raise ValueError("nu must be at least 1")
+    _check_nu(nu)
     return (Fraction(2, 3) / 8 ** nu - Fraction(1, 16 ** nu)
             - Fraction(1, 64 ** nu) + Fraction(1, 256 ** nu))
 
@@ -198,7 +196,9 @@ def verify_nonconvergence(nu_max: int = 6,
     """
     if max_bump is None:
         max_bump = max(DEFAULT_MAX_BUMP, 2 * nu_max)
-    _check_nu(nu_max, max_bump)
+    _check_nu(nu_max)
+    if max_bump < 2 * nu_max:
+        raise CutoffTooSmall(f"need bump {2 * nu_max} materialized, but max_bump is {max_bump}")
     d = build(max_bump)
     search = (-1.0, 2 * nu_max + 2.0)
 
@@ -210,10 +210,10 @@ def verify_nonconvergence(nu_max: int = 6,
         failures.append("mode at the origin")
     for nu, row in zip(range(1, nu_max + 1), trace.rows):
         r = 0.5 * 4.0 ** -nu
-        center = plateau_center(nu, max_bump)
+        center = plateau_center(nu)
         center_value = d.integrate(center - r, center + r)
-        origin = objective_at_origin(nu, max_bump)
-        bound = plateau_bound(nu, max_bump)
+        origin = objective_at_origin(nu)
+        bound = plateau_bound(nu)
         rows.append(DominationRow(
             nu=nu, c=row.c, origin_value=origin, plateau_mass_bound=bound,
             center_value=center_value, bayes_sup=row.sup_value,
@@ -232,9 +232,8 @@ def verify_nonconvergence(nu_max: int = 6,
                                 trace=trace, failures=tuple(failures), density=d)
 
 
-def sample_curve(d: UscDensity1D, lo: float, hi: float,
-                 step: float = 1e-3) -> np.ndarray:
+def sample_curve(d: UscDensity1D, lo: float, hi: float) -> np.ndarray:
     """Samples of d at t = lo + k*step, k = 0..n with n = round((hi - lo)/step),
     for plotting the construction: an (n+1, 2) array of (t, value) rows."""
-    t = lo + np.arange(int(round((hi - lo) / step)) + 1) * step
+    t = lo + np.arange(int(round((hi - lo) / _SAMPLE_STEP)) + 1) * _SAMPLE_STEP
     return np.column_stack((t, d._profile.evaluate(t)))

@@ -90,7 +90,7 @@ class Piece:
             raise ValueError(f"unknown piece kind {self.kind!r}")
         object.__setattr__(self, "_form", form)
         lo_v, hi_v = self.endpoint_values()
-        if min(lo_v, hi_v) < -1e-12:
+        if min(lo_v, hi_v) < -1e-12 * max(abs(lo_v), abs(hi_v)):  # dust in its own units
             raise ValueError(f"piece is negative on [{self.lo}, {self.hi})")
 
     # -- pointwise -----------------------------------------------------------
@@ -561,6 +561,10 @@ class UscDensity1D:
         return UscDensity1D(tuple(Piece.from_json(p) for p in obj["pieces"]), **kwargs)
 
 
+#: how far a grid's Riemann mass may sit from 1
+_GRID_MASS_TOL = 1e-6
+
+
 @dataclass(frozen=True, eq=False)
 class GridDensity:
     """Cell-constant density on a regular 1D or 2D grid.
@@ -577,7 +581,6 @@ class GridDensity:
     origin: tuple[float, ...]
     spacing: tuple[float, ...]
     values: np.ndarray
-    mass_tol: float = 1e-6
     _pieces: UscDensity1D | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -602,8 +605,8 @@ class GridDensity:
                 raise ValueError(f"cell edges along axis {k} do not strictly increase: "
                                  f"origin {self.origin[k]}, spacing {self.spacing[k]}")
         mass = self.total_mass
-        if abs(mass - 1.0) > self.mass_tol:
-            raise ValueError(f"grid mass {mass} is not within {self.mass_tol} of 1")
+        if abs(mass - 1.0) > _GRID_MASS_TOL:
+            raise ValueError(f"grid mass {mass} is not within {_GRID_MASS_TOL} of 1")
 
     @property
     def cell_volume(self) -> float:
@@ -626,7 +629,7 @@ class GridDensity:
         )
 
     @staticmethod
-    def normalized(dim, origin, spacing, values, **kwargs) -> "GridDensity":
+    def normalized(dim, origin, spacing, values) -> "GridDensity":
         """Build a grid density rescaled so its Riemann mass is exactly 1."""
         values = np.asarray(values, dtype=float)
         vol = float(np.prod([float(h) for h in np.atleast_1d(spacing)]))
@@ -634,7 +637,7 @@ class GridDensity:
         if mass <= 0:
             raise ValueError("cannot normalize a grid with zero mass")
         return GridDensity(dim, tuple(np.atleast_1d(origin)), tuple(np.atleast_1d(spacing)),
-                           values / mass, **kwargs)
+                           values / mass)
 
     def _edges(self, k: int) -> np.ndarray:
         """The cell edges o + i*h along axis k for i = 0..n, with the two
@@ -678,7 +681,7 @@ class GridDensity:
             raise ValueError("to_pieces applies to 1D grids only")
         if self._pieces is None:
             object.__setattr__(self, "_pieces", UscDensity1D._of_cells(
-                self._edges(0), self.values, max(self.mass_tol, 1e-6)))
+                self._edges(0), self.values, _GRID_MASS_TOL))
         return self._pieces
 
     def to_json(self) -> dict:
@@ -689,14 +692,13 @@ class GridDensity:
                 "values": [[float(v) for v in row] for row in self.values]}
 
     @staticmethod
-    def from_json(obj: dict, **kwargs) -> "GridDensity":
+    def from_json(obj: dict) -> "GridDensity":
         for what in ("origin", "spacing", "values"):
             _check_numbers(obj[what], f"grid {what}")
         # a 1D grid may give its origin and spacing as bare numbers
         origin, spacing = (tuple(x) if isinstance(x, list) else (x,)
                            for x in (obj["origin"], obj["spacing"]))
-        return GridDensity(obj["dim"], origin, spacing, np.asarray(obj["values"], dtype=float),
-                           **kwargs)
+        return GridDensity(obj["dim"], origin, spacing, np.asarray(obj["values"], dtype=float))
 
 
 Density = UscDensity1D | GridDensity
@@ -803,7 +805,7 @@ def _disc_mass(g: GridDensity, x, y, R: float) -> float:
 
 
 def density_from_json(obj: dict, **kwargs) -> Density:
-    """Dispatch on the JSON shape: piece lists vs grids."""
+    """Dispatch on the JSON shape: piece lists vs grids (the keywords are for pieces)."""
     if "pieces" in obj:
         return UscDensity1D.from_json(obj, **kwargs)
     if "values" in obj:

@@ -20,9 +20,9 @@ is built.  Each call takes the profile's rows afresh (:func:`_rows`), cut
 at each infinite point.  Every False comes with a counterwitness the
 density's own pointwise values confirm.
 
-No check takes a tuning setting: the float-dust and witness margins of
-``check_conditions``, the cluster radius of ``sweep`` and the float slack
-of ``hypo_diagnostic`` are fixed by this module and ``argmax``.
+No check takes a tuning setting: the one margin of ``check_conditions``
+(in the density's own units), the cluster radius of ``sweep`` and the float
+slack of ``hypo_diagnostic`` are fixed by this module and ``argmax``.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ __all__ = [
 
 #: distance below which a limit point counts as sitting in the MAP set
 MAP_NEAR_TOL = 1e-6
-#: increases/decreases smaller than this are treated as float dust
-_EVENT_TOL = 1e-9
-#: strictness margin every reported counterwitness must beat
+#: the shape checks' one margin, in units of the density's largest finite
+#: value: smaller moves are float dust, and every counterwitness beats it
 _WITNESS_MARGIN = 1e-12
 #: halvings a log-concavity witness search tries before it calls a violation float dust
 _WITNESS_HALVINGS = 40
@@ -163,13 +162,13 @@ class ConditionReport:
 
     ``level_set_ok``: some alpha in the grid has a bounded level set with
     nonempty interior (computed on the strict set, i.e. alpha nudged down by
-    1e-12).  ``eventually_level_bounded`` restates it for the smoothed
-    family: the level sets of every ball average of radius 1/nu then sit
-    inside the witness bound grown by 1/nu.  ``quasiconcave`` and
-    ``log_concave`` are exact decisions (see :func:`check_conditions`); each
-    False comes with a counterwitness triple (x, y, lam) with
-    f(lam*x + (1-lam)*y) < min(f(x), f(y)) - 1e-12, resp. the same against
-    the weighted geometric mean f(x)^lam * f(y)^(1-lam) for log-concavity.
+    the margin of :func:`check_conditions`).  ``eventually_level_bounded``
+    restates it for the smoothed family: the level sets of every ball
+    average of radius 1/nu then sit inside the witness bound grown by 1/nu.
+    ``quasiconcave`` and ``log_concave`` are exact decisions (see
+    :func:`check_conditions`); each False comes with a counterwitness triple
+    (x, y, lam) with f(lam*x + (1-lam)*y) < min(f(x), f(y)) - margin, resp.
+    the same against the weighted geometric mean f(x)^lam * f(y)^(1-lam).
     """
 
     level_set_ok: bool
@@ -200,10 +199,10 @@ def _step_in(row, m: float) -> float:
     return min(cap, step ** 2 if root else step)
 
 
-def _verified_witness(d, x, y, lam: float, geometric: bool = False) -> tuple | None:
+def _verified_witness(d, x, y, lam: float, margin: float, geometric: bool = False) -> tuple | None:
     """(x, y, lam) when it strictly refutes quasiconcavity (or, with
     ``geometric``, log-concavity): f at lam*x + (1-lam)*y sits more than
-    the witness margin below min(f(x), f(y)), resp. f(x)^lam * f(y)^(1-lam).
+    ``margin`` below min(f(x), f(y)), resp. f(x)^lam * f(y)^(1-lam).
     Points are floats in 1D and (x, y) pairs on a 2D grid."""
     if isinstance(x, tuple):
         z = tuple(lam * a + (1.0 - lam) * b for a, b in zip(x, y))
@@ -211,19 +210,19 @@ def _verified_witness(d, x, y, lam: float, geometric: bool = False) -> tuple | N
         z = lam * x + (1.0 - lam) * y
     fx, fy = d.evaluate(x), d.evaluate(y)
     bound = fx ** lam * fy ** (1.0 - lam) if geometric else min(fx, fy)
-    if d.evaluate(z) < bound - _WITNESS_MARGIN:
+    if d.evaluate(z) < bound - margin:
         return (x, y, lam)
     return None
 
 
-def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
+def _quasiconcave_exact(d: UscDensity1D, margin: float) -> tuple[bool, tuple | None]:
     """Exact unimodality check: nondecreasing then nonincreasing profile.
 
     The profile's segments are monotone, so it is captured by their
     directions and the jumps between one-sided limits.  An infinite point
     starts a segment and is a spike there: a rise up to it, then a fall.
-    Any rise after a genuine fall yields a valley, from which a strict
-    counterwitness triple is constructed.
+    Any rise after a genuine fall, one of more than ``margin``, yields a
+    valley, from which a strict counterwitness triple is constructed.
     """
     rows = _rows(d)
     descending = False
@@ -233,42 +232,42 @@ def _quasiconcave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
     for i, (pos, hi, form) in enumerate(rows):
         v_lo, v_hi = _value(form, pos), _value(form, hi)
         spike = pos in d.infinite_points
-        if (spike or v_lo - prev_val > _EVENT_TOL) and descending:
+        if (spike or v_lo - prev_val > margin) and descending:
             # jump up out of a valley: approach the valley inside rows[i - 1]
             v_top = d.evaluate(pos)
             m = min(run_max_val, v_top) - prev_val
-            if m > 4.0 * _WITNESS_MARGIN:
+            if m > 4.0 * margin:
                 z = pos - _step_in(rows[i - 1], m)
                 w = _verified_witness(d, run_max_pos, pos,
-                                      (pos - z) / (pos - run_max_pos))
+                                      (pos - z) / (pos - run_max_pos), margin)
                 if w:
                     return False, w
-        if spike or v_lo - prev_val < -_EVENT_TOL:
+        if spike or v_lo - prev_val < -margin:
             descending = True
         env = d.evaluate(pos)
         if env > run_max_val:
             run_max_val, run_max_pos = env, pos
         move = v_hi - v_lo
-        if move > _EVENT_TOL:
+        if move > margin:
             if descending:
                 v_top = min(run_max_val, v_hi)
                 m = v_top - v_lo
-                if m > 4.0 * _WITNESS_MARGIN:
+                if m > 4.0 * margin:
                     z = pos + _step_in(rows[i], m)
                     w = _verified_witness(d, run_max_pos, hi,
-                                          (hi - z) / (hi - run_max_pos))
+                                          (hi - z) / (hi - run_max_pos), margin)
                     if w:
                         return False, w
-        elif move < -_EVENT_TOL:
+        elif move < -margin:
             descending = True
         prev_val = v_hi
     return True, None
 
 
-def _witness_by_halving(d, triple, span: float) -> tuple | None:
+def _witness_by_halving(d, triple, span: float, margin: float) -> tuple | None:
     """First verified log-concavity witness among triple(span * 2**-k)."""
     for k in range(_WITNESS_HALVINGS):
-        w = _verified_witness(d, *triple(span * 0.5 ** k), geometric=True)
+        w = _verified_witness(d, *triple(span * 0.5 ** k), margin, geometric=True)
         if w:
             return w
     return None
@@ -303,24 +302,26 @@ def _log_convex_stretch(row) -> tuple[float, float] | None:
     return anchor, t0 + s * w_end * w_end
 
 
-def _log_concave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
+def _log_concave_exact(d: UscDensity1D, margin: float) -> tuple[bool, tuple | None]:
     """Exact log-concavity check for a density that passed the
     quasiconcavity walk, so that its support is an interval.
 
     Past the zero segments at the ends of the support, log f is concave iff
     every sqrt arc is (constant and affine pieces always are) and every
     interior breakpoint has no jump and a one-sided slope that does not
-    increase, f'(t-) >= f'(t+).  An infinite point is never log-concave:
-    the profile is cut there, so no segment midpoint sits on it.  Each
-    violation is tried with shrinking triples around it; one that no triple
-    verifies is float dust.
+    increase, f'(t-) >= f'(t+).  A jump counts past ``margin``, a kink past
+    ``margin`` per unit width of the support.  An infinite point is never
+    log-concave: the profile is cut there, so no segment midpoint sits on
+    it.  Each violation is tried with shrinking triples around it; one that
+    no triple verifies is float dust.
     """
     rows = _rows(d)
     live = [i for i, (lo, hi, f) in enumerate(rows) if max(_value(f, lo), _value(f, hi)) > 0.0]
     rows = rows[live[0]:live[-1] + 1]
+    kink = margin / (d.support[1] - d.support[0])
     for t in d.infinite_points:
         for lo, hi, _ in rows:
-            w = _verified_witness(d, t, 0.5 * (lo + hi), 0.5, geometric=True)
+            w = _verified_witness(d, t, 0.5 * (lo + hi), 0.5, margin, geometric=True)
             if w:
                 return False, w
     for i, (t, hi, form) in enumerate(rows):
@@ -329,21 +330,21 @@ def _log_concave_exact(d: UscDensity1D) -> tuple[bool, tuple | None]:
             jump = _value(form, t) - _value(p_form, p_hi)
             # z = t - h/2 below a jump up, t + h/2 past a jump down, t at a kink
             lam = None
-            if jump > _EVENT_TOL:
+            if jump > margin:
                 lam = 0.75
-            elif jump < -_EVENT_TOL:
+            elif jump < -margin:
                 lam = 0.25
-            elif _slope(p_form, t) < _slope(form, t) - _EVENT_TOL:
+            elif _slope(p_form, t) < _slope(form, t) - kink:
                 lam = 0.5
             if lam is not None:
                 w = _witness_by_halving(d, lambda h: (t - h, t + h, lam),
-                                        min(p_hi - p_lo, hi - t))
+                                        min(p_hi - p_lo, hi - t), margin)
                 if w:
                     return False, w
         stretch = _log_convex_stretch(rows[i])
         if stretch is not None:
             anchor, far = stretch
-            w = _witness_by_halving(d, lambda h: (anchor, anchor + h, 0.5), far - anchor)
+            w = _witness_by_halving(d, lambda h: (anchor, anchor + h, 0.5), far - anchor, margin)
             if w:
                 return False, w
     return True, None
@@ -399,7 +400,7 @@ def _segment_leaving(d: GridDensity, cells) -> tuple:
         prev = (i, ends)
 
 
-def _quasiconcave_grid(d: GridDensity) -> tuple[bool, tuple | None]:
+def _quasiconcave_grid(d: GridDensity, margin: float) -> tuple[bool, tuple | None]:
     """Exact quasiconcavity check for a 2D grid.
 
     A level set {f >= alpha > 0} is the union of the closed cells valued at
@@ -415,19 +416,19 @@ def _quasiconcave_grid(d: GridDensity) -> tuple[bool, tuple | None]:
         if k + 1 < len(cells) and cells[k + 1][0] == v:
             continue
         if k + 1 < (i1 - i0 + 1) * (j1 - j0 + 1):
-            w = _verified_witness(d, *_segment_leaving(d, cells[:k + 1]))
+            w = _verified_witness(d, *_segment_leaving(d, cells[:k + 1]), margin)
             if w:
                 return False, w
     return True, None
 
 
-def _log_concave_grid(d: GridDensity) -> tuple[bool, tuple | None]:
+def _log_concave_grid(d: GridDensity, margin: float) -> tuple[bool, tuple | None]:
     """Exact log-concavity check for a 2D grid that passed the
     quasiconcavity check, so that its positive cells fill a rectangle.
 
     log f is concave on that rectangle and constant on each cell, hence
     constant: the grid is log-concave iff no positive cell drops by more
-    than the event tolerance to a positive neighbour.  The witness steps
+    than ``margin`` to a positive neighbour.  The witness steps
     along the largest such drop.
     """
     vals = d.values.tolist()
@@ -439,13 +440,13 @@ def _log_concave_grid(d: GridDensity) -> tuple[bool, tuple | None]:
          if 0 <= i + di < n0 and 0 <= j + dj < n1
          and vals[i][j] > 0.0 and vals[i + di][j + dj] > 0.0),
         default=(0.0, 0, 0, 0, 0))
-    if drop <= _EVENT_TOL:
+    if drop <= margin:
         return True, None
     # x is the larger cell's centre; z = x + 0.75 step and y = x + 1.25 step
     # both sit inside the smaller cell
     x = _cell_point(d, i + 0.5, j + 0.5)
     y = _cell_point(d, i + 0.5 + 1.25 * di, j + 0.5 + 1.25 * dj)
-    w = _verified_witness(d, x, y, 0.4, geometric=True)
+    w = _verified_witness(d, x, y, 0.4, margin, geometric=True)
     return (False, w) if w else (True, None)
 
 
@@ -465,33 +466,37 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionR
       at least that level fill their bounding box.  Log-concave iff one
       positive value fills a rectangle of cells and every other cell is 0.
 
-    A jump, kink or cell difference below 1e-9 is float dust, and a False
+    One margin, 1e-12 of the density's largest finite value, tells float
+    dust: a jump or cell difference below it, or a kink whose slope rises by
+    less than it per unit width of the support, counts as none.  A False
     comes only with a witness (x, y, lam) that beats min(f(x), f(y)), resp.
-    f(x)^lam * f(y)^(1-lam), by more than 1e-12 at lam*x + (1-lam)*y.  A
+    f(x)^lam * f(y)^(1-lam), by more than it at lam*x + (1-lam)*y; a
     quasiconcavity witness refutes log-concavity too.
     """
     sup_res = map_estimate(d)
+    pieces = _pieces_view(d)
+    if sup_res.sup_infinite and alpha_grid is None:
+        raise ValueError("alpha_grid must be given for unbounded densities")
+    # the unit: the largest finite value (only a 1D density has infinite points)
+    unit = float(pieces._profile.f_max.max()) if sup_res.sup_infinite else sup_res.sup_value
+    margin = _WITNESS_MARGIN * unit
     if alpha_grid is None:
-        if sup_res.sup_infinite:
-            raise ValueError("alpha_grid must be given for unbounded densities")
-        s = sup_res.sup_value
-        alpha_grid = tuple(f * s for f in (0.1, 0.25, 0.5, 0.75, 0.9))
+        alpha_grid = tuple(f * unit for f in (0.1, 0.25, 0.5, 0.75, 0.9))
 
     witness_alpha = witness_bound = None
     for alpha in sorted(a for a in alpha_grid if a > 0):
-        rep = level_set(d, alpha - 1e-12)  # strict-set variant
+        rep = level_set(d, alpha - margin)  # strict-set variant
         if rep.bounded and rep.nonempty_interior:
             witness_alpha, witness_bound = alpha, rep.bound_M
             break
     level_ok = witness_alpha is not None
 
-    pieces = _pieces_view(d)
     if pieces is not None:
-        qc, qc_w = _quasiconcave_exact(pieces)
-        lc, lc_w = _log_concave_exact(pieces) if qc else (False, qc_w)
+        qc, qc_w = _quasiconcave_exact(pieces, margin)
+        lc, lc_w = _log_concave_exact(pieces, margin) if qc else (False, qc_w)
     else:
-        qc, qc_w = _quasiconcave_grid(d)
-        lc, lc_w = _log_concave_grid(d) if qc else (False, qc_w)
+        qc, qc_w = _quasiconcave_grid(d, margin)
+        lc, lc_w = _log_concave_grid(d, margin) if qc else (False, qc_w)
 
     return ConditionReport(
         level_set_ok=level_ok,

@@ -85,6 +85,23 @@ def test_domination_margin_exact_arithmetic():
     assert mb.objective_at_origin(1) == pytest.approx(1.0 / 6.0, abs=1e-16)
 
 
+def _ulps_off(x: float, exact: Fraction) -> Fraction:
+    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def test_closed_forms_take_nu_alone_and_are_within_an_ulp():
+    # none depends on the cutoff, so none refuses a rung past the default bumps
+    for nu in range(1, 24):
+        q = Fraction(1, 4 ** nu)
+        origin = q - Fraction(2, 3) / 8 ** nu
+        bound = (1 - q) * (q - q ** 3)
+        center = 2 * nu + (q - q ** 3) / 2
+        assert _ulps_off(mb.objective_at_origin(nu), origin) <= 1
+        assert _ulps_off(mb.plateau_bound(nu), bound) <= 1
+        assert _ulps_off(mb.plateau_center(nu), center) <= 1
+        assert mb.domination_margin(nu) == bound - origin
+
+
 def test_scale_ladder():
     assert mb.scale_ladder(4) == [8.0, 32.0, 128.0, 512.0]
     with pytest.raises(ValueError):
@@ -93,7 +110,7 @@ def test_scale_ladder():
 
 def test_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
-        mb.objective_at_origin(5, max_bump=9)
+        mb.verify_nonconvergence(5, max_bump=9)
     with pytest.raises(CutoffTooSmall):
         mb.verify_nonconvergence(6, max_bump=8)
     with pytest.raises(ValueError):
@@ -127,8 +144,8 @@ def test_bayes_sup_beats_any_window_at_origin():
 
 def test_sample_curve_shape():
     d = mb.build(4)
-    pts = mb.sample_curve(d, -0.5, 2.5, step=0.01)
-    assert len(pts) == 301
+    pts = mb.sample_curve(d, -0.5, 2.5)
+    assert len(pts) == 3001
     assert pts[0][0] == -0.5 and pts[-1][0] == pytest.approx(2.5)
     assert max(v for _, v in pts) == pytest.approx(1.0)
 

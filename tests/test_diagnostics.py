@@ -1,15 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mapbayes as mb
-from mapbayes.density import (GridDensity, UscDensity1D, affine_piece, constant_piece,
+from mapbayes.density import (GridDensity, Piece, UscDensity1D, affine_piece, constant_piece,
                                sqrt_piece)
 from mapbayes.diagnostics import _WITNESS_MARGIN, ConditionReport, fmt17, sup_on_interval
 
-from conftest import CORNER_ZERO_2D, grid_1d, random_piecewise, unit_mass
+from conftest import CORNER_ZERO_2D, JUMP_DOWN, grid_1d, random_piecewise, unit_mass
 from oracles import grid_mode_scan, grid_window_scan, shape_violations, witness_gaps
 
 
@@ -314,6 +315,97 @@ def test_log_concavity_sees_a_spike_at_a_segment_midpoint():
     assert not rep.log_concave
     assert rep.log_concave_witness == (0.5, 0.25, 0.5)
     assert witness_gaps(_SPIKE_AT_MIDPOINT, *rep.log_concave_witness)[1] > _WITNESS_MARGIN
+
+
+def _bimodal(s: float) -> UscDensity1D:
+    """Heights 1.2s, 0.6s and 1.2s on the thirds of [0, 1/s): never quasiconcave."""
+    w = 1.0 / s
+    return UscDensity1D((constant_piece(0.0, w / 3, 1.2 * s),
+                         constant_piece(w / 3, 2 * w / 3, 0.6 * s),
+                         constant_piece(2 * w / 3, w, 1.2 * s)))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-8, 1e-9, 1e-10])
+def test_a_dip_is_refuted_at_any_scale(s):
+    # the margin is in units of the density's largest value, 1.2s
+    d = _bimodal(s)
+    rep = mb.check_conditions(d)
+    assert not rep.quasiconcave and not rep.log_concave
+    assert witness_gaps(d, *rep.quasiconcave_witness)[0] > _WITNESS_MARGIN * 1.2 * s
+
+
+def _mapped(d, k: int):
+    """d under t -> 4^k*t and f -> 4^-k*f (a 2D grid's values go by 16^-k,
+    to keep unit mass).  Powers of 4 keep every float operation exact,
+    sqrt arcs included."""
+    t = 4.0 ** k
+    if isinstance(d, GridDensity):
+        return GridDensity(2, tuple(x * t for x in d.origin), tuple(h * t for h in d.spacing),
+                           d.values / t ** 2)
+    pieces = []
+    for p in d.pieces:
+        by = {"k": 1 / t, "a": 1 / t, "t0": t, "s": 1,
+              "b": 1 / t ** 2 if p.kind == "affine" else 1 / 8.0 ** k}
+        pieces.append(Piece(p.lo * t, p.hi * t, p.kind,
+                            {name: v * by[name] for name, v in p.params.items()}))
+    tail = None if d.tail_height_sup is None else d.tail_height_sup / t
+    return UscDensity1D(tuple(pieces), d.mass_tol, tuple(x * t for x in d.infinite_points), tail)
+
+
+def _mapped_report(rep: ConditionReport, t: float, v: float) -> ConditionReport:
+    """The report the map with coordinates times t and values times v must give."""
+    def point(x):
+        return tuple(c * t for c in x) if isinstance(x, tuple) else x * t
+
+    def witness(w):
+        return None if w is None else (point(w[0]), point(w[1]), w[2])
+
+    return replace(rep, witness_alpha=None if rep.witness_alpha is None else rep.witness_alpha * v,
+                   witness_bound=None if rep.witness_bound is None else rep.witness_bound * t,
+                   quasiconcave_witness=witness(rep.quasiconcave_witness),
+                   log_concave_witness=witness(rep.log_concave_witness))
+
+
+_STEPS_WITH_SPIKES = [
+    UscDensity1D((constant_piece(0.0, 0.5, 2.0 / 3.0), constant_piece(0.5, 1.0, 4.0 / 3.0)),
+                 infinite_points=spikes)
+    for spikes in [(0.25,), (0.0,), (0.75,), (1.0,), (1.5,), (0.75, 0.9)]]
+
+_FIXED_DENSITIES = [
+    *mb.quasiconcave_family().values(), mb.two_bumps(), *map(mb.build, range(1, 13)), JUMP_DOWN,
+    *_STEPS_WITH_SPIKES, _SPIKE_AT_MIDPOINT,
+    unit_mass([sqrt_piece(0.0, 1.0, 1.0, -0.5, 1, 0.0)]),
+    unit_mass([affine_piece(-1.0, 0.0, 1.0, 0.5), sqrt_piece(0.0, 1.0, 1.0, 1.0, 1, 0.0)]),
+]
+
+
+@st.composite
+def _densities(draw):
+    kind = draw(st.sampled_from(["fixed", "random", "grid"]))
+    if kind == "fixed":
+        return draw(st.sampled_from(_FIXED_DENSITIES))
+    if kind == "random":
+        return random_piecewise(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                max_pieces=8)
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    cells = draw(st.lists(st.sampled_from([0.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-9, 2.0, 3.0]),
+                          min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    assume(sum(cells) > 0)
+    origin = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 2))
+    spacing = draw(st.tuples(*[st.floats(0.1, 1.0)] * 2))
+    return GridDensity.normalized(2, origin, spacing, np.array(cells).reshape(shape))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(d=_densities(), k=st.integers(-20, 20))
+def test_shape_checks_are_in_the_density_s_own_units(d, k):
+    # t -> 4^k*t, f -> 4^-k*f: every flag stays, every number maps exactly
+    t = 4.0 ** k
+    v = 1 / t ** 2 if isinstance(d, GridDensity) else 1 / t
+    alphas = (0.25, 0.5, 1.0) if getattr(d, "infinite_points", ()) else None
+    rep = mb.check_conditions(d, alphas)
+    mapped = mb.check_conditions(_mapped(d, k), alphas and [a * v for a in alphas])
+    assert mapped == _mapped_report(rep, t, v)
 
 
 # --- sweeps -----------------------------------------------------------------

@@ -289,8 +289,10 @@ _AVG_2D = mb.BallObjective(
     GridDensity.normalized(2, (0.0, 0.0), (0.5, 0.5), np.ones((2, 2))), 0.25)
 
 
-# tolerances, the 2D scan, the hypo slack, the sampler and the counterexample
-# search box are fixed by the package; passing any of them is a caller error
+# tolerances, the 2D scan, the hypo slack, the sampler, the counterexample
+# search box, the sample step and the grid mass tolerance are fixed by the
+# package, and the closed forms of the construction take no cutoff; passing
+# any of them is a caller error
 _REMOVED_KNOBS = [
     (mb.map_estimate, (_TRI,), "tol_value", 1e-3),
     (mb.maximize_density, (_TRI,), "tol_value", 1e-3),
@@ -313,6 +315,13 @@ _REMOVED_KNOBS = [
     (mb.check_conditions, (_TRI,), "seed", 1),
     (mb.check_conditions, (_TRI,), "n_triples", 100),
     (mb.verify_nonconvergence, (2,), "search", (-1.0, 6.0)),
+    (mb.objective_at_origin, (2,), "max_bump", 20),
+    (mb.plateau_bound, (2,), "max_bump", 20),
+    (mb.plateau_center, (2,), "max_bump", 20),
+    (mb.sample_curve, (_TRI, -1.0, 1.0), "step", 1e-3),
+    (GridDensity, (2, (0.0, 0.0), (0.5, 0.5), np.ones((2, 2))), "mass_tol", 1e-6),
+    (GridDensity.normalized, (2, (0.0, 0.0), (0.5, 0.5), np.ones((2, 2))), "mass_tol", 1e-6),
+    (GridDensity.from_json, (_AVG_2D.density.to_json(),), "mass_tol", 1e-6),
 ]
 
 
