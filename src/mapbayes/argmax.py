@@ -78,7 +78,11 @@ class ArgmaxResult:
 
     def distance_to(self, point) -> float:
         """Euclidean distance from a point to the maximizer set."""
-        return distance_to_maximizers(self.dim, self.maximizers, point)
+        maximizers = self.maximizers
+        if self.dim == 1:
+            maximizers, point = [(m,) for m in maximizers], (float(point),)
+        return min(math.hypot(*(max(lo - x, x - hi, 0.0) for (lo, hi), x in zip(m, point)))
+                   for m in maximizers)
 
     def hull(self) -> tuple[float, float]:
         """Smallest interval containing the (1D) maximizer set."""
@@ -109,13 +113,6 @@ def _canonical(dim: int, maximizers):
         return min((_nearest_zero(*m) for m in maximizers), key=lambda x: (abs(x), x))
     return min((tuple(_nearest_zero(*iv) for iv in m) for m in maximizers),
                key=lambda p: (math.hypot(*p), p))
-
-
-def distance_to_maximizers(dim: int, maximizers, point) -> float:
-    if dim == 1:
-        maximizers, point = [(m,) for m in maximizers], (float(point),)
-    return min(math.hypot(*(max(lo - x, x - hi, 0.0) for (lo, hi), x in zip(m, point)))
-               for m in maximizers)
 
 
 def _merge_elements(elements: list[tuple[float, float]],

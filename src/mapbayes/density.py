@@ -90,7 +90,8 @@ class Piece:
             raise ValueError(f"unknown piece kind {self.kind!r}")
         object.__setattr__(self, "_form", form)
         lo_v, hi_v = self.endpoint_values()
-        if min(lo_v, hi_v) < -1e-12 * max(abs(lo_v), abs(hi_v)):  # dust in its own units
+        a = form[0]  # dust: 1e-12 of the largest terms the formula adds, a and b*g
+        if min(lo_v, hi_v) < -1e-12 * (abs(a) + max(abs(lo_v - a), abs(hi_v - a))):
             raise ValueError(f"piece is negative on [{self.lo}, {self.hi})")
 
     # -- pointwise -----------------------------------------------------------

@@ -21,15 +21,16 @@ at each infinite point.  Every False comes with a counterwitness the
 density's own pointwise values confirm.
 
 No check takes a tuning setting: the one margin of ``check_conditions``
-(in the density's own units), the cluster radius of ``sweep`` and the float
-slack of ``hypo_diagnostic`` are fixed by this module and ``argmax``.
+(in the density's units, and past its formulas' rounding), the cluster
+radius of ``sweep`` and the float slack of ``hypo_diagnostic`` are fixed
+by this module and ``argmax``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
 from .argmax import _POSITION_TOL, _clusters, _merge_elements, maximize_density
@@ -57,6 +58,8 @@ MAP_NEAR_TOL = 1e-6
 #: the shape checks' one margin, in units of the density's largest finite
 #: value: smaller moves are float dust, and every counterwitness beats it
 _WITNESS_MARGIN = 1e-12
+#: ulps of the largest term a piece formula adds that the margin also covers
+_ROUNDING_ULPS = 16
 #: halvings a log-concavity witness search tries before it calls a violation float dust
 _WITNESS_HALVINGS = 40
 #: float slack every hit-and-miss comparison allows
@@ -468,7 +471,10 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionR
 
     One margin, 1e-12 of the density's largest finite value, tells float
     dust: a jump or cell difference below it, or a kink whose slope rises by
-    less than it per unit width of the support, counts as none.  A False
+    less than it per unit width of the support, counts as none.  It is at
+    least 16 ulps of the largest term a or b*g of a piece formula
+    a + b*g(s*(t - t0)), which its values round by: far from the origin
+    those terms outgrow the values.  A False
     comes only with a witness (x, y, lam) that beats min(f(x), f(y)), resp.
     f(x)^lam * f(y)^(1-lam), by more than it at lam*x + (1-lam)*y; a
     quasiconcavity witness refutes log-concavity too.
@@ -480,6 +486,11 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionR
     # the unit: the largest finite value (only a 1D density has infinite points)
     unit = float(pieces._profile.f_max.max()) if sup_res.sup_infinite else sup_res.sup_value
     margin = _WITNESS_MARGIN * unit
+    if pieces is not None:  # a formula a + b*g rounds by ulps of its terms a and b*g
+        p = pieces._profile
+        margin = max(margin, _ROUNDING_ULPS * math.ulp(max(
+            abs(f[0]) + abs(_value((0.0, *f[1:]), t))
+            for lo, hi, f in zip(p.piece_lo, p.piece_hi, p.piece_form) for t in (lo, hi))))
     if alpha_grid is None:
         alpha_grid = tuple(f * unit for f in (0.1, 0.25, 0.5, 0.75, 0.9))
 
@@ -528,9 +539,7 @@ class SweepRow:
     argmax_hi: float
 
     def csv(self) -> str:
-        return ",".join(fmt17(v) for v in
-                        (self.c, self.canonical, self.sup_value,
-                         self.dist_to_map, self.argmax_lo, self.argmax_hi))
+        return ",".join(map(fmt17, astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -565,8 +574,7 @@ class SweepTrace:
     def to_json(self) -> dict:
         return {
             "ladder": list(self.ladder),
-            "rows": [[r.c, r.canonical, r.sup_value, r.dist_to_map,
-                      r.argmax_lo, r.argmax_hi] for r in self.rows],
+            "rows": [list(astuple(r)) for r in self.rows],
             "map_sup": self.map_sup,
             "map_maximizers": [list(m) for m in self.map_maximizers],
             "map_canonical": self.map_canonical,
@@ -611,12 +619,8 @@ def sweep(d, ladder: Sequence[float], search=None) -> SweepTrace:
     rows = []
     for c in ladder:
         res = bayes_estimate(d, LossSpec(c), search)
-        lo, hi = res.hull()
-        rows.append(SweepRow(
-            c=c, canonical=res.canonical, sup_value=res.sup_value,
-            dist_to_map=map_res.distance_to(res.canonical),
-            argmax_lo=lo, argmax_hi=hi,
-        ))
+        rows.append(SweepRow(c, res.canonical, res.sup_value,
+                             map_res.distance_to(res.canonical), *res.hull()))
 
     if len(rows) >= 2:
         tail = rows[-max(2, math.ceil(len(rows) / 2)):]
@@ -627,13 +631,9 @@ def sweep(d, ladder: Sequence[float], search=None) -> SweepTrace:
         limit_points = (rows[-1].canonical,)
         verdict = "inconclusive"
 
-    return SweepTrace(
-        ladder=tuple(ladder), rows=tuple(rows),
-        map_sup=map_res.sup_value, map_maximizers=map_res.maximizers,
-        map_canonical=map_res.canonical,
-        limit_points=limit_points, verdict=verdict,
-        cluster_radius=_POSITION_TOL,
-    )
+    return SweepTrace(ladder=tuple(ladder), rows=tuple(rows), map_sup=map_res.sup_value,
+                      map_maximizers=map_res.maximizers, map_canonical=map_res.canonical,
+                      limit_points=limit_points, verdict=verdict, cluster_radius=_POSITION_TOL)
 
 
 # ---------------------------------------------------------------------------

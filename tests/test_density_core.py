@@ -46,6 +46,18 @@ def test_piece_validation():
         Piece(0.0, 1.0, "cubic", {})
 
 
+def test_a_tail_that_rounds_below_zero_is_accepted():
+    # 0.1 - (0.1/11)*t is 0 at t = 11 but rounds to -1.4e-17 there: dust of
+    # the formula's terms 0.1, far below 1e-12 of them, though both ends are near 0
+    tail = affine_piece(11.0 - 1e-14, 11.0, 0.1, -0.1 / 11.0)
+    lo_v, hi_v = tail.endpoint_values()
+    assert 0.0 < lo_v < 1e-15 and -1e-16 < hi_v < 0.0
+    d = UscDensity1D((constant_piece(11.0 - 1.0, 11.0 - 1e-14, 1.0), tail))
+    assert d.evaluate(11.0) == 0.0
+    with pytest.raises(ValueError):
+        constant_piece(0.0, 1.0, -1e-20)  # a constant adds no rounding: negative at any scale
+
+
 def test_affine_local_reference_far_from_origin():
     # a steep thin ramp at t ~ 16; the global a + b*t form would lose the
     # value completely to cancellation, the t0 form keeps it exact

@@ -334,6 +334,35 @@ def test_a_dip_is_refuted_at_any_scale(s):
     assert witness_gaps(d, *rep.quasiconcave_witness)[0] > _WITNESS_MARGIN * 1.2 * s
 
 
+def _moved(d: UscDensity1D, c: float) -> UscDensity1D:
+    """d moved right by c, its affine pieces in the plain a + b*t form: far
+    from the origin their terms a and b*t dwarf the values, and round by ulps
+    of them."""
+    pieces = []
+    for p in d.pieces:
+        params = dict(p.params)
+        if p.kind == "affine":
+            params = {"a": params["a"] - params["b"] * (params.get("t0", 0.0) + c),
+                      "b": params["b"]}
+        elif p.kind == "sqrt":
+            params["t0"] += c
+        pieces.append(Piece(p.lo + c, p.hi + c, p.kind, params))
+    return UscDensity1D(tuple(pieces))
+
+
+@pytest.mark.parametrize("c", [1e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("name", ["triangle", "uniform", "step", "ramp", "staircase",
+                                  "asym_right", "two_bumps"])
+def test_shape_checks_see_past_the_rounding_of_far_pieces(name, c):
+    # the apex of asym_right moved by 1e5 has its two pieces 1e-10 apart, a
+    # rounding of their terms near 7e5: no jump, and no witness made of it
+    d = dict(mb.quasiconcave_family(), two_bumps=mb.two_bumps())[name]
+    rep, moved = mb.check_conditions(d), mb.check_conditions(_moved(d, c))
+    assert (moved.quasiconcave, moved.log_concave) == (rep.quasiconcave, rep.log_concave)
+    assert (moved.quasiconcave_witness is None) == (rep.quasiconcave_witness is None)
+    assert (moved.log_concave_witness is None) == (rep.log_concave_witness is None)
+
+
 def _mapped(d, k: int):
     """d under t -> 4^k*t and f -> 4^-k*f (a 2D grid's values go by 16^-k,
     to keep unit mass).  Powers of 4 keep every float operation exact,
@@ -374,6 +403,8 @@ _STEPS_WITH_SPIKES = [
 _FIXED_DENSITIES = [
     *mb.quasiconcave_family().values(), mb.two_bumps(), *map(mb.build, range(1, 13)), JUMP_DOWN,
     *_STEPS_WITH_SPIKES, _SPIKE_AT_MIDPOINT,
+    *(_moved(dict(mb.quasiconcave_family(), two_bumps=mb.two_bumps())[name], 1e5)
+      for name in ("triangle", "asym_right", "staircase", "two_bumps")),
     unit_mass([sqrt_piece(0.0, 1.0, 1.0, -0.5, 1, 0.0)]),
     unit_mass([affine_piece(-1.0, 0.0, 1.0, 0.5), sqrt_piece(0.0, 1.0, 1.0, 1.0, 1, 0.0)]),
 ]
