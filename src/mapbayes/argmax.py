@@ -314,9 +314,9 @@ def _window_error(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
     """Bound on the float error of d.integrate(theta - r, theta + r) for
     theta in [lo, hi].  The window ends, at most A from 0, are rounded by
     ulp(A)/2 each, which moves the mass by the density there.  Each piece
-    the window meets adds an antiderivative difference: its linear term
-    c*t is rounded once at each end, its power term up to four times.  The
-    density's profile keeps these per-piece terms, 0 on its fillers.  Its
+    the window meets adds its mass, and its share of the ``fsum``, within
+    eps times its ``rounding``, which the density's profile keeps, 0 on its
+    fillers: a multiple of its own terms' sizes, wherever it sits.  Its
     rows read run from the last piece to start at or before lo - r (the
     first if none does) to the last to start at or before hi + r.
     """

@@ -44,12 +44,14 @@ class Piece:
     * ``sqrt``: a + b*sqrt(s*(t - t0)) with orientation s in {+1, -1}
 
     A piece with b = 0 is flat, whatever its kind: its formula is a, and it
-    answers every question exactly as the constant piece a does.  All
-    pieces have closed-form antiderivatives, so window integrals of the
-    density are exact up to float rounding.  The affine reference point
-    exists for numerical reasons: a steep short ramp far from the origin
+    answers every question exactly as the constant piece a does.  Every
+    piece has a closed-form mass over a window, taken in a form local to
+    the window (:func:`_mass`), so a mass rounds with the sizes of the
+    piece's own terms, wherever the piece sits.  The affine reference point
+    keeps the terms local too: a steep short ramp far from the origin
     (slopes of 1e14 and widths of 1e-14 occur in the bundled escaping-bump
-    density) would cancel catastrophically in the global a + b*t form.
+    density) written a + b*t would have terms that dwarf its values, and
+    with t0 at a piece end its terms are its values.
 
     Only construction reads params: it derives ``_form``, the tuple
     (a, b, s, t0, root) with root set for a sqrt arc that is not flat, and
@@ -110,22 +112,15 @@ class Piece:
 
     # -- integration ---------------------------------------------------------
 
-    def antiderivative(self, t: float) -> float:
-        return _antiderivative(self._form, t)
-
     def integral(self, a: float, b: float) -> float:
         """Integral of the piece formula over [a, b] (caller clips to the piece)."""
         if b <= a:
             return 0.0
-        return self.antiderivative(b) - self.antiderivative(a)
+        return _mass(self._form, a, b)
 
     def lipschitz_bound(self, a: float, b: float) -> float:
         """Upper bound on |f'| over [a, b] intersected with the piece; may be inf."""
         return _lipschitz_bound((self.lo, self.hi, self._form), a, b)
-
-    def solve_ge(self, alpha: float) -> list[tuple[float, float]]:
-        """Closed subintervals of [lo, hi] where the piece value is >= alpha."""
-        return _solve_ge((self.lo, self.hi, self._form), alpha)
 
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "kind": self.kind, "params": dict(self.params)}
@@ -147,16 +142,18 @@ def _value(form, t: float) -> float:
     return a + b * (t - t0)
 
 
-def _antiderivative(form, t: float) -> float:
-    """The antiderivative of a piece's formula at t, from its ``_form``.  The
-    power term takes Python's ``**``: numpy's power can differ in the last bit."""
+def _mass(form, x: float, y: float) -> float:
+    """The integral over [x, y] of a piece's ``_form``, local to the window:
+    the width times the value at the midpoint, and for an arc a*(y - x)
+    plus the difference of its power terms (2/3)*s*b*u^1.5, which take
+    Python's ``**``: numpy's power can differ in the last bit."""
     a, b, s, t0, root = form
     if b == 0.0:
-        return a * t
+        return a * (y - x)
     if root:
-        return a * t + s * (2.0 * b / 3.0) * max(s * (t - t0), 0.0) ** 1.5
-    dt = t - t0
-    return a * t + 0.5 * b * dt * dt
+        return a * (y - x) + s * (2.0 * b / 3.0) * (max(s * (y - t0), 0.0) ** 1.5
+                                                   - max(s * (x - t0), 0.0) ** 1.5)
+    return (y - x) * (a + 0.5 * b * ((x - t0) + (y - t0)))
 
 
 def _lipschitz_bound(row, a: float, b: float) -> float:
@@ -242,15 +239,15 @@ def sqrt_piece(lo: float, hi: float, a: float, b: float, s: int, t0: float) -> P
     return Piece(lo, hi, "sqrt", {"a": a, "b": b, "s": s, "t0": t0})
 
 
-def _antiderivatives(form: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:meth:`Piece.antiderivative` at each x, of the piece whose ``_form``
+def _masses(form: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`_mass` over [x, y] at each index, of the piece whose ``_form``
     (a, b, s, t0, root) is the column of the five rows at the same index."""
     a, b, s, t0, root = form
-    dt = x - t0
-    power = 0.5 * b * dt * dt
+    m = (y - x) * (a + 0.5 * b * ((x - t0) + (y - t0)))
     if root.any():  # np.where would compute the arcs' power term everywhere
-        power = np.where(root, s * (2.0 * b / 3.0) * np.maximum(s * dt, 0.0) ** 1.5, power)
-    return a * x + power
+        power = np.maximum(s * (y - t0), 0.0) ** 1.5 - np.maximum(s * (x - t0), 0.0) ** 1.5
+        m = np.where(root, a * (y - x) + s * (2.0 * b / 3.0) * power, m)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,30 +270,32 @@ class _Profile:
       scalar formulas; ``total_mass``: the ``fsum`` of the pieces'
       :meth:`Piece.integral` over each whole piece.
     * ``rounding``, ``f_max``: the per-piece terms of
-      :func:`mapbayes.argmax._window_error`.  ``rounding`` is the float
-      rounding of a piece's antiderivative difference in units of eps: |a|
-      times its larger end for the linear term a*t, plus four times its
-      larger power term at an end.  ``f_max`` is its largest value.
-    * ``a_lo``: each antiderivative at its start; ``cum``: [0, m_0, m_0 +
-      m_1, ...], the ``np.cumsum`` of the masses m_k.  The masses and the
-      per-piece terms are 0 on the fillers.
+      :func:`mapbayes.argmax._window_error`.  ``f_max`` is a piece's largest
+      value.  ``rounding`` bounds in units of eps the error of its mass over
+      a window inside it, plus half an eps of the mass for the sum that
+      takes it: 4 w (|a| + |b*g|) + 8 P, with w its width, |b*g| the larger
+      at its ends, and P an arc's power term (2/3) |b| u^1.5 at the larger
+      radicand u = g^2.  To first order an affine mass errs by eps w (1.5 |a|
+      + 3 |b*g|), seven roundings, and an arc's by eps (1.5 w |a| + 6.5 P),
+      with ``**`` within 1.5 ulps (numpy's can be an ulp off Python's).
+    * ``cum``: [0, m_0, m_0 + m_1, ...], the ``np.cumsum`` of the segments'
+      masses m_k (:func:`_masses`); they and the per-piece terms are 0 on
+      the fillers.
     * ``error``: a bound on |cumulative(b) - cumulative(a) - I| over every
       float window [a, b], with I the exact mass that
       ``UscDensity1D.integrate(a, b)`` rounds, n pieces and S = sum |m_k|.
-      Each antiderivative difference taken, the masses in ``cum`` and the
-      two partial pieces at the window ends, is within twice its
-      ``rounding`` times eps (the linear and power terms, and their sum,
-      rounded at both ends): at most eps * (4 max rounding + 2 sum
-      rounding).  Each ``cum`` entry is within (n - 1) eps S of the exact
-      sum of its float masses, by the bound on recursive summation.  Six
-      more eps S cover the three additions, the roundings of the scale
-      product on both sides, and the search's threshold.  Where pieces
-      overlap (by 1e-15 relative at most), ``cum`` counts all of the earlier
-      piece while ``integrate`` skips its tail before a: three times the sum
-      of the overlap widths, each times the earlier piece's largest |value|,
-      covers both ends.  The same terms bound the error of ``integrate``
-      itself, an ``fsum`` of antiderivative differences of the pieces a
-      window meets.
+      The masses in ``cum`` and the two partial masses at the window ends
+      are each within eps times their piece's ``rounding``: at most eps *
+      (2 max rounding + sum rounding).  Each ``cum`` entry is within
+      (n - 1) eps S of the exact sum of its float masses, by the bound on
+      recursive summation.  Six more eps S cover the three additions, the
+      roundings of the scale product on both sides, and the search's
+      threshold.  Where pieces overlap (by 1e-15 relative at most), ``cum``
+      counts all of the earlier piece while ``integrate`` skips its tail
+      before a: three times the sum of the overlap widths, each times the
+      earlier piece's largest |value|, covers both ends.  The same terms
+      bound the error of ``integrate`` itself, an ``fsum`` of the masses of
+      the pieces a window meets.
     """
 
     starts: np.ndarray
@@ -311,7 +310,6 @@ class _Profile:
     total_mass: float
     rounding: np.ndarray
     f_max: np.ndarray
-    a_lo: np.ndarray
     cum: np.ndarray
     error: float
     break_values: np.ndarray = field(init=False)
@@ -323,52 +321,44 @@ class _Profile:
         filler goes in each gap between them, where a piece starts after the
         one before ends, and out to -inf and +inf."""
         lo, hi, form = columns[0], columns[1], columns[2:]
+        a, b, s, t0, root = form
         n = lo.size
         # a filler goes before piece at[j]: the first, each gap's, and past the last
         at = np.concatenate(([0], np.flatnonzero(lo[1:] > hi[:-1]) + 1, [n]))
         filler = np.zeros(n + at.size, dtype=bool)
         filler[at + np.arange(at.size)] = True
-        # the per-piece rows: lo, hi, the _form rows, rounding, f_max, a_lo, mass
-        # a flat piece (b = 0) has no power term, and its value is a; numpy's
-        # flat and affine masses are Piece.integral's, bit for bit, but an
-        # arc's power term needs Python's **
-        A_lo, A_hi = _antiderivatives(form, np.stack((lo, hi)))
-        rows = np.empty((11, n))
-        rows[:7] = columns
-        rows[7:] = np.abs(form[0]) * np.maximum(np.abs(lo), np.abs(hi)), form[0], A_lo, A_hi - A_lo
-        rounding, f_max, a_lo, mass = rows[7:]
-        abs_max = np.abs(form[0])
+        # g(s*(t - t0)) at lo and hi, so the end values are Piece.value's, bit for bit
+        g = np.stack((lo, hi)) - t0
+        g = np.where(root != 0.0, np.sqrt(np.maximum(s * g, 0.0)), g)
+        values = a + b * g
+        bg, g_max = np.abs(b * g).max(axis=0), np.abs(g).max(axis=0)
+        power = np.where(root != 0.0, bg * g_max * g_max / 1.5, 0.0)
+        rounding = 4.0 * ((hi - lo) * (np.abs(a) + bg) + 2.0 * power)
+        mass = _masses(form, lo, hi)
+        # numpy's flat and affine masses are Piece.integral's, bit for bit,
+        # but an arc's power terms need Python's **
         integral = mass.tolist()
-        sloped = np.flatnonzero(form[1])
-        if sloped.size:
-            power, ends_at = [], []
-            for j, f, t_lo, t_hi in zip(sloped.tolist(), form.take(sloped, axis=1).T.tolist(),
-                                        lo[sloped].tolist(), hi[sloped].tolist()):
-                a_lo_j, a_hi_j = _antiderivative(f, t_lo), _antiderivative(f, t_hi)
-                power.append(4.0 * max(abs(a_lo_j - f[0] * t_lo), abs(a_hi_j - f[0] * t_hi)))
-                ends_at.append((_value(f, t_lo), _value(f, t_hi)))
-                integral[j] = a_hi_j - a_lo_j
-            rounding[sloped] += power
-            values = np.array(ends_at)
-            f_max[sloped] = values.max(axis=1)
-            abs_max[sloped] = np.abs(values).max(axis=1)
+        arcs = np.flatnonzero(root)
+        for j, f, x, y in zip(arcs.tolist(), form[:, arcs].T.tolist(), lo[arcs].tolist(),
+                              hi[arcs].tolist()):
+            integral[j] = _mass(f, x, y)
         total = float(np.abs(mass).sum())
-        overlap = float(np.maximum(hi[:-1] - lo[1:], 0.0) @ abs_max[:-1])
+        overlap = float(np.maximum(hi[:-1] - lo[1:], 0.0) @ np.abs(values).max(axis=0)[:-1])
         error = (sys.float_info.epsilon
-                 * (4.0 * float(rounding.max()) + 2.0 * float(rounding.sum())
-                    + (2 * n + 4) * total)
+                 * (2.0 * float(rounding.max()) + float(rounding.sum()) + (2 * n + 4) * total)
                  + 3.0 * overlap)
-        # a filler is the zero constant piece, _form (0, 0, 1, 0, False), and
-        # its per-piece terms are 0: its outer ends are infinite
-        table = np.zeros((11, filler.size))
-        table[:, ~filler] = rows
+        # the rows: lo, hi, the _form rows, rounding, f_max, mass; a filler is
+        # the zero constant piece, _form (0, 0, 1, 0, False), and its
+        # per-piece terms are 0: its outer ends are infinite
+        table = np.zeros((10, filler.size))
+        table[:, ~filler] = np.concatenate((columns, [rounding, values.max(axis=0), mass]))
         table[0, filler] = np.concatenate(([-math.inf], hi))[at]
         table[1, filler] = np.concatenate((lo, [math.inf]))[at]
         table[4, filler] = 1.0
         profile = _Profile(table[0], table[1], table[2:7], np.array(infinite_points, dtype=float),
                            filler, _distinct(np.concatenate((lo, hi))), lo.tolist(), hi.tolist(),
-                           form.T.tolist(), math.fsum(integral), table[7], table[8], table[9],
-                           np.concatenate(([0.0], np.cumsum(table[10]))), error)
+                           form.T.tolist(), math.fsum(integral), table[7], table[8],
+                           np.concatenate(([0.0], np.cumsum(table[9]))), error)
         object.__setattr__(profile, "break_values", profile.evaluate(profile.breakpoints))
         return profile
 
@@ -397,17 +387,17 @@ class _Profile:
         return v
 
     def cumulative(self, x: np.ndarray) -> np.ndarray:
-        """G(x) = cum[i] + A_i(clip(x, starts[i], ends[i])) - a_lo[i] at each
-        x, with A_i the antiderivative of segment i, the one holding x, or
-        the first or last piece for x off the support: an outer filler's
-        infinite end would make 0 * inf.  The clip of x keeps ``np.clip``'s
-        ties: the segment's end wins where it equals x."""
+        """G(x) = cum[i] + the mass of segment i over [starts[i], clip(x,
+        starts[i], ends[i])] at each x (:func:`_masses`), with segment i the
+        one holding x, or the first or last piece for x off the support: an
+        outer filler's infinite end would make inf - inf.  The clip of x
+        keeps ``np.clip``'s ties: the segment's end wins where it equals x."""
         i = np.minimum(np.maximum(np.searchsorted(self.starts, x, side="right") - 1, 1),
                        len(self.starts) - 2)
         lo, hi = self.starts[i], self.ends[i]
         x = np.where(x > lo, x, lo)
         x = np.where(x < hi, x, hi)
-        return self.cum[i] + (_antiderivatives(self.form.take(i, axis=1), x) - self.a_lo[i])
+        return self.cum[i] + _masses(self.form.take(i, axis=1), lo, x)
 
 
 @dataclass(frozen=True)
@@ -532,8 +522,9 @@ class UscDensity1D:
         return self.evaluate(t)
 
     def integrate(self, lo: float, hi: float) -> float:
-        """Exact integral over [lo, hi] via per-piece antiderivatives, read
-        off the profile's piece columns.  Infinite bounds are legal; a NaN
+        """Exact integral over [lo, hi], the ``fsum`` of each piece's
+        :func:`_mass` over its part of the window, read off the profile's
+        piece columns.  Infinite bounds are legal; a NaN
         bound, like hi < lo, raises ``ValueError``."""
         if not lo <= hi:
             raise ValueError(f"integrate needs lo <= hi, neither NaN; got [{lo!r}, {hi!r}]")
@@ -545,7 +536,7 @@ class UscDensity1D:
                 break
             a, b = max(lo, starts[i]), min(hi, ends[i])
             if b > a:
-                terms.append(_antiderivative(forms[i], b) - _antiderivative(forms[i], a))
+                terms.append(_mass(forms[i], a, b))
         return math.fsum(terms)
 
     def lipschitz_bound(self, lo: float, hi: float) -> float:

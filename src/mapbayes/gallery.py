@@ -37,8 +37,8 @@ def asymmetric_triangle(lo: float, apex: float, hi: float) -> UscDensity1D:
     up = h / (apex - lo)
     down = h / (hi - apex)
     return UscDensity1D((
-        affine_piece(lo, apex, -up * lo, up),
-        affine_piece(apex, hi, down * hi, -down),
+        affine_piece(lo, apex, 0.0, up, t0=lo),
+        affine_piece(apex, hi, 0.0, -down, t0=hi),
     ))
 
 

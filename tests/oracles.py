@@ -1,7 +1,7 @@
 """Independent numerical oracles for cross-checking closed-form code paths.
 
-Everything here works from pointwise evaluation only — no piece
-antiderivatives, no package integrators — so agreement between these
+Everything here works from pointwise evaluation only — no piece mass
+formulas, no package integrators — so agreement between these
 routines and the library is genuine evidence, not circular.  The grid
 scans read a grid's raw cell array instead, and the escaping
 construction's window mass is integrated exactly from its definition, as
@@ -169,8 +169,10 @@ def window_error_by_pieces(d, r: float, lo: float, hi: float) -> float:
     on the pieces alone as the bound is stated there: pieces i0 .. i1 - 1,
     with i0 the last to start at or before lo - r (the first if none does)
     and i1 the number to start at or before hi + r.  Each piece's terms come
-    from its formula: |a| times its larger end, plus four times its larger
-    power term at an end where it is not flat, and its largest value."""
+    from its formula a + b*g(s*(t - t0)): four times its width times |a|
+    plus the larger |b*g| at its ends, plus, for a sqrt arc, eight times its
+    power term (2/3) |b| u^1.5 at the larger radicand u = g^2; and its
+    largest value."""
     starts = [p.lo for p in d.pieces]
     i0 = max(bisect_right(starts, lo - r) - 1, 0)
     i1 = bisect_right(starts, hi + r)
@@ -180,11 +182,11 @@ def window_error_by_pieces(d, r: float, lo: float, hi: float) -> float:
     ends = np.array([(p.lo, p.hi) for p in pieces])
     rounding = []
     for p in pieces:
-        a, b = p._form[:2]
-        term = abs(a) * max(abs(p.lo), abs(p.hi))
-        if b != 0.0:
-            term += 4.0 * max(abs(p.antiderivative(t) - a * t) for t in (p.lo, p.hi))
-        rounding.append(term)
+        a, b, s, t0, root = p._form
+        g = [math.sqrt(max(s * (t - t0), 0.0)) if root else t - t0 for t in (p.lo, p.hi)]
+        bg, g_max = max(abs(b * x) for x in g), max(abs(x) for x in g)
+        power = bg * g_max * g_max / 1.5 if root else 0.0
+        rounding.append(4.0 * ((p.hi - p.lo) * (abs(a) + bg) + 2.0 * power))
     f_max = max(max(p.endpoint_values()) for p in pieces)
     # a window whose first piece is k meets at most pieces k .. j - 1
     j = np.searchsorted(ends[:, 0], ends[:, 1] + 2.0 * r, side="right")

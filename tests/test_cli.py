@@ -374,8 +374,8 @@ _ARTIFACT_SHA256 = {
         "verdict.json": "82b828faa32d5882c130091cfd8f38109baf7ed3e957e064aa254766fc42cde5"},
     11: {"density.json": "b123c495e8cf63d9437890de4d8989cc6e75c979afd317376fd5834ce5435a86",
          "density_samples.csv": "245f81ec2bacdc438745e60fed92e3d7ce2b1afa67196a389cbef61ff94a2f6d",
-         "domination.csv": "d80a55df12c17682e18ddfc587a1285c99f1dedd6105160ec8c80a5bdb3c9826",
-         "sweep.csv": "39bf85cf9817d672d4de59904bdaa3ffa4ad6b06065cda95992af3301128f745",
+         "domination.csv": "f7080c580d1dbd75f629e74a62457a22c8c4a617c5d05244ac89dda38b3763e6",
+         "sweep.csv": "5aa44b1e6d3dca99d8615099090b72a2f18168a293b7a2f7ac55e058da63b057",
          "verdict.json": "0e7723d820c485250b450a727c58f3b05812d4f3ada087b5b3a41a097159db5e"},
 }
 

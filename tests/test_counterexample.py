@@ -7,7 +7,7 @@ import mapbayes as mb
 from mapbayes.counterexample import ideal_total_mass
 from mapbayes.errors import CutoffTooSmall
 
-from oracles import adaptive_simpson, window_mass
+from oracles import adaptive_simpson, exact_window_mass, window_mass
 
 
 def test_mass_accounting_exact():
@@ -71,6 +71,20 @@ def test_plateau_bound_is_a_lower_bound_for_center_mass():
         mass = d.integrate(center - r, center + r)
         assert mass >= mb.plateau_bound(nu)
         assert mass > mb.objective_at_origin(nu)
+
+
+def test_escape_window_masses_agree_with_the_exact_masses():
+    # each piece's mass is local to the window, so the windows on bump 2 nu,
+    # near 2 nu, lose no digits to the distance from the origin
+    d = mb.build(22)
+    for nu in range(1, 12):
+        r, n = 0.5 * 4.0 ** -nu, 2 * nu
+        center = mb.plateau_center(nu)
+        for theta in (center, center + r / 3, n - r, float(n), n - 8.0 ** -n, n + 2.0 ** -n,
+                      n - 1 + 2.0 ** (1 - n) / 2):
+            exact = exact_window_mass(d, theta - r, theta + r)
+            got = d.integrate(theta - r, theta + r)
+            assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact, (nu, theta)
 
 
 def test_domination_margin_exact_arithmetic():

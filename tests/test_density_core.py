@@ -11,6 +11,7 @@ from mapbayes.density import (
     Piece,
     UscDensity1D,
     _distinct,
+    _solve_ge,
     affine_piece,
     constant_piece,
     density_from_json,
@@ -258,7 +259,7 @@ def test_solve_ge_consistent_with_scan(rng):
         alpha = rng.uniform(0.05, 1.2)
         covered = []
         for p in d.pieces:
-            covered.extend(p.solve_ge(alpha))
+            covered.extend(_solve_ge((p.lo, p.hi, p._form), alpha))
         ts = rng.uniform(lo, hi, size=400)
         for t in ts:
             v = d.evaluate(t)
@@ -381,7 +382,7 @@ def test_grid_view_search_builds_no_piece(monkeypatch):
     monkeypatch.undo()
     ref = UscDensity1D(d.pieces, mass_tol=1e-6)
     assert got == answers(ref)
-    for name in ("starts", "ends", "form", "filler", "rounding", "f_max", "a_lo", "cum"):
+    for name in ("starts", "ends", "form", "filler", "rounding", "f_max", "cum"):
         assert getattr(d._profile, name).tobytes() == getattr(ref._profile, name).tobytes()
     assert d._profile.error == ref._profile.error
 

@@ -439,6 +439,86 @@ def test_shape_checks_are_in_the_density_s_own_units(d, k):
     assert mapped == _mapped_report(rep, t, v)
 
 
+@pytest.mark.parametrize("lo, apex, hi", [(1e4, 1e4 + 0.1, 1e4 + 2), (1e5, 1e5 + 0.3, 1e5 + 1)])
+def test_far_asymmetric_triangles_build_and_are_log_concave(lo, apex, hi):
+    # each side is written from its foot, and its masses are local: no mass
+    # check refuses it, and no rounding of far terms makes a jump at the apex
+    rep = mb.check_conditions(mb.asymmetric_triangle(lo, apex, hi))
+    assert rep.quasiconcave and rep.log_concave
+
+
+#: the grid of the breakpoints in _dyadic_density
+_Q = 2.0 ** -10
+
+
+@st.composite
+def _dyadic_layouts(draw):
+    """Up to five pieces as (gap, width, end weights, foot) in units of _Q:
+    constant pieces of weight 1 to 3 and, unless only constant pieces are
+    drawn, affine ones with end weights 0 to 3, written from the foot."""
+    constant = draw(st.booleans())
+    weights = st.integers(1, 3) if constant else st.integers(0, 3)
+    layout = draw(st.lists(st.tuples(st.integers(0, 600), st.integers(1, 1024), weights,
+                                     weights, st.booleans()), min_size=1, max_size=5))
+    assume(sum(w0 + w1 for _, _, w0, w1, _ in layout) > 0)
+    return constant, [(g, w, w0, w0 if constant else w1, foot) for g, w, w0, w1, foot in layout]
+
+
+def _dyadic_density(layout, s: float) -> UscDensity1D:
+    """The pieces of a layout from _Q * -2048 on, moved by s, with unit
+    mass: every end, t0 included, is a sum that the shift keeps exact."""
+    h = 1.0 / sum(w * _Q * (w0 + w1) / 2 for _, w, w0, w1, _ in layout)
+    t, pieces = -2048, []
+    for gap, w, w0, w1, foot in layout:
+        lo, hi = (t + gap) * _Q + s, (t + gap + w) * _Q + s
+        t += gap + w
+        if w0 == w1:
+            pieces.append(constant_piece(lo, hi, w0 * h))
+        else:
+            t0, a = (lo, w0 * h) if foot else (hi, w1 * h)
+            pieces.append(affine_piece(lo, hi, a, (w1 - w0) * h / (hi - lo), t0=t0))
+    return UscDensity1D(tuple(pieces))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(drawn=_dyadic_layouts(), m=st.integers(-1023, 1023), j=st.integers(-10, 30),
+       k=st.integers(1, 8),
+       windows=st.lists(st.tuples(st.integers(-4096, 4096), st.integers(0, 4096)),
+                        min_size=1, max_size=8))
+def test_answers_move_with_the_density(drawn, m, j, k, windows):
+    # t -> t + s with s = m 2^j, |s| < 2^40, and every end on the grid _Q:
+    # each sum is exact, so the masses are the same bit for bit.  Constant
+    # heights of 1 to 3 units h make window masses h*_Q apart or tied, wider
+    # than any tol_value here (at most 2 * 3h * ulp(2^40) = 0.75 h*_Q), so
+    # the sets move by exactly s
+    constant, layout = drawn
+    s = m * 2.0 ** j
+    d, moved = _dyadic_density(layout, 0.0), _dyadic_density(layout, s)
+    assert moved.total_mass.hex() == d.total_mass.hex()
+    for x, width in windows:
+        a, b = x * _Q, (x + width) * _Q
+        assert moved.integrate(a + s, b + s).hex() == d.integrate(a, b).hex()
+    x = np.array([x * _Q for x, _ in windows])
+    assert moved._profile.cumulative(x + s).tobytes() == d._profile.cumulative(x).tobytes()
+
+    def flags(rep):
+        return rep.level_set_ok, rep.quasiconcave, rep.log_concave, rep.eventually_level_bounded
+
+    assert flags(mb.check_conditions(moved)) == flags(mb.check_conditions(d))
+    if not constant:
+        return
+    loss = mb.LossSpec(2.0 ** k)
+    for estimate in (mb.map_estimate, lambda e: mb.bayes_estimate(e, loss)):
+        want, got = estimate(d), estimate(moved)
+        assert got.sup_value.hex() == want.sup_value.hex()
+        assert got.maximizers == tuple((a + s, b + s) for a, b in want.maximizers)
+    heights = sorted({p.params["k"] for p in d.pieces})
+    for alpha in heights + [0.5 * (x + y) for x, y in zip([0.0] + heights, heights)]:
+        want, got = mb.level_set(d, alpha), mb.level_set(moved, alpha)
+        assert got.intervals == tuple((a + s, b + s) for a, b in want.intervals)
+        assert got.bounded == want.bounded
+
+
 # --- sweeps -----------------------------------------------------------------
 
 
