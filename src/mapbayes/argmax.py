@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (GridDensity, UscDensity1D, _cell_values, _corner_areas, _disc_lattice,
-                      _disc_mass, _distinct, _lattice_sum, _pieces_view, _support_box)
+                      _disc_mass, _distinct, _lattice_sum, _pieces_view, _support_box, _values)
 from .errors import EmptySearchBox, SearchNotCertified
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
@@ -115,13 +115,12 @@ def _canonical(dim: int, maximizers):
                key=lambda p: (math.hypot(*p), p))
 
 
-def _merge_elements(elements: list[tuple[float, float]],
-                    join_eps: float) -> tuple[tuple[float, float], ...]:
-    """Sort 1D intervals/points and merge the ones that touch (within join_eps)."""
+def _merge_elements(elements: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """Sort 1D intervals/points and merge the ones that touch or overlap."""
     elements = sorted(elements)
     merged: list[list[float]] = []
     for lo, hi in elements:
-        if merged and lo <= merged[-1][1] + join_eps:
+        if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
@@ -209,7 +208,7 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
     # max(p.lo, lo) and min(p.hi, hi), each keeping its first argument on a tie
     elements += zip(np.where(lo > starts, lo, starts).tolist(),
                     np.where(hi < seg_ends, hi, seg_ends).tolist())
-    maxi = _merge_elements(elements, 0.0)
+    maxi = _merge_elements(elements)
     return ArgmaxResult(1, sup, maxi, _canonical(1, maxi), tol_value)
 
 
@@ -299,15 +298,77 @@ def _stationary_points(form_hi: list[float], form_lo: list[float], r: float,
     return [tau2 + s2 * w * w for w in ws if w >= 0.0 and P + Q * w >= 0.0]
 
 
-def _clusters(points, eps: float) -> list[list[float]]:
-    """Sort points and split them into runs whose neighbours lie within eps."""
+def _clusters(points) -> list[list[float]]:
+    """Sort points and split them into runs whose neighbours lie within ``_POSITION_TOL``."""
     groups: list[list[float]] = []
     for t in sorted(points):
-        if groups and t - groups[-1][-1] <= eps:
+        if groups and t - groups[-1][-1] <= _POSITION_TOL:
             groups[-1].append(t)
         else:
             groups.append([t])
     return groups
+
+
+def _stretches(d: UscDensity1D, r: float, lo: float, hi: float):
+    """(cuts, mid, i_lo, i_hi, roots, owner, plateau): the cuts of [lo, hi]
+    are its ends and every breakpoint shifted by -r or +r inside; on the
+    stretch k between cuts k and k + 1, about mid[k], theta - r and theta + r
+    stay in the segments i_lo[k] and i_hi[k].  roots are those of F'
+    strictly inside a stretch, the vectorized pass's first, owner[j] the
+    stretch of roots[j]; plateau marks where F' vanishes identically."""
+    profile = d._profile
+    shifted = np.add.outer(profile.breakpoints, (-r, r)).ravel()  # b - r, b + r for each b
+    cuts = _distinct(np.concatenate(([lo, hi], shifted[(lo < shifted) & (shifted < hi)])))
+    u, v = cuts[:-1], cuts[1:]
+    # an infinite box makes nan and inf stretches, which find no root
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = 0.5 * (u + v)
+        i_hi = np.searchsorted(profile.starts, mid + r, side="right") - 1
+        i_lo = np.searchsorted(profile.starts, mid - r, side="right") - 1
+        a_p, b_p, _, t_p, arc_p = profile.form.take(i_hi, axis=1)
+        a_m, b_m, _, t_m, arc_m = profile.form.take(i_lo, axis=1)
+        # about the midpoint, so products stay small for steep distant pieces
+        c1 = b_p - b_m
+        c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)
+        roots = mid - c0 / c1
+    arcs = (arc_p != 0.0) | (arc_m != 0.0)
+    plateau = ~arcs & (c1 == 0.0) & (c0 == 0.0)
+    # c1 = 0 makes an infinite or nan root, inside no stretch
+    owner = np.flatnonzero(~arcs & (u < roots) & (roots < v))
+    arc = []  # (root, stretch) pairs
+    for k in np.flatnonzero(arcs).tolist():
+        found = _stationary_points(profile.form[:, i_hi[k]].tolist(),
+                                   profile.form[:, i_lo[k]].tolist(), r, float(mid[k]))
+        if found is None:
+            plateau[k] = True
+        else:
+            arc += [(t, k) for t in found if u[k] < t < v[k]]
+    arc = np.array(arc).reshape(-1, 2).T
+    return (cuts, mid, i_lo, i_hi, np.concatenate((roots[owner], arc[0])),
+            np.concatenate((owner, arc[1].astype(np.int64))), plateau)
+
+
+def _window_min_sup(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
+    """Sup over theta in [lo, hi] of the inf of d over [theta - r, theta + r].
+    On a stretch of :func:`_stretches` that inf is min(f_lo(theta - r),
+    f_hi(theta + r), C), C the least one-sided end value of the segments
+    between, f_lo's end and f_hi's start.  The formulas are monotone, so the
+    sup lies at a stretch end (their limit) or a root of F'.  Each cut is
+    scored too, from the segments its window's ends meet: a window that fits
+    a plateau exactly is a one-point maximum.  An infinite point lowers no inf."""
+    p = d._profile
+    cuts, _, i_lo, i_hi, roots, owner, _ = _stretches(d, r, lo, hi)
+    # the segments' end values in order: start 0, end 0, start 1, end 1, ...
+    ends = _values(p.form, np.arange(2 * p.starts.size) // 2, np.c_[p.starts, p.ends].ravel())
+    theta = np.concatenate((cuts[:-1], cuts[1:], roots, cuts))
+    k = np.concatenate((*(np.arange(cuts.size - 1),) * 2, owner))
+    j_lo = np.concatenate((i_lo[k], np.searchsorted(p.starts, cuts - r, side="right") - 1))
+    j_hi = np.concatenate((i_hi[k], np.searchsorted(p.starts, cuts + r, side="left") - 1))
+    j_hi = np.maximum(j_hi, 0)  # a cut at -inf
+    # C: the least of ends[2 j_lo + 1 : 2 j_hi + 1], where j_hi > j_lo
+    C = np.minimum.reduceat(ends, np.stack((2 * j_lo + 1, 2 * j_hi + 1), axis=1).ravel())[::2]
+    inf = np.minimum(_values(p.form, j_lo, theta - r), _values(p.form, j_hi, theta + r))
+    return float(np.where(j_hi > j_lo, np.minimum(inf, C), inf).max())
 
 
 def _window_error(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
@@ -379,35 +440,9 @@ def maximize_window(
         return scale * d.integrate(theta - r, theta + r)
 
     profile = d._profile
-    shifted = np.add.outer(profile.breakpoints, (-r, r)).ravel()  # b - r, b + r for each b
-    cuts = _distinct(np.concatenate(([lo, hi], shifted[(lo < shifted) & (shifted < hi)])))
-
-    u, v = cuts[:-1], cuts[1:]
-    # an infinite box makes nan and inf stretches, which find no root
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mid = 0.5 * (u + v)
-        i_hi = np.searchsorted(profile.starts, mid + r, side="right") - 1
-        i_lo = np.searchsorted(profile.starts, mid - r, side="right") - 1
-        a_p, b_p, _, t_p, arc_p = profile.form.take(i_hi, axis=1)
-        a_m, b_m, _, t_m, arc_m = profile.form.take(i_lo, axis=1)
-        # about the midpoint, so products stay small for steep distant pieces
-        c1 = b_p - b_m
-        c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)
-        roots = mid - c0 / c1
-    arcs = (arc_p != 0.0) | (arc_m != 0.0)
-    plateau = ~arcs & (c1 == 0.0) & (c0 == 0.0)
-    # c1 = 0 makes an infinite or nan root, inside no stretch
-    candidates = [cuts, roots[~arcs & (u < roots) & (roots < v)]]
-    for k in np.flatnonzero(arcs).tolist():
-        found = _stationary_points(profile.form[:, i_hi[k]].tolist(),
-                                   profile.form[:, i_lo[k]].tolist(), r, float(mid[k]))
-        if found is None:
-            plateau[k] = True
-        else:
-            candidates.append([t for t in found if u[k] < t < v[k]])
-
+    cuts, mid, _, _, roots, _, plateau = _stretches(d, r, lo, hi)
     # the cuts come first, so that a cut's zero wins over a root's
-    points = _distinct(np.concatenate(candidates))
+    points = _distinct(np.concatenate((cuts, roots)))
     plateaus = np.flatnonzero(plateau)
     theta = np.concatenate((points, mid[plateaus]))
     G = profile.cumulative(np.concatenate((theta + r, theta - r)))
@@ -418,19 +453,18 @@ def maximize_window(
     near = approx >= approx.max() - (tol_value + 2.0 * E)
     value_at = {t: F(t) for t in points[near[:len(points)]].tolist()}
     top = plateaus[near[len(points):]]
-    plat_scored = list(zip(map(F, mid[top].tolist()), u[top].tolist(), v[top].tolist()))
+    plat_scored = list(zip(map(F, mid[top].tolist()), cuts[top].tolist(), cuts[top + 1].tolist()))
     sup = max(max(value_at.values(), default=-math.inf),
               max((v for v, _, _ in plat_scored), default=-math.inf))
 
     elements = [(a, b) for v, a, b in plat_scored if v >= sup - tol_value]
     # a root and a shifted-breakpoint cut can land within float dust of each
     # other; keep the better-scoring point of each such cluster
-    for cluster in _clusters((t for t, v in value_at.items() if v >= sup - tol_value),
-                             _POSITION_TOL):
+    for cluster in _clusters(t for t, v in value_at.items() if v >= sup - tol_value):
         rep = max(cluster, key=lambda t: value_at[t])
         if not any(a - _POSITION_TOL <= rep <= b + _POSITION_TOL for a, b in elements):
             elements.append((rep, rep))
-    maxi = _merge_elements(elements, 1e-12)
+    maxi = _merge_elements(elements)
     return ArgmaxResult(1, sup, maxi, _canonical(1, maxi), tol_value)
 
 

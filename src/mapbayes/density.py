@@ -120,7 +120,15 @@ class Piece:
 
     def lipschitz_bound(self, a: float, b: float) -> float:
         """Upper bound on |f'| over [a, b] intersected with the piece; may be inf."""
-        return _lipschitz_bound((self.lo, self.hi, self._form), a, b)
+        _, slope, s, t0, root = self._form
+        a, b = max(a, self.lo), min(b, self.hi)
+        if b < a or slope == 0.0:
+            return 0.0
+        if not root:
+            return abs(slope)
+        # |f'| = |b| / (2 sqrt(u)), largest where the radicand u is smallest
+        u_min = (a - t0) if s == 1 else (t0 - b)
+        return abs(slope) / (2.0 * math.sqrt(u_min)) if u_min > 0.0 else math.inf
 
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "kind": self.kind, "params": dict(self.params)}
@@ -154,23 +162,6 @@ def _mass(form, x: float, y: float) -> float:
         return a * (y - x) + s * (2.0 * b / 3.0) * (max(s * (y - t0), 0.0) ** 1.5
                                                    - max(s * (x - t0), 0.0) ** 1.5)
     return (y - x) * (a + 0.5 * b * ((x - t0) + (y - t0)))
-
-
-def _lipschitz_bound(row, a: float, b: float) -> float:
-    """Upper bound on |f'| over [a, b] intersected with [lo, hi], for the
-    row (lo, hi, form) of a piece; may be inf."""
-    lo, hi, (_, slope, s, t0, root) = row
-    a = max(a, lo)
-    b = min(b, hi)
-    if b < a or slope == 0.0:
-        return 0.0
-    if not root:
-        return abs(slope)
-    # |f'| = |b| / (2 sqrt(u)), largest where the radicand u is smallest
-    u_min = (a - t0) if s == 1 else (t0 - b)
-    if u_min <= 0.0:
-        return math.inf
-    return abs(slope) / (2.0 * math.sqrt(u_min))
 
 
 def _solve_ge(row, alpha: float) -> list[tuple[float, float]]:
@@ -239,6 +230,21 @@ def sqrt_piece(lo: float, hi: float, a: float, b: float, s: int, t0: float) -> P
     return Piece(lo, hi, "sqrt", {"a": a, "b": b, "s": s, "t0": t0})
 
 
+def _values(form: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`_value` at each t, bit for bit, of the piece whose ``_form``
+    is column i of the five rows at the same index, in place in the copy of
+    those columns that ``take`` makes."""
+    a, b, s, t0, root = form.take(i, axis=1)
+    g = np.subtract(t, t0, out=t0)
+    with np.errstate(invalid="ignore"):  # 0 * inf, where b == 0 picks a
+        np.sqrt(np.maximum(s * g, 0.0, out=s), out=s)
+        np.copyto(g, s, where=root != 0.0)
+        g *= b
+        g += a
+    np.copyto(g, a, where=b == 0.0)
+    return g
+
+
 def _masses(form: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """:func:`_mass` over [x, y] at each index, of the piece whose ``_form``
     (a, b, s, t0, root) is the column of the five rows at the same index."""
@@ -266,9 +272,8 @@ class _Profile:
       equal to :meth:`UscDensity1D.evaluate` at each breakpoint, bit for bit.
     * ``piece_lo``, ``piece_hi``, ``piece_form``: each piece's start, end
       and ``_form`` as Python floats, which ``integrate``, the one-point
-      ``evaluate``, ``lipschitz_bound`` and the level sets read with the
-      scalar formulas; ``total_mass``: the ``fsum`` of the pieces'
-      :meth:`Piece.integral` over each whole piece.
+      ``evaluate`` and the level sets read with the scalar formulas; ``total_mass``:
+      the ``fsum`` of the pieces' :meth:`Piece.integral` over each whole piece.
     * ``rounding``, ``f_max``: the per-piece terms of
       :func:`mapbayes.argmax._window_error`.  ``f_max`` is a piece's largest
       value.  ``rounding`` bounds in units of eps the error of its mass over
@@ -365,21 +370,14 @@ class _Profile:
     def evaluate(self, t) -> np.ndarray:
         """:meth:`UscDensity1D.evaluate` at each t of a 1D array, bit for bit:
         the larger value of the segment holding t and of the one before it
-        where that reaches t, with the IEEE operations of :meth:`Piece.value`
-        and in place, to keep its memory to a few arrays of len(t) floats."""
+        where that reaches t, by :func:`_values` in place, which keeps its
+        memory to a few arrays of len(t) floats."""
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self.starts, t, side="right") - 1
         # the segment before reaches t at its end, or past it where pieces overlap
         k = np.flatnonzero((i > 0) & (t <= self.ends[i - 1]))
-        a, b, s, t0, root = self.form.take(np.concatenate((i, i[k] - 1)), axis=1)
-        g = np.subtract(np.concatenate((t, t[k])), t0, out=t0)
-        with np.errstate(invalid="ignore"):  # 0 * inf, where b == 0 picks a
-            np.sqrt(np.maximum(s * g, 0.0, out=s), out=s)
-            np.copyto(g, s, where=root != 0.0)
-            g *= b
-            g += a
-        np.copyto(g, a, where=b == 0.0)
-        v, w = g[:t.size], g[t.size:]
+        v = _values(self.form, np.concatenate((i, i[k] - 1)), np.concatenate((t, t[k])))
+        v, w = v[:t.size], v[t.size:]
         v[k] = np.where(w > v[k], w, v[k])
         v[~(v > 0.0)] = 0.0
         if self.infinite.size:
@@ -538,12 +536,6 @@ class UscDensity1D:
             if b > a:
                 terms.append(_mass(forms[i], a, b))
         return math.fsum(terms)
-
-    def lipschitz_bound(self, lo: float, hi: float) -> float:
-        """Bound on |f'| over [lo, hi] ignoring jumps between pieces."""
-        p = self._profile
-        return max((_lipschitz_bound(row, lo, hi)
-                    for row in zip(p.piece_lo, p.piece_hi, p.piece_form)), default=0.0)
 
     def to_json(self) -> dict:
         return {"pieces": [p.to_json() for p in self.pieces]}

@@ -15,15 +15,15 @@ and ``sup_on_interval`` exist in 1D only and reject 2D grids up front.
 The shape checks of ``check_conditions`` are exact: quasiconcavity and
 log-concavity are decided from the cells of a 2D grid, and in 1D from the
 density's profile over the whole line, as are the level sets, the
-interval sups and the Lipschitz check of ``hypo_diagnostic``; no ``Piece``
-is built.  Each call takes the profile's rows afresh (:func:`_rows`), cut
-at each infinite point.  Every False comes with a counterwitness the
+interval sups and both references of ``hypo_diagnostic``; no ``Piece`` is
+built.  Each call takes the profile's rows afresh (:func:`_rows`), cut at
+each infinite point.  Every False comes with a counterwitness the
 density's own pointwise values confirm.
 
 No check takes a tuning setting: the one margin of ``check_conditions``
-(in the density's units, and past its formulas' rounding), the cluster
-radius of ``sweep`` and the float slack of ``hypo_diagnostic`` are fixed
-by this module and ``argmax``.
+(in the density's units, and past its formulas' rounding) and the cluster
+radius of ``sweep`` are fixed by this module and ``argmax``, and each
+``hypo_diagnostic`` row works out its slack from the numbers it compares.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
-from .argmax import _POSITION_TOL, _clusters, _merge_elements, maximize_density
+from .argmax import _POSITION_TOL, _clusters, _merge_elements, _window_min_sup, maximize_density
 from .density import GridDensity, UscDensity1D, _pieces_view, _solve_ge, _value
 from .estimators import LossSpec, bayes_estimate, map_estimate
 from .windows import BallObjective, mollified_sup
@@ -62,8 +62,6 @@ _WITNESS_MARGIN = 1e-12
 _ROUNDING_ULPS = 16
 #: halvings a log-concavity witness search tries before it calls a violation float dust
 _WITNESS_HALVINGS = 40
-#: float slack every hit-and-miss comparison allows
-_HYPO_SLACK = 1e-12
 
 
 def fmt17(x: float) -> str:
@@ -138,7 +136,7 @@ def level_set(d, alpha: float) -> LevelSetReport:
         segs = [seg for row in zip(p.piece_lo, p.piece_hi, p.piece_form)
                 for seg in _solve_ge(row, alpha)]
         segs.extend((t, t) for t in pieces.infinite_points)
-        intervals = _merge_elements(segs, 0.0)
+        intervals = _merge_elements(segs)
         declared_unbounded = (pieces.tail_height_sup is not None
                               and alpha < pieces.tail_height_sup)
         M = math.inf if declared_unbounded else max(
@@ -625,7 +623,7 @@ def sweep(d, ladder: Sequence[float], search=None) -> SweepTrace:
     if len(rows) >= 2:
         tail = rows[-max(2, math.ceil(len(rows) / 2)):]
         limit_points = tuple(sum(g) / len(g) for g in
-                             _clusters([r.canonical for r in tail], _POSITION_TOL))
+                             _clusters([r.canonical for r in tail]))
         verdict = _verdict(tail)
     else:
         limit_points = (rows[-1].canonical,)
@@ -662,18 +660,6 @@ def sup_on_interval(d, lo: float, hi: float, *, closed: bool = True) -> float:
     return max(cands, default=0.0)
 
 
-def _lipschitz_with_jumps(d: UscDensity1D, lo: float, hi: float) -> float:
-    """Lipschitz bound on (lo, hi), infinite if a genuine jump or an
-    infinite point sits inside."""
-    if any(lo < t < hi for t in d.infinite_points):
-        return math.inf
-    rows = _rows(d)
-    for (_, a_hi, a_form), (b_lo, _, b_form) in zip(rows, rows[1:]):
-        if lo < b_lo < hi and abs(_value(a_form, a_hi) - _value(b_form, b_lo)) > 1e-12:
-            return math.inf
-    return d.lipschitz_bound(lo, hi)
-
-
 @dataclass(frozen=True)
 class HypoRow:
     kind: str  # "closed" or "open"
@@ -684,8 +670,6 @@ class HypoRow:
     sup_reference: float
     slack: float
     ok: bool
-    skipped: bool = False
-    reason: str = ""
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -695,20 +679,20 @@ class HypoRow:
 class HypoReport:
     """Finite-family sup comparisons between the density and its ball averages.
 
-    For closed B the averages can never beat the density's sup over B grown
-    by the ball radius (plus float slack).  For open O they can't fall below
-    the density's sup over O shrunk by the radius, minus a Lipschitz
-    allowance L/nu — this lower check only applies where the density is
-    continuous with finite slope, and rows where it isn't are marked
-    skipped.  Passing rows are evidence at the scales actually checked,
-    nothing more.
+    For closed B the averages never beat the density's sup over B grown by
+    the ball radius r; for open O they never fall below the sup over centres
+    in O of its inf over the ball (:func:`~mapbayes.argmax._window_min_sup`).
+    Both references are exact.  A row's ``slack`` is the float error of the
+    two numbers it compares: the ball search's ``tol_value``, the profile's
+    mass error over 2r, and the mode search's ``tol_value`` or 4 ulps of the
+    open reference.  Rows are evidence at the scales checked, nothing more.
     """
 
     rows: tuple[HypoRow, ...]
 
     @property
     def ok(self) -> bool:
-        return all(r.ok or r.skipped for r in self.rows)
+        return all(r.ok for r in self.rows)
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "rows": [r.to_json() for r in self.rows]}
@@ -724,26 +708,16 @@ def hypo_diagnostic(d, nus: Sequence[float],
         if not nu > 0:
             raise ValueError(f"scales nu must be positive, got {nu!r}")
         r = 1.0 / nu
-        for (lo, hi) in closed_intervals:
-            sm = mollified_sup(BallObjective(pieces, r), (lo, hi)).sup_value
-            ref = sup_on_interval(pieces, lo - r, hi + r, closed=True)
-            rows.append(HypoRow("closed", lo, hi, nu, sm, ref, _HYPO_SLACK,
-                                ok=sm <= ref + _HYPO_SLACK))
-        for (lo, hi) in open_intervals:
-            sm = mollified_sup(BallObjective(pieces, r), (lo, hi)).sup_value
-            s_lo, s_hi = lo + r, hi - r
-            if s_hi <= s_lo:
-                rows.append(HypoRow("open", lo, hi, nu, sm, math.nan, _HYPO_SLACK,
-                                    ok=True, skipped=True,
-                                    reason="shrunken interval is empty"))
-                continue
-            L = _lipschitz_with_jumps(pieces, lo, hi)
-            if not math.isfinite(L):
-                rows.append(HypoRow("open", lo, hi, nu, sm, math.nan, _HYPO_SLACK,
-                                    ok=True, skipped=True,
-                                    reason="jump or unbounded slope in the interval"))
-                continue
-            ref = sup_on_interval(pieces, s_lo, s_hi, closed=False)
-            rows.append(HypoRow("open", lo, hi, nu, sm, ref, _HYPO_SLACK,
-                                ok=sm >= ref - L / nu - _HYPO_SLACK))
+        for kind, intervals in (("closed", closed_intervals), ("open", open_intervals)):
+            for lo, hi in intervals:
+                sm = mollified_sup(BallObjective(pieces, r), (lo, hi))
+                sup, slack = sm.sup_value, sm.tol_value + pieces._profile.error / (2.0 * r)
+                if kind == "closed":
+                    mode = maximize_density(pieces, (lo - r, hi + r))
+                    ref, slack = mode.sup_value, slack + mode.tol_value
+                else:
+                    ref = _window_min_sup(pieces, r, lo, hi)
+                    slack += 4.0 * math.ulp(ref)
+                ok = sup <= ref + slack if kind == "closed" else sup >= ref - slack
+                rows.append(HypoRow(kind, lo, hi, nu, sup, ref, slack, ok))
     return HypoReport(tuple(rows))

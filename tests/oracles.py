@@ -6,8 +6,8 @@ routines and the library is genuine evidence, not circular.  The grid
 scans read a grid's raw cell array instead, and the escaping
 construction's window mass is integrated exactly from its definition, as
 is a piecewise density's from its piece formulas.  The window search's
-float-error bound is worked out piece by piece, without the profile the
-library reads it from.
+float-error bound and a density's inf over a window are worked out piece
+by piece, without the profile the library reads them from.
 """
 
 from __future__ import annotations
@@ -162,6 +162,22 @@ def integrate_by_pieces(d, lo: float, hi: float) -> float:
     starts = [p.lo for p in d.pieces]
     i = max(bisect_right(starts, lo) - 1, 0)
     return math.fsum(p.integral(max(lo, p.lo), min(hi, p.hi)) for p in d.pieces[i:])
+
+
+def window_inf_by_pieces(d, a: float, b: float) -> float:
+    """The inf of d over [a, b], a < b, from its pieces: each piece the
+    window meets with positive length gives the smaller of its formula's
+    values at the ends of its part, pieces being monotone, and a part of
+    the window no piece covers gives 0.  An infinite point lowers no inf."""
+    vals, covered = [], a
+    for p in sorted(d.pieces, key=lambda p: p.lo):
+        x, y = max(a, p.lo), min(b, p.hi)
+        if y > x:
+            if p.lo > covered:
+                vals.append(0.0)
+            vals.append(min(p.value(x), p.value(y)))
+            covered = max(covered, p.hi)
+    return min(vals) if vals and covered >= b else 0.0
 
 
 def window_error_by_pieces(d, r: float, lo: float, hi: float) -> float:

@@ -79,6 +79,23 @@ def test_hypo_command(tmp_path):
     assert len(rep["rows"]) == 4
 
 
+def test_hypo_json_is_strict_json(tmp_path):
+    # open rows across the staircase's jumps each have a finite reference,
+    # so hypo.json holds no NaN or Infinity
+    cfg = _write_config(tmp_path / "c.json", {
+        "density": {"builtin": "staircase"}, "nus": [4.0, 16.0],
+        "open_intervals": [[0.2, 1.4], [-0.5, 2.0]]})
+    assert main(["hypo", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"hypo.json holds {name}")
+
+    rep = json.loads((tmp_path / "hypo.json").read_text(), parse_constant=refuse)
+    assert rep["ok"] is True
+    assert [sorted(row) for row in rep["rows"]] == [sorted(
+        ["kind", "lo", "hi", "nu", "sup_smoothed", "sup_reference", "slack", "ok"])] * 4
+
+
 def test_counterexample_command(tmp_path):
     assert main(["counterexample", "--nu-max", "3", "--out", str(tmp_path)]) == 0
     for name in ("density.json", "density_samples.csv", "domination.csv",

@@ -279,15 +279,17 @@ def test_lipschitz_bound_is_a_bound(rng):
         a, b = sorted(rng.uniform(lo, hi, size=2))
         if b - a < 1e-3:
             continue
-        L = d.lipschitz_bound(a, b)
-        if not math.isfinite(L):
-            continue
-        ts = np.sort(rng.uniform(a, b, size=100))
-        breaks = set(d.breakpoints)
-        for t1, t2 in zip(ts, ts[1:]):
-            if any(t1 < c < t2 for c in breaks):
-                continue  # bound speaks about slopes, not jumps
-            assert abs(d.evaluate(t2) - d.evaluate(t1)) <= L * (t2 - t1) + 1e-9
+        for p in d.pieces:
+            L = p.lipschitz_bound(a, b)
+            x, y = max(a, p.lo), min(b, p.hi)
+            if y < x:
+                assert L == 0.0  # the piece misses [a, b]
+                continue
+            if not math.isfinite(L):
+                continue
+            ts = np.sort(rng.uniform(x, y, size=100))
+            for t1, t2 in zip(ts, ts[1:]):
+                assert abs(p.value(t2) - p.value(t1)) <= L * (t2 - t1) + 1e-9
 
 
 def test_piecewise_json_round_trip():

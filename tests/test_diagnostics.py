@@ -11,7 +11,8 @@ from mapbayes.density import (GridDensity, Piece, UscDensity1D, affine_piece, co
 from mapbayes.diagnostics import _WITNESS_MARGIN, ConditionReport, fmt17, sup_on_interval
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, grid_1d, random_piecewise, unit_mass
-from oracles import grid_mode_scan, grid_window_scan, shape_violations, witness_gaps
+from oracles import (grid_mode_scan, grid_window_scan, shape_violations, window_inf_by_pieces,
+                     witness_gaps)
 
 
 # --- level sets -------------------------------------------------------------
@@ -732,42 +733,126 @@ def test_hypo_triangle_all_pass():
                              closed_intervals=[(-0.5, 0.5), (0.2, 0.9)],
                              open_intervals=[(-0.5, 0.5)])
     assert rep.ok
-    assert all(not r.skipped for r in rep.rows)
     closed0 = [r for r in rep.rows if r.kind == "closed" and r.lo == -0.5]
     for r in closed0:
         assert r.sup_smoothed == pytest.approx(1.0 - 1.0 / (2 * r.nu), abs=1e-12)
 
 
-def test_hypo_open_interval_skips_on_jump():
+def test_hypo_open_reference_across_a_jump():
+    # r = 1/4: the window [1.0, 1.5] fits the top step exactly, and its
+    # inf there is 1.2; any other centre's window meets a lower step
     rep = mb.hypo_diagnostic(mb.staircase(), [4.0], open_intervals=[(0.2, 1.4)])
     (row,) = rep.rows
-    assert row.skipped and "jump" in row.reason
-    assert rep.ok  # skips do not fail the family check
+    assert row.sup_reference == 1.2 and row.ok
 
 
 def test_hypo_open_rows_across_a_gap():
     # r = 0.1: the open row inside the gap compares with the density's 0
-    # there; the one reaching into both bumps meets their jumps and is skipped
+    # there; the one reaching into both bumps has a window inside the
+    # taller bump, whose inf is its height
     rep = mb.hypo_diagnostic(mb.two_bumps(), [10.0],
                              open_intervals=[(-0.45, 0.45), (-0.9, 0.9)])
     inside, across = rep.rows
-    assert not inside.skipped and inside.sup_reference == 0.0 and inside.ok
-    assert across.skipped and "jump" in across.reason
+    assert inside.sup_reference == 0.0 and inside.ok
+    assert across.sup_reference == 1.2 and across.ok
     assert rep.ok
 
 
-def test_hypo_open_interval_skips_on_infinite_point():
-    # a spike is no point of continuity, so no Lipschitz allowance holds
+def test_hypo_open_reference_past_an_infinite_point():
+    # a spike lowers no inf: the windows inside the unit step give 1
     rep = mb.hypo_diagnostic(_SPIKE_AT_MIDPOINT, [10.0], open_intervals=[(0.1, 0.9)])
     (row,) = rep.rows
-    assert row.skipped and "jump" in row.reason
-    assert rep.ok
+    assert row.sup_reference == 1.0 and row.ok
 
 
-def test_hypo_open_interval_skips_when_shrunken_empty():
+def test_hypo_open_reference_when_the_ball_outgrows_the_interval():
+    # r = 1/4 is wider than (-0.2, 0.2); the centre 0 sees 1 - r at both ends
     rep = mb.hypo_diagnostic(mb.triangle(), [4.0], open_intervals=[(-0.2, 0.2)])
     (row,) = rep.rows
-    assert row.skipped and "empty" in row.reason
+    assert row.sup_reference == 0.75 and row.ok
+
+
+@pytest.mark.parametrize("nu, reference", [(4, 0.2928932188134524), (256, 0.9116116523516815)])
+def test_hypo_open_reference_on_the_cusp(nu, reference):
+    # the cusp 1 - sqrt(2|t|) of the escaping construction: the best window
+    # is centred, with inf 1 - sqrt(2r) at its ends
+    rep = mb.hypo_diagnostic(mb.build(12), [nu], open_intervals=[(-0.4, 0.4)])
+    (row,) = rep.rows
+    assert row.sup_reference == reference == 1.0 - math.sqrt(2.0) * math.sqrt(1.0 / nu)
+    assert row.ok
+
+
+def test_hypo_rows_on_a_tiny_two_bumps_pass():
+    # two_bumps scaled by 2^-10: the closed row's smoothed sup is
+    # 1228.800000000001 against a sup of 1228.8, within the search's float error
+    d = UscDensity1D((constant_piece(-2.0 ** -10, -2.0 ** -11, 1228.8),
+                      constant_piece(2.0 ** -11, 2.0 ** -10, 819.2)))
+    box = [(-0.00087890625, 0.00087890625)]
+    rep = mb.hypo_diagnostic(d, [13312.0], box, box)
+    assert [r.sup_reference for r in rep.rows] == [1228.8, 1228.8]
+    assert all(r.ok for r in rep.rows) and rep.ok
+
+
+def _hypo_boxes(d) -> list[tuple[float, float]]:
+    lo, hi = d.support
+    w = hi - lo
+    return [(lo, hi), (lo + 0.25 * w, lo + 0.75 * w), (lo - 0.125 * w, lo + 0.375 * w),
+            (lo + 0.375 * w, lo + 0.4375 * w)]
+
+
+@st.composite
+def _densities_1d(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_FIXED_DENSITIES))
+    return random_piecewise(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                            max_pieces=8)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(d=_densities_1d(), k=st.integers(-20, 20))
+def test_hypo_rows_are_in_the_density_s_own_units(d, k):
+    # t -> 4^k*t, f -> 4^-k*f: every row keeps its verdict, and its sups,
+    # reference and slack map by 4^-k exactly
+    t = 4.0 ** k
+    lo, hi = d.support
+    nus = [c / (hi - lo) for c in (2.0, 16.0, 128.0)]
+    boxes = _hypo_boxes(d)
+    rep = mb.hypo_diagnostic(d, nus, boxes, boxes)
+    moved = mb.hypo_diagnostic(_mapped(d, k), [nu / t for nu in nus],
+                               [(a * t, b * t) for a, b in boxes],
+                               [(a * t, b * t) for a, b in boxes])
+    assert moved.ok == rep.ok
+    for r, m in zip(rep.rows, moved.rows, strict=True):
+        assert (m.kind, m.ok) == (r.kind, r.ok)
+        assert (m.sup_smoothed, m.sup_reference, m.slack) == (
+            r.sup_smoothed / t, r.sup_reference / t, r.slack / t)
+
+
+def _steps_2r_wide(seed: int) -> UscDensity1D:
+    """Steps on cells 1/8 wide, some left empty: at nu = 16 each cell is as
+    wide as a window."""
+    heights = np.random.default_rng(seed).choice([0.0, 0.5, 1.0, 2.0], size=8)
+    heights[3] = 1.5
+    return unit_mass([constant_piece(i / 8, (i + 1) / 8, float(v))
+                      for i, v in enumerate(heights) if v > 0.0])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.booleans())
+def test_hypo_open_reference_is_the_best_window_inf(seed, steps):
+    # the open reference is at least the window inf by pieces at every
+    # centre of a dense grid and at every cut, within the row's slack, and
+    # the smoothed sup reaches it
+    d = (_steps_2r_wide(seed) if steps
+         else random_piecewise(np.random.default_rng(seed), max_pieces=8))
+    rep = mb.hypo_diagnostic(d, [4.0, 16.0, 64.0], open_intervals=_hypo_boxes(d))
+    for row in rep.rows:
+        r = 1.0 / row.nu
+        cuts = [c for b in d.breakpoints for c in (b - r, b + r) if row.lo <= c <= row.hi]
+        for theta in [*np.linspace(row.lo, row.hi, 201).tolist(), *cuts]:
+            assert window_inf_by_pieces(d, theta - r, theta + r) <= row.sup_reference + row.slack
+        assert row.sup_reference <= row.sup_smoothed + row.slack
+        assert row.ok
 
 
 def test_hypo_counterexample_closed_boxes():
