@@ -24,7 +24,7 @@ import numpy as np
 from . import gallery
 from .counterexample import (_MAX_BUMP, DEFAULT_MAX_BUMP, build, sample_curve, scale_ladder,
                              verify_nonconvergence)
-from .density import density_from_json
+from .density import _pieces_view, density_from_json
 from .diagnostics import check_conditions, fmt17, hypo_diagnostic, sweep
 from .errors import ConfigError, MapBayesError
 from .estimators import LossSpec, bayes_estimate, map_estimate
@@ -118,13 +118,16 @@ def _count(n, name: str) -> int:
     return n
 
 
-def _box(node):
+def _box(node, d):
+    """The search box ``node`` for density d: [lo, hi] in 1D, [[x0, x1], [y0, y1]] in 2D."""
     if node is None:
         return None
-    shape = "search must be [lo, hi] or [[x0, x1], [y0, y1]]"
-    if isinstance(node, list) and len(node) == 2 and all(isinstance(v, list) for v in node):
-        return tuple(tuple(_floats(v, shape, 2)) for v in node)
-    return tuple(_floats(node, shape, 2))
+    if _pieces_view(d) is not None:
+        return tuple(_floats(node, "search must be [lo, hi] for a 1D density", 2))
+    shape = "search must be [[x0, x1], [y0, y1]] for a 2D density"
+    if not (isinstance(node, list) and len(node) == 2):
+        raise ConfigError(shape)
+    return tuple(tuple(_floats(v, shape, 2)) for v in node)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -152,7 +155,7 @@ def _config_command(cmd):
 
 @_config_command
 def _cmd_map(cfg, d, args) -> None:
-    box = _box(cfg.get("search"))
+    box = _box(cfg.get("search"), d)
     res = map_estimate(d, box)
     _write_json(_outdir(args) / "map.json",
                 {"search": box, "result": res.to_json()})
@@ -161,7 +164,7 @@ def _cmd_map(cfg, d, args) -> None:
 @_config_command
 def _cmd_bayes(cfg, d, args) -> None:
     [c] = _floats([_require(cfg, "c")], "c must be a positive number", positive=True)
-    box = _box(cfg.get("search"))
+    box = _box(cfg.get("search"), d)
     loss = LossSpec(c)
     res = bayes_estimate(d, loss, box)
     _write_json(_outdir(args) / "bayes.json",
@@ -179,7 +182,7 @@ def _parse_ladder(node) -> list[float]:
 @_config_command
 def _cmd_sweep(cfg, d, args) -> None:
     ladder = _parse_ladder(_require(cfg, "ladder"))
-    box = _box(cfg.get("search"))
+    box = _box(cfg.get("search"), d)
     try:
         trace = sweep(d, ladder, box)
     except ValueError as exc:

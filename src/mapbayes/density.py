@@ -274,6 +274,7 @@ class _Profile:
       and ``_form`` as Python floats, which ``integrate``, the one-point
       ``evaluate`` and the level sets read with the scalar formulas; ``total_mass``:
       the ``fsum`` of the pieces' :meth:`Piece.integral` over each whole piece.
+    * ``max_term``: the largest |a| + |b*g| at a piece end, whose ulps the values round by.
     * ``rounding``, ``f_max``: the per-piece terms of
       :func:`mapbayes.argmax._window_error`.  ``f_max`` is a piece's largest
       value.  ``rounding`` bounds in units of eps the error of its mass over
@@ -313,6 +314,7 @@ class _Profile:
     piece_hi: list
     piece_form: list
     total_mass: float
+    max_term: float
     rounding: np.ndarray
     f_max: np.ndarray
     cum: np.ndarray
@@ -338,7 +340,8 @@ class _Profile:
         values = a + b * g
         bg, g_max = np.abs(b * g).max(axis=0), np.abs(g).max(axis=0)
         power = np.where(root != 0.0, bg * g_max * g_max / 1.5, 0.0)
-        rounding = 4.0 * ((hi - lo) * (np.abs(a) + bg) + 2.0 * power)
+        terms = np.abs(a) + bg
+        rounding = 4.0 * ((hi - lo) * terms + 2.0 * power)
         mass = _masses(form, lo, hi)
         # numpy's flat and affine masses are Piece.integral's, bit for bit,
         # but an arc's power terms need Python's **
@@ -362,8 +365,8 @@ class _Profile:
         table[4, filler] = 1.0
         profile = _Profile(table[0], table[1], table[2:7], np.array(infinite_points, dtype=float),
                            filler, _distinct(np.concatenate((lo, hi))), lo.tolist(), hi.tolist(),
-                           form.T.tolist(), math.fsum(integral), table[7], table[8],
-                           np.concatenate(([0.0], np.cumsum(table[9]))), error)
+                           form.T.tolist(), math.fsum(integral), float(terms.max()), table[7],
+                           table[8], np.concatenate(([0.0], np.cumsum(table[9]))), error)
         object.__setattr__(profile, "break_values", profile.evaluate(profile.breakpoints))
         return profile
 
@@ -837,9 +840,12 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
     """Marginal likelihood by composite midpoint rule, with a doubled-grid check.
 
     Returns (estimate, error_indicator) where the estimate is Richardson
-    extrapolated from the two grids and the indicator is |E_2n - E_n|.  On a
-    2D grid prior E_n is the sum over its cells and E_2n splits every cell
-    2x2, keeping the cell's prior value (``grid_resolution`` is not used).
+    extrapolated from the two grids and the indicator is |E_2n - E_n|.  No
+    cell of E_n crosses a jump of the prior, and E_2n splits each in two
+    (2x2 in 2D).  On a 2D grid prior E_n takes its cells (``grid_resolution``
+    is not used); in 1D it cuts each piece (each cell of a 1D grid) into
+    max(1, round(grid_resolution * width / support width)) equal cells, and
+    the gaps between pieces get none.
     """
     g = m.prior
     pieces = _pieces_view(g)
@@ -849,18 +855,19 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
             prior = np.repeat(np.repeat(g.values, k, axis=0), k, axis=1)
             like = _likelihood_at(m, _midpoints(g.origin, h, prior.shape))
             return h[0] * h[1] * math.fsum((prior.ravel() * like).tolist())
-
-        e1, e2 = midpoint(1), midpoint(2)
     else:
-        lo, hi = pieces.support
-        def midpoint(n: int) -> float:
-            h = (hi - lo) / n
-            points = _midpoints((lo,), (h,), (n,))
-            return h * math.fsum(
-                (pieces._profile.evaluate(points) * _likelihood_at(m, points)).tolist())
+        p = pieces._profile
+        lo, hi = np.array(p.piece_lo), np.array(p.piece_hi)
+        cuts = np.maximum(1, np.rint(grid_resolution * (hi - lo) / (hi[-1] - lo[0]))).astype(int)
 
-        e1 = midpoint(grid_resolution)
-        e2 = midpoint(2 * grid_resolution)
+        def midpoint(k: int) -> float:
+            n = k * cuts
+            h = np.repeat((hi - lo) / n, n)
+            # cell j of a piece has its midpoint at lo + (j + 0.5) * h
+            j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            points = np.repeat(lo, n) + (j + 0.5) * h
+            return math.fsum((h * p.evaluate(points) * _likelihood_at(m, points.tolist())).tolist())
+    e1, e2 = midpoint(1), midpoint(2)
     # midpoint rule is O(h^2); Richardson combination cancels the leading term
     est = e2 + (e2 - e1) / 3.0
     return _check_evidence(est), abs(e2 - e1)

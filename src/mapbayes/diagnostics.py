@@ -217,51 +217,37 @@ def _verified_witness(d, x, y, lam: float, margin: float, geometric: bool = Fals
 
 
 def _quasiconcave_exact(d: UscDensity1D, margin: float) -> tuple[bool, tuple | None]:
-    """Exact unimodality check: nondecreasing then nonincreasing profile.
+    """Exact unimodality check: one depth test per row of the profile.
 
-    The profile's segments are monotone, so it is captured by their
-    directions and the jumps between one-sided limits.  An infinite point
-    starts a segment and is a spike there: a rise up to it, then a fall.
-    Any rise after a genuine fall, one of more than ``margin``, yields a
-    valley, from which a strict counterwitness triple is constructed.
+    Rows are monotone, so f approaches row k's infimum b_k, the lesser of
+    its end values, at one end, and its sups left and right of the row are
+    L_k and R_k, the largest values at the row ends at or before its start,
+    resp. at or after its end (an infinite point is a row start, valued
+    inf).  f is quasiconcave unless some row's depth min(L_k, R_k) - b_k
+    tops 4 margins.  That row's witness takes x and y where L_k and R_k are
+    first attained, and z stepped into the row from its bottom end; a
+    witness that does not verify is float dust.
     """
     rows = _rows(d)
-    descending = False
-    run_max_val = 0.0
-    run_max_pos = -math.inf
-    prev_val = 0.0
-    for i, (pos, hi, form) in enumerate(rows):
-        v_lo, v_hi = _value(form, pos), _value(form, hi)
-        spike = pos in d.infinite_points
-        if (spike or v_lo - prev_val > margin) and descending:
-            # jump up out of a valley: approach the valley inside rows[i - 1]
-            v_top = d.evaluate(pos)
-            m = min(run_max_val, v_top) - prev_val
-            if m > 4.0 * margin:
-                z = pos - _step_in(rows[i - 1], m)
-                w = _verified_witness(d, run_max_pos, pos,
-                                      (pos - z) / (pos - run_max_pos), margin)
-                if w:
-                    return False, w
-        if spike or v_lo - prev_val < -margin:
-            descending = True
-        env = d.evaluate(pos)
-        if env > run_max_val:
-            run_max_val, run_max_pos = env, pos
-        move = v_hi - v_lo
-        if move > margin:
-            if descending:
-                v_top = min(run_max_val, v_hi)
-                m = v_top - v_lo
-                if m > 4.0 * margin:
-                    z = pos + _step_in(rows[i], m)
-                    w = _verified_witness(d, run_max_pos, hi,
-                                          (hi - z) / (hi - run_max_pos), margin)
-                    if w:
-                        return False, w
-        elif move < -margin:
-            descending = True
-        prev_val = v_hi
+    ends = sorted({t for lo, hi, _ in rows for t in (lo, hi)})
+    values = [0.0, *map(d.evaluate, ends[1:-1]), 0.0]  # f is 0 at -inf and +inf
+    # (max, first point attaining it) over the ends up to each, resp. from each on
+    left, right, best = {}, {}, (-1.0, None)
+    for t, v in zip(ends, values):
+        best = left[t] = (v, t) if v > best[0] else best
+    best = (-1.0, None)
+    for t, v in zip(ends[::-1], values[::-1]):
+        best = right[t] = (v, t) if v >= best[0] else best
+    for lo, hi, form in rows:
+        (l_val, x), (r_val, y) = left[lo], right[hi]
+        v_lo, v_hi = _value(form, lo), _value(form, hi)
+        depth = min(l_val, r_val) - min(v_lo, v_hi)
+        if depth > 4.0 * margin:
+            step = _step_in((lo, hi, form), depth)
+            z = lo + step if v_lo <= v_hi else hi - step
+            w = _verified_witness(d, x, y, (y - z) / (y - x), margin)
+            if w:
+                return False, w
     return True, None
 
 
@@ -305,7 +291,7 @@ def _log_convex_stretch(row) -> tuple[float, float] | None:
 
 def _log_concave_exact(d: UscDensity1D, margin: float) -> tuple[bool, tuple | None]:
     """Exact log-concavity check for a density that passed the
-    quasiconcavity walk, so that its support is an interval.
+    quasiconcavity test, so that its support is an interval.
 
     Past the zero segments at the ends of the support, log f is concave iff
     every sqrt arc is (constant and affine pieces always are) and every
@@ -457,9 +443,11 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionR
     Both shape checks are decisions, in time linear in the pieces or cells
     (plus one sort of the cells of a 2D grid):
 
-    * 1D (a 1D grid on its piecewise view): quasiconcave iff the profile
-      never rises after a genuine fall, an infinite point counting as a
-      rise to it and a fall after it.  Log-concave iff, in addition,
+    * 1D (a 1D grid on its piecewise view): quasiconcave iff no row of the
+      profile sits below both the largest value before it and the largest
+      after it, an infinite point valued inf (see
+      :func:`_quasiconcave_exact`); a row deeper than 4 margins is a valley,
+      however small its steps.  Log-concave iff, in addition,
       every sqrt arc a + b*sqrt(s*(t - t0)) has b*(a + 2*b*w) >= 0 over its
       w range, and every interior breakpoint has no jump and a one-sided
       slope that does not increase (an infinite slope counts).
@@ -467,28 +455,28 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionR
       at least that level fill their bounding box.  Log-concave iff one
       positive value fills a rectangle of cells and every other cell is 0.
 
-    One margin, 1e-12 of the density's largest finite value, tells float
-    dust: a jump or cell difference below it, or a kink whose slope rises by
-    less than it per unit width of the support, counts as none.  It is at
-    least 16 ulps of the largest term a or b*g of a piece formula
-    a + b*g(s*(t - t0)), which its values round by: far from the origin
-    those terms outgrow the values.  A False
-    comes only with a witness (x, y, lam) that beats min(f(x), f(y)), resp.
-    f(x)^lam * f(y)^(1-lam), by more than it at lam*x + (1-lam)*y; a
-    quasiconcavity witness refutes log-concavity too.
+    One margin, 1e-12 of the density's largest finite value (its largest
+    piece end value or cell, read off the density with no search), tells
+    float dust: a jump or cell difference below it, or a kink whose slope
+    rises by less than it per unit width of the support, counts as none.
+    It is at least 16 ulps of the largest term |a| + |b*g| of a piece
+    formula a + b*g(s*(t - t0)) at a piece end (``_Profile.max_term``),
+    which its values round by: far from the origin those terms outgrow the
+    values.  A False comes only with a witness (x, y, lam) that beats
+    min(f(x), f(y)), resp. f(x)^lam * f(y)^(1-lam), by more than it at
+    lam*x + (1-lam)*y; a quasiconcavity witness refutes log-concavity too.
+    ``alpha_grid`` must be given when an infinite point lies in the
+    support's span.
     """
-    sup_res = map_estimate(d)
     pieces = _pieces_view(d)
-    if sup_res.sup_infinite and alpha_grid is None:
-        raise ValueError("alpha_grid must be given for unbounded densities")
-    # the unit: the largest finite value (only a 1D density has infinite points)
-    unit = float(pieces._profile.f_max.max()) if sup_res.sup_infinite else sup_res.sup_value
+    unit = float(d.values.max() if pieces is None else pieces._profile.f_max.max())
     margin = _WITNESS_MARGIN * unit
-    if pieces is not None:  # a formula a + b*g rounds by ulps of its terms a and b*g
-        p = pieces._profile
-        margin = max(margin, _ROUNDING_ULPS * math.ulp(max(
-            abs(f[0]) + abs(_value((0.0, *f[1:]), t))
-            for lo, hi, f in zip(p.piece_lo, p.piece_hi, p.piece_form) for t in (lo, hi))))
+    if pieces is not None:
+        lo, hi = pieces.support
+        if alpha_grid is None and any(lo <= t <= hi for t in pieces.infinite_points):
+            raise ValueError("alpha_grid must be given for unbounded densities")
+        # a formula a + b*g rounds by ulps of its terms a and b*g
+        margin = max(margin, _ROUNDING_ULPS * math.ulp(pieces._profile.max_term))
     if alpha_grid is None:
         alpha_grid = tuple(f * unit for f in (0.1, 0.25, 0.5, 0.75, 0.9))
 

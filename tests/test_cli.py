@@ -276,6 +276,22 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
     assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+_GRID_2D = {"dim": 2, "origin": [0.0, 0.0], "spacing": [0.25, 0.25], "values": [[1.0] * 4] * 4}
+
+
+@pytest.mark.parametrize("command", ["map", "bayes", "sweep"])
+@pytest.mark.parametrize("density, search, form", [
+    ({"builtin": "triangle"}, [[0.0, 1.0], [0.0, 1.0]], "[lo, hi] for a 1D density"),
+    (_GRID_2D, [0.0, 1.0], "[[x0, x1], [y0, y1]] for a 2D density"),
+], ids=["2d_box_on_1d", "1d_box_on_2d"])
+def test_a_search_box_of_the_wrong_dimension_exits_2(tmp_path, capsys, command, density,
+                                                      search, form):
+    cfg = _write_config(tmp_path / "c.json", {"density": density, "search": search,
+                                              "c": 4.0, "ladder": [8.0, 16.0]})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"error: search must be {form}" in capsys.readouterr().err
+
+
 def test_counterexample_past_bump_47_exits_2(tmp_path, capsys):
     # from bump 48 on, n + 2^-n rounds to n, so bump n has no width: both
     # flags are checked before any work, --nu-max K through its default

@@ -11,6 +11,7 @@ from mapbayes.density import (
     Piece,
     UscDensity1D,
     _distinct,
+    _pieces_view,
     _solve_ge,
     affine_piece,
     constant_piece,
@@ -19,7 +20,7 @@ from mapbayes.density import (
 )
 from mapbayes.diagnostics import sup_on_interval
 
-from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_piecewise
+from conftest import CORNER_ZERO_2D, JUMP_DOWN, grid_1d, random_piecewise
 from oracles import adaptive_simpson, integrate_by_pieces
 
 
@@ -449,33 +450,56 @@ def test_posterior_matches_pointwise_ratio():
 @pytest.mark.parametrize("prior", [mb.triangle(), mb.two_bumps(), mb.build(12)],
                          ids=["triangle", "two_bumps", "counterexample"])
 def test_evidence_and_posterior_1d_take_the_pointwise_prior(prior):
-    # both quadratures multiply the prior's pointwise value at each grid
-    # midpoint into the likelihood there, so they equal these sums exactly
+    # both quadratures multiply the prior's pointwise value at each cell
+    # midpoint into the likelihood there, so they equal these sums exactly:
+    # the evidence cuts each piece in k * max(1, round(1024 * width / support
+    # width)) cells, the posterior the support in even cells
     lik = lambda x, t: math.exp(-0.5 * (t - x) ** 2)
     lo, hi = prior.support
+
+    def cell_sum(k):
+        terms = []
+        for p in prior.pieces:
+            n = k * max(1, round(1024 * (p.hi - p.lo) / (hi - lo)))
+            h = (p.hi - p.lo) / n
+            terms += [h * prior.evaluate(t) * lik(0.3, t)
+                      for t in (p.lo + (j + 0.5) * h for j in range(n))]
+        return math.fsum(terms)
+
+    e1, e2 = cell_sum(1), cell_sum(2)
+    assert mb.evidence(mb.BayesModel(prior, lik, 0.3)) == (e2 + (e2 - e1) / 3.0, abs(e2 - e1))
 
     def weights(n):
         h = (hi - lo) / n
         return h, [prior.evaluate(t) * lik(0.3, t) for t in (lo + h * (k + 0.5) for k in range(n))]
 
-    (h1, w1), (h2, w2) = weights(1024), weights(2048)
-    e1, e2 = h1 * math.fsum(w1), h2 * math.fsum(w2)
-    assert mb.evidence(mb.BayesModel(prior, lik, 0.3)) == (e2 + (e2 - e1) / 3.0, abs(e2 - e1))
     h, w = weights(256)
     w = np.array(w)
     post = mb.posterior(mb.BayesModel(prior, lik, 0.3), grid_resolution=256)
     assert np.array_equal(post.values, w / float(w.sum() * h))
 
 
-def test_evidence_1d_grid_reads_the_larger_cell_at_a_boundary():
-    # the one midpoint of the coarse sum is the cell boundary -2.7, where the
-    # density is the larger of the two cells; (-2.7 + 3.0) / 0.3 rounds below 1
-    g = GridDensity.normalized(1, (-3.0,), (0.3,), np.array([1.0, 2.0]))
-    (lo, hi), = g.support
-    e1 = (hi - lo) * g.values[1]
-    e2 = (hi - lo) / 2 * math.fsum(g.values)
-    ev = mb.evidence(mb.BayesModel(g, lambda x, t: 1.0, 0.0), grid_resolution=1)
-    assert ev == (e2 + (e2 - e1) / 3.0, abs(e2 - e1))
+@pytest.mark.parametrize("prior", [
+    grid_1d("zero_cells"), grid_1d("near_tie"), mb.staircase(), mb.two_bumps(), mb.triangle(),
+    GridDensity.normalized(1, (-3.0,), (0.3,), np.array([1.0, 2.0])),
+    GridDensity.normalized(1, (-3.0,), (0.3,), np.array([1.0, 2.0, 3.0])),
+], ids=["zero_cells", "near_tie", "staircase", "two_bumps", "triangle", "two_cells", "three_cells"])
+@pytest.mark.parametrize("n", [1, 7, 1024])
+def test_evidence_1d_cells_stay_inside_each_piece(prior, n):
+    # no cell straddles a jump, so a constant likelihood gives back the
+    # prior's own mass, and the midpoint rule is exact on every cell
+    mass = _pieces_view(prior).total_mass
+    ev, err = mb.evidence(mb.BayesModel(prior, lambda x, t: 1.0, 0.0), grid_resolution=n)
+    assert abs(ev - mass) <= math.ulp(mass) and err == 0.0
+
+
+def test_evidence_1d_grid_is_the_2d_layout_s():
+    # an affine likelihood on zero_cells, laid out as a column of a 2D grid
+    g = grid_1d("zero_cells")
+    column = GridDensity(2, (g.origin[0], 0.0), (g.spacing[0], 1.0), g.values.reshape(-1, 1))
+    ev, err = mb.evidence(mb.BayesModel(g, lambda x, t: 1.0 + t, 0.0))
+    assert ev == mb.evidence(mb.BayesModel(column, lambda x, t: 1.0 + t[0], 0.0))[0]
+    assert ev == 1.4305555555555556 and err == 0.0
 
 
 def test_evidence_2d_affine_likelihood_has_no_error():

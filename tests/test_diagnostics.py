@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mapbayes as mb
-from mapbayes.density import (GridDensity, Piece, UscDensity1D, affine_piece, constant_piece,
-                               sqrt_piece)
+import mapbayes.diagnostics
+from mapbayes.density import (GridDensity, Piece, UscDensity1D, _pieces_view, affine_piece,
+                               constant_piece, sqrt_piece)
 from mapbayes.diagnostics import _WITNESS_MARGIN, ConditionReport, fmt17, sup_on_interval
 
 from conftest import CORNER_ZERO_2D, JUMP_DOWN, grid_1d, random_piecewise, unit_mass
@@ -304,6 +305,56 @@ def test_shape_checks_refute_what_a_lattice_refutes_2d(shape, cells):
     assume(values.sum() > 0)
     _assert_refutes_what_the_lattice_refutes(_grid_2d(values), 24)
 
+
+
+def _walk(kind: str, values) -> UscDensity1D | GridDensity:
+    """A 1D grid of the given cell values, or the continuous chain of affine
+    pieces on [i, i + 1] through them, normalized."""
+    n = len(values) - (kind == "chain")
+    if kind == "grid":
+        return GridDensity.normalized(1, (0.0,), (1.0 / n,), np.array(values))
+    return unit_mass([affine_piece(float(i), float(i + 1), values[i], values[i + 1] - values[i],
+                                   t0=float(i)) for i in range(n)])
+
+
+def _valley(delta: float) -> list[float]:
+    """201 values falling from 1 by delta per step to the middle, then rising back."""
+    return [1.0 - delta * (100 - abs(i - 100)) for i in range(201)]
+
+
+@pytest.mark.parametrize("d", [_walk("grid", _valley(0.5e-12)), _walk("grid", _valley(2e-12)),
+                               _walk("chain", _valley(0.5e-12))],
+                         ids=["grid_50_margins", "grid_200_margins", "affine_chain"])
+def test_a_valley_of_small_steps_is_refuted(d):
+    # every step is far below 4 margins; the valley is 50 or 200 deep
+    rep = mb.check_conditions(d)
+    assert not rep.quasiconcave and not rep.log_concave
+    unit = max(d.evaluate(t) for t in _pieces_view(d).breakpoints)
+    assert witness_gaps(d, *rep.quasiconcave_witness)[0] > _WITNESS_MARGIN * unit
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["grid", "chain"]),
+       steps=st.lists(st.sampled_from([-3, -1, 0, 1, 3]), min_size=2, max_size=64))
+def test_a_random_walk_is_refuted_where_the_lattice_sees_a_valley(kind, steps):
+    d = _walk(kind, (1.0 + 1e-12 * np.cumsum([0, *steps])).tolist())
+    rep = mb.check_conditions(d)
+    unit = max(d.evaluate(t) for t in _pieces_view(d).breakpoints)
+    if shape_violations(d, 256)[0] > 4.0 * _WITNESS_MARGIN * unit:
+        assert not rep.quasiconcave
+    if not rep.quasiconcave:
+        assert witness_gaps(d, *rep.quasiconcave_witness)[0] > _WITNESS_MARGIN * unit
+
+
+@pytest.mark.parametrize("d", [mb.two_bumps(), mb.triangle(), _l1_cone(), _rectangle_in_zeros()],
+                         ids=["two_bumps", "triangle", "l1_cone_2d", "rectangle_in_zeros_2d"])
+def test_check_conditions_runs_no_mode_search(monkeypatch, d):
+    def refused(*args, **kwargs):
+        raise AssertionError("check_conditions ran a mode search")
+
+    monkeypatch.setattr(mapbayes.diagnostics, "map_estimate", refused)
+    rep = mb.check_conditions(d)
+    assert rep.level_set_ok
 
 
 #: uniform on [0, 1] with a spike at the midpoint of its one piece
