@@ -196,13 +196,13 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
         if inside:
             v = profile.evaluate(inside)
             values = np.concatenate((v[:head], values, v[head:]))
-    flat = np.flatnonzero((profile.form[1] == 0.0) & (profile.ends > lo) & (profile.starts < hi))
+    flat = ((profile.form[1] == 0.0) & (profile.ends > lo) & (profile.starts < hi)).nonzero()[0]
     heights = profile.form[0, flat]
     # evaluate never gives -0.0, so a tie at zero keeps the +0.0 of values
     sup = max(float(values.max()), float(heights.max(initial=-math.inf)))
     tol_value = 4.0 * math.ulp(sup)
 
-    elements = [(points[k], points[k]) for k in np.flatnonzero(values >= sup - tol_value).tolist()]
+    elements = [(points[k], points[k]) for k in (values >= sup - tol_value).nonzero()[0].tolist()]
     top = flat[heights >= sup - tol_value]
     starts, seg_ends = profile.starts[top], profile.ends[top]
     # max(p.lo, lo) and min(p.hi, hi), each keeping its first argument on a tie
@@ -219,7 +219,7 @@ def _maximize_density_grid(d: GridDensity, box) -> ArgmaxResult:
     for k, (b0, b1) in enumerate(((bx0, bx1), (by0, by1))):
         # each cell cut to the box by max(edge, b0) and min(edge, b1), each
         # keeping its first argument on a tie; the cells it misses are dropped
-        e = d._edges(k)
+        e = d._edges[k]
         s0, s1 = np.where(b0 > e[:-1], b0, e[:-1]), np.where(b1 < e[1:], b1, e[1:])
         cells = np.flatnonzero(~(s0 > s1))
         sides.append((cells, s0[cells].tolist(), s1[cells].tolist()))
@@ -318,25 +318,27 @@ def _stretches(d: UscDensity1D, r: float, lo: float, hi: float):
     stretch of roots[j]; plateau marks where F' vanishes identically."""
     profile = d._profile
     shifted = np.add.outer(profile.breakpoints, (-r, r)).ravel()  # b - r, b + r for each b
-    cuts = _distinct(np.concatenate(([lo, hi], shifted[(lo < shifted) & (shifted < hi)])))
+    cuts = _distinct([lo, hi], shifted[(lo < shifted) & (shifted < hi)])
     u, v = cuts[:-1], cuts[1:]
     # an infinite box makes nan and inf stretches, which find no root
     with np.errstate(divide="ignore", invalid="ignore"):
         mid = 0.5 * (u + v)
-        i_hi = np.searchsorted(profile.starts, mid + r, side="right") - 1
-        i_lo = np.searchsorted(profile.starts, mid - r, side="right") - 1
+        i_hi = profile.starts.searchsorted(mid + r, side="right") - 1
+        i_lo = profile.starts.searchsorted(mid - r, side="right") - 1
         a_p, b_p, _, t_p, arc_p = profile.form.take(i_hi, axis=1)
         a_m, b_m, _, t_m, arc_m = profile.form.take(i_lo, axis=1)
         # about the midpoint, so products stay small for steep distant pieces
         c1 = b_p - b_m
         c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)
         roots = mid - c0 / c1
-    arcs = (arc_p != 0.0) | (arc_m != 0.0)
+    arcs = np.logical_or(arc_p, arc_m)
     plateau = ~arcs & (c1 == 0.0) & (c0 == 0.0)
     # c1 = 0 makes an infinite or nan root, inside no stretch
-    owner = np.flatnonzero(~arcs & (u < roots) & (roots < v))
+    owner = (~arcs & (u < roots) & (roots < v)).nonzero()[0]
+    if not arcs.any():
+        return cuts, mid, i_lo, i_hi, roots[owner], owner, plateau
     arc = []  # (root, stretch) pairs
-    for k in np.flatnonzero(arcs).tolist():
+    for k in arcs.nonzero()[0].tolist():
         found = _stationary_points(profile.form[:, i_hi[k]].tolist(),
                                    profile.form[:, i_lo[k]].tolist(), r, float(mid[k]))
         if found is None:
@@ -382,15 +384,15 @@ def _window_error(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
     first if none does) to the last to start at or before hi + r.
     """
     p = d._profile
-    i0, i1 = (np.searchsorted(p.starts, (lo - r, hi + r), side="right") - 1).tolist()
+    i0, i1 = (p.starts.searchsorted((lo - r, hi + r), side="right") - 1).tolist()
     # an end on a filler steps back to the piece before it, so A is read off pieces
     i0, i1 = max(i0 - int(p.filler[i0]), 1), i1 - int(p.filler[i1])
     if i1 < i0:
         return 0.0
     starts, ends, rounding, f_max = (x[i0:i1 + 1] for x in (p.starts, p.ends, p.rounding, p.f_max))
     # a window whose first segment is k meets at most segments k .. j - 1
-    j = np.searchsorted(starts, ends + 2.0 * r, side="right")
-    cum = np.concatenate(([0.0], np.cumsum(rounding)))
+    j = starts.searchsorted(ends + 2.0 * r, side="right")
+    cum = np.concatenate(([0.0], rounding.cumsum()))
     A = max(abs(starts[0]), abs(ends[-1])) + 2.0 * r
     return (max(0.0, float(f_max.max())) * math.ulp(A)
             + sys.float_info.epsilon * float((cum[j] - cum[:-1]).max()))
@@ -441,9 +443,9 @@ def maximize_window(
 
     profile = d._profile
     cuts, mid, _, _, roots, _, plateau = _stretches(d, r, lo, hi)
-    # the cuts come first, so that a cut's zero wins over a root's
-    points = _distinct(np.concatenate((cuts, roots)))
-    plateaus = np.flatnonzero(plateau)
+    # the cuts, sorted and distinct, come first, so that a cut's zero wins over a root's
+    points = _distinct(cuts, roots) if roots.size else cuts
+    plateaus = plateau.nonzero()[0]
     theta = np.concatenate((points, mid[plateaus]))
     G = profile.cumulative(np.concatenate((theta + r, theta - r)))
     approx = scale * (G[:len(theta)] - G[len(theta):])

@@ -208,13 +208,12 @@ def _check_numbers(node, what: str) -> None:
         raise TypeError(f"{what} must be a number, got {node!r}")
 
 
-def _distinct(x) -> np.ndarray:
-    """The sorted distinct values of x, as ``sorted(set(x))`` gives them: 0.0 and
-    -0.0 count as one, and the stable sort keeps the first in x, as a set does."""
-    x = np.sort(x, kind="stable")
-    keep = np.ones(x.size, dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
+def _distinct(*parts) -> np.ndarray:
+    """The sorted distinct values of the arrays joined into x, as ``sorted(set(x))`` gives
+    them: 0.0 and -0.0 count as one, and the stable sort keeps the first in x, as a set does."""
+    x = np.concatenate(parts)
+    x.sort(kind="stable")
+    return x[np.concatenate(([True], x[1:] != x[:-1]))[:x.size]]  # x may be empty
 
 
 def constant_piece(lo: float, hi: float, k: float) -> Piece:
@@ -266,10 +265,10 @@ class _Profile:
 
     * ``starts``, ``ends`` and ``form``: each segment's own ends (pieces may
       overlap) and ``_form`` rows a, b, s, t0, root; ``infinite``: the infinite points.
-    * ``breakpoints``: every distinct piece end in order, as
-      ``UscDensity1D.breakpoints``; ``break_values``: the density there,
-      ``evaluate(breakpoints)`` taken once when the profile is built, so
-      equal to :meth:`UscDensity1D.evaluate` at each breakpoint, bit for bit.
+    * ``breakpoints``: every distinct piece end in order; ``break_values``: ``evaluate``
+      there, bit for bit.  Without overlaps they are the segment starts past -inf, at the
+      larger of the segment's start value and the end value before (0 on a filler), both
+      read off the build's end values; with, the ends sorted distinct, valued by ``evaluate``.
     * ``piece_lo``, ``piece_hi``, ``piece_form``: each piece's start, end
       and ``_form`` as Python floats, which ``integrate``, the one-point
       ``evaluate`` and the level sets read with the scalar formulas; ``total_mass``:
@@ -331,43 +330,48 @@ class _Profile:
         a, b, s, t0, root = form
         n = lo.size
         # a filler goes before piece at[j]: the first, each gap's, and past the last
-        at = np.concatenate(([0], np.flatnonzero(lo[1:] > hi[:-1]) + 1, [n]))
+        at = np.concatenate(([0], (lo[1:] > hi[:-1]).nonzero()[0] + 1, [n]))
         filler = np.zeros(n + at.size, dtype=bool)
         filler[at + np.arange(at.size)] = True
+        mass = _masses(form, lo, hi)
+        # numpy's flat and affine masses are Piece.integral's, bit for bit,
+        # but an arc's power terms need Python's **
+        integral = mass.tolist()
         # g(s*(t - t0)) at lo and hi, so the end values are Piece.value's, bit for bit
-        g = np.stack((lo, hi)) - t0
-        g = np.where(root != 0.0, np.sqrt(np.maximum(s * g, 0.0)), g)
+        g = columns[:2] - t0
+        arcs = root.nonzero()[0]
+        if arcs.size:
+            g[:, arcs] = np.sqrt(np.maximum(s[arcs] * g[:, arcs], 0.0))
+            for j, f, x, y in zip(arcs.tolist(), form[:, arcs].T.tolist(), lo[arcs].tolist(),
+                                  hi[arcs].tolist()):
+                integral[j] = _mass(f, x, y)
         values = a + b * g
         bg, g_max = np.abs(b * g).max(axis=0), np.abs(g).max(axis=0)
         power = np.where(root != 0.0, bg * g_max * g_max / 1.5, 0.0)
         terms = np.abs(a) + bg
         rounding = 4.0 * ((hi - lo) * terms + 2.0 * power)
-        mass = _masses(form, lo, hi)
-        # numpy's flat and affine masses are Piece.integral's, bit for bit,
-        # but an arc's power terms need Python's **
-        integral = mass.tolist()
-        arcs = np.flatnonzero(root)
-        for j, f, x, y in zip(arcs.tolist(), form[:, arcs].T.tolist(), lo[arcs].tolist(),
-                              hi[arcs].tolist()):
-            integral[j] = _mass(f, x, y)
         total = float(np.abs(mass).sum())
-        overlap = float(np.maximum(hi[:-1] - lo[1:], 0.0) @ np.abs(values).max(axis=0)[:-1])
+        over = np.maximum(hi[:-1] - lo[1:], 0.0)
+        overlaps = over.any()  # then an end lies inside the next piece
+        overlap = float(over @ np.abs(values).max(axis=0)[:-1]) if overlaps else 0.0
         error = (sys.float_info.epsilon
                  * (2.0 * float(rounding.max()) + float(rounding.sum()) + (2 * n + 4) * total)
                  + 3.0 * overlap)
-        # the rows: lo, hi, the _form rows, rounding, f_max, mass; a filler is
-        # the zero constant piece, _form (0, 0, 1, 0, False), and its
-        # per-piece terms are 0: its outer ends are infinite
-        table = np.zeros((10, filler.size))
-        table[:, ~filler] = np.concatenate((columns, [rounding, values.max(axis=0), mass]))
+        # the rows: lo, hi, the _form rows, rounding, f_max, mass, the values
+        # at lo and at hi; a filler is the zero constant piece, _form (0, 0,
+        # 1, 0, False), and its per-piece terms are 0: its outer ends are infinite
+        table = np.zeros((12, filler.size))
+        table[:, ~filler] = np.concatenate((columns, [rounding, values.max(axis=0), mass], values))
         table[0, filler] = np.concatenate(([-math.inf], hi))[at]
         table[1, filler] = np.concatenate((lo, [math.inf]))[at]
         table[4, filler] = 1.0
         profile = _Profile(table[0], table[1], table[2:7], np.array(infinite_points, dtype=float),
-                           filler, _distinct(np.concatenate((lo, hi))), lo.tolist(), hi.tolist(),
-                           form.T.tolist(), math.fsum(integral), float(terms.max()), table[7],
-                           table[8], np.concatenate(([0.0], np.cumsum(table[9]))), error)
-        object.__setattr__(profile, "break_values", profile.evaluate(profile.breakpoints))
+                           filler, _distinct(lo, hi) if overlaps else table[0, 1:], lo.tolist(),
+                           hi.tolist(), form.T.tolist(), math.fsum(integral), float(terms.max()),
+                           table[7], table[8], np.concatenate(([0.0], table[9].cumsum())), error)
+        t, v, w = profile.breakpoints, table[10, 1:], table[11, :-1]
+        object.__setattr__(profile, "break_values", profile.evaluate(t) if overlaps
+                           else profile._floored(t, np.where(w > v, w, v)))
         return profile
 
     def evaluate(self, t) -> np.ndarray:
@@ -376,12 +380,17 @@ class _Profile:
         where that reaches t, by :func:`_values` in place, which keeps its
         memory to a few arrays of len(t) floats."""
         t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self.starts, t, side="right") - 1
+        i = self.starts.searchsorted(t, side="right") - 1
         # the segment before reaches t at its end, or past it where pieces overlap
-        k = np.flatnonzero((i > 0) & (t <= self.ends[i - 1]))
+        k = ((i > 0) & (t <= self.ends[i - 1])).nonzero()[0]
         v = _values(self.form, np.concatenate((i, i[k] - 1)), np.concatenate((t, t[k])))
         v, w = v[:t.size], v[t.size:]
         v[k] = np.where(w > v[k], w, v[k])
+        return self._floored(t, v)
+
+    def _floored(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``evaluate``'s last step, in place on v, the larger one-sided value at
+        each t: 0 where v is not positive, and inf at an infinite point."""
         v[~(v > 0.0)] = 0.0
         if self.infinite.size:
             v[np.isin(t, self.infinite)] = math.inf
@@ -393,7 +402,7 @@ class _Profile:
         one holding x, or the first or last piece for x off the support: an
         outer filler's infinite end would make inf - inf.  The clip of x
         keeps ``np.clip``'s ties: the segment's end wins where it equals x."""
-        i = np.minimum(np.maximum(np.searchsorted(self.starts, x, side="right") - 1, 1),
+        i = np.minimum(np.maximum(self.starts.searchsorted(x, side="right") - 1, 1),
                        len(self.starts) - 2)
         lo, hi = self.starts[i], self.ends[i]
         x = np.where(x > lo, x, lo)
@@ -424,9 +433,7 @@ class UscDensity1D:
     value reads it alone; only ``to_json``, ``==`` and ``repr`` read
     ``pieces``.  A grid's cell view (:meth:`GridDensity.to_pieces`) is made
     from the cell arrays with no pieces, and builds them on first read.
-    ``_breakpoints`` holds every distinct piece end in order; pieces may
-    overlap by 1e-15 relative, so an end can fall inside the next piece and
-    is kept all the same.
+    ``_breakpoints`` is the profile's ``breakpoints`` as a tuple.
     """
 
     pieces: tuple[Piece, ...]
@@ -569,6 +576,7 @@ class GridDensity:
     spacing: tuple[float, ...]
     values: np.ndarray
     _pieces: UscDensity1D | None = field(default=None, init=False, repr=False)
+    _edges: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         # 1.0 == 1 and True == 1, so the type is checked too
@@ -584,10 +592,12 @@ class GridDensity:
             raise ValueError("origin/spacing length must match dim")
         if any(h <= 0 for h in self.spacing):
             raise ValueError("spacing must be positive")
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
+        if (values < 0).any() or not np.isfinite(values).all():
             raise ValueError("cell values must be finite and nonnegative")
-        for k in range(self.dim):
-            edges = self._edges(k)
+        # each axis's cell edges o + i*h, i = 0..n, bit for bit as the Python float expression
+        object.__setattr__(self, "_edges", tuple(
+            o + np.arange(n + 1) * h for o, h, n in zip(self.origin, self.spacing, values.shape)))
+        for k, edges in enumerate(self._edges):
             if not (edges[1:] > edges[:-1]).all():
                 raise ValueError(f"cell edges along axis {k} do not strictly increase: "
                                  f"origin {self.origin[k]}, spacing {self.spacing[k]}")
@@ -597,7 +607,7 @@ class GridDensity:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     @property
     def total_mass(self) -> float:
@@ -619,17 +629,11 @@ class GridDensity:
     def normalized(dim, origin, spacing, values) -> "GridDensity":
         """Build a grid density rescaled so its Riemann mass is exactly 1."""
         values = np.asarray(values, dtype=float)
-        vol = float(np.prod([float(h) for h in np.atleast_1d(spacing)]))
-        mass = float(values.sum() * vol)
+        mass = float(values.sum() * math.prod(map(float, np.atleast_1d(spacing))))
         if mass <= 0:
             raise ValueError("cannot normalize a grid with zero mass")
         return GridDensity(dim, tuple(np.atleast_1d(origin)), tuple(np.atleast_1d(spacing)),
                            values / mass)
-
-    def _edges(self, k: int) -> np.ndarray:
-        """The cell edges o + i*h along axis k for i = 0..n, with the two
-        roundings of the Python float expression, so equal to it bit for bit."""
-        return self.origin[k] + np.arange(self.shape[k] + 1) * self.spacing[k]
 
     def _axis_cells(self, k: int, x: float) -> list[int]:
         """Cell indices along axis k whose closed extent contains coordinate x.
@@ -668,7 +672,7 @@ class GridDensity:
             raise ValueError("to_pieces applies to 1D grids only")
         if self._pieces is None:
             object.__setattr__(self, "_pieces", UscDensity1D._of_cells(
-                self._edges(0), self.values, _GRID_MASS_TOL))
+                self._edges[0], self.values, _GRID_MASS_TOL))
         return self._pieces
 
     def to_json(self) -> dict:
@@ -809,7 +813,8 @@ def density_from_json(obj: dict, **kwargs) -> Density:
 class BayesModel:
     """Prior + likelihood + one observation.
 
-    ``likelihood(x, theta)`` must be nonnegative.  It gets the observation
+    ``likelihood(x, theta)`` must be nonnegative: a NaN or negative value raises
+    ``ValueError``, and +inf makes the evidence diverge.  It gets the observation
     as x and one point as theta: a Python ``float`` in 1D, a tuple of two in
     2D, never a numpy scalar, so a division by zero raises in both dims.
     :func:`posterior` returns the prior unchanged exactly when the
@@ -822,18 +827,25 @@ class BayesModel:
     observation: object
 
 
-def _midpoints(origin, spacing, shape) -> list:
-    """Cell midpoints of a regular grid as the likelihood takes them: floats
-    in 1D, (x, y) pairs of floats in row-major order in 2D."""
-    axes = [(o + (np.arange(n) + 0.5) * h).tolist() for o, h, n in zip(origin, spacing, shape)]
-    return axes[0] if len(shape) == 1 else list(product(*axes))
+def _midpoints(origin, spacing, shape) -> list[np.ndarray]:
+    """Cell midpoints o + (i + 0.5)*h of a regular grid, one array per axis."""
+    return [o + (np.arange(n) + 0.5) * h for o, h, n in zip(origin, spacing, shape)]
 
 
-def _likelihood_at(m: BayesModel, points) -> np.ndarray:
-    """The likelihood of the model's observation at each point, as floats,
-    in the order of ``points``."""
-    n = len(points)
-    return np.fromiter(map(m.likelihood, repeat(m.observation, n), points), float, n)
+def _check_resolution(n) -> None:  # 1.5 makes cells past the support, and True == 1
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"grid_resolution must be a positive int, got {n!r}")
+
+
+def _likelihood_at(m: BayesModel, axes) -> np.ndarray:
+    """The likelihood of the observation at each point, in row-major order, of the grid with
+    these axes, as floats; ``ValueError`` names the first point where it is NaN or negative."""
+    points = axes[0].tolist() if len(axes) == 1 else list(product(*(x.tolist() for x in axes)))
+    like = np.fromiter(map(m.likelihood, repeat(m.observation), points), float, len(points))
+    if not (like >= 0.0).all():
+        i = int((like >= 0.0).argmin())
+        raise ValueError(f"likelihood at {points[i]!r} is {float(like[i])!r}, not >= 0")
+    return like
 
 
 def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
@@ -845,8 +857,9 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
     (2x2 in 2D).  On a 2D grid prior E_n takes its cells (``grid_resolution``
     is not used); in 1D it cuts each piece (each cell of a 1D grid) into
     max(1, round(grid_resolution * width / support width)) equal cells, and
-    the gaps between pieces get none.
+    the gaps between pieces get none.  Bad input raises as in :func:`posterior`.
     """
+    _check_resolution(grid_resolution)
     g = m.prior
     pieces = _pieces_view(g)
     if pieces is None:
@@ -866,7 +879,7 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
             # cell j of a piece has its midpoint at lo + (j + 0.5) * h
             j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
             points = np.repeat(lo, n) + (j + 0.5) * h
-            return math.fsum((h * p.evaluate(points) * _likelihood_at(m, points.tolist())).tolist())
+            return math.fsum((h * p.evaluate(points) * _likelihood_at(m, [points])).tolist())
     e1, e2 = midpoint(1), midpoint(2)
     # midpoint rule is O(h^2); Richardson combination cancels the leading term
     est = e2 + (e2 - e1) / 3.0
@@ -889,20 +902,22 @@ def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
     the support otherwise.  If all those values are equal the prior is
     returned as-is (same pieces / cells).  Otherwise the result is a
     cell-constant grid with exactly unit Riemann mass; zero or non-finite
-    evidence (the Riemann mass of prior times likelihood) raises.
+    evidence (the Riemann mass of prior times likelihood) raises, and so do, with
+    ``ValueError``, a ``grid_resolution`` not a positive int and a NaN or negative likelihood.
     """
+    _check_resolution(grid_resolution)
     g = m.prior
     if isinstance(g, GridDensity):
         origin, spacing, prior = g.origin, g.spacing, g.values
-        points = _midpoints(origin, spacing, prior.shape)
+        axes = _midpoints(origin, spacing, prior.shape)
     else:
         lo, hi = g.support
         origin, spacing = (lo,), ((hi - lo) / grid_resolution,)
-        points = _midpoints(origin, spacing, (grid_resolution,))
-        prior = g._profile.evaluate(points)
+        axes = _midpoints(origin, spacing, (grid_resolution,))
+        prior = g._profile.evaluate(axes[0])
 
-    like = _likelihood_at(m, points)
-    if np.all(like == like[0]):
+    like = _likelihood_at(m, axes)
+    if (like == like[0]).all():
         if not math.isfinite(like[0]):
             raise DivergentEvidence("constant likelihood is non-finite")
         if like[0] <= 0.0:
@@ -910,5 +925,5 @@ def posterior(m: BayesModel, grid_resolution: int = 1024) -> Density:
         return g
 
     w = prior * like.reshape(prior.shape)
-    _check_evidence(float(w.sum()) * float(np.prod(spacing)))
-    return GridDensity.normalized(len(origin), origin, spacing, w)
+    mass = _check_evidence(float(w.sum()) * math.prod(spacing))  # GridDensity.normalized's mass
+    return GridDensity(len(origin), origin, spacing, w / mass)

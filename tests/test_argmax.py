@@ -115,7 +115,12 @@ def _draw_density(data):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_profile_break_values_are_evaluate_at_the_breakpoints(data):
+    # the breakpoints are the segment starts unless pieces overlap, and the
+    # values are read off the pieces' end values: both match the definitions
     d = _draw_density(data)
+    ends = sorted({*(p.lo for p in d.pieces), *(p.hi for p in d.pieces)})
+    assert [t.hex() for t in d._profile.breakpoints.tolist()] == [t.hex() for t in ends]
+    assert [t.hex() for t in d.breakpoints] == [t.hex() for t in ends]
     want = [d.evaluate(t).hex() for t in d.breakpoints]
     assert [v.hex() for v in d._profile.break_values.tolist()] == want
 

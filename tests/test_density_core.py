@@ -600,3 +600,62 @@ def test_likelihood_gets_python_floats_in_both_dims(prior, dim):
     for f in (mb.posterior, mb.evidence):
         with pytest.raises(ZeroDivisionError):
             f(mb.BayesModel(prior, zero, 0.3))
+
+
+@pytest.mark.parametrize("prior", [mb.two_bumps(), mb.build(6), grid_1d("zero_cells"),
+                                   CORNER_ZERO_2D], ids=["pieces", "arcs", "grid_1d", "grid_2d"])
+def test_posterior_is_the_normalized_weights(prior):
+    # one pass from the weights prior x likelihood at the cell midpoints to
+    # the posterior gives what GridDensity.normalized does, bit for bit
+    def lik(x, t):
+        return math.exp(-float(np.sum((np.asarray(t) - x) ** 2)))
+
+    if isinstance(prior, GridDensity):
+        origin, spacing, shape = prior.origin, prior.spacing, prior.values.shape
+    else:
+        lo, hi = prior.support
+        origin, spacing, shape = (lo,), ((hi - lo) / 256,), (256,)
+    axes = [(o + (np.arange(n) + 0.5) * h).tolist() for o, h, n in zip(origin, spacing, shape)]
+    if len(axes) == 1:
+        weights = [prior.evaluate(t) * lik(0.3, t) for t in axes[0]]
+    else:
+        weights = [[prior.values[i, j] * lik(0.3, (x, y)) for j, y in enumerate(axes[1])]
+                   for i, x in enumerate(axes[0])]
+    want = GridDensity.normalized(len(shape), origin, spacing, np.array(weights))
+    post = mb.posterior(mb.BayesModel(prior, lik, 0.3), grid_resolution=256)
+    assert (post.dim, post.origin, post.spacing) == (want.dim, want.origin, want.spacing)
+    assert [v.hex() for v in post.values.ravel().tolist()] == [
+        v.hex() for v in want.values.ravel().tolist()]
+
+
+@pytest.mark.parametrize("f", [mb.posterior, mb.evidence])
+@pytest.mark.parametrize("prior, lik, first", [
+    # -1 on the left half of the triangle and 2 on the right: summed, these
+    # weights make an evidence of 0.5, and half the posterior cells negative
+    (mb.triangle(), lambda x, t: -1.0 if t < 0.0 else 2.0, "at -0.9990234375 is -1.0"),
+    (mb.triangle(), lambda x, t: math.nan if t > 0.5 else 1.0, "at 0.5009765625 is nan"),
+    (GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.5), np.arange(1.0, 13.0).reshape(4, 3)),
+     lambda x, t: math.nan if t[1] > 1.0 else 1.0, r"at \(0.125, 1.25\) is nan"),
+], ids=["negative", "nan", "nan_2d"])
+def test_a_nan_or_negative_likelihood_is_refused(f, prior, lik, first):
+    # both quadratures name the first point, in their own order, where the
+    # likelihood is NaN or negative
+    with pytest.raises(ValueError, match=f"likelihood {first}, not >= 0"):
+        f(mb.BayesModel(prior, lik, 0.0))
+
+
+@pytest.mark.parametrize("f", [mb.posterior, mb.evidence])
+def test_an_infinite_likelihood_value_makes_the_evidence_diverge(f):
+    with pytest.raises(mb.DivergentEvidence):
+        f(mb.BayesModel(mb.triangle(), lambda x, t: math.inf if t > 0.5 else 1.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [1.5, 2.5, 0, -3, True, 256.0], ids=repr)
+@pytest.mark.parametrize("f", [mb.posterior, mb.evidence])
+def test_grid_resolution_must_be_a_positive_int(f, n):
+    # 1.5 made two cells of width 4/3 that ran past the triangle's support,
+    # 0 divided by zero, -3 made no cells, and True was taken as 1
+    m = mb.BayesModel(mb.triangle(), lambda x, t: math.exp(-t * t), 0.0)
+    with pytest.raises(ValueError, match=f"grid_resolution must be a positive int, got {n!r}"):
+        f(m, n)
+    assert repr(f(m, np.int64(16))) == repr(f(m, 16))
