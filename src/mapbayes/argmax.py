@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,16 +178,17 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
         return ArgmaxResult(1, math.inf, maxi, _canonical(1, maxi), 0.0, sup_infinite=True)
 
     profile = d._profile
+    ends = profile.breakpoints
     if lo == hi:
-        points, values = [lo], profile.evaluate([lo])
+        i = last = 0
+        values = profile.evaluate([lo])
     else:
-        # the breakpoints are sorted and distinct; those strictly inside the
-        # box, and a box end that is one, read their values off the profile
-        ends = d.breakpoints
-        i, j = bisect_right(ends, lo), bisect_left(ends, hi)
-        points = [lo, *ends[i:j], hi]
-        i0 = i - (i > 0 and ends[i - 1] == lo)
-        j1 = j + (j < len(ends) and ends[j] == hi)
+        # ends[i:j] lie strictly inside the box, and ends[i0:j1] add a box end
+        # that is a breakpoint: all are valued off the profile
+        i0, j1 = int(ends.searchsorted(lo)), int(ends.searchsorted(hi, side="right"))
+        i = i0 + (i0 < ends.size and ends.item(i0) == lo)
+        j = j1 - (j1 > 0 and ends.item(j1 - 1) == hi)
+        last = j - i + 1
         values = profile.break_values[i0:j1]
         # only a box end inside a segment is evaluated
         head = int(i0 == i)
@@ -202,7 +202,9 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
     sup = max(float(values.max()), float(heights.max(initial=-math.inf)))
     tol_value = 4.0 * math.ulp(sup)
 
-    elements = [(points[k], points[k]) for k in (values >= sup - tol_value).nonzero()[0].tolist()]
+    # values[k] is the value at lo (k = 0), at hi (k = last) or at ends[i + k - 1]
+    elements = [(t, t) for t in (lo if k == 0 else hi if k == last else ends.item(i + k - 1)
+                                 for k in (values >= sup - tol_value).nonzero()[0].tolist())]
     top = flat[heights >= sup - tol_value]
     starts, seg_ends = profile.starts[top], profile.ends[top]
     # max(p.lo, lo) and min(p.hi, hi), each keeping its first argument on a tie

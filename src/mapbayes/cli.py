@@ -165,7 +165,10 @@ def _cmd_map(cfg, d, args) -> None:
 def _cmd_bayes(cfg, d, args) -> None:
     [c] = _floats([_require(cfg, "c")], "c must be a positive number", positive=True)
     box = _box(cfg.get("search"), d)
-    loss = LossSpec(c)
+    try:
+        loss = LossSpec(c)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     res = bayes_estimate(d, loss, box)
     _write_json(_outdir(args) / "bayes.json",
                 {"c": c, "radius": loss.radius, "search": box,

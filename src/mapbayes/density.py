@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from typing import Callable
@@ -269,10 +268,10 @@ class _Profile:
       there, bit for bit.  Without overlaps they are the segment starts past -inf, at the
       larger of the segment's start value and the end value before (0 on a filler), both
       read off the build's end values; with, the ends sorted distinct, valued by ``evaluate``.
-    * ``piece_lo``, ``piece_hi``, ``piece_form``: each piece's start, end
-      and ``_form`` as Python floats, which ``integrate``, the one-point
-      ``evaluate`` and the level sets read with the scalar formulas; ``total_mass``:
-      the ``fsum`` of the pieces' :meth:`Piece.integral` over each whole piece.
+    * ``columns``: the pieces alone, rows lo, hi and ``_form``, one column each.  ``integrate``
+      and the one-point ``evaluate`` read as Python floats only the pieces a ``searchsorted``
+      finds, the level sets every piece; ``total_mass``: the ``fsum`` of the pieces'
+      :meth:`Piece.integral`.
     * ``max_term``: the largest |a| + |b*g| at a piece end, whose ulps the values round by.
     * ``rounding``, ``f_max``: the per-piece terms of
       :func:`mapbayes.argmax._window_error`.  ``f_max`` is a piece's largest
@@ -309,9 +308,7 @@ class _Profile:
     infinite: np.ndarray
     filler: np.ndarray
     breakpoints: np.ndarray
-    piece_lo: list
-    piece_hi: list
-    piece_form: list
+    columns: np.ndarray
     total_mass: float
     max_term: float
     rounding: np.ndarray
@@ -342,12 +339,13 @@ class _Profile:
         arcs = root.nonzero()[0]
         if arcs.size:
             g[:, arcs] = np.sqrt(np.maximum(s[arcs] * g[:, arcs], 0.0))
-            for j, f, x, y in zip(arcs.tolist(), form[:, arcs].T.tolist(), lo[arcs].tolist(),
-                                  hi[arcs].tolist()):
+            for j, (x, y, *f) in zip(arcs.tolist(), columns[:, arcs].T.tolist()):
                 integral[j] = _mass(f, x, y)
+            g_max = np.abs(g).max(axis=0)
         values = a + b * g
-        bg, g_max = np.abs(b * g).max(axis=0), np.abs(g).max(axis=0)
-        power = np.where(root != 0.0, bg * g_max * g_max / 1.5, 0.0)
+        bg = np.abs(b * g).max(axis=0)
+        # an arc's power term, (2/3) |b| u^1.5 at its larger radicand u = g^2
+        power = np.where(root != 0.0, bg * g_max * g_max / 1.5, 0.0) if arcs.size else 0.0
         terms = np.abs(a) + bg
         rounding = 4.0 * ((hi - lo) * terms + 2.0 * power)
         total = float(np.abs(mass).sum())
@@ -361,14 +359,16 @@ class _Profile:
         # at lo and at hi; a filler is the zero constant piece, _form (0, 0,
         # 1, 0, False), and its per-piece terms are 0: its outer ends are infinite
         table = np.zeros((12, filler.size))
-        table[:, ~filler] = np.concatenate((columns, [rounding, values.max(axis=0), mass], values))
+        rows = np.concatenate((columns, [rounding, values.max(axis=0), mass], values))
+        # with no gap the pieces fill every column between the outer fillers
+        table[:, slice(1, -1) if at.size == 2 else ~filler] = rows
         table[0, filler] = np.concatenate(([-math.inf], hi))[at]
         table[1, filler] = np.concatenate((lo, [math.inf]))[at]
         table[4, filler] = 1.0
         profile = _Profile(table[0], table[1], table[2:7], np.array(infinite_points, dtype=float),
-                           filler, _distinct(lo, hi) if overlaps else table[0, 1:], lo.tolist(),
-                           hi.tolist(), form.T.tolist(), math.fsum(integral), float(terms.max()),
-                           table[7], table[8], np.concatenate(([0.0], table[9].cumsum())), error)
+                           filler, _distinct(lo, hi) if overlaps else table[0, 1:], rows[:7],
+                           math.fsum(integral), float(terms.max()), table[7], table[8],
+                           np.concatenate(([0.0], table[9].cumsum())), error)
         t, v, w = profile.breakpoints, table[10, 1:], table[11, :-1]
         object.__setattr__(profile, "break_values", profile.evaluate(t) if overlaps
                            else profile._floored(t, np.where(w > v, w, v)))
@@ -433,14 +433,13 @@ class UscDensity1D:
     value reads it alone; only ``to_json``, ``==`` and ``repr`` read
     ``pieces``.  A grid's cell view (:meth:`GridDensity.to_pieces`) is made
     from the cell arrays with no pieces, and builds them on first read.
-    ``_breakpoints`` is the profile's ``breakpoints`` as a tuple.
+    ``breakpoints`` and ``support`` read the profile's arrays on each call.
     """
 
     pieces: tuple[Piece, ...]
     mass_tol: float = 1e-9
     infinite_points: tuple[float, ...] = ()
     tail_height_sup: float | None = None
-    _breakpoints: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _profile: _Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -478,7 +477,6 @@ class UscDensity1D:
     def _build(self, columns: np.ndarray) -> None:
         profile = _Profile.of(columns, self.infinite_points)
         object.__setattr__(self, "_profile", profile)
-        object.__setattr__(self, "_breakpoints", tuple(profile.breakpoints.tolist()))
         mass = self.total_mass
         if not math.isfinite(mass) or abs(mass - 1.0) > self.mass_tol:
             raise ValueError(f"total mass {mass} is not within {self.mass_tol} of 1")
@@ -488,8 +486,8 @@ class UscDensity1D:
         profile = self.__dict__.get("_profile")
         if profile is None or name != "pieces":
             raise AttributeError(name)
-        object.__setattr__(self, "pieces", tuple(map(
-            constant_piece, profile.piece_lo, profile.piece_hi, profile.form[0, 1:-1].tolist())))
+        pieces = tuple(map(constant_piece, *profile.columns[:3].tolist()))
+        object.__setattr__(self, "pieces", pieces)
         return self.pieces
 
     @property
@@ -499,52 +497,49 @@ class UscDensity1D:
     @property
     def breakpoints(self) -> tuple[float, ...]:
         """Sorted distinct piece endpoints (the only discontinuity/kink candidates)."""
-        return self._breakpoints
+        return tuple(self._profile.breakpoints.tolist())
 
     @property
     def support(self) -> tuple[float, float]:
         """Smallest interval containing all pieces."""
-        return self._breakpoints[0], self._breakpoints[-1]
+        return self._profile.breakpoints.item(0), self._profile.breakpoints.item(-1)
 
     def evaluate(self, t: float) -> float:
         """Pointwise value: the max of one-sided limits at t (0 off support).
 
-        The profile's segment holding t gives one limit, the one before it
-        the other where it reaches t: piece j, the last to start at or before
-        t, and piece j - 1, or a zero filler from the end of piece j on.
-        Never negative: any sub-zero float dust a piece formula produces at
-        its edge loses to the off-support zero limit.
+        The profile's piece columns give one limit, the other where it reaches
+        t: piece j, the last to start at or before t, and piece j - 1, or a zero
+        filler from the end of piece j on.  Never negative: any sub-zero float
+        dust a piece formula makes at its edge loses to the off-support zero.
         """
         if t in self.infinite_points:
             return math.inf
-        p = self._profile
-        j = bisect_right(p.piece_lo, t) - 1
-        if j < 0 or not t <= p.piece_hi[j]:
+        c = self._profile.columns
+        j = int(c[0].searchsorted(t, side="right")) - 1
+        if j < 0 or not t <= c.item(1, j):
             return 0.0
-        v = _value(p.piece_form[j], t)
-        if j and t < p.piece_hi[j] and t <= p.piece_hi[j - 1]:
-            v = max(v, _value(p.piece_form[j - 1], t))
+        v = _value(c[2:, j].tolist(), t)
+        if j and t < c.item(1, j) and t <= c.item(1, j - 1):
+            v = max(v, _value(c[2:, j - 1].tolist(), t))
         return v if v > 0.0 else 0.0
 
     def __call__(self, t: float) -> float:
         return self.evaluate(t)
 
     def integrate(self, lo: float, hi: float) -> float:
-        """Exact integral over [lo, hi], the ``fsum`` of each piece's
-        :func:`_mass` over its part of the window, read off the profile's
-        piece columns.  Infinite bounds are legal; a NaN
-        bound, like hi < lo, raises ``ValueError``."""
+        """Exact integral over [lo, hi], the ``fsum`` of each piece's :func:`_mass` over
+        its part of the window, the pieces from the last to start at or before lo to the
+        last at or before hi, found by one ``searchsorted`` and alone read as floats.
+        Infinite bounds are legal; a NaN bound, like hi < lo, raises ``ValueError``."""
         if not lo <= hi:
             raise ValueError(f"integrate needs lo <= hi, neither NaN; got [{lo!r}, {hi!r}]")
-        p = self._profile
-        starts, ends, forms = p.piece_lo, p.piece_hi, p.piece_form
+        c = self._profile.columns
+        i, j = c[0].searchsorted((lo, hi), side="right").tolist()
         terms = []
-        for i in range(max(bisect_right(starts, lo) - 1, 0), len(starts)):
-            if starts[i] >= hi:
-                break
-            a, b = max(lo, starts[i]), min(hi, ends[i])
-            if b > a:
-                terms.append(_mass(forms[i], a, b))
+        for x, y, a, b, s, t0, root in c[:, max(i - 1, 0):j].T.tolist():
+            u, v = max(lo, x), min(hi, y)
+            if v > u:
+                terms.append(_mass((a, b, s, t0, root), u, v))
         return math.fsum(terms)
 
     def to_json(self) -> dict:
@@ -870,7 +865,7 @@ def evidence(m: BayesModel, grid_resolution: int = 1024) -> tuple[float, float]:
             return h[0] * h[1] * math.fsum((prior.ravel() * like).tolist())
     else:
         p = pieces._profile
-        lo, hi = np.array(p.piece_lo), np.array(p.piece_hi)
+        lo, hi = p.columns[0], p.columns[1]
         cuts = np.maximum(1, np.rint(grid_resolution * (hi - lo) / (hi[-1] - lo[0]))).astype(int)
 
         def midpoint(k: int) -> float:

@@ -132,9 +132,8 @@ def level_set(d, alpha: float) -> LevelSetReport:
 
     pieces = _pieces_view(d)
     if pieces is not None:
-        p = pieces._profile
-        segs = [seg for row in zip(p.piece_lo, p.piece_hi, p.piece_form)
-                for seg in _solve_ge(row, alpha)]
+        segs = [seg for lo, hi, *form in pieces._profile.columns.T.tolist()
+                for seg in _solve_ge((lo, hi, form), alpha)]
         segs.extend((t, t) for t in pieces.infinite_points)
         intervals = _merge_elements(segs)
         declared_unbounded = (pieces.tail_height_sup is not None
@@ -216,7 +215,7 @@ def _verified_witness(d, x, y, lam: float, margin: float, geometric: bool = Fals
     return None
 
 
-def _quasiconcave_exact(d: UscDensity1D, margin: float) -> tuple[bool, tuple | None]:
+def _quasiconcave_exact(d: UscDensity1D, rows, margin: float) -> tuple[bool, tuple | None]:
     """Exact unimodality check: one depth test per row of the profile.
 
     Rows are monotone, so f approaches row k's infimum b_k, the lesser of
@@ -228,9 +227,10 @@ def _quasiconcave_exact(d: UscDensity1D, margin: float) -> tuple[bool, tuple | N
     first attained, and z stepped into the row from its bottom end; a
     witness that does not verify is float dust.
     """
-    rows = _rows(d)
     ends = sorted({t for lo, hi, _ in rows for t in (lo, hi)})
-    values = [0.0, *map(d.evaluate, ends[1:-1]), 0.0]  # f is 0 at -inf and +inf
+    # f is 0 at -inf and +inf, a break value at a breakpoint, and inf at an infinite point
+    at = dict(zip(d._profile.breakpoints.tolist(), d._profile.break_values.tolist()))
+    values = [0.0, *(at.get(t, math.inf) for t in ends[1:-1]), 0.0]
     # (max, first point attaining it) over the ends up to each, resp. from each on
     left, right, best = {}, {}, (-1.0, None)
     for t, v in zip(ends, values):
@@ -289,7 +289,7 @@ def _log_convex_stretch(row) -> tuple[float, float] | None:
     return anchor, t0 + s * w_end * w_end
 
 
-def _log_concave_exact(d: UscDensity1D, margin: float) -> tuple[bool, tuple | None]:
+def _log_concave_exact(d: UscDensity1D, rows, margin: float) -> tuple[bool, tuple | None]:
     """Exact log-concavity check for a density that passed the
     quasiconcavity test, so that its support is an interval.
 
@@ -302,7 +302,6 @@ def _log_concave_exact(d: UscDensity1D, margin: float) -> tuple[bool, tuple | No
     it.  Each violation is tried with shrinking triples around it; one that
     no triple verifies is float dust.
     """
-    rows = _rows(d)
     live = [i for i, (lo, hi, f) in enumerate(rows) if max(_value(f, lo), _value(f, hi)) > 0.0]
     rows = rows[live[0]:live[-1] + 1]
     kink = margin / (d.support[1] - d.support[0])
@@ -489,8 +488,9 @@ def check_conditions(d, alpha_grid: Sequence[float] | None = None) -> ConditionR
     level_ok = witness_alpha is not None
 
     if pieces is not None:
-        qc, qc_w = _quasiconcave_exact(pieces, margin)
-        lc, lc_w = _log_concave_exact(pieces, margin) if qc else (False, qc_w)
+        rows = _rows(pieces)
+        qc, qc_w = _quasiconcave_exact(pieces, rows, margin)
+        lc, lc_w = _log_concave_exact(pieces, rows, margin) if qc else (False, qc_w)
     else:
         qc, qc_w = _quasiconcave_grid(d, margin)
         lc, lc_w = _log_concave_grid(d, margin) if qc else (False, qc_w)
@@ -693,8 +693,8 @@ def hypo_diagnostic(d, nus: Sequence[float],
     pieces = _pieces_1d(d, "hypo_diagnostic")
     rows = []
     for nu in nus:
-        if not nu > 0:
-            raise ValueError(f"scales nu must be positive, got {nu!r}")
+        if not (nu > 0 and math.isfinite(nu) and math.isfinite(2.0 / nu)):
+            raise ValueError(f"scales nu must be positive with nu and 2/nu finite, got {nu!r}")
         r = 1.0 / nu
         for kind, intervals in (("closed", closed_intervals), ("open", open_intervals)):
             for lo, hi in intervals:

@@ -340,6 +340,21 @@ def test_seed_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+def test_a_scale_whose_radius_overflows_exits_2(tmp_path, capsys):
+    # 1/1e-320 is inf: each command names the scale, and no search runs
+    triangle = {"builtin": "triangle"}
+    for command, extra, name in [
+            ("bayes", {"c": 1e-320}, "1/c finite, got 1e-320"),
+            ("sweep", {"ladder": [1e-320, 1.0]}, "1/c finite, got 1e-320"),
+            ("hypo", {"nus": [4.0, 1e-320], "open_intervals": [[-0.5, 0.5]]},
+             "2/nu finite, got 1e-320")]:
+        capsys.readouterr()
+        cfg = _write_config(tmp_path / f"{command}.json", {"density": triangle, **extra})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "integrate" not in err and "Warning" not in err, err
+
+
 def test_exit_code_3_on_domain_errors(tmp_path):
     cfg = _write_config(tmp_path / "c.json", {
         "density": {"builtin": "triangle"}, "search": [5.0, 2.0]})

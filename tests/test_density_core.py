@@ -20,7 +20,7 @@ from mapbayes.density import (
 )
 from mapbayes.diagnostics import sup_on_interval
 
-from conftest import CORNER_ZERO_2D, JUMP_DOWN, grid_1d, random_piecewise
+from conftest import CORNER_ZERO_2D, JUMP_DOWN, grid_1d, random_affine, random_piecewise
 from oracles import adaptive_simpson, integrate_by_pieces
 
 
@@ -213,7 +213,7 @@ def test_overlapping_pieces_rejected():
     assert p.ends.tolist() == [0.0, 1.0, 1.5, 2.0, 2.5, math.inf]
     assert p.filler.tolist() == [True, False, True, False, False, True]
     assert p.form.T.tolist() == [[k, 0.0, 1.0, 0.0, 0.0] for k in (0.0, 0.6, 0.0, 0.4, 0.4, 0.0)]
-    assert d._breakpoints == (0.0, 1.0, 1.5, 2.0 - 2e-15, 2.0, 2.5)
+    assert d.breakpoints == (0.0, 1.0, 1.5, 2.0 - 2e-15, 2.0, 2.5)
 
 
 def test_integrate_clips_and_adds(rng):
@@ -235,21 +235,45 @@ def test_integrate_random_against_simpson(rng):
         assert d.integrate(a, b) == pytest.approx(oracle, abs=1e-10)
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+def _cell_view(seed: int) -> UscDensity1D:
+    """The cell view of a random 1D grid of up to 64 cells, some of them 0,
+    at an origin anywhere in [-1e3, 1e3]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 65))
+    values = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) > 0.2) + 1e-3
+    return GridDensity.normalized(1, rng.uniform(-1e3, 1e3), rng.uniform(1e-3, 1.0),
+                                  values).to_pieces()
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
 @given(d=st.one_of(st.integers(0, 2**32 - 1).map(
            lambda seed: random_piecewise(np.random.default_rng(seed), max_pieces=8,
                                          gap_prob=0.3)),
-                   st.integers(1, 22).map(mb.build)),
-       windows=st.lists(st.tuples(st.one_of(st.floats(-0.5, 1.5), st.integers(0, 10**6)),
-                                  st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.2, 3.0])),
+                   st.integers(1, 22).map(mb.build),
+                   st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([0.0, -3.0, 1e3])).map(
+           lambda a: random_affine(np.random.default_rng(a[0]), offset=a[1])),
+                   st.integers(0, 2**32 - 1).map(_cell_view)),
+       windows=st.lists(st.tuples(st.one_of(st.floats(-0.5, 1.5), st.integers(0, 10**6),
+                                            st.just(-math.inf)),
+                                  st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.2, 3.0, math.inf])),
                         min_size=1, max_size=25))
 def test_integrate_is_the_fsum_of_the_piece_integrals(d, windows):
-    # bit for bit, on sqrt arcs too: windows 1e-12 wide, windows at a
-    # breakpoint (an integer draw picks one) and windows off the support
+    # bit for bit, on sqrt arcs, on pieces overlapping by 1e-15 relative and
+    # on a grid's cell view, whose pieces are built after its integrals:
+    # windows 1e-12 wide, windows at a breakpoint (an integer draw picks
+    # one), windows off the support, and windows with an infinite end (from
+    # -inf at a -inf draw, or to +inf at an infinite width)
     lo, hi = d.support
+    masses = []
     for at, width in windows:
-        a = d.breakpoints[at % len(d.breakpoints)] if isinstance(at, int) else lo + at * (hi - lo)
-        assert d.integrate(a, a + width).hex() == integrate_by_pieces(d, a, a + width).hex()
+        if at == -math.inf:
+            a, b = at, lo + width * (hi - lo)
+        else:
+            a = d.breakpoints[at % len(d.breakpoints)] if isinstance(at, int) else lo + at * (hi - lo)
+            b = a + width
+        masses.append((a, b, d.integrate(a, b)))
+    for a, b, mass in masses:
+        assert mass.hex() == integrate_by_pieces(d, a, b).hex()
     assert d.total_mass.hex() == math.fsum(p.integral(p.lo, p.hi) for p in d.pieces).hex()
 
 
@@ -355,7 +379,7 @@ def test_grid_to_pieces_equivalent():
     assert [vars(p) for p in d.pieces] == [vars(p) for p in ref.pieces]
     for name in ("starts", "ends", "form", "filler"):
         assert getattr(d._profile, name).tobytes() == getattr(ref._profile, name).tobytes()
-    assert d._breakpoints == ref._breakpoints
+    assert d.breakpoints == ref.breakpoints
     assert d.total_mass == ref.total_mass
 
 

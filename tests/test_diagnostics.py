@@ -930,6 +930,15 @@ def test_hypo_rejects_bad_scale():
             mb.hypo_diagnostic(mb.triangle(), [nu], closed_intervals=[(-1, 1)])
 
 
+def test_hypo_refuses_a_scale_whose_window_overflows():
+    # nu = inf has radius 0; at 1e-320 the radius 1/nu overflows, and at
+    # 1e-308 the width 2/nu that the averages divide by does
+    for nu in (math.inf, 1e-320, 1e-308):
+        with pytest.raises(ValueError, match=rf"nu and 2/nu finite, got {nu!r}$"):
+            mb.hypo_diagnostic(mb.triangle(), [4.0, nu], [(-0.5, 0.5)], [(-0.5, 0.5)])
+    assert mb.hypo_diagnostic(mb.triangle(), [1e-307], [(-0.5, 0.5)], [(-0.5, 0.5)]).ok
+
+
 def test_a_nan_interval_end_is_refused():
     for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
         for closed in (True, False):

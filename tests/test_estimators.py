@@ -21,6 +21,14 @@ def test_loss_spec_validation():
             mb.LossSpec(bad)
 
 
+def test_a_loss_scale_whose_radius_overflows_is_refused():
+    # below about 5.6e-309, 1/c is inf; the smallest normal c keeps a finite radius
+    for tiny in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match=rf"c and 1/c finite, got {tiny!r}$"):
+            mb.LossSpec(tiny)
+    assert mb.LossSpec(2.2250738585072014e-308).radius == 4.49423283715579e+307
+
+
 def test_map_estimate_defaults_to_support():
     res = mb.map_estimate(mb.triangle())
     assert res.canonical == 0.0 and res.sup_value == 1.0
