@@ -328,8 +328,9 @@ class _Profile:
         n = lo.size
         # a filler goes before piece at[j]: the first, each gap's, and past the last
         at = np.concatenate(([0], (lo[1:] > hi[:-1]).nonzero()[0] + 1, [n]))
+        fill = at + np.arange(at.size)  # the fillers' columns
         filler = np.zeros(n + at.size, dtype=bool)
-        filler[at + np.arange(at.size)] = True
+        filler[fill] = True
         mass = _masses(form, lo, hi)
         # numpy's flat and affine masses are Piece.integral's, bit for bit,
         # but an arc's power terms need Python's **
@@ -360,11 +361,10 @@ class _Profile:
         # 1, 0, False), and its per-piece terms are 0: its outer ends are infinite
         table = np.zeros((12, filler.size))
         rows = np.concatenate((columns, [rounding, values.max(axis=0), mass], values))
-        # with no gap the pieces fill every column between the outer fillers
-        table[:, slice(1, -1) if at.size == 2 else ~filler] = rows
-        table[0, filler] = np.concatenate(([-math.inf], hi))[at]
-        table[1, filler] = np.concatenate((lo, [math.inf]))[at]
-        table[4, filler] = 1.0
+        table[:, ~filler] = rows
+        table[0, fill] = np.concatenate(([-math.inf], hi))[at]
+        table[1, fill] = np.concatenate((lo, [math.inf]))[at]
+        table[4, fill] = 1.0
         profile = _Profile(table[0], table[1], table[2:7], np.array(infinite_points, dtype=float),
                            filler, _distinct(lo, hi) if overlaps else table[0, 1:], rows[:7],
                            math.fsum(integral), float(terms.max()), table[7], table[8],

@@ -252,11 +252,16 @@ def _quasiconcave_exact(d: UscDensity1D, rows, margin: float) -> tuple[bool, tup
 
 
 def _witness_by_halving(d, triple, span: float, margin: float) -> tuple | None:
-    """First verified log-concavity witness among triple(span * 2**-k)."""
-    for k in range(_WITNESS_HALVINGS):
-        w = _verified_witness(d, *triple(span * 0.5 ** k), margin, geometric=True)
-        if w:
-            return w
+    """First verified log-concavity witness among triple(span * 2**-k).  A true violation
+    passes the first; float dust runs through all, so one array read values the rest."""
+    if w := _verified_witness(d, *triple(span), margin, geometric=True):
+        return w
+    triples = [triple(span * 0.5 ** k) for k in range(1, _WITNESS_HALVINGS)]
+    f = d._profile.evaluate([t for x, y, lam in triples
+                             for t in (x, y, lam * x + (1.0 - lam) * y)]).tolist()
+    for (x, y, lam), fx, fy, fz in zip(triples, f[::3], f[1::3], f[2::3]):
+        if fz < fx ** lam * fy ** (1.0 - lam) - margin:
+            return x, y, lam
     return None
 
 
@@ -315,13 +320,8 @@ def _log_concave_exact(d: UscDensity1D, rows, margin: float) -> tuple[bool, tupl
             p_lo, p_hi, p_form = rows[i - 1]
             jump = _value(form, t) - _value(p_form, p_hi)
             # z = t - h/2 below a jump up, t + h/2 past a jump down, t at a kink
-            lam = None
-            if jump > margin:
-                lam = 0.75
-            elif jump < -margin:
-                lam = 0.25
-            elif _slope(p_form, t) < _slope(form, t) - kink:
-                lam = 0.5
+            lam = (0.75 if jump > margin else 0.25 if jump < -margin
+                   else 0.5 if _slope(p_form, t) < _slope(form, t) - kink else None)
             if lam is not None:
                 w = _witness_by_halving(d, lambda h: (t - h, t + h, lam),
                                         min(p_hi - p_lo, hi - t), margin)

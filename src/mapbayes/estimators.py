@@ -40,8 +40,8 @@ class LossSpec:
     c: float
 
     def __post_init__(self):
-        if not (self.c > 0 and math.isfinite(self.c) and math.isfinite(1.0 / self.c)):
-            raise ValueError(f"loss scale c must be > 0 with c and 1/c finite, got {self.c!r}")
+        if not (self.c > 0 and math.isfinite(self.c) and math.isfinite(2.0 / self.c)):
+            raise ValueError(f"loss scale c must be > 0 with c and 2/c finite, got {self.c!r}")
 
     @property
     def radius(self) -> float:

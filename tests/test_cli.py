@@ -341,11 +341,12 @@ def test_seed_flag_is_gone(tmp_path):
 
 
 def test_a_scale_whose_radius_overflows_exits_2(tmp_path, capsys):
-    # 1/1e-320 is inf: each command names the scale, and no search runs
+    # 1/1e-320 and 2/1e-308 are inf: each command names the scale, and no search runs
     triangle = {"builtin": "triangle"}
     for command, extra, name in [
-            ("bayes", {"c": 1e-320}, "1/c finite, got 1e-320"),
-            ("sweep", {"ladder": [1e-320, 1.0]}, "1/c finite, got 1e-320"),
+            ("bayes", {"c": 1e-320}, "2/c finite, got 1e-320"),
+            ("bayes", {"c": 1e-308}, "2/c finite, got 1e-308"),
+            ("sweep", {"ladder": [1e-320, 1.0]}, "2/c finite, got 1e-320"),
             ("hypo", {"nus": [4.0, 1e-320], "open_intervals": [[-0.5, 0.5]]},
              "2/nu finite, got 1e-320")]:
         capsys.readouterr()

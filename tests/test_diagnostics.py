@@ -297,6 +297,26 @@ def test_shape_checks_refute_what_a_lattice_refutes_1d(seed):
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), digits=st.integers(2, 12))
+def test_the_halving_search_returns_the_first_triple_the_one_point_values_verify(seed, digits):
+    # past the first triple the search values its points by one array read;
+    # it must give what the one-point evaluate gives, triple by triple
+    d = random_piecewise(np.random.default_rng(seed), max_pieces=8)
+    margin = 10.0 ** -digits * float(d._profile.f_max.max())
+    dg = mapbayes.diagnostics
+    rows = dg._rows(d)
+    for (p_lo, _, _), (t, hi, _) in zip(rows[1:-2], rows[2:-1]):
+        for lam in (0.25, 0.5, 0.75):
+            def triple(h):
+                return t - h, t + h, lam
+            span = min(t - p_lo, hi - t)
+            one_point = next((w for k in range(dg._WITNESS_HALVINGS)
+                              if (w := dg._verified_witness(d, *triple(span * 0.5 ** k), margin,
+                                                            geometric=True))), None)
+            assert dg._witness_by_halving(d, triple, span, margin) == one_point
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
        cells=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=36, max_size=36))
 def test_shape_checks_refute_what_a_lattice_refutes_2d(shape, cells):

@@ -22,9 +22,10 @@ def test_loss_spec_validation():
 
 
 def test_a_loss_scale_whose_radius_overflows_is_refused():
-    # below about 5.6e-309, 1/c is inf; the smallest normal c keeps a finite radius
-    for tiny in (1e-320, 5e-324):
-        with pytest.raises(ValueError, match=rf"c and 1/c finite, got {tiny!r}$"):
+    # below about 5.6e-309 the radius 1/c is inf, and below about 1.1e-308
+    # the window width 2/c; the smallest normal c keeps both finite
+    for tiny in (1e-320, 5e-324, 1e-308):
+        with pytest.raises(ValueError, match=rf"c and 2/c finite, got {tiny!r}$"):
             mb.LossSpec(tiny)
     assert mb.LossSpec(2.2250738585072014e-308).radius == 4.49423283715579e+307
 
