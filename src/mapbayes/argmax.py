@@ -13,14 +13,17 @@ breakpoints of the density shifted by the window radius, the stationary
 points of the window mass solve a linear equation (affine and constant
 pieces) or a quadratic in the square root of a sqrt arc's radicand (a sqrt
 arc against an affine piece or against another arc).  Both 1D searches
-read the density's profile, one array table built with the density: one
-numpy pass solves the linear equation on every stretch, and only a
-stretch that meets an arc is solved on its own.  A stretch on which the
-derivative vanishes identically is reported as a plateau.  Candidates are
-scored in two passes: one vectorized pass over the profile's cumulative
-masses, whose error E has a proved bound, then an exact window mass at
-only the points that pass within the value tolerance plus 2E of the best
-score, which keeps every point that can decide the answer.
+read the density's profile, one array table built with the density, which
+records whether any segment has a slope and whether any is an arc: with
+no slope the derivative is constant on each stretch and no equation is
+solved; otherwise one numpy pass solves the linear equation on every
+stretch, and only a stretch that meets an arc is solved on its own.  A
+stretch on which the derivative vanishes identically is reported as a
+plateau.  Candidates are scored in two passes: one vectorized pass over
+the profile's cumulative masses, whose error E has a proved bound, then
+an exact window mass at only the points that pass within the value
+tolerance plus 2E of the best score, which keeps every point that can
+decide the answer.
 
 The 2D ball search is a branch and bound on exact disc masses: boxes of
 centres are split and pruned until no box can beat the best disc mass
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (GridDensity, UscDensity1D, _cell_values, _corner_areas, _disc_lattice,
-                      _disc_mass, _distinct, _lattice_sum, _pieces_view, _support_box, _values)
+                      _disc_mass, _distinct, _lattice_sum, _pieces_view, _support_box)
 from .errors import EmptySearchBox, SearchNotCertified
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
@@ -196,7 +199,12 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
         if inside:
             v = profile.evaluate(inside)
             values = np.concatenate((v[:head], values, v[head:]))
-    flat = ((profile.form[1] == 0.0) & (profile.ends > lo) & (profile.starts < hi)).nonzero()[0]
+    # the segments that meet (lo, hi): starts and ends both increase
+    m, n = int(profile.ends.searchsorted(lo, side="right")), int(profile.starts.searchsorted(hi))
+    if profile.sloped:
+        flat = m + (profile.form[1, m:n] == 0.0).nonzero()[0]
+    else:
+        flat = np.arange(m, n)
     heights = profile.form[0, flat]
     # evaluate never gives -0.0, so a tie at zero keeps the +0.0 of values
     sup = max(float(values.max()), float(heights.max(initial=-math.inf)))
@@ -317,7 +325,8 @@ def _stretches(d: UscDensity1D, r: float, lo: float, hi: float):
     stretch k between cuts k and k + 1, about mid[k], theta - r and theta + r
     stay in the segments i_lo[k] and i_hi[k].  roots are those of F'
     strictly inside a stretch, the vectorized pass's first, owner[j] the
-    stretch of roots[j]; plateau marks where F' vanishes identically."""
+    stretch of roots[j]; plateau marks where F' vanishes identically.  With
+    no slope there is no root, and F' = 0 where the two heights are equal."""
     profile = d._profile
     shifted = np.add.outer(profile.breakpoints, (-r, r)).ravel()  # b - r, b + r for each b
     cuts = _distinct([lo, hi], shifted[(lo < shifted) & (shifted < hi)])
@@ -325,20 +334,29 @@ def _stretches(d: UscDensity1D, r: float, lo: float, hi: float):
     # an infinite box makes nan and inf stretches, which find no root
     with np.errstate(divide="ignore", invalid="ignore"):
         mid = 0.5 * (u + v)
-        i_hi = profile.starts.searchsorted(mid + r, side="right") - 1
-        i_lo = profile.starts.searchsorted(mid - r, side="right") - 1
+        up, down = mid + r, mid - r
+        i_hi = profile.starts.searchsorted(up, side="right") - 1
+        i_lo = profile.starts.searchsorted(down, side="right") - 1
+        if not profile.sloped:
+            # F' = a_hi - a_lo is constant on each stretch: no root, and a plateau
+            # where the two heights are equal and the window's ends finite
+            a = profile.form[0]
+            plateau = (a[i_hi] == a[i_lo]) & np.isfinite(up) & np.isfinite(down)
+            return cuts, mid, i_lo, i_hi, cuts[:0], np.arange(0), plateau
         a_p, b_p, _, t_p, arc_p = profile.form.take(i_hi, axis=1)
         a_m, b_m, _, t_m, arc_m = profile.form.take(i_lo, axis=1)
         # about the midpoint, so products stay small for steep distant pieces
         c1 = b_p - b_m
         c0 = (a_p - a_m) + b_p * ((mid - t_p) + r) - b_m * ((mid - t_m) - r)
         roots = mid - c0 / c1
-    arcs = np.logical_or(arc_p, arc_m)
-    plateau = ~arcs & (c1 == 0.0) & (c0 == 0.0)
-    # c1 = 0 makes an infinite or nan root, inside no stretch
-    owner = (~arcs & (u < roots) & (roots < v)).nonzero()[0]
-    if not arcs.any():
+    plateau = (c1 == 0.0) & (c0 == 0.0)
+    inside = (u < roots) & (roots < v)  # c1 = 0 makes an infinite or nan root, inside none
+    if not profile.arcs:
+        owner = inside.nonzero()[0]
         return cuts, mid, i_lo, i_hi, roots[owner], owner, plateau
+    arcs = np.logical_or(arc_p, arc_m)
+    plateau &= ~arcs
+    owner = (inside & ~arcs).nonzero()[0]
     arc = []  # (root, stretch) pairs
     for k in arcs.nonzero()[0].tolist():
         found = _stationary_points(profile.form[:, i_hi[k]].tolist(),
@@ -363,7 +381,7 @@ def _window_min_sup(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
     p = d._profile
     cuts, _, i_lo, i_hi, roots, owner, _ = _stretches(d, r, lo, hi)
     # the segments' end values in order: start 0, end 0, start 1, end 1, ...
-    ends = _values(p.form, np.arange(2 * p.starts.size) // 2, np.c_[p.starts, p.ends].ravel())
+    ends = p._values(np.arange(2 * p.starts.size) // 2, np.c_[p.starts, p.ends].ravel())
     theta = np.concatenate((cuts[:-1], cuts[1:], roots, cuts))
     k = np.concatenate((*(np.arange(cuts.size - 1),) * 2, owner))
     j_lo = np.concatenate((i_lo[k], np.searchsorted(p.starts, cuts - r, side="right") - 1))
@@ -371,7 +389,7 @@ def _window_min_sup(d: UscDensity1D, r: float, lo: float, hi: float) -> float:
     j_hi = np.maximum(j_hi, 0)  # a cut at -inf
     # C: the least of ends[2 j_lo + 1 : 2 j_hi + 1], where j_hi > j_lo
     C = np.minimum.reduceat(ends, np.stack((2 * j_lo + 1, 2 * j_hi + 1), axis=1).ravel())[::2]
-    inf = np.minimum(_values(p.form, j_lo, theta - r), _values(p.form, j_hi, theta + r))
+    inf = np.minimum(p._values(j_lo, theta - r), p._values(j_hi, theta + r))
     return float(np.where(j_hi > j_lo, np.minimum(inf, C), inf).max())
 
 
@@ -414,8 +432,10 @@ def maximize_window(
     f(theta+r) - f(theta-r) pairs two fixed segments, which two
     ``np.searchsorted`` calls on the density's profile
     (:class:`~mapbayes.density._Profile`) find for every stretch.
-    F' = 0 is solved there in closed form: c1 (theta - mid) + c0 = 0 for two
-    affine/constant segments, in one numpy pass over all such stretches; a
+    F' = 0 is solved there in closed form: not at all when the profile has
+    no slope, as F' is then the constant difference of two heights;
+    c1 (theta - mid) + c0 = 0 for two affine/constant segments, in one
+    numpy pass over all such stretches; a
     quadratic in w = sqrt(radicand), stretch by stretch, when a sqrt arc is
     involved (see :func:`_stationary_points`).  The candidates are the
     stretch ends plus these roots; a stretch where F' vanishes identically

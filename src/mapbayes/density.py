@@ -228,27 +228,24 @@ def sqrt_piece(lo: float, hi: float, a: float, b: float, s: int, t0: float) -> P
     return Piece(lo, hi, "sqrt", {"a": a, "b": b, "s": s, "t0": t0})
 
 
-def _values(form: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """:func:`_value` at each t, bit for bit, of the piece whose ``_form``
-    is column i of the five rows at the same index, in place in the copy of
-    those columns that ``take`` makes."""
-    a, b, s, t0, root = form.take(i, axis=1)
-    g = np.subtract(t, t0, out=t0)
-    with np.errstate(invalid="ignore"):  # 0 * inf, where b == 0 picks a
-        np.sqrt(np.maximum(s * g, 0.0, out=s), out=s)
-        np.copyto(g, s, where=root != 0.0)
-        g *= b
-        g += a
-    np.copyto(g, a, where=b == 0.0)
-    return g
+def _kinds(form: np.ndarray) -> tuple[bool, bool]:
+    """The two facts a profile records of its segments' ``_form`` rows (a,
+    b, s, t0, root): whether any has a slope (b != 0; a flat affine or sqrt
+    piece has none), and whether any is a sqrt arc."""
+    return bool(form[1].any()), bool(form[4].any())
 
 
-def _masses(form: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _masses(form: np.ndarray, x: np.ndarray, y: np.ndarray, sloped: bool,
+            arcs: bool) -> np.ndarray:
     """:func:`_mass` over [x, y] at each index, of the piece whose ``_form``
-    (a, b, s, t0, root) is the column of the five rows at the same index."""
+    (a, b, s, t0, root) is the column of the five rows at the same index;
+    sloped and arcs are :func:`_kinds` of those columns.  With no slope
+    every mass is a*(y - x), and form may hold the row a alone."""
+    if not sloped:
+        return (y - x) * form[0]
     a, b, s, t0, root = form
     m = (y - x) * (a + 0.5 * b * ((x - t0) + (y - t0)))
-    if root.any():  # np.where would compute the arcs' power term everywhere
+    if arcs:  # np.where would compute the arcs' power term everywhere
         power = np.maximum(s * (y - t0), 0.0) ** 1.5 - np.maximum(s * (x - t0), 0.0) ** 1.5
         m = np.where(root, a * (y - x) + s * (2.0 * b / 3.0) * power, m)
     return m
@@ -263,7 +260,12 @@ class _Profile:
     and value reads it.
 
     * ``starts``, ``ends`` and ``form``: each segment's own ends (pieces may
-      overlap) and ``_form`` rows a, b, s, t0, root; ``infinite``: the infinite points.
+      overlap, but their ends strictly increase) and ``_form`` rows a, b, s, t0, root;
+      ``infinite``: the infinite points.
+    * ``sloped`` and ``arcs`` (:func:`_kinds`): whether any segment has a slope, b != 0,
+      and whether any is a sqrt arc, decided once.  Every reader skips the algebra of a
+      kind the profile lacks: with no slope a value is a, a mass a*(y - x), and the window
+      search's F' is constant on each stretch, so it solves no equation.
     * ``breakpoints``: every distinct piece end in order; ``break_values``: ``evaluate``
       there, bit for bit.  Without overlaps they are the segment starts past -inf, at the
       larger of the segment's start value and the end value before (0 on a filler), both
@@ -305,6 +307,8 @@ class _Profile:
     starts: np.ndarray
     ends: np.ndarray
     form: np.ndarray
+    sloped: bool
+    arcs: bool
     infinite: np.ndarray
     filler: np.ndarray
     breakpoints: np.ndarray
@@ -326,29 +330,34 @@ class _Profile:
         lo, hi, form = columns[0], columns[1], columns[2:]
         a, b, s, t0, root = form
         n = lo.size
+        sloped, arcs = _kinds(form)
         # a filler goes before piece at[j]: the first, each gap's, and past the last
         at = np.concatenate(([0], (lo[1:] > hi[:-1]).nonzero()[0] + 1, [n]))
         fill = at + np.arange(at.size)  # the fillers' columns
         filler = np.zeros(n + at.size, dtype=bool)
         filler[fill] = True
-        mass = _masses(form, lo, hi)
+        mass = _masses(form, lo, hi, sloped, arcs)
         # numpy's flat and affine masses are Piece.integral's, bit for bit,
         # but an arc's power terms need Python's **
         integral = mass.tolist()
         # g(s*(t - t0)) at lo and hi, so the end values are Piece.value's, bit for bit
         g = columns[:2] - t0
-        arcs = root.nonzero()[0]
-        if arcs.size:
-            g[:, arcs] = np.sqrt(np.maximum(s[arcs] * g[:, arcs], 0.0))
-            for j, (x, y, *f) in zip(arcs.tolist(), columns[:, arcs].T.tolist()):
-                integral[j] = _mass(f, x, y)
+        if arcs:
+            j = root.nonzero()[0]
+            g[:, j] = np.sqrt(np.maximum(s[j] * g[:, j], 0.0))
+            for k, (x, y, *f) in zip(j.tolist(), columns[:, j].T.tolist()):
+                integral[k] = _mass(f, x, y)
             g_max = np.abs(g).max(axis=0)
         values = a + b * g
-        bg = np.abs(b * g).max(axis=0)
-        # an arc's power term, (2/3) |b| u^1.5 at its larger radicand u = g^2
-        power = np.where(root != 0.0, bg * g_max * g_max / 1.5, 0.0) if arcs.size else 0.0
-        terms = np.abs(a) + bg
-        rounding = 4.0 * ((hi - lo) * terms + 2.0 * power)
+        if sloped:
+            bg = np.abs(b * g).max(axis=0)
+            terms = np.abs(a) + bg
+        else:
+            terms = np.abs(a)
+        rounding = (hi - lo) * terms
+        if arcs:  # an arc's power term, (2/3) |b| u^1.5 at its larger radicand u = g^2
+            rounding += 2.0 * np.where(root != 0.0, bg * g_max * g_max / 1.5, 0.0)
+        rounding *= 4.0
         total = float(np.abs(mass).sum())
         over = np.maximum(hi[:-1] - lo[1:], 0.0)
         overlaps = over.any()  # then an end lies inside the next piece
@@ -365,8 +374,9 @@ class _Profile:
         table[0, fill] = np.concatenate(([-math.inf], hi))[at]
         table[1, fill] = np.concatenate((lo, [math.inf]))[at]
         table[4, fill] = 1.0
-        profile = _Profile(table[0], table[1], table[2:7], np.array(infinite_points, dtype=float),
-                           filler, _distinct(lo, hi) if overlaps else table[0, 1:], rows[:7],
+        profile = _Profile(table[0], table[1], table[2:7], sloped, arcs,
+                           np.array(infinite_points, dtype=float), filler,
+                           _distinct(lo, hi) if overlaps else table[0, 1:], rows[:7],
                            math.fsum(integral), float(terms.max()), table[7], table[8],
                            np.concatenate(([0.0], table[9].cumsum())), error)
         t, v, w = profile.breakpoints, table[10, 1:], table[11, :-1]
@@ -377,16 +387,33 @@ class _Profile:
     def evaluate(self, t) -> np.ndarray:
         """:meth:`UscDensity1D.evaluate` at each t of a 1D array, bit for bit:
         the larger value of the segment holding t and of the one before it
-        where that reaches t, by :func:`_values` in place, which keeps its
+        where that reaches t, by :meth:`_values` in place, which keeps its
         memory to a few arrays of len(t) floats."""
         t = np.asarray(t, dtype=float)
         i = self.starts.searchsorted(t, side="right") - 1
         # the segment before reaches t at its end, or past it where pieces overlap
         k = ((i > 0) & (t <= self.ends[i - 1])).nonzero()[0]
-        v = _values(self.form, np.concatenate((i, i[k] - 1)), np.concatenate((t, t[k])))
+        v = self._values(np.concatenate((i, i[k] - 1)), np.concatenate((t, t[k])))
         v, w = v[:t.size], v[t.size:]
         v[k] = np.where(w > v[k], w, v[k])
         return self._floored(t, v)
+
+    def _values(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """:func:`_value` at each t, bit for bit, of segment i at the same
+        index, as a new array: with no slope the heights a, else in place in
+        the copy of the segments' columns that ``take`` makes."""
+        if not self.sloped:
+            return self.form[0].take(i)
+        a, b, s, t0, root = self.form.take(i, axis=1)
+        g = np.subtract(t, t0, out=t0)
+        with np.errstate(invalid="ignore"):  # 0 * inf, where b == 0 picks a
+            if self.arcs:
+                np.sqrt(np.maximum(s * g, 0.0, out=s), out=s)
+                np.copyto(g, s, where=root != 0.0)
+            g *= b
+            g += a
+        np.copyto(g, a, where=b == 0.0)
+        return g
 
     def _floored(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``evaluate``'s last step, in place on v, the larger one-sided value at
@@ -407,14 +434,17 @@ class _Profile:
         lo, hi = self.starts[i], self.ends[i]
         x = np.where(x > lo, x, lo)
         x = np.where(x < hi, x, hi)
-        return self.cum[i] + _masses(self.form.take(i, axis=1), lo, x)
+        form = self.form if self.sloped else self.form[:1]
+        return self.cum[i] + _masses(form.take(i, axis=1), lo, x, self.sloped, self.arcs)
 
 
 @dataclass(frozen=True)
 class UscDensity1D:
     """A 1D density given by non-overlapping analytic pieces.
 
-    ``evaluate`` applies the boundary convention described in the module
+    Piece ends and parameters are finite.  A piece may start before the one
+    before it ends, by 1e-15 relative at most, but must end after it: the
+    piece ends strictly increase.  ``evaluate`` applies the boundary convention described in the module
     docstring.  ``mass_tol`` is how far the total mass may sit from 1; the
     default suits exactly normalized constructions, while truncated ones
     (see :mod:`mapbayes.counterexample`) pass a looser value covering the
@@ -447,10 +477,17 @@ class UscDensity1D:
         if not pieces:
             raise ValueError("a density needs at least one piece")
         columns = np.array([(p.lo, p.hi, *p._form) for p in pieces], dtype=float).T
-        # an overlap past 1e-15 relative; abutting pieces skip the bound
+        finite = np.isfinite(columns).all(axis=0)
+        if not finite.all():  # a flat piece's mass, a*(hi - lo), would not see t0
+            p = pieces[int(finite.argmin())]
+            raise ValueError(f"piece on [{p.lo}, {p.hi}) has an end or a parameter that is "
+                             "not finite")
+        # an overlap past 1e-15 relative (abutting pieces skip the bound), or a
+        # piece inside the one before, whose end it does not pass: so the ends increase
         after, before = columns[0, 1:], columns[1, :-1]
         over = np.flatnonzero((after < before)
-                              & (after < before - 1e-15 * np.maximum(1.0, np.abs(before))))
+                              & ((after < before - 1e-15 * np.maximum(1.0, np.abs(before)))
+                                 | ~(columns[1, 1:] > before)))
         if over.size:
             raise ValueError(f"pieces overlap near t={after[over[0]]}")
         for t in self.infinite_points:

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mapbayes as mb
+from mapbayes import density
 from mapbayes.argmax import (ArgmaxResult, _box_bounds, _window_error, _window_max,
-                             maximize_density, maximize_window)
+                             _window_min_sup, maximize_density, maximize_window)
 from mapbayes.density import (GridDensity, UscDensity1D, _disc_masses, affine_piece,
                               constant_piece, sqrt_piece)
 from mapbayes.errors import EmptySearchBox
 
-from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_affine, random_piecewise
+from conftest import CORNER_ZERO_2D, JUMP_DOWN, random_affine, random_piecewise, unit_mass
 from oracles import (brute_argmax, exact_window_mass, grid_mode_scan_2d, grid_window_max,
                      mode_scan, window_error_by_pieces, window_mass)
 
@@ -334,6 +335,80 @@ def test_infinite_boxes_give_the_support_search(seed, kind, log_r):
     want = repr(maximize_density(d))
     for box in ((-inf, inf), (lo, inf)):
         assert repr(maximize_density(d, box)) == want, box
+
+
+def _flat_builder(seed: int):
+    """A function that builds one density with no slope, afresh on each call:
+    a 1D grid's cell view, some cells 0 or -0.0, about an origin that puts
+    cells on both sides of 0; or flat pieces (constants, and affine and sqrt
+    pieces with b = 0.0 or -0.0) with gaps, zero and -0.0 heights, and one
+    piece overlapping the one before by 1e-15 relative."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    heights = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) > 0.3)
+    heights[rng.integers(n)] += 1e-3
+    heights[(heights == 0.0) & (rng.uniform(size=n) < 0.5)] = -0.0
+    if seed % 2:
+        origin, spacing = rng.uniform(-3.0, 1.0), rng.uniform(0.01, 0.5)
+        values = GridDensity.normalized(1, origin, spacing, heights).values
+        return lambda: GridDensity(1, (origin,), (spacing,), values).to_pieces()
+    pieces, t, overlap = [], rng.uniform(-3.0, 1.0), int(rng.integers(1, n + 1))
+    for i, k in enumerate(heights.tolist()):
+        lo = t - 1e-15 * max(1.0, abs(t)) if i == overlap else t + rng.uniform(0.0, 0.5) * (
+            rng.uniform() < 0.3)
+        t = lo + rng.uniform(0.01, 0.5)
+        b = rng.choice([0.0, -0.0])
+        pieces.append(rng.choice([constant_piece(lo, t, k),
+                                  affine_piece(lo, t, k, b, t0=rng.uniform(-5.0, 5.0)),
+                                  sqrt_piece(lo, t, k, b, 1, lo - rng.uniform(0.0, 2.0)),
+                                  sqrt_piece(lo, t, k, b, -1, t + rng.uniform(0.0, 2.0))]))
+    pieces = unit_mass(pieces).pieces
+    return lambda: UscDensity1D(pieces, mass_tol=1e-6)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_r=st.floats(-3.0, 0.5), at=st.floats(0.0, 1.0))
+def test_a_profile_with_no_slope_answers_as_its_full_algebra_does(seed, log_r, at):
+    # the same density built again with its kind facts forced to "sloped, with
+    # arcs", so that every reader runs the full affine and arc algebra
+    def answers(d):
+        p = d._profile
+        r, inf = 10.0 ** log_r, math.inf
+        lo, hi = d.support
+        mid = lo + at * (hi - lo)
+        ts = np.concatenate((p.breakpoints, p.breakpoints - r, np.linspace(lo - 1.0, hi + 1.0, 97),
+                             [-inf, inf, -0.0, 0.0]))
+        boxes = [(lo, hi), (lo - r, hi + r), (mid, mid), (lo, mid), (-inf, inf), (-inf, mid),
+                 (mid, inf)]
+        return ([np.asarray(getattr(p, name)).tobytes() for name in
+                  ("rounding", "f_max", "cum", "error", "break_values", "total_mass")],
+                 p.evaluate(ts).tobytes(),
+                 [repr(maximize_density(d, box)) for box in boxes],
+                 [repr(maximize_window(d, r, box)) for box in boxes],
+                 [repr(_window_min_sup(d, r, *box)) for box in boxes])
+
+    build = _flat_builder(seed)
+    d = build()
+    assert (d._profile.sloped, d._profile.arcs) == (False, False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_kinds", lambda form: (True, True))
+        full = build()
+    assert (full._profile.sloped, full._profile.arcs) == (True, True)
+    assert answers(d) == answers(full)
+
+
+def test_the_benchmarks_posterior_view_records_no_slope_and_no_arc():
+    # the posterior of a sloped prior is cell-constant, so its view takes every
+    # skip; the escaping construction has slopes and arcs; b = 0 is flat, whatever the kind
+    model = mb.BayesModel(mb.triangle(), lambda x, t: math.exp(-0.5 * ((t - x) / 0.3) ** 2), 0.2)
+    cases = [(mb.posterior(model, 256).to_pieces(), (False, False)),
+             (mb.triangle(), (True, False)),
+             (mb.build(6), (True, True)),
+             (UscDensity1D((affine_piece(0.0, 0.5, 1.0, 0.0, t0=0.2),
+                            affine_piece(0.5, 0.75, 1.0, -0.0, t0=0.3),
+                            sqrt_piece(0.75, 1.0, 1.0, 0.0, 1, 0.75))), (False, False))]
+    for d, kinds in cases:
+        assert (d._profile.sloped, d._profile.arcs) == kinds
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -225,7 +225,14 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
                     # 1e17 + 1.0 rounds to 1e17, so the cell edges collapse
                     {"dim": 1, "origin": 1e17, "spacing": 1.0, "values": [1.0]},
                     {"dim": 2, "origin": [1e17, 0.0], "spacing": [1.0, 1.0], "values": [[1.0]]},
-                    {"builtin": "counterexample", "max_bump": True}):
+                    {"builtin": "counterexample", "max_bump": True},
+                    # a piece inside the 1e-15 overlap of the piece before it
+                    {"pieces": [{"lo": 0.0, "hi": 1000.0, "kind": "constant",
+                                 "params": {"k": 0.0009}},
+                                {"lo": 999.9999999999997, "hi": 999.9999999999999,
+                                 "kind": "constant", "params": {"k": 0.0001}},
+                                {"lo": 1000.0, "hi": 1001.0, "kind": "constant",
+                                 "params": {"k": 0.1}}]}):
         cfg = _write_config(tmp_path / "c9.json", {"density": density})
         assert main(["map", "--config", cfg, "--out", str(tmp_path)]) == 2, density
     # json.load reads NaN, Infinity and 1e400 as nan or inf, and an integer

@@ -197,12 +197,25 @@ def test_mass_validation():
         UscDensity1D((constant_piece(0.0, 1.0, 2.0),))  # mass 2
     # explicit tolerance admits it
     UscDensity1D((constant_piece(0.0, 1.0, 2.0),), mass_tol=1.5)
+    # an infinite end or parameter is refused before any mass or value is formed
+    for pieces in [(affine_piece(0.0, 1.0, 1.0, 0.0, t0=math.inf),),
+                   (sqrt_piece(0.0, 1.0, 1.0, 0.0, -1, math.inf),),
+                   (constant_piece(-math.inf, 0.0, 0.0), constant_piece(0.0, 1.0, 1.0))]:
+        with pytest.raises(ValueError, match=r"^piece on \[.*\) has an end or a parameter that "
+                                             r"is not finite$"):
+            UscDensity1D(pieces)
 
 
 def test_overlapping_pieces_rejected():
     with pytest.raises(ValueError, match=r"^pieces overlap near t=0\.5$"):
         UscDensity1D((constant_piece(0.0, 1.0, 1.0),
                       constant_piece(0.5, 1.5, 1.0)), mass_tol=2.0)
+    # a piece inside the 1e-15 overlap the one before may have: its end does not
+    # pass that piece's, so the ends would not increase
+    with pytest.raises(ValueError, match=r"^pieces overlap near t=999\.9999999999997$"):
+        UscDensity1D((constant_piece(0.0, 1000.0, 0.0009),
+                      constant_piece(999.9999999999997, 999.9999999999999, 0.0001),
+                      constant_piece(1000.0, 1001.0, 0.1)), mass_tol=1e-3)
     # an overlap of 1e-15 relative is admitted, and its end kept as a
     # breakpoint; the profile puts a zero piece in the gap and in both tails
     a, b, c = (constant_piece(2.0 - 2e-15, 2.5, 0.4), constant_piece(0.0, 1.0, 0.6),
