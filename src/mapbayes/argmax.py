@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (GridDensity, UscDensity1D, _cell_values, _corner_areas, _disc_lattice,
+from .density import (GridDensity, UscDensity1D, _corner_areas, _disc_lattice,
                       _disc_mass, _distinct, _lattice_sum, _pieces_view, _support_box)
 from .errors import EmptySearchBox, SearchNotCertified
 
@@ -502,7 +502,8 @@ def _lattice_boxes(lo: float, hi: float, o: float, h: float, n: int, k: int):
     lines = o + h * np.arange(math.floor((lo - o) / h) + 1, math.ceil((hi - o) / h))
     edges = np.concatenate([[lo], lines[(lines > lo) & (lines < hi)], [hi]])
     a, b = edges[:-1], edges[1:]
-    return a, b, np.clip(np.floor((0.5 * (a + b) - o) / h).astype(np.int64), -k, n - 1 + k)
+    return a, b, np.minimum(np.maximum(np.floor((0.5 * (a + b) - o) / h).astype(np.int64), -k),
+                            n - 1 + k)
 
 
 def _window_max(values: np.ndarray, cells_x: np.ndarray, cells_y: np.ndarray,
@@ -522,7 +523,7 @@ def _window_max(values: np.ndarray, cells_x: np.ndarray, cells_y: np.ndarray,
     top = np.zeros((nx + 2 * kx, ny + 2 * ky))
     for s in range(2 * ky + 1):
         np.maximum(top[:, s:s + ny], rows, out=top[:, s:s + ny])
-    return top[np.ix_(cells_x + kx, cells_y + ky)]
+    return top.take(cells_x + kx, axis=0).take(cells_y + ky, axis=1)
 
 
 def _box_bounds(g: GridDensity, cx: np.ndarray, cy: np.ndarray, wx: np.ndarray,
@@ -598,7 +599,10 @@ def maximize_objective_2d(objective, box) -> ArgmaxResult:
       D(c, R + delta) and M <= pi R^2 * (max of the cells that disc meets,
       0 off the grid); :func:`_window_max` gives that bound for every
       cell.  The best value starts at the disc mass at the centre of the
-      box cut from the tallest cell, the seed.
+      box cut from the tallest cell, the seed, whose cell values come from
+      one copy of the grid padded with kx, ky zero cells per search.  Both
+      gather per axis with ``take``, not by slices: on a grid far out near
+      the float limit the lattice cells of adjacent boxes can repeat or skip.
     * Each refinement level splits the open boxes in four, evaluates the
       exact disc mass at the new centres and bounds each box by
       :func:`_box_bounds`.
@@ -628,7 +632,9 @@ def maximize_objective_2d(objective, box) -> ArgmaxResult:
 
     # seed: the centre of the box cut from the tallest cell
     if len(x0) and len(y0):
-        own = _cell_values(g, cells_x[:, None], cells_y[None, :])
+        padded = np.zeros((nx + 2 * kx, ny + 2 * ky))
+        padded[kx:kx + nx, ky:ky + ny] = g.values
+        own = padded.take(cells_x + kx, axis=0).take(cells_y + ky, axis=1)
         i, j = np.unravel_index(np.argmax(own), own.shape)
         px, py = 0.5 * (x0[i] + x1[i]), 0.5 * (y0[j] + y1[j])
     else:

@@ -260,7 +260,8 @@ class _Profile:
     and value reads it.
 
     * ``starts``, ``ends`` and ``form``: each segment's own ends (pieces may
-      overlap, but their ends strictly increase) and ``_form`` rows a, b, s, t0, root;
+      overlap, but their ends strictly increase) and ``_form`` rows a, b, s, t0, root,
+      with t0 = 0 for a flat piece (b = 0);
       ``infinite``: the infinite points.
     * ``sloped`` and ``arcs`` (:func:`_kinds`): whether any segment has a slope, b != 0,
       and whether any is a sqrt arc, decided once.  Every reader skips the algebra of a
@@ -482,6 +483,9 @@ class UscDensity1D:
             p = pieces[int(finite.argmin())]
             raise ValueError(f"piece on [{p.lo}, {p.hi}) has an end or a parameter that is "
                              "not finite")
+        # a flat piece's value a and mass a*(hi - lo) do not see t0: 0 keeps the
+        # algebra of a sloped profile from forming (t - t0) with a t0 far out, which overflows
+        columns[5, columns[3] == 0.0] = 0.0
         # an overlap past 1e-15 relative (abutting pieces skip the bound), or a
         # piece inside the one before, whose end it does not pass: so the ends increase
         after, before = columns[0, 1:], columns[1, :-1]
@@ -849,6 +853,8 @@ class BayesModel:
     ``ValueError``, and +inf makes the evidence diverge.  It gets the observation
     as x and one point as theta: a Python ``float`` in 1D, a tuple of two in
     2D, never a numpy scalar, so a division by zero raises in both dims.
+    :func:`posterior` and :func:`evidence` call it once per cell midpoint of
+    their grids, in row-major order, and do not keep the points.
     :func:`posterior` returns the prior unchanged exactly when the
     likelihood values at its own grid midpoints (the values it multiplies
     into the prior) are all equal.
@@ -870,13 +876,19 @@ def _check_resolution(n) -> None:  # 1.5 makes cells past the support, and True 
 
 
 def _likelihood_at(m: BayesModel, axes) -> np.ndarray:
-    """The likelihood of the observation at each point, in row-major order, of the grid with
-    these axes, as floats; ``ValueError`` names the first point where it is NaN or negative."""
-    points = axes[0].tolist() if len(axes) == 1 else list(product(*(x.tolist() for x in axes)))
-    like = np.fromiter(map(m.likelihood, repeat(m.observation), points), float, len(points))
+    """The likelihood of the observation at each point of the grid with these axes, as
+    floats: one call per point, in row-major order, with the points streamed from the axes
+    and not kept.  ``ValueError`` names the first point where it is NaN or negative, rebuilt
+    from its flat index."""
+    axes = [x.tolist() for x in axes]
+    shape = tuple(map(len, axes))
+    points = axes[0] if len(axes) == 1 else product(*axes)
+    like = np.fromiter(map(m.likelihood, repeat(m.observation), points), float, math.prod(shape))
     if not (like >= 0.0).all():
         i = int((like >= 0.0).argmin())
-        raise ValueError(f"likelihood at {points[i]!r} is {float(like[i])!r}, not >= 0")
+        point = tuple(x[k] for x, k in zip(axes, np.unravel_index(i, shape)))
+        raise ValueError(f"likelihood at {point[0] if len(axes) == 1 else point!r} is "
+                         f"{float(like[i])!r}, not >= 0")
     return like
 
 

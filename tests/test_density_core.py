@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ def test_mass_validation():
         with pytest.raises(ValueError, match=r"^piece on \[.*\) has an end or a parameter that "
                                              r"is not finite$"):
             UscDensity1D(pieces)
+
+
+def test_a_flat_piece_far_from_the_origin_builds_beside_a_sloped_piece():
+    # a flat piece's value and mass do not see its t0: beside a sloped piece its
+    # mass once took (x - t0) + (y - t0), which overflowed to a total mass of nan
+    far = affine_piece(0.0, 1.0, 0.5, 0.0, t0=-1e308)
+    for other, sloped in [(affine_piece(1.0, 2.0, 0.25, 0.5, t0=1.0), True),
+                          (affine_piece(1.0, 2.0, 0.5, 0.0, t0=-1e308), False)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = UscDensity1D((far, other))
+            assert d._profile.sloped == sloped
+            assert d.total_mass == 1.0
+            assert (d.evaluate(0.5), d.integrate(0.0, 1.0)) == (0.5, 0.5)
+            res = mb.bayes_estimate(d, mb.LossSpec(4.0))
+        assert res.sup_value == d.integrate(res.canonical - 0.25, res.canonical + 0.25)
 
 
 def test_overlapping_pieces_rejected():
@@ -673,7 +690,10 @@ def test_posterior_is_the_normalized_weights(prior):
     (mb.triangle(), lambda x, t: math.nan if t > 0.5 else 1.0, "at 0.5009765625 is nan"),
     (GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.5), np.arange(1.0, 13.0).reshape(4, 3)),
      lambda x, t: math.nan if t[1] > 1.0 else 1.0, r"at \(0.125, 1.25\) is nan"),
-], ids=["negative", "nan", "nan_2d"])
+    # the last cell only, so the point is rebuilt from a flat index past the first row
+    (GridDensity.normalized(2, (0.0, 0.0), (0.25, 0.5), np.arange(1.0, 13.0).reshape(4, 3)),
+     lambda x, t: -1.0 if t == (0.875, 1.25) else 1.0, r"at \(0.875, 1.25\) is -1.0"),
+], ids=["negative", "nan", "nan_2d", "negative_2d_last_cell"])
 def test_a_nan_or_negative_likelihood_is_refused(f, prior, lik, first):
     # both quadratures name the first point, in their own order, where the
     # likelihood is NaN or negative

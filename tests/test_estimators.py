@@ -223,6 +223,49 @@ def test_2d_report_value_is_the_ball_integral_at_its_point(monkeypatch, g, c, le
     assert res.sup_value.hex() == ball_integral(b, res.canonical).hex()
 
 
+_NOISE_5x4 = GridDensity.normalized(2, (-0.3, 0.2), (0.2, 0.15),
+                                    np.random.default_rng(11).uniform(0.2, 1.0, (5, 4)))
+
+
+@pytest.mark.parametrize("g, c, box, refines", [
+    (_BUMP_6, 15.0, ((0.1, 0.93), (-0.2, 0.55)), False),
+    (_BUMP_6, 15.0, ((0.61, 1.3), (0.05, 0.12)), True),
+    (_BUMP_6, 15.0, ((-0.5, 0.07), (0.9, 1.4)), True),
+    (_NOISE_5x4, 20.0, ((0.05, 0.83), (-0.1, 0.5)), False),
+    (_NOISE_5x4, 8.0, ((0.05, 0.83), (-0.1, 0.5)), True),
+    (_NOISE_5x4, 8.0, ((-0.41, 0.13), (0.27, 0.9)), True),
+    (_NOISE_5x4, 8.0, ((0.6, 0.9), (0.71, 0.95)), True),
+], ids=["bump_level_0", "bump_right", "bump_left_top", "noise_level_0", "noise_right_bottom",
+        "noise_left_top", "noise_inside"])
+def test_2d_bayes_over_a_box_that_cuts_cells_and_runs_past_the_grid(monkeypatch, g, c, box,
+                                                                   refines):
+    # box ends inside cells and past each side of the grid: the report lies in
+    # the box, its value is ball_integral's there, bit for bit, and no centre of
+    # a 4 x 4 lattice in each cell inside the box beats it by more than tol_value
+    evaluated = []
+    box_bounds = mapbayes.argmax._box_bounds
+    monkeypatch.setattr(mapbayes.argmax, "_box_bounds",
+                        lambda *args: evaluated.append(1) or box_bounds(*args))
+    R = 1.0 / c
+    res = mb.bayes_estimate(g, mb.LossSpec(c), box)
+    assert bool(evaluated) == refines
+    (bx0, bx1), (by0, by1) = box
+    px, py = res.canonical
+    assert res.maximizers == (((px, px), (py, py)),)
+    assert bx0 <= px <= bx1 and by0 <= py <= by1
+    assert res.sup_value.hex() == ball_integral(BallObjective(g, R, normalized=False),
+                                                res.canonical).hex()
+    centres = []
+    for (lo, hi), o, h in zip(box, g.origin, g.spacing):
+        cells = np.arange(math.floor((lo - o) / h), math.ceil((hi - o) / h))
+        t = (o + h * (cells[:, None] + (np.arange(4) + 0.5) / 4)).ravel()
+        centres.append(t[(lo <= t) & (t <= hi)])
+    cx, cy = np.meshgrid(*centres, indexing="ij")
+    assert cx.size >= 16
+    best = float(_disc_masses(g, cx.ravel(), cy.ravel(), R).max())
+    assert best <= res.sup_value + res.tol_value
+
+
 def test_approx_gap_refuses_a_nan_point():
     # a NaN bound or centre is refused, not integrated as an empty window;
     # an infinite 1D point is legal (its window holds no mass), an infinite
