@@ -43,13 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (GridDensity, UscDensity1D, _corner_areas, _disc_lattice,
-                      _disc_mass, _distinct, _lattice_sum, _pieces_view, _support_box)
+                      _disc_masses, _distinct, _lattice_sum, _pieces_view, _support_box)
 from .errors import EmptySearchBox, SearchNotCertified
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
 
-#: distance within which two candidate points count as one
-_POSITION_TOL = 1e-9
 #: share of the best value by which the 2D ball search may fall short of the sup
 _REL_TOL_2D = 1e-6
 #: refinement levels after which the 2D ball search stops with boxes open
@@ -308,11 +306,11 @@ def _stationary_points(form_hi: list[float], form_lo: list[float], r: float,
     return [tau2 + s2 * w * w for w in ws if w >= 0.0 and P + Q * w >= 0.0]
 
 
-def _clusters(points) -> list[list[float]]:
-    """Sort points and split them into runs whose neighbours lie within ``_POSITION_TOL``."""
+def _clusters(points, radius: float) -> list[list[float]]:
+    """Sort points and split them into runs whose neighbours lie within ``radius``."""
     groups: list[list[float]] = []
     for t in sorted(points):
-        if groups and t - groups[-1][-1] <= _POSITION_TOL:
+        if groups and t - groups[-1][-1] <= radius:
             groups[-1].append(t)
         else:
             groups.append([t])
@@ -440,7 +438,9 @@ def maximize_window(
     involved (see :func:`_stationary_points`).  The candidates are the
     stretch ends plus these roots; a stretch where F' vanishes identically
     is a plateau.  Values within twice the float error of one window mass
-    (:func:`_window_error`) of the sup tie with it.
+    (:func:`_window_error`) of the sup tie with it, and tied candidates
+    count as one point only within 8 ulps of the largest |theta| + r that
+    meets mass in the box: the float dust of one point, at any scale.
 
     Scoring takes two passes.  The same profile gives every candidate and
     plateau midpoint an approximate F = scale * (G(theta + r) - G(theta - r))
@@ -483,10 +483,13 @@ def maximize_window(
 
     elements = [(a, b) for v, a, b in plat_scored if v >= sup - tol_value]
     # a root and a shifted-breakpoint cut can land within float dust of each
-    # other; keep the better-scoring point of each such cluster
-    for cluster in _clusters(t for t, v in value_at.items() if v >= sup - tol_value):
+    # other: 8 ulps of A + r, A bounding the |theta| of the box whose window
+    # meets the support.  Keep the better-scoring point of each such cluster
+    s0, s1 = d.support
+    dust = 8.0 * math.ulp(min(max(abs(lo), abs(hi)), max(abs(s0), abs(s1)) + r) + r)
+    for cluster in _clusters((t for t, v in value_at.items() if v >= sup - tol_value), dust):
         rep = max(cluster, key=lambda t: value_at[t])
-        if not any(a - _POSITION_TOL <= rep <= b + _POSITION_TOL for a, b in elements):
+        if not any(a - dust <= rep <= b + dust for a, b in elements):
             elements.append((rep, rep))
     maxi = _merge_elements(elements)
     return ArgmaxResult(1, sup, maxi, _canonical(1, maxi), tol_value)
@@ -506,24 +509,24 @@ def _lattice_boxes(lo: float, hi: float, o: float, h: float, n: int, k: int):
                             n - 1 + k)
 
 
-def _window_max(values: np.ndarray, cells_x: np.ndarray, cells_y: np.ndarray,
+def _window_max(bordered: np.ndarray, cells_x: np.ndarray, cells_y: np.ndarray,
                 kx: int, ky: int) -> np.ndarray:
     """Max cell value (0 off the grid) within kx, ky cells of each lattice
-    cell (i, j), i in cells_x and j in cells_y, each at most kx, ky cells
-    off the grid.  The maxima are separable: a running ``np.maximum`` of
-    the 2kx + 1 row-shifted copies of the values into a zeroed array, then
-    of the 2ky + 1 column-shifted copies of that.  A max is exact and the
-    values are nonnegative, so the zeros they start from change no window's
-    max.  These maxima only bound the level-0 boxes of
-    :func:`maximize_objective_2d`; the value it reports is a disc mass."""
-    nx, ny = values.shape
-    rows = np.zeros((nx + 2 * kx, ny))
-    for s in range(2 * kx + 1):
-        np.maximum(rows[s:s + nx], values, out=rows[s:s + nx])
-    top = np.zeros((nx + 2 * kx, ny + 2 * ky))
-    for s in range(2 * ky + 1):
-        np.maximum(top[:, s:s + ny], rows, out=top[:, s:s + ny])
-    return top.take(cells_x + kx, axis=0).take(cells_y + ky, axis=1)
+    cell (i, j), i in cells_x and j in cells_y, read from the grid's zero-
+    bordered copy (``GridDensity._bordered``).  The maxima are separable: a
+    running ``np.maximum`` of the 2kx + 1 shifted rows, then of the 2ky + 1
+    shifted columns, each a ``take`` whose index is clamped to the copy, so
+    a cell off the grid reads its border's 0, which changes no max of
+    nonnegative values.  With kx = ky = 0 these are the cells' own values.
+    They only bound or seed :func:`maximize_objective_2d`; the value it
+    reports is a disc mass."""
+    top = bordered
+    for axis, cells, k in ((0, cells_x, kx), (1, cells_y, ky)):
+        source = top
+        top = source.take(cells + (1 - k), axis=axis, mode="clip")
+        for s in range(2 - k, k + 2):
+            np.maximum(top, source.take(cells + s, axis=axis, mode="clip"), out=top)
+    return top
 
 
 def _box_bounds(g: GridDensity, cx: np.ndarray, cy: np.ndarray, wx: np.ndarray,
@@ -599,10 +602,11 @@ def maximize_objective_2d(objective, box) -> ArgmaxResult:
       D(c, R + delta) and M <= pi R^2 * (max of the cells that disc meets,
       0 off the grid); :func:`_window_max` gives that bound for every
       cell.  The best value starts at the disc mass at the centre of the
-      box cut from the tallest cell, the seed, whose cell values come from
-      one copy of the grid padded with kx, ky zero cells per search.  Both
-      gather per axis with ``take``, not by slices: on a grid far out near
-      the float limit the lattice cells of adjacent boxes can repeat or skip.
+      box cut from the tallest cell, the seed (its own centre if no cell is
+      left, which must be finite), read by :func:`_window_max` at kx = ky =
+      0.  Both gather per axis with ``take``, not by slices: on a grid far
+      out near the float limit the lattice cells of adjacent boxes can
+      repeat or skip.
     * Each refinement level splits the open boxes in four, evaluates the
       exact disc mass at the new centres and bounds each box by
       :func:`_box_bounds`.
@@ -632,19 +636,17 @@ def maximize_objective_2d(objective, box) -> ArgmaxResult:
 
     # seed: the centre of the box cut from the tallest cell
     if len(x0) and len(y0):
-        padded = np.zeros((nx + 2 * kx, ny + 2 * ky))
-        padded[kx:kx + nx, ky:ky + ny] = g.values
-        own = padded.take(cells_x + kx, axis=0).take(cells_y + ky, axis=1)
+        own = _window_max(g._bordered, cells_x, cells_y, 0, 0)
         i, j = np.unravel_index(np.argmax(own), own.shape)
         px, py = 0.5 * (x0[i] + x1[i]), 0.5 * (y0[j] + y1[j])
     else:
         px, py = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
-    seed = best = _disc_mass(g, px, py, R)
+    seed = best = float(_disc_masses(g, [px], [py], R)[0])
 
     def tol() -> float:
         return _REL_TOL_2D * best + float_error
 
-    top = _window_max(g.values, cells_x, cells_y, kx, ky)
+    top = _window_max(g._bordered, cells_x, cells_y, kx, ky)
     ii, jj = np.nonzero(math.pi * R * R * top > best + tol())
     x0, x1, y0, y1 = x0[ii], x1[ii], y0[jj], y1[jj]
     level = 0

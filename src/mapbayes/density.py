@@ -604,7 +604,9 @@ class GridDensity:
     convention of the piecewise class.  The estimators and diagnostics run a
     1D grid on its constant-piece view (:meth:`to_pieces`).  The cell edges
     o + i*h must strictly increase along each axis: an origin far from 0
-    with a spacing below its ulp collapses them, and is refused.
+    with a spacing below its ulp collapses them, and is refused.  A 2D grid
+    keeps its cells with one zero cell around them (``_bordered``), which
+    every 2D gather reads by a per-axis index clamped to it.
     """
 
     dim: int
@@ -613,6 +615,7 @@ class GridDensity:
     values: np.ndarray
     _pieces: UscDensity1D | None = field(default=None, init=False, repr=False)
     _edges: tuple = field(default=(), init=False, repr=False)
+    _bordered: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # 1.0 == 1 and True == 1, so the type is checked too
@@ -637,6 +640,9 @@ class GridDensity:
             if not (edges[1:] > edges[:-1]).all():
                 raise ValueError(f"cell edges along axis {k} do not strictly increase: "
                                  f"origin {self.origin[k]}, spacing {self.spacing[k]}")
+        if self.dim == 2:
+            object.__setattr__(self, "_bordered", np.zeros(np.add(values.shape, 2)))
+            self._bordered[1:-1, 1:-1] = values
         mass = self.total_mass
         if abs(mass - 1.0) > _GRID_MASS_TOL:
             raise ValueError(f"grid mass {mass} is not within {_GRID_MASS_TOL} of 1")
@@ -779,33 +785,25 @@ def _corner_areas(a, b, R: float):
                     low)
 
 
-def _disc_lattice(g: GridDensity, cx, cy, rho: float):
+def _disc_lattice(g: GridDensity, cx: np.ndarray, cy: np.ndarray, rho: float):
     """The cells that a square of half-width rho about each centre can meet.
 
     Returns their vertex offsets from the centres, of shapes (kx + 1, N)
     and (ky + 1, N), and their values (kx, ky, N), which are 0 off the
     grid.  kx and ky depend on rho only, so every centre gets the same
     lattice; the centres run along the last axis, where numpy loops fastest.
+    A lattice wholly off the grid is moved to just off it before its index
+    is cast, so a centre far off reads zeros, not an index that wraps.
     """
-    (ox, _), (oy, _) = g.support
-    hx, hy = g.spacing
-    cx, cy = np.asarray(cx, dtype=float), np.asarray(cy, dtype=float)
-    ix = np.floor((cx - rho - ox) / hx).astype(np.int64) + np.arange(
-        math.ceil(2.0 * rho / hx) + 2)[:, None]
-    iy = np.floor((cy - rho - oy) / hy).astype(np.int64) + np.arange(
-        math.ceil(2.0 * rho / hy) + 2)[:, None]
-    vals = _cell_values(g, ix[:-1, None, :], iy[None, :-1, :])
-    return ox + ix * hx - cx, oy + iy * hy - cy, vals
+    def axis(c, o, h, n):
+        k = math.ceil(2.0 * rho / h) + 1
+        first = np.minimum(np.maximum(np.floor((c - rho - o) / h), -k), n).astype(np.int64)
+        i = first + np.arange(k + 1)[:, None]
+        return o + i * h - c, np.minimum(np.maximum(i[:-1] + 1, 0), n + 1)
 
-
-def _cell_values(g: GridDensity, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Values of the cells (i, j) of a 2D grid, for integer arrays i and j
-    that broadcast together; a cell off the grid has value 0."""
-    nx, ny = g.shape
-    padded = np.zeros((nx + 2, ny + 2))
-    padded[1:-1, 1:-1] = g.values
-    return padded[np.minimum(np.maximum(i + 1, 0), nx + 1),
-                  np.minimum(np.maximum(j + 1, 0), ny + 1)]
+    (ex, ix), (ey, iy) = (axis(c, o, h, n) for c, o, h, n in
+                          zip((cx, cy), g.origin, g.spacing, g.shape))
+    return ex, ey, g._bordered[ix[:, None, :], iy[None, :, :]]
 
 
 def _lattice_sum(F: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -816,19 +814,16 @@ def _lattice_sum(F: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _disc_masses(g: GridDensity, cx, cy, R: float) -> np.ndarray:
-    """Exact mass of a 2D grid in the disc of radius R about each centre:
-    each cell's overlap is the mixed second difference of
-    :func:`_corner_areas` on the centre's vertex lattice."""
+    """Exact mass of a 2D grid in the disc of radius R about each centre,
+    which must be finite: each cell's overlap is the mixed second
+    difference of :func:`_corner_areas` on the centre's vertex lattice."""
+    cx, cy = np.asarray(cx, dtype=float), np.asarray(cy, dtype=float)
+    finite = np.isfinite(cx) & np.isfinite(cy)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"a disc centre must be finite, got ({float(cx[k])!r}, {float(cy[k])!r})")
     ex, ey, vals = _disc_lattice(g, cx, cy, R)
     return _lattice_sum(_corner_areas(ex[:, None, :], ey[None, :, :], R), vals)
-
-
-def _disc_mass(g: GridDensity, x, y, R: float) -> float:
-    """Exact mass of a 2D grid in the disc of radius R about one centre,
-    which must be finite: :func:`_disc_masses` for that one centre."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"a disc centre must be finite, got ({x!r}, {y!r})")
-    return float(_disc_masses(g, [x], [y], R)[0])
 
 
 def density_from_json(obj: dict, **kwargs) -> Density:

@@ -22,7 +22,7 @@ density's own pointwise values confirm.
 
 No check takes a tuning setting: the one margin of ``check_conditions``
 (in the density's units, and past its formulas' rounding) and the cluster
-radius of ``sweep`` are fixed by this module and ``argmax``, and each
+radius of ``sweep`` are fixed by this module, and each
 ``hypo_diagnostic`` row works out its slack from the numbers it compares.
 """
 
@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
-from .argmax import _POSITION_TOL, _clusters, _merge_elements, _window_min_sup, maximize_density
+from .argmax import _clusters, _merge_elements, _window_min_sup, maximize_density
 from .density import GridDensity, UscDensity1D, _pieces_view, _solve_ge, _value
 from .estimators import LossSpec, bayes_estimate, map_estimate
 from .windows import BallObjective, mollified_sup
@@ -55,6 +55,8 @@ __all__ = [
 
 #: distance below which a limit point counts as sitting in the MAP set
 MAP_NEAR_TOL = 1e-6
+#: radius within which ``sweep`` counts two canonical points as one limit point
+_POSITION_TOL = 1e-9
 #: the shape checks' one margin, in units of the density's largest finite
 #: value: smaller moves are float dust, and every counterwitness beats it
 _WITNESS_MARGIN = 1e-12
@@ -611,7 +613,7 @@ def sweep(d, ladder: Sequence[float], search=None) -> SweepTrace:
     if len(rows) >= 2:
         tail = rows[-max(2, math.ceil(len(rows) / 2)):]
         limit_points = tuple(sum(g) / len(g) for g in
-                             _clusters([r.canonical for r in tail]))
+                             _clusters([r.canonical for r in tail], _POSITION_TOL))
         verdict = _verdict(tail)
     else:
         limit_points = (rows[-1].canonical,)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .argmax import ArgmaxResult, maximize_objective_2d, maximize_window
-from .density import UscDensity1D, _corner_areas, _disc_mass, _pieces_view
+from .density import UscDensity1D, _corner_areas, _disc_masses, _pieces_view
 
 __all__ = ["BallObjective", "ball_integral", "mollified_sup"]
 
@@ -76,7 +76,7 @@ def ball_integral(b: BallObjective, theta) -> float:
     if b._pieces is not None:
         t = float(theta)
         return b._of_mass(b._pieces.integrate(t - r, t + r))
-    return b._of_mass(_disc_mass(b.density, theta[0], theta[1], r))
+    return b._of_mass(float(_disc_masses(b.density, [theta[0]], [theta[1]], r)[0]))
 
 
 def _search_ball(b: BallObjective, box) -> ArgmaxResult:

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,34 @@ def test_2d_bayes_over_a_box_that_cuts_cells_and_runs_past_the_grid(monkeypatch,
     assert cx.size >= 16
     best = float(_disc_masses(g, cx.ravel(), cy.ravel(), R).max())
     assert best <= res.sup_value + res.tol_value
+
+
+def test_2d_bayes_over_a_box_far_off_the_grid():
+    # no level-0 box is left near the grid, so the seed is the box's centre:
+    # at 5e18 its cell index is past the int64 range and is clamped before
+    # its cast, and at infinity it is refused
+    g = GridDensity(2, (0.0, 0.0), (0.25, 0.25), np.ones((4, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = mb.bayes_estimate(g, mb.LossSpec(4.0), ((5.0, 1e19), (0.0, 1.0)))
+    assert res.sup_value == 0.0 and res.canonical == (5e18, 0.5)
+    with pytest.raises(ValueError, match=r"a disc centre must be finite, got \(inf, 0.5\)"):
+        mb.bayes_estimate(g, mb.LossSpec(4.0), ((2.0, math.inf), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("k", range(31))
+def test_two_equal_triangles_keep_both_bayes_maximizers_at_any_scale(k):
+    # peaks at 0 and a = 4^-k, each of mass 1/2 and half-width a/2, at c = 8/a:
+    # the window search merges only candidates within a few ulps of each
+    # other, so it keeps both peaks however small a is, as the mode search does
+    a = 4.0 ** -k
+    h, b = 1.0 / a, 2.0 / (a * a)
+    d = mb.UscDensity1D([mb.affine_piece(-a / 2, 0.0, 0.0, b, -a / 2),
+                         mb.affine_piece(0.0, a / 2, h, -b, 0.0),
+                         mb.affine_piece(a / 2, a, 0.0, b, a / 2),
+                         mb.affine_piece(a, 1.5 * a, h, -b, a)])
+    assert mb.map_estimate(d).maximizers == ((0.0, 0.0), (a, a))
+    assert mb.bayes_estimate(d, mb.LossSpec(8.0 / a)).maximizers == ((0.0, 0.0), (a, a))
 
 
 def test_approx_gap_refuses_a_nan_point():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,21 @@ def test_disc_mass_kernel_is_the_cell_sum_of_overlaps(rng):
         k = int(np.argmax(masses))
         assert masses[k] == pytest.approx(
             grid_disc_mass(g.values, g.origin, g.spacing, (cx[k], cy[k]), R), rel=1e-12)
+
+
+def test_a_disc_far_off_the_grid_holds_no_mass_without_a_cast_warning():
+    # (3e18 - 0.3)/0.25 is past the int64 range: the lattice's first cell
+    # index is clamped before its cast, so the mass is 0 from the cells
+    # the disc meets, not from how an overflowing cast wraps
+    g = GridDensity(2, (0.0, 0.0), (0.25, 0.25), np.ones((4, 4)))
+    b = BallObjective(g, 0.3, normalized=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for centre in ((3e18, 0.5), (-3e18, 0.5), (0.5, -1e19), (1e19, 1e19)):
+            assert ball_integral(b, centre) == 0.0
+    for centre in ((math.inf, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="a disc centre must be finite"):
+            ball_integral(b, centre)
 
 
 def test_disc_mass_on_uniform_grid():
