@@ -223,16 +223,8 @@ def _maximize_density_pieces(d: UscDensity1D, box) -> ArgmaxResult:
 def _maximize_density_grid(d: GridDensity, box) -> ArgmaxResult:
     (bx0, bx1), (by0, by1) = _check_box(box)
     (ox, gx1), (oy, gy1) = d.support
-    sides = []
-    for k, (b0, b1) in enumerate(((bx0, bx1), (by0, by1))):
-        # each cell cut to the box by max(edge, b0) and min(edge, b1), each
-        # keeping its first argument on a tie; the cells it misses are dropped
-        e = d._edges[k]
-        s0, s1 = np.where(b0 > e[:-1], b0, e[:-1]), np.where(b1 < e[1:], b1, e[1:])
-        cells = np.flatnonzero(~(s0 > s1))
-        sides.append((cells, s0[cells].tolist(), s1[cells].tolist()))
-    (cells_x, x0, x1), (cells_y, y0, y1) = sides
-    values = d.values[np.ix_(cells_x, cells_y)].ravel()
+    (sx, x0, x1), (sy, y0, y1) = d._cells(0, bx0, bx1), d._cells(1, by0, by1)
+    values = d.values[sx, sy].ravel()
     # the density is 0 off the grid, so a box that leaves it offers 0 as well
     off_grid = bx0 < ox or bx1 > gx1 or by0 < oy or by1 > gy1
     # argmax and max both keep the first of tied values, the cells in row-major order
@@ -242,7 +234,7 @@ def _maximize_density_grid(d: GridDensity, box) -> ArgmaxResult:
     if off_grid and sup - tol_value <= 0.0:
         maxi = (((bx0, bx1), (by0, by1)),)
     else:
-        i, j = np.divmod(np.flatnonzero(values >= sup - tol_value), len(cells_y))
+        i, j = np.divmod(np.flatnonzero(values >= sup - tol_value), len(y0))
         maxi = tuple(((x0[a], x1[a]), (y0[b], y1[b])) for a, b in zip(i.tolist(), j.tolist()))
     return ArgmaxResult(2, sup, maxi, _canonical(2, maxi), tol_value)
 

@@ -462,8 +462,8 @@ class UscDensity1D:
     them in one pass: the pieces in order and a zero filler in each gap
     between them and out to -inf and +inf.  Every search, diagnostic and
     value reads it alone; only ``to_json``, ``==`` and ``repr`` read
-    ``pieces``.  A grid's cell view (:meth:`GridDensity.to_pieces`) is made
-    from the cell arrays with no pieces, and builds them on first read.
+    ``pieces``.  A 1D grid's cell view (:meth:`GridDensity.to_pieces`), built
+    with the grid from its cell arrays, builds its pieces on first read.
     ``breakpoints`` and ``support`` read the profile's arrays on each call.
     """
 
@@ -601,10 +601,13 @@ class GridDensity:
 
     Values live on cells; a point on a cell boundary evaluates to the max of
     the adjacent cell values (0 outside the grid), matching the boundary
-    convention of the piecewise class.  The estimators and diagnostics run a
-    1D grid on its constant-piece view (:meth:`to_pieces`).  The cell edges
-    o + i*h must strictly increase along each axis: an origin far from 0
-    with a spacing below its ulp collapses them, and is refused.  A 2D grid
+    convention of the piecewise class.  The cell edges o + i*h (``_edges``),
+    by which every cell lookup goes (``_cells``), must strictly increase
+    along each axis: an origin far from 0 with a spacing below its ulp
+    collapses them, and is refused.  A 1D grid is built with its
+    constant-piece view (:meth:`to_pieces`), on which it evaluates and every
+    estimator and diagnostic runs, and is refused where the view's mass over
+    the rounded edges is not within the grid's tolerance of 1.  A 2D grid
     keeps its cells with one zero cell around them (``_bordered``), which
     every 2D gather reads by a per-axis index clamped to it.
     """
@@ -640,12 +643,19 @@ class GridDensity:
             if not (edges[1:] > edges[:-1]).all():
                 raise ValueError(f"cell edges along axis {k} do not strictly increase: "
                                  f"origin {self.origin[k]}, spacing {self.spacing[k]}")
-        if self.dim == 2:
-            object.__setattr__(self, "_bordered", np.zeros(np.add(values.shape, 2)))
-            self._bordered[1:-1, 1:-1] = values
         mass = self.total_mass
         if abs(mass - 1.0) > _GRID_MASS_TOL:
             raise ValueError(f"grid mass {mass} is not within {_GRID_MASS_TOL} of 1")
+        if self.dim == 2:
+            object.__setattr__(self, "_bordered", np.zeros(np.add(values.shape, 2)))
+            self._bordered[1:-1, 1:-1] = values
+            return
+        try:  # the Riemann mass passed, so only the rounding of the edges can fail this
+            object.__setattr__(self, "_pieces", UscDensity1D._of_cells(
+                self._edges[0], values, _GRID_MASS_TOL))
+        except ValueError as e:
+            raise ValueError(f"cell edges along axis 0 round off their spacing, so the cell view's "
+                             f"{e}: origin {self.origin[0]}, spacing {self.spacing[0]}") from None
 
     @property
     def cell_volume(self) -> float:
@@ -677,44 +687,37 @@ class GridDensity:
         return GridDensity(dim, tuple(np.atleast_1d(origin)), tuple(np.atleast_1d(spacing)),
                            values / mass)
 
-    def _axis_cells(self, k: int, x: float) -> list[int]:
-        """Cell indices along axis k whose closed extent contains coordinate x.
-        The quotient (x - o)/h can round to either side of a cell index, so
-        the cells on both sides of its floor are checked against x.  A NaN
-        or infinite x, or one so far off that the quotient overflows, lies
-        in no cell."""
-        o, h, n = self.origin[k], self.spacing[k], self.shape[k]
-        q = (x - o) / h
-        if not math.isfinite(q):
-            return []
-        i = math.floor(q)
-        out = []
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < n and o + j * h <= x <= o + (j + 1) * h:
-                out.append(j)
-        return out
+    def _cells(self, k: int, lo: float, hi: float):
+        """The cells along axis k whose closed extent meets [lo, hi], as a slice
+        found by the edges, and their extents cut to it, as lists: max(edge,
+        lo) and min(edge, hi), each keeping its first argument on a tie.  A
+        NaN end, which sorts past every edge, meets no cell."""
+        e = self._edges[k]
+        i, j = int(e[1:].searchsorted(lo)), int(e[:-1].searchsorted(hi, side="right"))
+        e0, e1 = e[i:j], e[i + 1:j + 1]
+        return (slice(i, j), np.where(lo > e0, lo, e0).tolist(),
+                np.where(hi < e1, hi, e1).tolist())
 
     def evaluate(self, point) -> float:
-        coords = (point,) if self.dim == 1 else tuple(point)
-        per_axis = [self._axis_cells(k, coords[k]) for k in range(self.dim)]
-        return float(max((self.values[ij] for ij in product(*per_axis)), default=0.0))
+        if self.dim == 1:
+            return self._pieces.evaluate(point)
+        (sx, _, _), (sy, _, _) = (self._cells(k, x, x) for k, x in enumerate(point))
+        values = self.values[sx, sy].ravel()  # in row-major order, and argmax keeps the first tie
+        return float(values[values.argmax()]) if values.size else 0.0
 
     def __call__(self, point) -> float:
         return self.evaluate(point)
 
     def to_pieces(self) -> UscDensity1D:
-        """Exact piecewise view of a 1D grid (each cell becomes a constant
-        piece), built on the first call and kept for the later ones.  Its
-        profile, the one structure every search and diagnostic reads, comes
-        straight from the cell arrays, the edges o + i*h and the values,
-        which the grid has checked: its edges strictly increase and its
-        values are finite and nonnegative.  No :class:`Piece` is made until
-        ``pieces`` is first read, by ``to_json``, ``==`` or ``repr``."""
+        """Exact piecewise view of a 1D grid, each cell a constant piece,
+        built with the grid (``_pieces``).  Its profile, the one structure
+        every search and diagnostic reads, comes straight from the cell
+        arrays, the edges o + i*h and the values, which the grid has checked:
+        its edges strictly increase and its values are finite and
+        nonnegative.  No :class:`Piece` is made until ``pieces`` is first
+        read, by ``to_json``, ``==`` or ``repr``."""
         if self.dim != 1:
             raise ValueError("to_pieces applies to 1D grids only")
-        if self._pieces is None:
-            object.__setattr__(self, "_pieces", UscDensity1D._of_cells(
-                self._edges[0], self.values, _GRID_MASS_TOL))
         return self._pieces
 
     def to_json(self) -> dict:
@@ -738,13 +741,13 @@ Density = UscDensity1D | GridDensity
 
 
 def _pieces_view(d: Density) -> UscDensity1D | None:
-    """The density as pieces when it is 1D (a 1D grid as its constant pieces);
-    None for a 2D grid.  Every 1D computation runs on this view."""
+    """The density as pieces when it is 1D (a 1D grid as its constant-piece view, which
+    a 2D grid has as None).  Every 1D computation runs on this view."""
     if isinstance(d, UscDensity1D):
         return d
     if not isinstance(d, GridDensity):
         raise TypeError(f"unsupported density type {type(d).__name__}")
-    return d.to_pieces() if d.dim == 1 else None
+    return d._pieces
 
 
 def _support_box(d: Density, grow: float = 0.0):
@@ -777,7 +780,8 @@ def _corner_areas(a, b, R: float):
     def G(x):
         return 0.5 * (x * np.sqrt(np.maximum(R * R - x * x, 0.0)) + R * R * np.arcsin(x / R))
 
-    s = np.sqrt(np.maximum(R * R - b * b, 0.0))
+    # |b| is clipped to R, past which the half chord is 0, so a far b makes no overflow
+    s = np.sqrt(R * R - np.minimum(np.abs(b), R) ** 2)
     x2 = np.minimum(np.maximum(a, -s), s)
     chords = G(x2) + G(s)
     low = b * (x2 + s) + chords

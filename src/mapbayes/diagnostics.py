@@ -145,10 +145,9 @@ def level_set(d, alpha: float) -> LevelSetReport:
         interior = any(hi > lo for lo, hi in intervals) or declared_unbounded
         return LevelSetReport(alpha, intervals, None, not declared_unbounded, M, interior)
 
-    (ox, _), (oy, _) = d.support
-    hx, hy = d.spacing
-    cells = tuple(((ox + i * hx, ox + (i + 1) * hx), (oy + j * hy, oy + (j + 1) * hy))
-                  for i in range(d.shape[0]) for j in range(d.shape[1]) if d.values[i, j] >= alpha)
+    ex, ey = (e.tolist() for e in d._edges)
+    cells = tuple(((ex[i], ex[i + 1]), (ey[j], ey[j + 1]))
+                  for i, j in zip(*(d.values >= alpha).nonzero()))
     M = max((abs(v) for cell in cells for side in cell for v in side), default=0.0)
     return LevelSetReport(alpha, (), cells, True, M, bool(cells))
 

@@ -225,6 +225,8 @@ def test_exit_code_2_on_config_problems(tmp_path, capsys):
                     # 1e17 + 1.0 rounds to 1e17, so the cell edges collapse
                     {"dim": 1, "origin": 1e17, "spacing": 1.0, "values": [1.0]},
                     {"dim": 2, "origin": [1e17, 0.0], "spacing": [1.0, 1.0], "values": [[1.0]]},
+                    # the edges -3e8 + i*3e-5 round: the cell view's mass misses 1 by 1.3e-4
+                    {"dim": 1, "origin": -3e8, "spacing": 3e-5, "values": [8333.333333333334] * 4},
                     {"builtin": "counterexample", "max_bump": True},
                     # a piece inside the 1e-15 overlap of the piece before it
                     {"pieces": [{"lo": 0.0, "hi": 1000.0, "kind": "constant",

@@ -386,13 +386,23 @@ def test_grid_density_basics():
         GridDensity(1, (1e17,), (1.0,), np.array([1.0]))
     with pytest.raises(ValueError, match="cell edges along axis 1 do not strictly increase"):
         GridDensity(2, (0.0, -1e17), (1.0, 1.0), np.array([[1.0]]))
+    # the edges -3e8 + i*3e-5 round by up to 0.1% of a cell: the Riemann mass
+    # is 1, but the cell view's mass over the edges is not, and the grid is refused
+    far = {"dim": 1, "origin": -3e8, "spacing": 3e-5, "values": [8333.333333333334] * 4}
+    refused = r"cell view's total mass 0\.99986\d* .*: origin -300000000\.0, spacing 3e-05"
+    with pytest.raises(ValueError, match=refused):
+        GridDensity(1, (-3e8,), (3e-5,), far["values"])
+    with pytest.raises(ValueError, match=refused):
+        density_from_json(far)
+    # a -0.0 cell reads 0.0 on the cell view, as a piece does
+    assert repr(GridDensity(1, (0.0,), (0.5,), [-0.0, 2.0]).evaluate(0.25)) == "0.0"
 
 
 def test_grid_to_pieces_equivalent():
     vals = np.array([1.0, 3.0, 2.0, 2.0])
     g = GridDensity.normalized(1, (0.0,), (0.25,), vals)
     d = g.to_pieces()
-    assert g.to_pieces() is d  # built once per grid
+    assert g.to_pieces() is d  # built with the grid
     for t in np.linspace(-0.2, 1.2, 57):
         assert d.evaluate(t) == pytest.approx(g.evaluate(t), abs=1e-15)
     assert d.integrate(0.1, 0.9) == pytest.approx(
@@ -455,8 +465,9 @@ def test_grid_2d_evaluate_boundary_max():
 
 
 def test_grid_evaluate_takes_the_larger_cell_where_the_quotient_rounds_low():
-    # (-2.7 + 3.0) / 0.3 = 0.9999999999999993, so the floor names the cell
-    # left of the line x = -2.7 and the cell right of it must be looked at too
+    # (-2.7 + 3.0) / 0.3 = 0.9999999999999993, so a lookup by the floor of the
+    # quotient would name only the cell left of the line x = -2.7: the edges
+    # name the cell right of it too
     g = GridDensity.normalized(1, (-3.0,), (0.3,), np.array([1.0, 2.0]))
     assert g.evaluate(-2.7) == g.values[1]
     g2 = GridDensity.normalized(2, (-3.0, 0.0), (0.3, 0.5), np.array([[1.0, 1.0], [2.0, 2.0]]))
@@ -465,8 +476,8 @@ def test_grid_evaluate_takes_the_larger_cell_where_the_quotient_rounds_low():
 
 
 def test_grid_evaluate_at_a_non_finite_or_far_point_is_zero():
-    # no cell holds NaN or +-inf, nor 1e308, whose quotient (x - o)/h
-    # overflows to inf: each gives 0, as the 1D cell view does
+    # no cell holds NaN or +-inf, nor 1e308, whose quotient (x - o)/h would
+    # overflow to inf: each gives 0, on the 1D cell view and on the 2D edges
     g = GridDensity.normalized(1, (0.0,), (1e-10,), np.array([1.0, 3.0]))
     g2 = GridDensity.normalized(2, (0.0, 0.0), (0.5, 1e-10), np.array([[1.0, 2.0], [4.0, 3.0]]))
     for x in (math.nan, math.inf, -math.inf, 1e308, -1e308):

@@ -389,6 +389,24 @@ def test_log_concavity_sees_a_spike_at_a_segment_midpoint():
     assert witness_gaps(_SPIKE_AT_MIDPOINT, *rep.log_concave_witness)[1] > _WITNESS_MARGIN
 
 
+#: 1 + t on [0, 1) and 2 + 1.5(t - 1) on [1, 2], over their mass 4.25: the
+#: log-slope rises from 1/2 to 3/4 at the kink t = 1
+_CONVEX_KINK = UscDensity1D((affine_piece(0.0, 1.0, 1 / 4.25, 1 / 4.25),
+                             affine_piece(1.0, 2.0, 2 / 4.25, 1.5 / 4.25, t0=1.0)))
+
+
+def test_log_concavity_sees_a_convex_kink_on_the_hull_of_the_row_ends():
+    # log 2 > (log 3.5)/2: (1, log f(1)) lies above the chord of the other row
+    # ends, so a hull over the row-end points alone would call f log-concave
+    logs = [math.log(_CONVEX_KINK.evaluate(t)) for t in (0.0, 1.0, 2.0)]
+    assert logs[1] > (logs[0] + logs[2]) / 2
+    rep = mb.check_conditions(_CONVEX_KINK)
+    assert rep.quasiconcave and not rep.log_concave
+    assert rep.log_concave_witness == (0.5, 1.5, 0.5)
+    gap = witness_gaps(_CONVEX_KINK, *rep.log_concave_witness)[1]
+    assert gap == pytest.approx(7.3e-3, abs=1e-4)
+
+
 def _bimodal(s: float) -> UscDensity1D:
     """Heights 1.2s, 0.6s and 1.2s on the thirds of [0, 1/s): never quasiconcave."""
     w = 1.0 / s
@@ -509,6 +527,21 @@ def test_shape_checks_are_in_the_density_s_own_units(d, k):
     rep = mb.check_conditions(d, alphas)
     mapped = mb.check_conditions(_mapped(d, k), alphas and [a * v for a in alphas])
     assert mapped == _mapped_report(rep, t, v)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([-3, 2, 5]),
+       c=st.sampled_from([3.0, 40.0]))
+def test_bayes_argmax_sets_are_in_the_density_s_own_units(seed, k, c):
+    # t -> 4^k*t, f -> 4^-k*f and r -> 4^k*r keep every window mass, so the
+    # maximizers map exactly and the sup and its tolerance stay bit for bit
+    d = random_piecewise(np.random.default_rng(seed), max_pieces=8)
+    t = 4.0 ** k
+    rep = mb.bayes_estimate(d, mb.LossSpec(c))
+    mapped = mb.bayes_estimate(_mapped(d, k), mb.LossSpec(c / t))
+    assert mapped.maximizers == tuple((lo * t, hi * t) for lo, hi in rep.maximizers)
+    assert mapped.canonical == rep.canonical * t
+    assert (mapped.sup_value, mapped.tol_value) == (rep.sup_value, rep.tol_value)
 
 
 @pytest.mark.parametrize("lo, apex, hi", [(1e4, 1e4 + 0.1, 1e4 + 2), (1e5, 1e5 + 0.3, 1e5 + 1)])

@@ -275,7 +275,10 @@ def test_2d_bayes_over_a_box_far_off_the_grid():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = mb.bayes_estimate(g, mb.LossSpec(4.0), ((5.0, 1e19), (0.0, 1.0)))
+        # far along y, the discs' corner areas take no square of the far offsets
+        far_y = mb.bayes_estimate(g, mb.LossSpec(4.0), ((0.0, 1.0), (5.0, 1e200)))
     assert res.sup_value == 0.0 and res.canonical == (5e18, 0.5)
+    assert far_y.sup_value == 0.0
     with pytest.raises(ValueError, match=r"a disc centre must be finite, got \(inf, 0.5\)"):
         mb.bayes_estimate(g, mb.LossSpec(4.0), ((2.0, math.inf), (0.0, 1.0)))
 

@@ -143,12 +143,14 @@ def test_disc_mass_kernel_is_the_cell_sum_of_overlaps(rng):
 def test_a_disc_far_off_the_grid_holds_no_mass_without_a_cast_warning():
     # (3e18 - 0.3)/0.25 is past the int64 range: the lattice's first cell
     # index is clamped before its cast, so the mass is 0 from the cells
-    # the disc meets, not from how an overflowing cast wraps
+    # the disc meets, not from how an overflowing cast wraps; past 1.3e154 a
+    # vertex offset would overflow its square, and is clipped to R before it
     g = GridDensity(2, (0.0, 0.0), (0.25, 0.25), np.ones((4, 4)))
     b = BallObjective(g, 0.3, normalized=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for centre in ((3e18, 0.5), (-3e18, 0.5), (0.5, -1e19), (1e19, 1e19)):
+        for centre in ((3e18, 0.5), (-3e18, 0.5), (0.5, -1e19), (1e19, 1e19), (0.5, 1e155),
+                       (0.5, -1e300), (1e300, 0.5), (-1e300, 1e300)):
             assert ball_integral(b, centre) == 0.0
     for centre in ((math.inf, 0.5), (0.5, math.nan)):
         with pytest.raises(ValueError, match="a disc centre must be finite"):
