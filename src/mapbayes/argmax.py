@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (GridDensity, UscDensity1D, _corner_areas, _disc_lattice,
-                      _disc_masses, _distinct, _lattice_sum, _pieces_view, _support_box)
+                      _disc_masses, _distinct, _lattice_cells, _lattice_sum, _pieces_view,
+                      _support_box)
 from .errors import EmptySearchBox, SearchNotCertified
 
 __all__ = ["ArgmaxResult", "maximize_density", "maximize_window"]
@@ -545,8 +546,8 @@ def _box_bounds(g: GridDensity, cx: np.ndarray, cy: np.ndarray, wx: np.ndarray,
     bounds = np.empty(len(cx))
     delta = np.hypot(wx, wy)
     reach = R + float(delta.max())
-    hx, hy = g.spacing
-    step = max(1, _BATCH_2D // ((math.ceil(2.0 * reach / hx) + 2) * (math.ceil(2.0 * reach / hy) + 2)))
+    vertices = [_lattice_cells(reach, h, n) + 1 for h, n in zip(g.spacing, g.shape)]
+    step = max(1, _BATCH_2D // math.prod(vertices))
     for s in range(0, len(cx), step):
         part = slice(s, s + step)
         d, w_x, w_y = delta[part], wx[part], wy[part]

@@ -257,7 +257,13 @@ class _Profile:
     segment: the pieces in order, and a zero ``filler`` in each gap between
     them and out to -inf and +inf.  Infinite points do not cut a piece.  It
     is the one structure a density builds, and every search, diagnostic
-    and value reads it.
+    and value reads it.  Two builders make it: :meth:`of` builds every piece
+    density's from its pieces' columns, and :meth:`of_cells` a 1D grid's
+    cell view's from the cell edges and heights.  Contiguous constant cells
+    have no gap, overlap, slope or arc, so :meth:`of_cells` skips that
+    algebra and writes each field in one or two array operations, each the
+    float operation :meth:`of` makes on the same constant columns: the two
+    profiles agree bit for bit, signed zeros included.
 
     * ``starts``, ``ends`` and ``form``: each segment's own ends (pieces may
       overlap, but their ends strictly increase) and ``_form`` rows a, b, s, t0, root,
@@ -385,6 +391,42 @@ class _Profile:
                            else profile._floored(t, np.where(w > v, w, v)))
         return profile
 
+    @staticmethod
+    def of_cells(edges: np.ndarray, heights: np.ndarray) -> "_Profile":
+        """:meth:`of` of the constant pieces heights[i] on [edges[i], edges[i + 1]), bit for
+        bit, for edges that strictly increase: a filler at each end and none between, and
+        the edges as ``breakpoints``.  As in :meth:`of`, a piece's value at an end t is
+        a + b*g, here heights[i] + 0.0 * t, which is +0.0 for a -0.0 height where t's sign
+        bit is clear; ``rounding`` takes |a|; and ``cum`` adds the masses to the first
+        filler's 0.0."""
+        n = heights.size
+        # the rows: starts, ends, the _form rows a, b, s, t0, root, rounding and f_max
+        table = np.zeros((9, n + 2))
+        table[0, 0], table[1, -1] = -math.inf, math.inf
+        table[0, 1:] = table[1, :-1] = edges
+        table[2, 1:-1] = heights
+        table[4] = 1.0
+        cum = np.zeros(n + 3)  # 0, the first filler's 0, the masses and the last filler's 0
+        mass = np.multiply(edges[1:] - edges[:-1], heights, out=cum[2:-1])
+        total_mass = math.fsum(mass.tolist())
+        size = np.abs(mass)
+        rounding = np.multiply(size, 4.0, out=table[7, 1:-1])
+        error = sys.float_info.epsilon * (2.0 * float(rounding.max()) + float(rounding.sum())
+                                          + (2 * n + 4) * float(size.sum()))
+        zero = edges * 0.0
+        np.maximum(heights + zero[:-1], heights + zero[1:], out=table[8, 1:-1])
+        np.cumsum(cum[1:], out=cum[1:])
+        filler = np.zeros(n + 2, dtype=bool)
+        filler[0] = filler[-1] = True
+        profile = _Profile(table[0], table[1], table[2:7], False, False, np.array((), dtype=float),
+                           filler, table[0, 1:], table[:7, 1:-1], total_mass,
+                           float(np.abs(heights).max()), table[7], table[8], cum, error)
+        # an edge's value is the larger of its two cells' heights, 0 past the ends,
+        # and + 0.0 makes a zero of either sign +0.0, as ``_floored`` does
+        a = table[2]
+        object.__setattr__(profile, "break_values", np.maximum(a[:-1], a[1:]) + 0.0)
+        return profile
+
     def evaluate(self, t) -> np.ndarray:
         """:meth:`UscDensity1D.evaluate` at each t of a 1D array, bit for bit:
         the larger value of the segment holding t and of the one before it
@@ -463,7 +505,8 @@ class UscDensity1D:
     between them and out to -inf and +inf.  Every search, diagnostic and
     value reads it alone; only ``to_json``, ``==`` and ``repr`` read
     ``pieces``.  A 1D grid's cell view (:meth:`GridDensity.to_pieces`), built
-    with the grid from its cell arrays, builds its pieces on first read.
+    with the grid from its cell arrays (:meth:`_of_cells`), builds its pieces
+    on first read.
     ``breakpoints`` and ``support`` read the profile's arrays on each call.
     """
 
@@ -499,24 +542,24 @@ class UscDensity1D:
                 raise ValueError(f"infinite point {t} is not finite: the density is +inf "
                                  "only at isolated finite points")
         object.__setattr__(self, "pieces", pieces)
-        self._build(columns)
+        self._build(_Profile.of(columns, self.infinite_points))
 
     @staticmethod
     def _of_cells(edges: np.ndarray, heights: np.ndarray, mass_tol: float) -> "UscDensity1D":
         """The density of the constant pieces heights[i] on [edges[i],
-        edges[i + 1]), built from the arrays, with its pieces left to be
-        built on first read.  The caller has checked what the pieces would:
-        the edges strictly increase, and every height is a float >= 0."""
+        edges[i + 1]), with its pieces left to be built on first read.  The
+        caller has checked what the pieces would: the edges strictly
+        increase, and every height is a float >= 0.  Its profile comes
+        straight from the two arrays (:meth:`_Profile.of_cells`), the
+        profile :meth:`_Profile.of` would build of those pieces, bit for
+        bit, without the gap, overlap, slope and arc algebra that
+        contiguous constant cells never use."""
         d = object.__new__(UscDensity1D)
         d.__dict__.update(mass_tol=mass_tol, infinite_points=(), tail_height_sup=None)
-        # a constant piece's _form is (k, 0, 1, 0, False)
-        columns = np.zeros((7, heights.size))
-        columns[0], columns[1], columns[2], columns[4] = edges[:-1], edges[1:], heights, 1.0
-        d._build(columns)
+        d._build(_Profile.of_cells(edges, heights))
         return d
 
-    def _build(self, columns: np.ndarray) -> None:
-        profile = _Profile.of(columns, self.infinite_points)
+    def _build(self, profile: _Profile) -> None:
         object.__setattr__(self, "_profile", profile)
         mass = self.total_mass
         if not math.isfinite(mass) or abs(mass - 1.0) > self.mass_tol:
@@ -702,8 +745,9 @@ class GridDensity:
         if self.dim == 1:
             return self._pieces.evaluate(point)
         (sx, _, _), (sy, _, _) = (self._cells(k, x, x) for k, x in enumerate(point))
-        values = self.values[sx, sy].ravel()  # in row-major order, and argmax keeps the first tie
-        return float(values[values.argmax()]) if values.size else 0.0
+        values = self.values[sx, sy]
+        v = float(values.max()) if values.size else 0.0
+        return v if v > 0.0 else 0.0  # a -0.0 cell reads 0.0, as on the 1D cell view
 
     def __call__(self, point) -> float:
         return self.evaluate(point)
@@ -789,6 +833,12 @@ def _corner_areas(a, b, R: float):
                     low)
 
 
+def _lattice_cells(rho: float, h: float, n: int) -> int:
+    """The cells of :func:`_disc_lattice` for two centres or more along an
+    axis of n cells of width h."""
+    return min(math.ceil(2.0 * rho / h) + 1, n + 2)
+
+
 def _disc_lattice(g: GridDensity, cx: np.ndarray, cy: np.ndarray, rho: float):
     """The cells that a square of half-width rho about each centre can meet.
 
@@ -798,11 +848,28 @@ def _disc_lattice(g: GridDensity, cx: np.ndarray, cy: np.ndarray, rho: float):
     lattice; the centres run along the last axis, where numpy loops fastest.
     A lattice wholly off the grid is moved to just off it before its index
     is cast, so a centre far off reads zeros, not an index that wraps.
+
+    For two centres or more, an axis is capped at its n cells and one zero
+    border cell on each side: where the k = ceil(2 rho / h) + 1 cells of the
+    square's lattice pass n + 2, its vertices are its two ends and the n + 1
+    in a row from the first past its start that is 0 or more, or as many
+    less as keep the end after them.  So every grid cell it meets stays a
+    cell of its own, and on each side the zero cells past them merge into
+    one, which meets an annulus exactly where one of them does, so the
+    ring of :func:`mapbayes.argmax._box_bounds` still counts their 0.
+    numpy sums such a batch term by term in lattice order, where the
+    merged zeros change no sum.  A lone centre keeps the whole lattice:
+    numpy sums its terms pairwise, so merging would regroup them and could
+    move its mass in the last bit.
     """
     def axis(c, o, h, n):
         k = math.ceil(2.0 * rho / h) + 1
         first = np.minimum(np.maximum(np.floor((c - rho - o) / h), -k), n).astype(np.int64)
-        i = first + np.arange(k + 1)[:, None]
+        if c.size > 1 and _lattice_cells(rho, h, n) < k:
+            start = np.minimum(np.maximum(first + 1, 0), first + (k - n - 1))
+            i = np.concatenate((first[None], start + np.arange(n + 1)[:, None], (first + k)[None]))
+        else:
+            i = first + np.arange(k + 1)[:, None]
         return o + i * h - c, np.minimum(np.maximum(i[:-1] + 1, 0), n + 1)
 
     (ex, ix), (ey, iy) = (axis(c, o, h, n) for c, o, h, n in

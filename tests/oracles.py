@@ -282,6 +282,21 @@ def grid_disc_mass(values, origin, spacing, center, R: float) -> float:
     return total
 
 
+def uncapped_disc_lattice(g, cx, cy, rho: float):
+    """``mapbayes.density._disc_lattice`` without its cap at the grid: along
+    each axis all k = ceil(2 rho / h) + 1 cells from the one holding c - rho,
+    each off the grid read as 0 from the grid's zero border."""
+    def axis(c, o, h, n):
+        k = math.ceil(2.0 * rho / h) + 1
+        first = np.minimum(np.maximum(np.floor((c - rho - o) / h), -k), n).astype(np.int64)
+        i = first + np.arange(k + 1)[:, None]
+        return o + i * h - c, np.minimum(np.maximum(i[:-1] + 1, 0), n + 1)
+
+    (ex, ix), (ey, iy) = (axis(c, o, h, n) for c, o, h, n in
+                          zip((cx, cy), g.origin, g.spacing, g.shape))
+    return ex, ey, g._bordered[ix[:, None, :], iy[None, :, :]]
+
+
 def grid_window_max(values, i: int, j: int, kx: int, ky: int) -> float:
     """Largest value of a 2D cell array among the cells within kx, ky cells
     of cell (i, j), counting each cell off the grid as 0, cell by cell."""

@@ -337,12 +337,12 @@ def test_infinite_boxes_give_the_support_search(seed, kind, log_r):
         assert repr(maximize_density(d, box)) == want, box
 
 
-def _flat_builder(seed: int):
-    """A function that builds one density with no slope, afresh on each call:
-    a 1D grid's cell view, some cells 0 or -0.0, about an origin that puts
-    cells on both sides of 0; or flat pieces (constants, and affine and sqrt
-    pieces with b = 0.0 or -0.0) with gaps, zero and -0.0 heights, and one
-    piece overlapping the one before by 1e-15 relative."""
+def _flat_density(seed: int) -> UscDensity1D:
+    """One density with no slope: a 1D grid's cell view, some cells 0 or
+    -0.0, about an origin that puts cells on both sides of 0; or flat pieces
+    (constants, and affine and sqrt pieces with b = 0.0 or -0.0) with gaps,
+    zero and -0.0 heights, and one piece overlapping the one before by 1e-15
+    relative."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 40))
     heights = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) > 0.3)
@@ -351,7 +351,7 @@ def _flat_builder(seed: int):
     if seed % 2:
         origin, spacing = rng.uniform(-3.0, 1.0), rng.uniform(0.01, 0.5)
         values = GridDensity.normalized(1, origin, spacing, heights).values
-        return lambda: GridDensity(1, (origin,), (spacing,), values).to_pieces()
+        return GridDensity(1, (origin,), (spacing,), values).to_pieces()
     pieces, t, overlap = [], rng.uniform(-3.0, 1.0), int(rng.integers(1, n + 1))
     for i, k in enumerate(heights.tolist()):
         lo = t - 1e-15 * max(1.0, abs(t)) if i == overlap else t + rng.uniform(0.0, 0.5) * (
@@ -362,15 +362,15 @@ def _flat_builder(seed: int):
                                   affine_piece(lo, t, k, b, t0=rng.uniform(-5.0, 5.0)),
                                   sqrt_piece(lo, t, k, b, 1, lo - rng.uniform(0.0, 2.0)),
                                   sqrt_piece(lo, t, k, b, -1, t + rng.uniform(0.0, 2.0))]))
-    pieces = unit_mass(pieces).pieces
-    return lambda: UscDensity1D(pieces, mass_tol=1e-6)
+    return UscDensity1D(unit_mass(pieces).pieces, mass_tol=1e-6)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), log_r=st.floats(-3.0, 0.5), at=st.floats(0.0, 1.0))
 def test_a_profile_with_no_slope_answers_as_its_full_algebra_does(seed, log_r, at):
-    # the same density built again with its kind facts forced to "sloped, with
-    # arcs", so that every reader runs the full affine and arc algebra
+    # the same pieces built again through _Profile.of, a grid's cells as constant
+    # pieces, with the kind facts forced to "sloped, with arcs", so that every
+    # reader runs the full affine and arc algebra
     def answers(d):
         p = d._profile
         r, inf = 10.0 ** log_r, math.inf
@@ -387,12 +387,11 @@ def test_a_profile_with_no_slope_answers_as_its_full_algebra_does(seed, log_r, a
                  [repr(maximize_window(d, r, box)) for box in boxes],
                  [repr(_window_min_sup(d, r, *box)) for box in boxes])
 
-    build = _flat_builder(seed)
-    d = build()
+    d = _flat_density(seed)
     assert (d._profile.sloped, d._profile.arcs) == (False, False)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(density, "_kinds", lambda form: (True, True))
-        full = build()
+        full = UscDensity1D(d.pieces, mass_tol=d.mass_tol)
     assert (full._profile.sloped, full._profile.arcs) == (True, True)
     assert answers(d) == answers(full)
 

@@ -1,16 +1,18 @@
+import dataclasses
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mapbayes as mb
 from mapbayes.density import (
     GridDensity,
     Piece,
     UscDensity1D,
+    _Profile,
     _distinct,
     _pieces_view,
     _solve_ge,
@@ -454,6 +456,35 @@ def test_grid_view_search_builds_no_piece(monkeypatch):
     assert d._profile.error == ref._profile.error
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(1, 1024), seed=st.integers(0, 2**32 - 1),
+       origin=st.one_of(st.sampled_from([0.0, -0.0, 1e8, -1e8]), st.floats(-5.0, 5.0)),
+       spacing=st.floats(3.3e-5, 10.0), scale=st.sampled_from([1.0, 5e-324, 1e-310, 1e300]),
+       zeros=st.floats(0.0, 1.0))
+def test_the_cell_builder_is_the_piece_builder_on_constant_columns(n, seed, origin, spacing,
+                                                                   scale, zeros):
+    # a 1D grid's profile from its edges and heights is _Profile.of of its cells'
+    # constant pieces, every field bit for bit: subnormal and 1e300-scale heights,
+    # and 0.0 and -0.0 cells, whose values at the edges keep a sign of zero
+    rng = np.random.default_rng(seed)
+    heights = rng.uniform(0.0, 2.0, n) * scale
+    zero = rng.uniform(size=n) < zeros
+    heights[zero] = np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0)[zero]
+    edges = origin + np.arange(n + 1) * spacing
+    assume((edges[1:] > edges[:-1]).all())
+    pieces = list(map(constant_piece, edges[:-1].tolist(), edges[1:].tolist(), heights.tolist()))
+    columns = np.array([(p.lo, p.hi, *p._form) for p in pieces], dtype=float).T
+    want = _Profile.of(columns, ())
+    got = UscDensity1D._of_cells(edges, heights, math.inf)._profile
+
+    def raw(x):
+        x = np.asarray(x)
+        return x.dtype.str, x.shape, x.tobytes()
+
+    for f in dataclasses.fields(_Profile):
+        assert raw(getattr(got, f.name)) == raw(getattr(want, f.name)), f.name
+
+
 def test_grid_2d_evaluate_boundary_max():
     vals = np.array([[1.0, 2.0], [4.0, 3.0]])
     g = GridDensity.normalized(2, (0.0, 0.0), (0.5, 0.5), vals)
@@ -462,6 +493,12 @@ def test_grid_2d_evaluate_boundary_max():
     assert g.evaluate((0.5, 0.25)) == max(h[0, 0], h[1, 0])
     assert g.evaluate((0.5, 0.5)) == h.max()
     assert g.evaluate((1.2, 0.2)) == 0.0
+    # a -0.0 cell reads +0.0, alone and on its edges, as a 1D grid's cell does
+    z = GridDensity(2, (0.0, 0.0), (0.5, 0.5), [[-0.0, 2.0], [1.0, 1.0]])
+    z1 = GridDensity(1, (0.0,), (0.5,), [-0.0, 2.0])
+    for got in (z.evaluate((0.1, 0.1)), z.evaluate((0.0, 0.0)), z1.evaluate(0.1), z1.evaluate(0.0)):
+        assert math.copysign(1.0, got) == 1.0 and got == 0.0
+    assert z.evaluate((0.5, 0.0)) == 1.0 and z.evaluate((0.0, 0.5)) == 2.0
 
 
 def test_grid_evaluate_takes_the_larger_cell_where_the_quotient_rounds_low():

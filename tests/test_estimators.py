@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import mapbayes as mb
 import mapbayes.argmax
-from mapbayes.density import GridDensity, _disc_masses, _support_box
+import mapbayes.density
+from mapbayes.argmax import _box_bounds
+from mapbayes.density import GridDensity, _disc_lattice, _disc_masses, _support_box
 from mapbayes.windows import BallObjective, ball_integral
 
 from conftest import grid_1d, random_piecewise
-from oracles import grid_disc_mass, grid_mode_scan, grid_window_scan
+from oracles import grid_disc_mass, grid_mode_scan, grid_window_scan, uncapped_disc_lattice
+from test_grid_corpus import grid_case
 
 
 def test_loss_spec_validation():
@@ -281,6 +284,47 @@ def test_2d_bayes_over_a_box_far_off_the_grid():
     assert far_y.sup_value == 0.0
     with pytest.raises(ValueError, match=r"a disc centre must be finite, got \(inf, 0.5\)"):
         mb.bayes_estimate(g, mb.LossSpec(4.0), ((2.0, math.inf), (0.0, 1.0)))
+
+
+def test_a_disc_wider_than_the_grid_meets_a_lattice_capped_at_the_grid(monkeypatch):
+    # case 7 of the grid corpus, 2x4 cells of spacing (2.87, 0.0078), at c = 0.7/2.87:
+    # a disc of radius 4.1 whose square spans 4 cells along x and 1,053 along y.
+    # Each axis keeps the grid's cells and one zero border cell on each side, the
+    # zero cells past them merged, so a batch of discs gathers 24 cells each, not
+    # 4,212, and the search reports what the uncapped lattice gave; masses and
+    # bounds match the uncapped ones, the ring's 0 where the annulus leaves the
+    # grid included
+    g = grid_case(7)[0]
+    loss = mb.LossSpec(0.7 / 2.87)
+    R = loss.radius
+    cx, cy = np.array([0.5, 9.0, -30.0, 2.87]), np.array([-1.0, 0.01, 1e3, 0.0])
+    ex, ey, vals = _disc_lattice(g, cx, cy, R)
+    assert (ex.shape, ey.shape, vals.shape) == ((5, 4), (7, 4), (4, 6, 4))
+    assert np.array_equal(vals[:, 0, :], np.zeros((4, 4)))  # a border, or zeros merged
+    assert repr(mb.bayes_estimate(g, loss)) == (
+        "ArgmaxResult(dim=2, sup_value=1.0000000000002074, maximizers=(((2.154198118565594, "
+        "2.154198118565594), (-1.810546875, -1.810546875)),), canonical=(2.154198118565594, "
+        "-1.810546875), tol_value=1.0117688436962094e-06, sup_infinite=False)")
+    # wide discs on a 3x2 grid: about centres inside it, the annulus of
+    # R +- delta lies wholly off the grid, where only merged cells meet it,
+    # and a square that ends inside the grid merges the zero cells on one side
+    g2 = GridDensity.normalized(2, (0.1, -0.2), (0.1, 0.13), [[1.0, 2.0], [0.5, 3.0], [2.0, 0.0]])
+    rng = np.random.default_rng(7)
+    for g, R in ((g, R), (g2, 0.35), (g2, 1.7), (g2, 40.0)):
+        (x0, x1), (y0, y1) = g.support
+        cx, cy = rng.uniform(x0 - R, x1 + R, 9), rng.uniform(y0 - R, y1 + R, 9)
+        # centres inside, and a disc's square ending inside the grid on each side
+        mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        cx[:7] = [*rng.uniform(x0, x1, 3), mx - R, mx + R, mx, mx]
+        cy[:7] = [*rng.uniform(y0, y1, 3), my, my, my - R, my + R]
+        w = rng.uniform(0.0, 0.5, (2, 9)) * np.array(g.spacing)[:, None]
+        got = _disc_masses(g, cx, cy, R), *_box_bounds(g, cx, cy, *w, R)
+        with monkeypatch.context() as mp:
+            mp.setattr(mapbayes.density, "_disc_lattice", uncapped_disc_lattice)
+            mp.setattr(mapbayes.argmax, "_disc_lattice", uncapped_disc_lattice)
+            want = _disc_masses(g, cx, cy, R), *_box_bounds(g, cx, cy, *w, R)
+        for a, b in zip(got, want):
+            assert np.all(np.isfinite(a)) and a == pytest.approx(b, rel=1e-14, abs=1e-300)
 
 
 @pytest.mark.parametrize("k", range(31))
